@@ -36,7 +36,7 @@ from .quadform import (MultiplierTriple, check_positivity, build_redshift,
                        boundary_forms, hardy_check, demo_boundary_parameters,
                        zeroth_order_n, positivity_grid)
 from .sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
-                  mu_lower_bound, rotation_symbols_vec, lambda2)
+                  mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
 from .wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
                          gaussian_bump, convergence_study, export_energy_csv,
                          export_norm_json)
@@ -368,15 +368,18 @@ def task_sos_verify(cfg, rng, outdir):
                                res["beta2"][i], res["r_trap"][i])) + "\n")
 
     region = blk.get("region", [1.35 * rs, 1.50 * rs, 0.3, math.pi / 2 - 0.3])
+    # one calibration sample set and its radial jets, shared by every eps0
+    samples = mu_samples(tuple(region),
+                         np.random.default_rng(int(cfg.get("seed", 0)) + 7),
+                         int(blk.get("n_mu", 20000)))
+    jets = sos.jets(samples[0])
     mu_reports = {}
     env = {}
     for e0 in blk.get("eps0_scan", [eps0 / 4, eps0 / 2, eps0]):
         pr_e = BlackHoleParams(r_s=params.r_s, a=0.6 * e0 * params.r_s,
                                b=0.6 * e0 * params.r_s)
         mp_e = MpSos(params=pr_e, sos=sos)
-        rep = mu_lower_bound(mp_e, tuple(region), e0,
-                                  np.random.default_rng(int(cfg.get("seed", 0)) + 7),
-                                  n_samples=int(blk.get("n_mu", 20000)))
+        rep = mu_lower_bound(mp_e, tuple(region), e0, samples=samples, jets=jets)
         mu_reports[f"{e0:g}"] = rep
         env[e0] = rep["envelope"]
     metrics["mu"] = mu_reports[f"{eps0:g}"]

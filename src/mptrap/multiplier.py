@@ -217,19 +217,31 @@ class MultiplierProfile:
         return self._q2_cache_val
 
     def F_jet(self, r):
+        """f1 plus the matching correction c_d r^{-(d+2)} chi (D_m - Q2).
+
+        The correction is evaluated only where chi is nonzero (inside
+        chi_outer of the photon sphere); elsewhere F equals f1."""
         r = np.asarray(r, dtype=float)
-        H = self.h_jet(r)
-        am = tuple(self.a_mollified(H[0], k) for k in range(4))
-        aa = tuple(self.a_of(H[0], k) for k in range(4))
-        Dm = jet_compose(am, H) - jet_compose(aa, H)
-        d0, d1, d2 = self._q2_cache
-        dr = r - self.sp.r_ps
-        Q2 = np.zeros((4,) + r.shape)
-        Q2[0] = d0 + d1 * dr + 0.5 * d2 * dr**2
-        Q2[1] = d1 + d2 * dr
-        Q2[2] = d2
-        corr = jet_mul(self.chi_jet(r), Dm - Q2)
-        return self.f1_jet(r) + self.c_d * jet_mul(jet_monomial(r, -(self.sp.d + 2)), corr)
+        scalar = r.ndim == 0
+        rv = np.atleast_1d(r)
+        out = self.f1_jet(rv)
+        rps = self.sp.r_ps
+        on = (rv > rps - self.chi_outer) & (rv < rps + self.chi_outer)
+        if np.any(on):
+            ro = rv[on]
+            H = self.h_jet(ro)
+            am = tuple(self.a_mollified(H[0], k) for k in range(4))
+            aa = tuple(self.a_of(H[0], k) for k in range(4))
+            Dm = jet_compose(am, H) - jet_compose(aa, H)
+            d0, d1, d2 = self._q2_cache
+            dr = ro - rps
+            Q2 = np.zeros((4,) + ro.shape)
+            Q2[0] = d0 + d1 * dr + 0.5 * d2 * dr**2
+            Q2[1] = d1 + d2 * dr
+            Q2[2] = d2
+            corr = jet_mul(self.chi_jet(ro), Dm - Q2)
+            out[:, on] += self.c_d * jet_mul(jet_monomial(ro, -(self.sp.d + 2)), corr)
+        return out[:, 0] if scalar else out
 
     def f_jet(self, r):
         """Saturated profile; equals -2/(eps r^{d+2}) at and below the horizon."""
@@ -287,13 +299,15 @@ class MultiplierProfile:
         return -0.5 * (A1 * q1 + A * (q2 + (d + 2) * q1 / r))
 
     # -- scalar companions -----------------------------------------------------
-    def q1_jet(self, r):
-        """q1 = (A/2) r^{-(d+2)} d/dr(r^{d+2} f); jet carries orders 0..2."""
+    def q1_jet(self, r, f=None):
+        """q1 = (A/2) r^{-(d+2)} d/dr(r^{d+2} f); jet carries orders 0..2.
+
+        `f` is the jet f_jet(r) when the caller already holds it."""
         d = self.sp.d
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         rv = np.atleast_1d(r)
-        rf = jet_mul(jet_monomial(rv, d + 2), self.f_jet(rv))
+        rf = jet_mul(jet_monomial(rv, d + 2), self.f_jet(rv) if f is None else f)
         dr_rf = np.stack([rf[1], rf[2], rf[3], np.zeros_like(rf[0])])
         out = 0.5 * jet_mul(self.A_jet(rv), jet_mul(jet_monomial(rv, -(d + 2)), dr_rf))
         hz = self._hz_mask(rv)

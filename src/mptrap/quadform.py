@@ -48,7 +48,7 @@ class MultiplierTriple:
         f = pr.f_jet(r)
         b = pr.b_jet(r)
         gam = pr.gamma_jet(r)
-        q1 = pr.q1_jet(r)
+        q1 = pr.q1_jet(r, f)
         q2 = pr.q2_jet(r)
         mt = pr.m_t_jet(r)
         # X = f (A d_r + (1 - A mu') d_v) - delta b (d_r - mu' d_v)

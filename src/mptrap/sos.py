@@ -26,7 +26,7 @@ import numpy as np
 
 from .params import (BlackHoleParams, NuRangeViolation,
                      PositivityViolation, CBandEmpty, LowerBoundViolation)
-from .multiplier import MultiplierProfile
+from .multiplier import MultiplierProfile, jet_mul
 from .trapping import (R_ab, R_ab_dx, rho2_p, trapped_radius, tau_roots,
                        SOS_WINDOW)
 
@@ -66,6 +66,27 @@ def lambda2(theta, Theta, Phi, Psi):
 # static-side machinery
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RadialJets:
+    """The radial coefficients of the photon-sphere pair on one radius array.
+
+    Built by `SchwSos.jets` from a single `f_jet` evaluation; the scans read
+    their coefficients from here instead of re-evaluating the profile.
+    """
+
+    r: np.ndarray
+    A: np.ndarray          # A(r)
+    f: np.ndarray          # jet of the saturated profile f_m
+    G: np.ndarray          # jet of G = A f_m
+    f_tilde: np.ndarray    # f~ = G / (r - r_ps), series through the root
+    f_tilde_p: np.ndarray  # f~'
+    q1: np.ndarray         # jet of q1, from the same f jet
+    q_tilde: np.ndarray
+    nu: np.ndarray
+    alphaS2: np.ndarray
+    betaS2: np.ndarray
+
+
 @dataclass
 class SchwSos:
     """Photon-sphere symbol data built on a multiplier profile (d = 1)."""
@@ -76,64 +97,45 @@ class SchwSos:
         if self.profile.sp.d != 1:
             raise ValueError("symbol verification implemented for d = 1")
         rps = np.asarray([self.profile.sp.r_ps])
-        J = _jet_mul_local(self.profile.A_jet(rps), self.profile.f_jet(rps))
+        J = jet_mul(self.profile.A_jet(rps), self.profile.f_jet(rps))
         self._G_ps = [float(J[k][0]) for k in range(4)]
 
-    # G = A f_m and friends ---------------------------------------------------
-    def G_jet(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return _jet_mul_local(self.profile.A_jet(r), self.profile.f_jet(r))
+    def jets(self, r) -> RadialJets:
+        """All radial coefficients at r from one evaluation of the profile.
 
-    def f_tilde(self, r):
-        """(f~, f~') with f~ = G/(r - r_ps); series through the root."""
-        sp = self.profile.sp
+        f~ = G/(r - r_ps) with its series through the root;
+        q~ = q_sos - (1/2) div X1 + G/r with the companion scalar
+        q_sos = q1 - delta1 q2, which equals
+        f_m (r - r_ps)(r + r_ps)/r^3 - delta1 q2 in closed form;
+        nu from -g^tt r^2 q~ = nu alpha_S^2.
+        """
+        pr = self.profile
+        sp = pr.sp
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        G = self.G_jet(r)
+        f = pr.f_jet(r)
+        G = jet_mul(pr.A_jet(r), f)
         d = r - sp.r_ps
-        out_v = np.empty_like(r)
-        out_p = np.empty_like(r)
+        ft = np.empty_like(r)
+        ftp = np.empty_like(r)
         far = np.abs(d) > 3e-4 * sp.r_s
-        out_v[far] = G[0][far] / d[far]
-        out_p[far] = (G[1][far] * d[far] - G[0][far]) / d[far] ** 2
+        ft[far] = G[0][far] / d[far]
+        ftp[far] = (G[1][far] * d[far] - G[0][far]) / d[far] ** 2
         near = ~far
         if np.any(near):
             G1, G2, G3 = self._G_ps[1], self._G_ps[2], self._G_ps[3]
             dn = d[near]
-            out_v[near] = G1 + G2 * dn / 2.0 + G3 * dn**2 / 6.0
-            out_p[near] = G2 / 2.0 + G3 * dn / 3.0
-        return out_v, out_p
-
-    def q_sos_jet(self, r):
-        """Companion scalar of the photon-sphere pair: q1 - delta1 q2."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return self.profile.q1_jet(r) - self.profile.delta1 * self.profile.q2_jet(r)
-
-    def alphaS2(self, r):
-        sp = self.profile.sp
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        G = self.G_jet(r)
-        return r**3 * (r + sp.r_ps) * G[0] * (r - sp.r_ps) / (r**2 - sp.r_s**2) ** 2
-
-    def betaS2(self, r):
-        sp = self.profile.sp
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        G = self.G_jet(r)
-        return (r**2 - sp.r_s**2) * G[1] - r * G[0]
-
-    def q_tilde(self, r):
-        """q~ = q_sos - (1/2) div X1 + G/r, which equals
-        f_m (r - r_ps)(r + r_ps)/r^3 - delta1 q2 in closed form."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        q = self.q_sos_jet(r)
-        G = self.G_jet(r)
-        return q[0] - 0.5 * G[1] - G[0] / (2.0 * r)
-
-    def nu(self, r):
-        """Interpolation fraction from -g^tt r^2 q~ = nu alpha_S^2."""
-        sp = self.profile.sp
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+            ft[near] = G1 + G2 * dn / 2.0 + G3 * dn**2 / 6.0
+            ftp[near] = G2 / 2.0 + G3 * dn / 3.0
+        q1 = pr.q1_jet(r, f)
+        q_sos = q1 - pr.delta1 * pr.q2_jet(r)
+        q_tilde = q_sos[0] - 0.5 * G[1] - G[0] / (2.0 * r)
+        alphaS2 = r**3 * (r + sp.r_ps) * G[0] * (r - sp.r_ps) / (r**2 - sp.r_s**2) ** 2
+        betaS2 = (r**2 - sp.r_s**2) * G[1] - r * G[0]
         A = sp.A(r)
-        return r**2 * self.q_tilde(r) / (A * self.alphaS2(r))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu = r**2 * q_tilde / (A * alphaS2)    # 0/0 at r = r_ps exactly
+        return RadialJets(r=r, A=A, f=f, G=G, f_tilde=ft, f_tilde_p=ftp, q1=q1,
+                          q_tilde=q_tilde, nu=nu, alphaS2=alphaS2, betaS2=betaS2)
 
     def p_S(self, r, tau, xi, lam2):
         A = self.profile.sp.A(r)
@@ -149,8 +151,7 @@ class SchwSos:
         sp = self.profile.sp
 
         def sigma(rr):
-            fv, _ = self.f_tilde(np.asarray([rr]))
-            return float(fv[0]) * (rr - sp.r_ps)
+            return float(self.jets(rr).f_tilde[0]) * (rr - sp.r_ps)
 
         def r2p(rr, xx, tau):
             return rr**2 * self.p_S(rr, tau, xx, lam2)
@@ -173,15 +174,6 @@ class SchwSos:
         return out  # {0: value at tau=0, 1: value at tau=1}
 
 
-def _jet_mul_local(F, G):
-    out = np.empty_like(F)
-    out[0] = F[0] * G[0]
-    out[1] = F[1] * G[0] + F[0] * G[1]
-    out[2] = F[2] * G[0] + 2 * F[1] * G[1] + F[0] * G[2]
-    out[3] = F[3] * G[0] + 3 * F[2] * G[1] + 3 * F[1] * G[2] + F[0] * G[3]
-    return out
-
-
 def schw_sos_verify(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
     """Relative residual between the direct and the sum-of-squares evaluation
     of r^2 q at one symbol point, plus (alpha_S^2, beta_S^2, nu).
@@ -193,13 +185,12 @@ def schw_sos_verify(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
     sp = sos.profile.sp
     lami = rotation_symbols(theta, Theta, Phi, Psi)
     lam2 = float(np.sum(lami**2))
-    a2 = float(sos.alphaS2(np.asarray([r]))[0])
-    b2 = float(sos.betaS2(np.asarray([r]))[0])
-    nu = float(sos.nu(np.asarray([r]))[0])
+    J = sos.jets(r)
+    a2, b2, nu = float(J.alphaS2[0]), float(J.betaS2[0]), float(J.nu[0])
     if not (0.0 < nu < 1.0):
         raise NuRangeViolation(f"nu = {nu} outside (0,1) at r = {r}")
     A = sp.A(r)
-    qt = float(sos.q_tilde(np.asarray([r]))[0])
+    qt = float(J.q_tilde[0])
     br = sos.bracket_fd(r, xi, lam2)
     route_i = br[0] + (br[1] - br[0]) * tau**2 + qt * r**2 * sos.p_S(r, tau, xi, lam2)
     route_ii = ((1 - nu) * a2 * tau**2 + b2 * xi**2
@@ -230,7 +221,7 @@ class MpSos:
         a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
         Delta = (x + a2) * (x + b2) - rs2 * x
         r_t = self.r_trap(tau, Phi, Psi)
-        ft, _ = self.sos.f_tilde(np.asarray([r]))
+        ft = float(self.sos.jets(r).f_tilde[0])
         dr = r - r_t
         if abs(dr) > 3e-4 * p.r_s:
             Rv = R_ab(p, x, tau, Phi, Psi)
@@ -242,7 +233,7 @@ class MpSos:
             R2 = (R_ab_dx(p, x_t + h, tau, Phi, Psi)
                   - R_ab_dx(p, x_t - h, tau, Phi, Psi)) / (2 * h)
             quot = (r + r_t) * (R1 + 0.5 * R2 * (x - x_t))
-        return r * float(ft[0]) * quot / (Delta**2 * tau**2)
+        return r * ft * quot / (Delta**2 * tau**2)
 
     def beta2(self, r, tau, Phi, Psi):
         """xi^2 coefficient of the half-bracket."""
@@ -253,8 +244,8 @@ class MpSos:
         dDelta_r2 = 2 * r * (x + b2) / x + (x + a2) * 2 * r / x \
             - 2 * (x + a2) * (x + b2) / (x * r)
         r_t = self.r_trap(tau, Phi, Psi)
-        ft, ftp = self.sos.f_tilde(np.asarray([r]))
-        ft, ftp = float(ft[0]), float(ftp[0])
+        J = self.sos.jets(r)
+        ft, ftp = float(J.f_tilde[0]), float(J.f_tilde_p[0])
         return (Delta / x) * (ftp * (r - r_t) + ft) \
             - 0.5 * dDelta_r2 * ft * (r - r_t)
 
@@ -265,9 +256,9 @@ class MpSos:
         a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
         Delta = (x + a2) * (x + b2) - rs2 * x
         r_t = self.r_trap(tau, Phi, Psi)
-        ft, _ = self.sos.f_tilde(np.asarray([r]))
+        ft = float(self.sos.jets(r).f_tilde[0])
         Rv = R_ab(p, x, tau, Phi, Psi)
-        return (r * float(ft[0]) * Rv * (r - r_t) / Delta**2
+        return (r * ft * Rv * (r - r_t) / Delta**2
                 + self.beta2(r, tau, Phi, Psi) * xi**2)
 
     def bracket_fd(self, r, theta, tau, xi, Theta, Phi, Psi, h_rel=1e-5):
@@ -277,10 +268,8 @@ class MpSos:
         (theta, phi, psi, Theta) and rho^2 p of (phi, psi)."""
         p = self.params
         r_t = self.r_trap(tau, Phi, Psi)
-        ftq = lambda rr: float(self.sos.f_tilde(np.asarray([rr]))[0][0])
-
         def sig(rr):
-            return ftq(rr) * (rr - r_t)
+            return float(self.sos.jets(rr).f_tilde[0]) * (rr - r_t)
 
         h = h_rel * p.r_s
 
@@ -336,7 +325,7 @@ def mu_terms(mp: MpSos, r, theta, tau, xi, Theta, Phi, Psi, C_big, eps0,
     lami = rotation_symbols(theta, Theta, Phi, Psi, phi, psi)
     lam2 = float(np.sum(lami**2))
     rs2 = mp.params.r_s**2
-    nu = float(mp.sos.nu(np.asarray([r]))[0])
+    nu = float(mp.sos.jets(r).nu[0])
     r_t1 = mp.r_trap(t1, Phi, Psi)
     r_t2 = mp.r_trap(t2, Phi, Psi)
     a_1 = math.sqrt(max(mp.alpha2(r, t1, Phi, Psi), 0.0))
@@ -389,12 +378,12 @@ def rotation_symbols_vec(theta, Theta, Phi, Psi, phi=None, psi=None):
     return np.stack(lam)
 
 
-def alpha2_vec(mp: MpSos, r, tau, Phi, Psi, r_t):
-    p = mp.params
+def alpha2_vec(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
+    """alpha^2 at the radii of J (vectorized MpSos.alpha2)."""
+    r = J.r
     x = r * r
     a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
     Delta = (x + a2) * (x + b2) - rs2 * x
-    ft, _ = mp.sos.f_tilde(r)
     dr = r - r_t
     far = np.abs(dr) > 3e-4 * p.r_s
     quot = np.empty_like(r)
@@ -408,57 +397,59 @@ def alpha2_vec(mp: MpSos, r, tau, Phi, Psi, r_t):
         R2 = (R_ab_dx(p, x_t + h, tau[near], Phi[near], Psi[near])
               - R_ab_dx(p, x_t - h, tau[near], Phi[near], Psi[near])) / (2 * h)
         quot[near] = (r[near] + r_t[near]) * (R1 + 0.5 * R2 * (x[near] - x_t))
-    return r * ft * quot / (Delta**2 * tau**2)
+    return r * J.f_tilde * quot / (Delta**2 * tau**2)
 
 
-def beta2_vec(mp: MpSos, r, tau, Phi, Psi, r_t):
-    p = mp.params
+def beta2_vec(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
+    """beta^2 at the radii of J (vectorized MpSos.beta2)."""
+    r = J.r
     x = r * r
     a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
     Delta = (x + a2) * (x + b2) - rs2 * x
     dDelta_r2 = (2 * r * (x + b2) / x + (x + a2) * 2 * r / x
                  - 2 * (x + a2) * (x + b2) / (x * r))
-    ft, ftp = mp.sos.f_tilde(r)
+    ft, ftp = J.f_tilde, J.f_tilde_p
     return (Delta / x) * (ftp * (r - r_t) + ft) - 0.5 * dDelta_r2 * ft * (r - r_t)
 
 
 def mp_bracket_scan(mp: MpSos, r, theta, xi, Theta, Phi, Psi, branch):
     """Vectorized on-shell bracket with the positive-coefficient pair."""
     from .trapping import tau_roots_vec, trapped_radius_vec
-    r = np.asarray(r, dtype=float)
+    J = mp.sos.jets(r)
+    r = J.r
     t1, t2 = tau_roots_vec(mp.params, r, theta, xi, Theta, Phi, Psi)
     tau = np.where(np.asarray(branch) == 0, t1, t2)
     ok = np.isfinite(tau) & (np.abs(tau) > 1e-12)
     r_t, _ = trapped_radius_vec(mp.params, np.where(ok, tau, 1.0), Phi, Psi)
     ok &= np.isfinite(r_t)
-    a2 = alpha2_vec(mp, r, tau, Phi, Psi, r_t)
-    b2 = beta2_vec(mp, r, tau, Phi, Psi, r_t)
+    a2 = alpha2_vec(mp.params, J, tau, Phi, Psi, r_t)
+    b2 = beta2_vec(mp.params, J, tau, Phi, Psi, r_t)
     x = r * r
     pa2, pb2, rs2 = mp.params.a**2, mp.params.b**2, mp.params.r_s**2
     Delta = (x + pa2) * (x + pb2) - rs2 * x
-    ft, _ = mp.sos.f_tilde(r)
     Rv = R_ab(mp.params, x, tau, Phi, Psi)
-    val = r * ft * Rv * (r - r_t) / Delta**2 + b2 * xi**2
+    val = r * J.f_tilde * Rv * (r - r_t) / Delta**2 + b2 * xi**2
     return {"ok": ok, "bracket": val, "alpha2": a2, "beta2": b2,
             "tau": tau, "r_trap": r_t}
 
 
 def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi,
                   h_rel: float = 1e-4):
-    """Vectorized two-route evaluation of the static sum of squares."""
+    """Vectorized two-route evaluation of the static sum of squares.
+
+    Route (ii) reads the coefficients at r from one RadialJets; route (i)
+    differentiates f~ by Richardson differences on four shifted radius sets,
+    each its own evaluation of the profile.
+    """
     sp = sos.profile.sp
-    r = np.asarray(r, dtype=float)
+    J = sos.jets(r)
+    r = J.r
     lami = rotation_symbols_vec(theta, Theta, Phi, Psi)
     lam2 = np.sum(lami**2, axis=0)
-    a2 = sos.alphaS2(r)
-    b2 = sos.betaS2(r)
-    nu = sos.nu(r)
-    qt = sos.q_tilde(r)
-    A = sp.A(r)
+    a2, b2, nu, qt, A = J.alphaS2, J.betaS2, J.nu, J.q_tilde, J.A
 
     def sigma(rr):
-        fv, _ = sos.f_tilde(rr)
-        return fv * (rr - sp.r_ps)
+        return sos.jets(rr).f_tilde * (rr - sp.r_ps)
 
     def r2p(rr, tt):
         return rr**2 * (-tt**2 / sp.A(rr) + sp.A(rr) * xi**2 + lam2 / rr**2)
@@ -471,7 +462,7 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi,
         return (4 * d2 - d1) / 3.0
 
     s_r = ddr(sigma) * xi
-    s_xi = sigma(r)
+    s_xi = J.f_tilde * (r - sp.r_ps)
     p_xi = 2 * r**2 * A * xi
     br0 = 0.5 * (p_xi * s_r - ddr(lambda rr: r2p(rr, 0.0)) * s_xi)
     br1 = 0.5 * (p_xi * s_r - ddr(lambda rr: r2p(rr, 1.0)) * s_xi)
@@ -485,10 +476,14 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi,
             "alphaS2": a2, "betaS2": b2}
 
 
-def mu_scan(mp: MpSos, r, theta, tau, xi, Theta, Phi, Psi, C_big, eps0):
-    """Vectorized eleven-term squares, comparison quadratic, and envelope."""
+def mu_scan(mp: MpSos, r, theta, tau, xi, Theta, Phi, Psi, C_big, eps0,
+            jets: RadialJets = None):
+    """Vectorized eleven-term squares, comparison quadratic, and envelope.
+
+    `jets` is mp.sos.jets(r) when the caller already holds it."""
     from .trapping import tau_roots_vec, trapped_radius_vec
-    r = np.asarray(r, dtype=float)
+    J = mp.sos.jets(r) if jets is None else jets
+    r = J.r
     t1, t2 = tau_roots_vec(mp.params, r, theta, xi, Theta, Phi, Psi)
     dt = t1 - t2
     ok = np.isfinite(dt) & (dt > 1e-9) & (np.abs(t1) > 1e-12) & (np.abs(t2) > 1e-12)
@@ -498,16 +493,16 @@ def mu_scan(mp: MpSos, r, theta, tau, xi, Theta, Phi, Psi, C_big, eps0):
     lami = rotation_symbols_vec(theta, Theta, Phi, Psi)
     lam2 = np.sum(lami**2, axis=0)
     rs2 = mp.params.r_s**2
-    nu = mp.sos.nu(r)
+    nu = J.nu
     r_t1, _ = trapped_radius_vec(mp.params, t1s, Phi, Psi)
     r_t2, _ = trapped_radius_vec(mp.params, t2s, Phi, Psi)
     ok &= np.isfinite(r_t1) & np.isfinite(r_t2)
     r_t1 = np.where(np.isfinite(r_t1), r_t1, mp.params.r_s * math.sqrt(2))
     r_t2 = np.where(np.isfinite(r_t2), r_t2, mp.params.r_s * math.sqrt(2))
-    a1sq = alpha2_vec(mp, r, t1s, Phi, Psi, r_t1)
-    a2sq = alpha2_vec(mp, r, t2s, Phi, Psi, r_t2)
-    b1sq = beta2_vec(mp, r, t1s, Phi, Psi, r_t1)
-    b2sq = beta2_vec(mp, r, t2s, Phi, Psi, r_t2)
+    a1sq = alpha2_vec(mp.params, J, t1s, Phi, Psi, r_t1)
+    a2sq = alpha2_vec(mp.params, J, t2s, Phi, Psi, r_t2)
+    b1sq = beta2_vec(mp.params, J, t1s, Phi, Psi, r_t1)
+    b2sq = beta2_vec(mp.params, J, t2s, Phi, Psi, r_t2)
     alpha1 = 2 * np.abs(t1s) / dts * np.sqrt(np.maximum(a1sq, 0.0)) * (r - r_t1)
     alpha2_ = 2 * np.abs(t2s) / dts * np.sqrt(np.maximum(a2sq, 0.0)) * (r - r_t2)
     denom = lam2 + (r**2 - rs2) * xi**2
@@ -529,17 +524,34 @@ def mu_scan(mp: MpSos, r, theta, tau, xi, Theta, Phi, Psi, C_big, eps0):
             "b1sq": b1sq, "b2sq": b2sq, "tail": tail}
 
 
-def mu_lower_bound(mp: MpSos, region, eps0: float, rng,
-                        n_samples: int = 20000):
-    """Vectorized calibration-band selection and coercivity measurement."""
+def mu_samples(region, rng, n_samples: int):
+    """Calibration sample set (r, theta, tau, xi, Theta, Phi, Psi): (r, theta)
+    uniform in region, (tau, xi, Theta, Phi, Psi) uniform on the unit sphere."""
     r_lo, r_hi, th_lo, th_hi = region
     r = rng.uniform(r_lo, r_hi, n_samples)
     th = rng.uniform(th_lo, th_hi, n_samples)
     v = rng.standard_normal((5, n_samples))
     v /= np.linalg.norm(v, axis=0)
-    tau, xi, Th, Ph, Ps = v
+    return (r, th, *v)
+
+
+def mu_lower_bound(mp: MpSos, region, eps0: float, rng=None,
+                   n_samples: int = 20000, samples=None, jets: RadialJets = None):
+    """Vectorized calibration-band selection and coercivity measurement.
+
+    Draws `n_samples` points of `region` from `rng`, unless the sample set
+    (`mu_samples`) is given; `jets` is mp.sos.jets of its radii, so callers
+    that scan several eps0 on one sample set evaluate the profile once.
+    """
+    if samples is None:
+        samples = mu_samples(region, rng, n_samples)
+    r, th, tau, xi, Th, Ph, Ps = samples
+    if jets is None:
+        jets = mp.sos.jets(r)
+    elif not np.array_equal(jets.r, r):
+        raise ValueError("jets were built on radii other than the sample set's")
     # first pass with a placeholder constant to read off the beta band
-    pre = mu_scan(mp, r, th, tau, xi, Th, Ph, Ps, 0.0, eps0)
+    pre = mu_scan(mp, r, th, tau, xi, Th, Ph, Ps, 0.0, eps0, jets)
     ok = pre["ok"]
     if not np.any(ok):
         raise LowerBoundViolation("no admissible samples in the region")
@@ -553,7 +565,7 @@ def mu_lower_bound(mp: MpSos, region, eps0: float, rng,
     # it stays admissible for all small eps0 and keeps the two small squares
     # scaling linearly in eps0
     C_big = 2.0 * C_lo if 2.0 * C_lo < C_hi else 0.5 * (C_lo + C_hi)
-    out = mu_scan(mp, r, th, tau, xi, Th, Ph, Ps, C_big, eps0)
+    out = mu_scan(mp, r, th, tau, xi, Th, Ph, Ps, C_big, eps0, jets)
     ok = out["ok"] & (out["comparison"] > 1e-14)
     tot = np.sum(out["mu2"], axis=0)
     ratio = tot[ok] / out["comparison"][ok]
@@ -571,4 +583,4 @@ def mu_lower_bound(mp: MpSos, region, eps0: float, rng,
                         float(xi[idx]), float(Th[idx]), float(Ph[idx]),
                         float(Ps[idx])],
             "envelope": envelope, "skipped": int(np.sum(~out["ok"])),
-            "eps0": float(eps0), "n_samples": n_samples}
+            "eps0": float(eps0), "n_samples": int(r.size)}

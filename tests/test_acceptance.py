@@ -24,7 +24,7 @@ from mptrap.geodesic import (Covector, PhasePoint, null_Xi, integrate_geodesic,
 from mptrap.trapping import R_ab, rho2_p, trapped_radius
 from mptrap.quadform import check_positivity, boundary_forms
 from mptrap.sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
-                        mu_lower_bound, rotation_symbols_vec, lambda2)
+                        mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
 from mptrap.chart import ingoing_chart
 from mptrap.wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
                                gaussian_bump, convergence_study)
@@ -262,12 +262,13 @@ def test_criterion_08_rotating_bracket(sos, rng):
 def test_criterion_09_sum_of_squares_lower_bound(sos):
     t0 = time.time()
     reports = {}
+    region = (1.35, 1.50, 0.3, math.pi / 2 - 0.3)
+    samples = mu_samples(region, np.random.default_rng(7), 20000)
+    jets = sos.jets(samples[0])
     for e0 in (0.0125, 0.025, 0.05):
         p = BlackHoleParams(1.0, 0.6 * e0, 0.6 * e0)
         mp = MpSos(params=p, sos=sos)
-        reports[e0] = mu_lower_bound(
-            mp, (1.35, 1.50, 0.3, math.pi / 2 - 0.3), e0,
-            np.random.default_rng(7), n_samples=20000)
+        reports[e0] = mu_lower_bound(mp, region, e0, samples=samples, jets=jets)
     main = reports[0.05]
     env = [reports[e]["envelope"] for e in (0.0125, 0.025, 0.05)]
     ratios = [env[1] / env[0], env[2] / env[1]]
