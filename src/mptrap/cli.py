@@ -368,9 +368,9 @@ def task_sos_verify(cfg, rng, outdir):
                                res["beta2"][i], res["r_trap"][i])) + "\n")
 
     region = blk.get("region", [1.35 * rs, 1.50 * rs, 0.3, math.pi / 2 - 0.3])
-    # one calibration sample set and its radial jets, shared by every eps0
-    samples = mu_samples(tuple(region),
-                         np.random.default_rng(int(cfg.get("seed", 0)) + 7),
+    # one calibration sample set and its radial jets, shared by every eps0;
+    # drawn from a child stream of the run seed (SeedSequence spawn key 0)
+    samples = mu_samples(tuple(region), rng.spawn(1)[0],
                          int(blk.get("n_mu", 20000)))
     jets = sos.jets(samples[0])
     mu_reports = {}
@@ -496,6 +496,22 @@ KNOWN_KEYS = {"task", "seed", "out", "params", "schw", "mult", "r_e", "r_max",
               "convergence"}
 
 
+SAMPLE_COUNTS = {"n_samples", "n_bracket", "n_mu", "n_grid"}
+
+
+def _check_range(block, name, key, kind, lo, what, strict=False):
+    """ConfigError unless block[key] (when present) converts with kind and is
+    >= lo (> lo when strict)."""
+    if key not in block:
+        return
+    try:
+        val = kind(block[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}.{key} = {block[key]!r} is not a number")
+    if val < lo or (strict and val == lo) or val != val:
+        raise ConfigError(f"{name}.{key} = {block[key]!r} must be {what}")
+
+
 def validate_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -509,6 +525,16 @@ def validate_config(cfg):
         _bh_params(cfg)
     if "schw" in cfg:
         _schw_params(cfg)
+    for name, block in cfg.items():
+        if not isinstance(block, dict):
+            continue
+        for key in sorted(SAMPLE_COUNTS & set(block)):
+            _check_range(block, name, key, int, 1, "at least 1")
+        if name in ("wave", "convergence"):
+            # the sixth-difference dissipation stencil needs 7 grid points
+            _check_range(block, name, "n_r", int, 7, "at least 7")
+            _check_range(block, name, "T", float, 0.0, "positive", strict=True)
+            _check_range(block, name, "cfl", float, 0.0, "positive", strict=True)
     return cfg
 
 
@@ -546,10 +572,24 @@ def run(task, cfg, outdir, seed):
     return report
 
 
+def _strict_json(obj):
+    """Copy of obj with each non-finite float as the string "inf", "-inf" or
+    "nan", which float() reads back."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return str(float(obj))
+    return obj
+
+
 def emit(report, outdir):
+    """Write report.json as strict JSON (no NaN/Infinity tokens)."""
     path = os.path.join(outdir, "report.json")
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True, default=float)
+        json.dump(_strict_json(report), fh, indent=1, sort_keys=True,
+                  default=float, allow_nan=False)
     return path
 
 

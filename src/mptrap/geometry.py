@@ -156,7 +156,6 @@ def inverse_metric_x_derivatives(params: BlackHoleParams, x: float, theta: float
     # gphph = 1/(s2 rho2) - ((a2-b2)(x+b2) + b2 rs2)/(rho2 D)
     dgphph = -1.0 / (s2 * rho2**2) - dfrac((a2 - b2) * (x + b2) + b2 * rs2, (a2 - b2))
     dgpsps = -1.0 / (c2 * rho2**2) + dfrac((a2 - b2) * (x + a2) - a2 * rs2, (a2 - b2))
-    dgphps = -dfrac(-a * b * rs2, 0.0) * (-1.0)
     # direct: gphps = -ab rs2/(rho2 D): d/dx = +ab rs2 (D'/D + 1/rho2)/(rho2 D)
     dgphps = a * b * rs2 * (D1 / D + 1.0 / rho2) / (rho2 * D)
     dgxx = 4.0 * (D1 - D / rho2) / rho2

@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mptrap.cli import main, run, validate_config, ConfigError
@@ -89,3 +91,54 @@ def test_console_entry_point(tmp_path):
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
     assert out.returncode == 0
     assert "trapped-scan: pass" in out.stdout
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("wave", "n_r", 3),
+    ("wave", "T", -1),
+    ("trapped_scan", "n_samples", 0),
+])
+def test_config_range_exit_code(tmp_path, block, key, value):
+    """Out-of-range values are configuration errors: exit 2, nothing run."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({block: {key: value}}))
+    task = "wave-evolve" if block == "wave" else "trapped-scan"
+    out = tmp_path / "o"
+    assert main([task, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _raise_on_constant(token):
+    raise ValueError(f"non-finite token {token}")
+
+
+def test_reports_are_strict_json(tmp_path):
+    from mptrap.cli import emit
+    rep = {"a": math.inf, "b": [-math.inf, math.nan, 1.5], "c": {"d": np.inf}}
+    path = emit(rep, str(tmp_path))
+    with open(path) as fh:
+        back = json.load(fh, parse_constant=_raise_on_constant)
+    assert back == {"a": "inf", "b": ["-inf", "nan", 1.5], "c": {"d": "inf"}}
+    assert float(back["a"]) == math.inf and math.isnan(float(back["b"][1]))
+    # the pinned boundary clause is infeasible, so its kappa is infinite
+    out = tmp_path / "mv"
+    main(["multiplier-verify", "--out", str(out)])
+    with open(out / "report.json") as fh:
+        mv = json.load(fh, parse_constant=_raise_on_constant)
+    assert float(mv["metrics"]["boundary_at_pinned"]["kappa"]) == math.inf
+
+
+def test_kappa_witness_follows_seed(tmp_path):
+    """The kappa calibration sample set is drawn from the run seed."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sos": {"n_samples": 50, "n_bracket": 200,
+                                        "n_mu": 400}}))
+    witness = {}
+    for tag, seed in (("a", 1), ("b", 1), ("c", 2)):
+        out = tmp_path / tag
+        main(["sos-verify", "--config", str(path), "--out", str(out),
+              "--seed", str(seed)])
+        with open(out / "report.json") as fh:
+            witness[tag] = json.load(fh)["metrics"]["mu"]["witness"]
+    assert witness["a"] == witness["b"]
+    assert witness["a"] != witness["c"]
