@@ -534,6 +534,7 @@ def validate_config(cfg):
             # the sixth-difference dissipation stencil needs 7 grid points
             _check_range(block, name, "n_r", int, 7, "at least 7")
             _check_range(block, name, "T", float, 0.0, "positive", strict=True)
+        if name == "wave":
             _check_range(block, name, "cfl", float, 0.0, "positive", strict=True)
     return cfg
 
