@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .params import BlackHoleParams, SchwParams, NakedSingularity
 from .chart import ingoing_chart
+from .geometry import inverse_metric_components, inverse_metric_form
 from .geodesic import (Covector, PhasePoint, null_Xi, integrate_geodesic,
                        trapped_sphere)
 from .trapping import (R_ab_dx, trapped_radius_vec, measure_cone_constant,
@@ -118,12 +119,10 @@ def task_geodesic(cfg, rng, outdir):
     if blk.get("trapped", True):
         ts = trapped_sphere(params, float(blk.get("phi_hat", 0.1)),
                             float(blk.get("psi_hat", -0.05)))
-        from .geometry import inverse_metric_components
         th0 = 1.0
         g = inverse_metric_components(params, ts.x0, th0)
         E, Ph, Ps = 1.0, float(blk.get("phi_hat", 0.1)), float(blk.get("psi_hat", -0.05))
-        rest = (g[0] * E**2 - 2 * g[1] * E * Ph - 2 * g[2] * E * Ps
-                + g[3] * Ph**2 + g[4] * Ps**2 + 2 * g[5] * Ph * Ps)
+        rest = inverse_metric_form(g, -E, 0.0, 0.0, Ph, Ps)
         Th0 = math.sqrt(-rest / g[7])
         ppt = PhasePoint(t=0.0, x=ts.x0, theta=th0, phi=0.0, psi=0.0,
                          momentum=Covector(tau=-E, Xi=0.0, Theta=Th0, Phi=Ph, Psi=Ps))

@@ -16,7 +16,8 @@ from scipy.integrate import solve_ivp
 
 from .params import (BlackHoleParams, CoordinateSingularity, InvalidConstants,
                      NoTrappedSphere, horizons)
-from .geometry import (inverse_metric_components, inverse_metric_x_derivatives,
+from .geometry import (inverse_metric_components, inverse_metric_form,
+                       inverse_metric_x_derivatives,
                        inverse_metric_theta_derivatives)
 
 
@@ -27,11 +28,6 @@ class Covector:
     Theta: float
     Phi: float
     Psi: float
-
-    @property
-    def xi(self):
-        """r-dual; caller supplies r via xi_at."""
-        raise AttributeError("use xi_at(r)")
 
     def xi_at(self, r: float) -> float:
         return 2.0 * r * self.Xi
@@ -61,21 +57,15 @@ class ConservedQuantities:
 
 def hamiltonian(params: BlackHoleParams, x, theta, tau, Xi, Theta, Phi, Psi):
     """p = g^{ab} xi_a xi_b (vanishes on null geodesics)."""
-    gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = \
-        inverse_metric_components(params, x, theta)
-    return (gtt * tau**2 + 2 * gtph * tau * Phi + 2 * gtps * tau * Psi
-            + gphph * Phi**2 + gpsps * Psi**2 + 2 * gphps * Phi * Psi
-            + gxx * Xi**2 + gthth * Theta**2)
+    return inverse_metric_form(inverse_metric_components(params, x, theta),
+                               tau, Xi, Theta, Phi, Psi)
 
 
 def null_Xi(params: BlackHoleParams, x, theta, tau, Theta, Phi, Psi, sign=+1):
     """Solve the null constraint for Xi at fixed remaining fiber variables."""
-    gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = \
-        inverse_metric_components(params, x, theta)
-    rest = (gtt * tau**2 + 2 * gtph * tau * Phi + 2 * gtps * tau * Psi
-            + gphph * Phi**2 + gpsps * Psi**2 + 2 * gphps * Phi * Psi
-            + gthth * Theta**2)
-    val = -rest / gxx
+    g = inverse_metric_components(params, x, theta)
+    rest = inverse_metric_form(g, tau, 0.0, Theta, Phi, Psi)
+    val = -rest / g[6]
     if val < 0:
         raise InvalidConstants(f"no real null Xi: -rest/gxx = {val} < 0")
     return sign * math.sqrt(val)
@@ -354,21 +344,15 @@ def _rhs(params: BlackHoleParams, tau, Phi, Psi):
         t, x, th, ph, ps, Xi, Th = y
         gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = \
             inverse_metric_components(params, x, th)
-        dxtt, dxtph, dxtps, dxphph, dxpsps, dxphps, dxxx, dxthth = \
-            inverse_metric_x_derivatives(params, x, th)
-        dttt, dttph, dttps, dtphph, dtpsps, dtphps, dtxx, dtthth = \
-            inverse_metric_theta_derivatives(params, x, th)
         tdot = gtt * tau + gtph * Phi + gtps * Psi
         xdot = gxx * Xi
         thdot = gthth * Th
         phdot = gtph * tau + gphph * Phi + gphps * Psi
         psdot = gtps * tau + gphps * Phi + gpsps * Psi
-        Xidot = -0.5 * (dxtt * tau**2 + 2 * dxtph * tau * Phi + 2 * dxtps * tau * Psi
-                        + dxphph * Phi**2 + dxpsps * Psi**2 + 2 * dxphps * Phi * Psi
-                        + dxxx * Xi**2 + dxthth * Th**2)
-        Thdot = -0.5 * (dttt * tau**2 + 2 * dttph * tau * Phi + 2 * dttps * tau * Psi
-                        + dtphph * Phi**2 + dtpsps * Psi**2 + 2 * dtphps * Phi * Psi
-                        + dtxx * Xi**2 + dtthth * Th**2)
+        Xidot = -0.5 * inverse_metric_form(
+            inverse_metric_x_derivatives(params, x, th), tau, Xi, Th, Phi, Psi)
+        Thdot = -0.5 * inverse_metric_form(
+            inverse_metric_theta_derivatives(params, x, th), tau, Xi, Th, Phi, Psi)
         return (tdot, xdot, thdot, phdot, psdot, Xidot, Thdot)
     return rhs
 

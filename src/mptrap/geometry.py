@@ -32,7 +32,6 @@ class ChartPoint:
 class GeometryCache:
     Delta: float
     rho2: float
-    sqrt_det: float
 
 
 def geometry_scalars(params: BlackHoleParams, x: float, theta: float) -> GeometryCache:
@@ -41,8 +40,7 @@ def geometry_scalars(params: BlackHoleParams, x: float, theta: float) -> Geometr
     c2 = math.cos(theta) ** 2
     Delta = (x + a2) * (x + b2) - rs2 * x
     rho2 = x + a2 * c2 + b2 * s2
-    sqrt_det = 0.5 * math.sin(theta) * math.cos(theta) * rho2
-    return GeometryCache(Delta=Delta, rho2=rho2, sqrt_det=sqrt_det)
+    return GeometryCache(Delta=Delta, rho2=rho2)
 
 
 def _check_point(params: BlackHoleParams, point: ChartPoint):
@@ -80,22 +78,17 @@ def covariant_metric(params: BlackHoleParams, point: ChartPoint) -> np.ndarray:
 
 def contravariant_metric(params: BlackHoleParams, point: ChartPoint) -> np.ndarray:
     """5x5 inverse metric from the closed-form components."""
-    a, b, rs2 = params.a, params.b, params.r_s**2
-    a2, b2 = a * a, b * b
-    x, th = point.x, point.theta
-    s2 = math.sin(th) ** 2
-    c2 = math.cos(th) ** 2
-    cache = geometry_scalars(params, x, th)
-    D, rho2 = cache.Delta, cache.rho2
+    gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = \
+        inverse_metric_components(params, point.x, point.theta)
     gi = np.zeros((5, 5))
-    gi[0, 0] = ((a2 - b2) * s2 - (x + a2) * (D + rs2 * (x + b2)) / D) / rho2
-    gi[0, 3] = gi[3, 0] = a * rs2 * (x + b2) / (rho2 * D)
-    gi[0, 4] = gi[4, 0] = b * rs2 * (x + a2) / (rho2 * D)
-    gi[3, 3] = (1.0 / s2 - ((a2 - b2) * (x + b2) + b2 * rs2) / D) / rho2
-    gi[4, 4] = (1.0 / c2 + ((a2 - b2) * (x + a2) - a2 * rs2) / D) / rho2
-    gi[3, 4] = gi[4, 3] = -a * b * rs2 / (rho2 * D)
-    gi[1, 1] = 4.0 * D / rho2
-    gi[2, 2] = 1.0 / rho2
+    gi[0, 0] = gtt
+    gi[0, 3] = gi[3, 0] = gtph
+    gi[0, 4] = gi[4, 0] = gtps
+    gi[3, 3] = gphph
+    gi[4, 4] = gpsps
+    gi[3, 4] = gi[4, 3] = gphps
+    gi[1, 1] = gxx
+    gi[2, 2] = gthth
     return gi
 
 
@@ -132,6 +125,16 @@ def inverse_metric_components(params: BlackHoleParams, x: float, theta: float):
     gxx = 4.0 * D / rho2
     gthth = 1.0 / rho2
     return gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth
+
+
+def inverse_metric_form(g, tau, Xi, Theta, Phi, Psi):
+    """g^{ab} xi_a xi_b for the covector (tau, Xi, Theta, Phi, Psi), with g the
+    eight components in the order of `inverse_metric_components` (or of its
+    x- and theta-derivatives, which gives the derivative of the form)."""
+    gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = g
+    return (gtt * tau**2 + 2 * gtph * tau * Phi + 2 * gtps * tau * Psi
+            + gphph * Phi**2 + gpsps * Psi**2 + 2 * gphps * Phi * Psi
+            + gxx * Xi**2 + gthth * Theta**2)
 
 
 def inverse_metric_x_derivatives(params: BlackHoleParams, x: float, theta: float):

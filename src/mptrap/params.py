@@ -34,14 +34,6 @@ class OracleFailure(RuntimeError):
     """Finite-difference oracle could not produce a trustworthy value."""
 
 
-class NoRoot(RuntimeError):
-    """Root finding failed (covector outside the admissible cone)."""
-
-
-class ComplexRoots(RuntimeError):
-    """Temporal-frequency quadratic has negative discriminant at this point."""
-
-
 class ProfileConstructionFailure(RuntimeError):
     """Multiplier profile violates a required inequality after refinement."""
 
@@ -60,14 +52,6 @@ class LemmaViolation(RuntimeError):
 
 class BoundaryFormFailure(RuntimeError):
     """Boundary flux form failed its positivity/equivalence check."""
-
-
-class NuRangeViolation(RuntimeError):
-    """Interpolation fraction nu left the open interval (0, 1)."""
-
-
-class PositivityViolation(RuntimeError):
-    """A symbol required to be positive on the verification window was not."""
 
 
 class CBandEmpty(RuntimeError):

@@ -24,37 +24,41 @@ import math
 
 import numpy as np
 
-from .params import (BlackHoleParams, NuRangeViolation,
-                     PositivityViolation, CBandEmpty, LowerBoundViolation)
+from .params import BlackHoleParams, CBandEmpty, LowerBoundViolation
 from .multiplier import MultiplierProfile, jet_mul
-from .trapping import (R_ab, R_ab_dx, rho2_p, trapped_radius, tau_roots,
-                       SOS_WINDOW)
+from .trapping import R_ab, R_ab_dx, rho2_p, tau_roots_vec, trapped_radius_vec
 
 
 # ---------------------------------------------------------------------------
 # rotation symbols of the 3-sphere
 # ---------------------------------------------------------------------------
 
-def rotation_symbols(theta, Theta, Phi, Psi, phi=0.0, psi=0.0):
+def rotation_symbols_vec(theta, Theta, Phi, Psi, phi=None, psi=None):
     """The six ambient rotation symbols x_k eta_j - x_j eta_k on the unit
-    3-sphere, for the tangential covector with components (Theta, Phi, Psi).
+    3-sphere, for the tangential covector with components (Theta, Phi, Psi),
+    stacked along the first axis; phi and psi default to 0.
 
-    Their squared sum equals the spherical symbol
-    lambda^2 = Theta^2 + Phi^2/sin^2 + Psi^2/cos^2.
+    Their squared sum equals the spherical symbol `lambda2`.
     """
-    st, ct = math.sin(theta), math.cos(theta)
-    sp_, cp = math.sin(phi), math.cos(phi)
-    ss, cs = math.sin(psi), math.cos(psi)
-    x = np.array([st * cp, st * sp_, ct * cs, ct * ss])
-    grad_theta = np.array([ct * cp, ct * sp_, -st * cs, -st * ss])
-    grad_phi = np.array([-sp_ / st, cp / st, 0.0, 0.0])
-    grad_psi = np.array([0.0, 0.0, -ss / ct, cs / ct])
-    eta = Theta * grad_theta + Phi * grad_phi + Psi * grad_psi
+    theta = np.asarray(theta, dtype=float)
+    n = theta.shape
+    if phi is None:
+        phi = np.zeros(n)
+    if psi is None:
+        psi = np.zeros(n)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp_, cp = np.sin(phi), np.cos(phi)
+    ss, cs = np.sin(psi), np.cos(psi)
+    x = np.stack([st * cp, st * sp_, ct * cs, ct * ss])
+    g_th = np.stack([ct * cp, ct * sp_, -st * cs, -st * ss])
+    g_ph = np.stack([-sp_ / st, cp / st, np.zeros(n), np.zeros(n)])
+    g_ps = np.stack([np.zeros(n), np.zeros(n), -ss / ct, cs / ct])
+    eta = Theta * g_th + Phi * g_ph + Psi * g_ps
     lam = []
     for k in range(4):
         for j in range(k + 1, 4):
             lam.append(x[k] * eta[j] - x[j] * eta[k])
-    return np.array(lam)
+    return np.stack(lam)
 
 
 def lambda2(theta, Theta, Phi, Psi):
@@ -137,69 +141,6 @@ class SchwSos:
         return RadialJets(r=r, A=A, f=f, G=G, f_tilde=ft, f_tilde_p=ftp, q1=q1,
                           q_tilde=q_tilde, nu=nu, alphaS2=alphaS2, betaS2=betaS2)
 
-    def p_S(self, r, tau, xi, lam2):
-        A = self.profile.sp.A(r)
-        return -tau**2 / A + A * xi**2 + lam2 / r**2
-
-    def bracket_fd(self, r, xi, lam2, h_rel=1e-4):
-        """(1/2i){r^2 p_S, X_sym} by Richardson finite differences in (r, xi).
-
-        Convention: {p, s} differentiates s along the Hamilton flow of p,
-        {p, s} = p_xi s_r - p_r s_xi.  The tau^2 and xi^2 coefficients are
-        extracted by evaluating at tau in {0, 1} (the bracket is quadratic).
-        """
-        sp = self.profile.sp
-
-        def sigma(rr):
-            return float(self.jets(rr).f_tilde[0]) * (rr - sp.r_ps)
-
-        def r2p(rr, xx, tau):
-            return rr**2 * self.p_S(rr, tau, xx, lam2)
-
-        h = h_rel * sp.r_s
-
-        def ddr(fn, rr):
-            d1 = (fn(rr + h) - fn(rr - h)) / (2 * h)
-            d2 = (fn(rr + h / 2) - fn(rr - h / 2)) / h
-            return (4 * d2 - d1) / 3.0
-
-        out = {}
-        for tau in (0.0, 1.0):
-            p_r = ddr(lambda rr: r2p(rr, xi, tau), r)
-            p_xi = 2 * r**2 * sp.A(r) * xi
-            s_r = ddr(sigma, r) * xi       # full symbol is sigma(r) * xi
-            s_xi = sigma(r)
-            val = 0.5 * (p_xi * s_r - p_r * s_xi)
-            out[tau] = val
-        return out  # {0: value at tau=0, 1: value at tau=1}
-
-
-def schw_sos_verify(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
-    """Relative residual between the direct and the sum-of-squares evaluation
-    of r^2 q at one symbol point, plus (alpha_S^2, beta_S^2, nu).
-
-    Route (i): finite-difference bracket plus q~ (r^2 p_S).
-    Route (ii): (1-nu) alpha_S^2 tau^2 + beta_S^2 xi^2
-                + nu alpha_S^2 A r^-2 (sum lambda_i^2 + (r^2-r_s^2) xi^2).
-    """
-    sp = sos.profile.sp
-    lami = rotation_symbols(theta, Theta, Phi, Psi)
-    lam2 = float(np.sum(lami**2))
-    J = sos.jets(r)
-    a2, b2, nu = float(J.alphaS2[0]), float(J.betaS2[0]), float(J.nu[0])
-    if not (0.0 < nu < 1.0):
-        raise NuRangeViolation(f"nu = {nu} outside (0,1) at r = {r}")
-    A = sp.A(r)
-    qt = float(J.q_tilde[0])
-    br = sos.bracket_fd(r, xi, lam2)
-    route_i = br[0] + (br[1] - br[0]) * tau**2 + qt * r**2 * sos.p_S(r, tau, xi, lam2)
-    route_ii = ((1 - nu) * a2 * tau**2 + b2 * xi**2
-                + nu * a2 * A / r**2 * (lam2 + (r**2 - sp.r_s**2) * xi**2))
-    scale = max(abs(route_i), abs(route_ii),
-                abs(a2 * tau**2) + abs(b2 * xi**2) + 1e-30)
-    return {"residual": abs(route_i - route_ii) / scale,
-            "alphaS2": a2, "betaS2": b2, "nu": nu}
-
 
 # ---------------------------------------------------------------------------
 # rotating-side bracket
@@ -210,64 +151,14 @@ class MpSos:
     params: BlackHoleParams
     sos: SchwSos
 
-    def r_trap(self, tau, Phi, Psi):
-        return trapped_radius(self.params, tau, Phi, Psi)
-
-    def alpha2(self, r, tau, Phi, Psi):
-        """alpha^2 = r f~ R / (Delta^2 tau^2 (r - r_trap)); smooth through
-        the simple root (series via the x-derivative of the trapping poly)."""
-        p = self.params
-        x = r * r
-        a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
-        Delta = (x + a2) * (x + b2) - rs2 * x
-        r_t = self.r_trap(tau, Phi, Psi)
-        ft = float(self.sos.jets(r).f_tilde[0])
-        dr = r - r_t
-        if abs(dr) > 3e-4 * p.r_s:
-            Rv = R_ab(p, x, tau, Phi, Psi)
-            quot = Rv / dr
-        else:
-            x_t = r_t * r_t
-            R1 = R_ab_dx(p, x_t, tau, Phi, Psi)
-            h = 1e-4
-            R2 = (R_ab_dx(p, x_t + h, tau, Phi, Psi)
-                  - R_ab_dx(p, x_t - h, tau, Phi, Psi)) / (2 * h)
-            quot = (r + r_t) * (R1 + 0.5 * R2 * (x - x_t))
-        return r * ft * quot / (Delta**2 * tau**2)
-
-    def beta2(self, r, tau, Phi, Psi):
-        """xi^2 coefficient of the half-bracket."""
-        p = self.params
-        x = r * r
-        a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
-        Delta = (x + a2) * (x + b2) - rs2 * x
-        dDelta_r2 = 2 * r * (x + b2) / x + (x + a2) * 2 * r / x \
-            - 2 * (x + a2) * (x + b2) / (x * r)
-        r_t = self.r_trap(tau, Phi, Psi)
-        J = self.sos.jets(r)
-        ft, ftp = float(J.f_tilde[0]), float(J.f_tilde_p[0])
-        return (Delta / x) * (ftp * (r - r_t) + ft) \
-            - 0.5 * dDelta_r2 * ft * (r - r_t)
-
-    def bracket(self, r, theta, tau, xi, Theta, Phi, Psi):
-        """(1/2i){rho^2 p, s~} in closed form (exact radial identities)."""
-        p = self.params
-        x = r * r
-        a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
-        Delta = (x + a2) * (x + b2) - rs2 * x
-        r_t = self.r_trap(tau, Phi, Psi)
-        ft = float(self.sos.jets(r).f_tilde[0])
-        Rv = R_ab(p, x, tau, Phi, Psi)
-        return (r * ft * Rv * (r - r_t) / Delta**2
-                + self.beta2(r, tau, Phi, Psi) * xi**2)
-
     def bracket_fd(self, r, theta, tau, xi, Theta, Phi, Psi, h_rel=1e-5):
         """Richardson finite-difference evaluation of (1/2i){rho^2 p, s~}.
 
         Only the (r, xi) pair contributes: the symbol s~ is independent of
         (theta, phi, psi, Theta) and rho^2 p of (phi, psi)."""
         p = self.params
-        r_t = self.r_trap(tau, Phi, Psi)
+        r_t = float(trapped_radius_vec(p, tau, Phi, Psi)[0][0])
+
         def sig(rr):
             return float(self.sos.jets(rr).f_tilde[0]) * (rr - r_t)
 
@@ -287,99 +178,14 @@ class MpSos:
         return 0.5 * (p_xi * s_r - p_r * s_xi)
 
 
-def mp_bracket(mp: MpSos, r, theta, xi, Theta, Phi, Psi, branch: int = 0,
-               window=SOS_WINDOW):
-    """On-shell bracket value and the positive-coefficient pair.
-
-    tau is solved from p = 0 (branch 0 -> larger root); asserts the
-    representation bracket = alpha^2 tau^2 (r-r_trap)^2 + beta^2 xi^2.
-    """
-    roots = tau_roots(mp.params, r, theta, xi, Theta, Phi, Psi)
-    tau = roots.tau1 if branch == 0 else roots.tau2
-    a2 = mp.alpha2(r, tau, Phi, Psi)
-    b2 = mp.beta2(r, tau, Phi, Psi)
-    val = mp.bracket(r, theta, tau, xi, Theta, Phi, Psi)
-    r_t = mp.r_trap(tau, Phi, Psi)
-    recon = a2 * tau**2 * (r - r_t) ** 2 + b2 * xi**2
-    rs = mp.params.r_s
-    in_window = window[0] * rs <= r <= window[1] * rs
-    if in_window and (a2 <= 0 or b2 <= 0):
-        raise PositivityViolation(
-            f"alpha^2 = {a2}, beta^2 = {b2} not positive at r = {r}")
-    return {"bracket": val, "alpha2": a2, "beta2": b2, "tau": tau,
-            "r_trap": r_t, "reconstruction": recon}
-
-
 # ---------------------------------------------------------------------------
-# eleven-term sum of squares
+# symbol scans over sample arrays
 # ---------------------------------------------------------------------------
-
-def mu_terms(mp: MpSos, r, theta, tau, xi, Theta, Phi, Psi, C_big, eps0,
-             phi=0.0, psi=0.0):
-    """The eleven squared symbols at a full phase-space point."""
-    roots = tau_roots(mp.params, r, theta, xi, Theta, Phi, Psi)
-    t1, t2 = roots.tau1, roots.tau2
-    dt = t1 - t2
-    if dt <= 1e-12:
-        raise ZeroDivisionError("frequency roots coincide")
-    lami = rotation_symbols(theta, Theta, Phi, Psi, phi, psi)
-    lam2 = float(np.sum(lami**2))
-    rs2 = mp.params.r_s**2
-    nu = float(mp.sos.jets(r).nu[0])
-    r_t1 = mp.r_trap(t1, Phi, Psi)
-    r_t2 = mp.r_trap(t2, Phi, Psi)
-    a_1 = math.sqrt(max(mp.alpha2(r, t1, Phi, Psi), 0.0))
-    a_2 = math.sqrt(max(mp.alpha2(r, t2, Phi, Psi), 0.0))
-    alpha1 = 2 * abs(t1) / dt * a_1 * (r - r_t1)
-    alpha2_ = 2 * abs(t2) / dt * a_2 * (r - r_t2)
-    b1sq = mp.beta2(r, t1, Phi, Psi)
-    b2sq = mp.beta2(r, t2, Phi, Psi)
-    denom = lam2 + (r**2 - rs2) * xi**2
-    minus = alpha1 * (tau - t2) - alpha2_ * (tau - t1)
-    plus = alpha1 * (tau - t2) + alpha2_ * (tau - t1)
-    mu2 = np.empty(11)
-    if denom <= 0:
-        mu2[:7] = 0.0
-    else:
-        mu2[:6] = lami**2 / denom * (nu / 4.0) * minus**2
-        mu2[6] = (r**2 - rs2) * xi**2 / denom * (nu / 4.0) * minus**2
-    mu2[7] = (1 - nu) / 4.0 * plus**2
-    mu2[8] = 0.5 * (b1sq + b2sq - C_big * eps0) * xi**2
-    mu2[9] = (C_big * eps0 - b2sq + b1sq) * (tau - t2) ** 2 * xi**2 / (2 * dt**2)
-    mu2[10] = (C_big * eps0 - b1sq + b2sq) * (tau - t1) ** 2 * xi**2 / (2 * dt**2)
-    comparison = ((r - r_t2) ** 2 * (tau - t1) ** 2
-                  + (r - r_t1) ** 2 * (tau - t2) ** 2 + xi**2)
-    return mu2, comparison, (t1, t2, b1sq, b2sq)
-
-
-# ---------------------------------------------------------------------------
-# vectorized scans (hot paths of the acceptance suite)
-# ---------------------------------------------------------------------------
-
-def rotation_symbols_vec(theta, Theta, Phi, Psi, phi=None, psi=None):
-    theta = np.asarray(theta, dtype=float)
-    n = theta.shape
-    if phi is None:
-        phi = np.zeros(n)
-    if psi is None:
-        psi = np.zeros(n)
-    st, ct = np.sin(theta), np.cos(theta)
-    sp_, cp = np.sin(phi), np.cos(phi)
-    ss, cs = np.sin(psi), np.cos(psi)
-    x = np.stack([st * cp, st * sp_, ct * cs, ct * ss])
-    g_th = np.stack([ct * cp, ct * sp_, -st * cs, -st * ss])
-    g_ph = np.stack([-sp_ / st, cp / st, np.zeros(n), np.zeros(n)])
-    g_ps = np.stack([np.zeros(n), np.zeros(n), -ss / ct, cs / ct])
-    eta = Theta * g_th + Phi * g_ph + Psi * g_ps
-    lam = []
-    for k in range(4):
-        for j in range(k + 1, 4):
-            lam.append(x[k] * eta[j] - x[j] * eta[k])
-    return np.stack(lam)
-
 
 def alpha2_vec(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
-    """alpha^2 at the radii of J (vectorized MpSos.alpha2)."""
+    """alpha^2 = r f~ R / (Delta^2 tau^2 (r - r_trap)) at the radii of J;
+    smooth through the simple root (series via the x-derivative of the
+    trapping polynomial)."""
     r = J.r
     x = r * r
     a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
@@ -401,7 +207,7 @@ def alpha2_vec(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
 
 
 def beta2_vec(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
-    """beta^2 at the radii of J (vectorized MpSos.beta2)."""
+    """beta^2, the xi^2 coefficient of the half-bracket, at the radii of J."""
     r = J.r
     x = r * r
     a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
@@ -413,8 +219,10 @@ def beta2_vec(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
 
 
 def mp_bracket_scan(mp: MpSos, r, theta, xi, Theta, Phi, Psi, branch):
-    """Vectorized on-shell bracket with the positive-coefficient pair."""
-    from .trapping import tau_roots_vec, trapped_radius_vec
+    """On-shell bracket (1/2i){rho^2 p, s~} in closed form, with the
+    positive-coefficient pair: bracket = alpha^2 tau^2 (r - r_trap)^2 +
+    beta^2 xi^2.  tau is the larger root where branch is 0, the smaller
+    where it is 1."""
     J = mp.sos.jets(r)
     r = J.r
     t1, t2 = tau_roots_vec(mp.params, r, theta, xi, Theta, Phi, Psi)
@@ -481,7 +289,6 @@ def mu_scan(mp: MpSos, r, theta, tau, xi, Theta, Phi, Psi, C_big, eps0,
     """Vectorized eleven-term squares, comparison quadratic, and envelope.
 
     `jets` is mp.sos.jets(r) when the caller already holds it."""
-    from .trapping import tau_roots_vec, trapped_radius_vec
     J = mp.sos.jets(r) if jets is None else jets
     r = J.r
     t1, t2 = tau_roots_vec(mp.params, r, theta, xi, Theta, Phi, Psi)

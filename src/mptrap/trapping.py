@@ -18,13 +18,12 @@ the photon sphere x = 2 r_s^2.  The finite-difference oracle below
 reconstructs R independently from the assembled Hamiltonian.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .params import BlackHoleParams, NoRoot, ComplexRoots, OracleFailure
-from .geometry import inverse_metric_components
+from .params import BlackHoleParams, OracleFailure
+from .geometry import inverse_metric_components, inverse_metric_form
 
 TAU_WINDOW = (1.1, 1.8)     # r/r_s window for the frequency factorization
 SOS_WINDOW = (1.2, 1.7)     # r/r_s window for the sum-of-squares checks
@@ -68,13 +67,10 @@ def rho2_p(params: BlackHoleParams, r, theta, tau, xi, Theta, Phi, Psi):
     """rho^2 * p with the r-dual fiber variable xi = 2 r Xi (vectorizable)."""
     x = r * r
     Xi = xi / (2.0 * r)
-    gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = \
-        inverse_metric_components(params, x, theta)
+    p = inverse_metric_form(inverse_metric_components(params, x, theta),
+                            tau, Xi, Theta, Phi, Psi)
     a2, b2 = params.a**2, params.b**2
     rho2 = x + a2 * np.cos(theta) ** 2 + b2 * np.sin(theta) ** 2
-    p = (gtt * tau**2 + 2 * gtph * tau * Phi + 2 * gtps * tau * Psi
-         + gphph * Phi**2 + gpsps * Psi**2 + 2 * gphps * Phi * Psi
-         + gxx * Xi**2 + gthth * Theta**2)
     return rho2 * p
 
 
@@ -104,53 +100,28 @@ def R_ab_oracle(params: BlackHoleParams, x, tau, Phi, Psi, theta: float = 0.7,
     return -Delta**2 / (2.0 * r) * deriv
 
 
-def trapped_radius(params: BlackHoleParams, tau, Phi, Psi,
-                   eps0: float = 0.3, tol: float = 1e-13) -> float:
-    """Root r of R(r^2, tau, Phi, Psi) near the static photon sphere.
-
-    Newton seeded at sqrt(2) r_s; zero-homogeneous in (tau, Phi, Psi).
-    """
-    params.require_small_spin(eps0)
-    if tau == 0:
-        raise NoRoot("tau = 0 outside the admissible cone")
-    s = 1.0 / abs(tau)
-    tau, Phi, Psi = tau * s, Phi * s, Psi * s  # exact 0-homogeneity
-    r = math.sqrt(2.0) * params.r_s
-    for it in range(60):
-        g = R_ab(params, r * r, tau, Phi, Psi)
-        dg = R_ab_dx(params, r * r, tau, Phi, Psi) * 2.0 * r
-        if dg == 0:
-            raise NoRoot("stationary Newton iteration")
-        step = g / dg
-        r -= step
-        if not (0.5 * params.r_s < r < 3.0 * params.r_s):
-            raise NoRoot(f"iterate left the trapping window: r = {r}")
-        if abs(step) < tol * params.r_s:
-            return r
-    raise NoRoot("Newton did not converge in 60 iterations")
-
-
 def trapped_radius_vec(params: BlackHoleParams, tau, Phi, Psi,
                        tol: float = 1e-13, max_iter: int = 60):
-    """Vectorized Newton for the trapped radius; NaN where not converged."""
-    tau = np.asarray(tau, dtype=float)
-    Phi = np.asarray(Phi, dtype=float)
-    Psi = np.asarray(Psi, dtype=float)
+    """Root r of R(r^2, tau, Phi, Psi) near the static photon sphere, by
+    Newton seeded at sqrt(2) r_s; zero-homogeneous in (tau, Phi, Psi).
+
+    Returns (r, Newton iterations) as 1-d arrays (a scalar input gives one
+    element); r is NaN where Newton did not converge inside (0.5, 3) r_s.
+    """
+    tau, Phi, Psi = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (tau, Phi, Psi)))
     s = 1.0 / np.abs(tau)
     t, P1, P2 = tau * s, Phi * s, Psi * s
-    r = np.full(np.broadcast(t, P1, P2).shape, math.sqrt(2.0) * params.r_s)
+    r = np.full(t.shape, math.sqrt(2.0) * params.r_s)
     active = np.ones(r.shape, dtype=bool)
     iters = np.zeros(r.shape, dtype=int)
     for _ in range(max_iter):
         if not np.any(active):
             break
         x = r[active] ** 2
-        g = R_ab(params, x, t[active] if t.shape else t,
-                 P1[active] if P1.shape else P1,
-                 P2[active] if P2.shape else P2)
-        dg = R_ab_dx(params, x, t[active] if t.shape else t,
-                     P1[active] if P1.shape else P1,
-                     P2[active] if P2.shape else P2) * 2.0 * r[active]
+        fiber = (t[active], P1[active], P2[active])
+        g = R_ab(params, x, *fiber)
+        dg = R_ab_dx(params, x, *fiber) * 2.0 * r[active]
         step = g / dg
         r[active] -= step
         iters[active] += 1
@@ -162,27 +133,22 @@ def trapped_radius_vec(params: BlackHoleParams, tau, Phi, Psi,
     return r, iters
 
 
-@dataclass(frozen=True)
-class TauRoots:
-    tau1: float
-    tau2: float
-
-
 def tau_root_coefficients(params: BlackHoleParams, r, theta, xi, Theta, Phi, Psi):
     """(a2, b1, c0) with p = a2 tau^2 + 2 b1 tau + c0."""
     x = r * r
     Xi = xi / (2.0 * r)
-    gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = \
-        inverse_metric_components(params, x, theta)
-    a2 = gtt
-    b1 = gtph * Phi + gtps * Psi
-    c0 = (gphph * Phi**2 + gpsps * Psi**2 + 2 * gphps * Phi * Psi
-          + gxx * Xi**2 + gthth * Theta**2)
-    return a2, b1, c0
+    g = inverse_metric_components(params, x, theta)
+    gtt, gtph, gtps = g[:3]
+    return gtt, gtph * Phi + gtps * Psi, inverse_metric_form(g, 0.0, Xi, Theta, Phi, Psi)
 
 
 def tau_roots_vec(params: BlackHoleParams, r, theta, xi, Theta, Phi, Psi):
-    """Vectorized frequency roots (tau1 >= tau2); NaN where complex."""
+    """Roots tau1 >= tau2 of p = 0 as a quadratic in the temporal frequency.
+
+    NaN where the roots are complex: with g^{tt} < 0 and a nonnegative
+    spatial part the discriminant is nonnegative, so a negative value flags
+    exit from the verification region.
+    """
     A, B, C = tau_root_coefficients(params, np.asarray(r, dtype=float),
                                     np.asarray(theta, dtype=float),
                                     np.asarray(xi, dtype=float),
@@ -202,78 +168,20 @@ def tau_roots_vec(params: BlackHoleParams, r, theta, xi, Theta, Phi, Psi):
     return t1, t2
 
 
-def tau_roots(params: BlackHoleParams, r, theta, xi, Theta, Phi, Psi) -> TauRoots:
-    """Real roots of p = 0 as a quadratic in the temporal frequency.
-
-    Ordering tau1 >= tau2.  With g^{tt} < 0 and a nonnegative spatial part
-    the discriminant is automatically nonnegative; a negative value flags
-    exit from the verification region.
-    """
-    A, B, C = tau_root_coefficients(params, r, theta, xi, Theta, Phi, Psi)
-    disc = B * B - A * C
-    if disc < 0:
-        raise ComplexRoots(f"negative discriminant {disc} at r = {r}")
-    sq = math.sqrt(disc)
-    # stable quadratic roots for A != 0
-    if B >= 0:
-        t_a = (-B - sq) / A
-    else:
-        t_a = (-B + sq) / A
-    t_b = C / (A * t_a) if t_a != 0 else (-2 * B / A - t_a)
-    t1, t2 = max(t_a, t_b), min(t_a, t_b)
-    return TauRoots(tau1=t1, tau2=t2)
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    c1: float
-    c2: float
-    freq_scale: float
-
-
-def chi_geq_one(s):
-    """Smooth symbol: 0 for s <= 1, 1 for s >= 2."""
-    from .smooth import smoothstep
-    return smoothstep(np.asarray(s, dtype=float) - 1.0)
-
-
-def trapping_cutoffs(params: BlackHoleParams, r, theta, xi, Theta, Phi, Psi,
-                     freq_scale: float) -> CutoffSpec:
-    """Classical-symbol cutoffs c_i built on the frequency-dependent trapped radius.
-
-    c_i = chi_{>=1}(freq_scale * |r - r_trap(tau_i, Phi, Psi)|): saturates to 1
-    away from the trapped radius at high frequency and vanishes identically in
-    the low-frequency regime where no degeneracy is needed.
-    """
-    roots = tau_roots(params, r, theta, xi, Theta, Phi, Psi)
-    vals = []
-    for taui in (roots.tau1, roots.tau2):
-        if taui == 0:
-            vals.append(0.0)
-            continue
-        try:
-            r_t = trapped_radius(params, taui, Phi, Psi)
-        except NoRoot:
-            vals.append(float(chi_geq_one(freq_scale * 10.0)))
-            continue
-        vals.append(float(chi_geq_one(freq_scale * abs(r - r_t))))
-    return CutoffSpec(c1=vals[0], c2=vals[1], freq_scale=freq_scale)
-
-
 def measure_cone_constant(params: BlackHoleParams, rng, n_samples: int = 4000,
                           window=TAU_WINDOW) -> float:
     """Measured C with |Phi|, |Psi| <= C |tau_i| over on-shell window samples."""
     rs = params.r_s
+    draws = np.empty((6, n_samples))
+    for i in range(n_samples):     # one sample at a time: the seed's draw order
+        draws[0, i] = rng.uniform(window[0] * rs, window[1] * rs)
+        draws[1, i] = rng.uniform(0.3, math.pi / 2 - 0.3)
+        draws[2:, i] = rng.standard_normal(4)
+    r, theta, xi, Theta, Phi, Psi = draws
     worst = 0.0
-    for _ in range(n_samples):
-        r = rng.uniform(window[0] * rs, window[1] * rs)
-        theta = rng.uniform(0.3, math.pi / 2 - 0.3)
-        xi, Theta, Phi, Psi = rng.standard_normal(4)
-        try:
-            roots = tau_roots(params, r, theta, xi, Theta, Phi, Psi)
-        except ComplexRoots:
-            continue
-        for taui in (roots.tau1, roots.tau2):
-            if abs(taui) > 1e-12:
-                worst = max(worst, abs(Phi) / abs(taui), abs(Psi) / abs(taui))
+    for taui in tau_roots_vec(params, r, theta, xi, Theta, Phi, Psi):
+        ok = np.abs(taui) > 1e-12            # False where the roots are complex
+        if np.any(ok):
+            ratio = np.maximum(np.abs(Phi[ok]), np.abs(Psi[ok])) / np.abs(taui[ok])
+            worst = max(worst, float(np.max(ratio)))
     return worst

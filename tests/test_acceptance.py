@@ -21,7 +21,7 @@ from mptrap.geometry import ChartPoint, metric_pair, inverse_metric_components
 from mptrap.geodesic import (Covector, PhasePoint, null_Xi, integrate_geodesic,
                              trapped_sphere, radial_classification, RadialClass,
                              ConservedQuantities)
-from mptrap.trapping import R_ab, rho2_p, trapped_radius
+from mptrap.trapping import R_ab, rho2_p, trapped_radius_vec
 from mptrap.quadform import check_positivity, boundary_forms
 from mptrap.sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
                         mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
@@ -101,7 +101,7 @@ def test_criterion_02_radial_identity(rng):
 def test_criterion_03_static_trapping():
     t0 = time.time()
     p0 = BlackHoleParams(1.0, 0.0, 0.0)
-    r_t = trapped_radius(p0, -1.0, 0.0, 0.0)
+    r_t = float(trapped_radius_vec(p0, -1.0, 0.0, 0.0)[0][0])
     ts = trapped_sphere(p0, 0.0, 0.0)
     dt = time.time() - t0
     ok = (abs(r_t - math.sqrt(2.0)) < 1e-12

@@ -3,23 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from mptrap.params import BlackHoleParams, NuRangeViolation
-from mptrap.sos import (SchwSos, MpSos, rotation_symbols, rotation_symbols_vec,
-                        lambda2, schw_sos_verify, schw_sos_scan, mp_bracket,
-                        mp_bracket_scan, mu_terms, mu_scan,
-                        mu_lower_bound, mu_samples)
+from mptrap.params import BlackHoleParams
+from mptrap.sos import (MpSos, rotation_symbols_vec, lambda2, schw_sos_scan,
+                        mp_bracket_scan, mu_scan, mu_lower_bound, mu_samples)
 from mptrap.multiplier import MultiplierProfile
-from mptrap.trapping import trapped_radius, tau_roots
+from mptrap.trapping import R_ab_oracle, R_ab_dx, rho2_p, trapped_radius_vec
+
+
+def _draws(rng, n, draw):
+    """n points drawn one at a time (the draw order of a per-point loop),
+    as one array per coordinate."""
+    return np.array([np.hstack(draw()) for _ in range(n)]).T
 
 
 def test_rotation_symbols_identity(rng):
-    for _ in range(500):
-        th = rng.uniform(0.05, math.pi / 2 - 0.05)
-        Th, Ph, Ps = rng.standard_normal(3)
-        phi, psi = rng.uniform(0, 2 * math.pi, 2)
-        lam = rotation_symbols(th, Th, Ph, Ps, phi, psi)
-        assert abs(np.sum(lam**2) - lambda2(th, Th, Ph, Ps)) < 1e-12 * \
-            max(1.0, lambda2(th, Th, Ph, Ps))
+    th, Th, Ph, Ps, phi, psi = _draws(rng, 500, lambda: (
+        rng.uniform(0.05, math.pi / 2 - 0.05), rng.standard_normal(3),
+        rng.uniform(0, 2 * math.pi, 2)))
+    lam = rotation_symbols_vec(th, Th, Ph, Ps, phi, psi)
+    l2 = lambda2(th, Th, Ph, Ps)
+    assert np.all(np.abs(np.sum(lam**2, axis=0) - l2) < 1e-12 * np.maximum(1.0, l2))
 
 
 def test_alpha_beta_closed_forms(sos, sp):
@@ -58,26 +61,15 @@ def test_nu_in_unit_interval(sos):
     assert np.all(1.0 - nu > 1e-5)     # strictly interior, delta1-controlled
 
 
-def test_schw_residual_scalar(sos, rng):
-    worst = 0.0
-    for _ in range(100):
-        r = rng.uniform(1.2, 1.7)
-        th = rng.uniform(0.3, math.pi / 2 - 0.3)
-        tau, xi, Th, Ph, Ps = rng.standard_normal(5)
-        out = schw_sos_verify(sos, r, th, tau, xi, Th, Ph, Ps)
-        worst = max(worst, out["residual"])
-    assert worst < 1e-8
-
-
-def test_schw_scan_matches_scalar(sos, rng):
-    n = 50
-    r = rng.uniform(1.2, 1.7, n)
-    th = rng.uniform(0.3, math.pi / 2 - 0.3, n)
-    tau, xi, Th, Ph, Ps = rng.standard_normal((5, n))
-    out = schw_sos_scan(sos, r, th, tau, xi, Th, Ph, Ps)
-    for i in (0, 17, 33):
-        o = schw_sos_verify(sos, r[i], th[i], tau[i], xi[i], Th[i], Ph[i], Ps[i])
-        assert abs(out["residual"][i] - o["residual"]) < 1e-10
+def test_schw_residual(sos, rng):
+    """Route (i) (finite-difference bracket) against route (ii) (sum of
+    squares) at 100 symbol points."""
+    pts = _draws(rng, 100, lambda: (rng.uniform(1.2, 1.7),
+                                    rng.uniform(0.3, math.pi / 2 - 0.3),
+                                    rng.standard_normal(5)))
+    out = schw_sos_scan(sos, *pts)
+    assert np.all(0.0 < out["nu"]) and np.all(out["nu"] < 1.0)
+    assert float(np.max(out["residual"])) < 1e-8
 
 
 def test_tau2_coefficient_vanishes_at_rps(sos, sp):
@@ -90,41 +82,59 @@ def test_tau2_coefficient_vanishes_at_rps(sos, sp):
 
 
 def test_mp_bracket_zero_at_trapped_radius(sos):
+    """On the characteristic set at xi = 0 the bracket vanishes where
+    r = r_trap(tau, Phi, Psi): here tau = 1, with Theta chosen so that the
+    point is null."""
     p = BlackHoleParams(1.0, 0.03, 0.03)
     mp = MpSos(params=p, sos=sos)
-    roots_probe = tau_roots(p, 1.42, 1.0, 0.0, 0.3, 0.1, -0.05)
-    r_t = trapped_radius(p, roots_probe.tau1, 0.1, -0.05)
-    val = mp.bracket(r_t, 1.0, roots_probe.tau1, 0.0, 0.3, 0.1, -0.05)
-    assert abs(val) < 1e-12
+    th, Ph, Ps = 1.0, 0.1, -0.05
+    r_t = trapped_radius_vec(p, 1.0, Ph, Ps)[0]
+    Th = np.sqrt(-rho2_p(p, r_t, th, 1.0, 0.0, 0.0, Ph, Ps))   # rho^2 g^thth = 1
+    one = np.ones(1)
+    res = mp_bracket_scan(mp, r_t, th * one, 0.0 * one, Th, Ph * one, Ps * one, 0)
+    assert res["ok"][0]
+    assert abs(res["tau"][0] - 1.0) < 1e-12
+    assert abs(res["bracket"][0]) < 1e-12
 
 
 def test_mp_bracket_static_reduction(sos, sp, bh_static):
     mp0 = MpSos(params=bh_static, sos=sos)
     r, th, xi = 1.45, 0.8, 0.2
-    out = mp_bracket(mp0, r, th, xi, 0.5, 0.2, -0.1)
+    one = np.ones(1)
+    out = mp_bracket_scan(mp0, r * one, th * one, xi * one, 0.5 * one,
+                          0.2 * one, -0.1 * one, 0)
+    assert out["ok"][0]
     J = sos.jets(r)
     aS2, bS2 = float(J.alphaS2[0]), float(J.betaS2[0])
-    expect = aS2 * out["tau"] ** 2 / (r - sp.r_ps) ** 2 * (r - sp.r_ps) ** 2 \
+    tau = float(out["tau"][0])
+    expect = aS2 * tau ** 2 / (r - sp.r_ps) ** 2 * (r - sp.r_ps) ** 2 \
         + bS2 * xi**2
-    assert abs(out["bracket"] - expect) < 1e-10 * max(1.0, abs(expect))
-    assert abs(out["r_trap"] - sp.r_ps) < 1e-12
+    assert abs(out["bracket"][0] - expect) < 1e-10 * max(1.0, abs(expect))
+    assert abs(out["r_trap"][0] - sp.r_ps) < 1e-12
 
 
 def test_mp_bracket_fd_validation(sos, rng):
+    """The closed-form bracket against Richardson differences of rho^2 p,
+    and against its alpha^2/beta^2 representation."""
     p = BlackHoleParams(1.0, 0.03, 0.03)
     mp = MpSos(params=p, sos=sos)
-    for _ in range(20):
-        r = rng.uniform(1.25, 1.65)
-        th = rng.uniform(0.4, 1.1)
-        xi, Th, Ph, Ps = 0.5 * rng.standard_normal(4)
-        out = mp_bracket(mp, r, th, xi, Th, Ph, Ps)
-        fd = mp.bracket_fd(r, th, out["tau"], xi, Th, Ph, Ps)
-        assert abs(out["bracket"] - fd) <= 1e-7 * max(1.0, abs(fd))
-        assert abs(out["bracket"] - out["reconstruction"]) <= 1e-12 * \
-            max(1.0, abs(out["bracket"]))
+    r, th, xi, Th, Ph, Ps = _draws(rng, 20, lambda: (
+        rng.uniform(1.25, 1.65), rng.uniform(0.4, 1.1),
+        0.5 * rng.standard_normal(4)))
+    out = mp_bracket_scan(mp, r, th, xi, Th, Ph, Ps, 0)
+    assert np.all(out["ok"])
+    for i in range(20):
+        br, tau = out["bracket"][i], out["tau"][i]
+        fd = mp.bracket_fd(r[i], th[i], tau, xi[i], Th[i], Ph[i], Ps[i])
+        assert abs(br - fd) <= 1e-7 * max(1.0, abs(fd))
+        recon = (out["alpha2"][i] * tau**2 * (r[i] - out["r_trap"][i]) ** 2
+                 + out["beta2"][i] * xi[i] ** 2)
+        assert abs(br - recon) <= 1e-12 * max(1.0, abs(br))
 
 
 def test_mp_scan_consistency(sos, rng):
+    """Each admissible scan point is on shell (rho^2 p = 0 at its tau) and
+    its r_trap is a root of the finite-difference trapping oracle."""
     p = BlackHoleParams(1.0, 0.03, 0.03)
     mp = MpSos(params=p, sos=sos)
     n = 40
@@ -133,12 +143,16 @@ def test_mp_scan_consistency(sos, rng):
     xi, Th, Ph, Ps = rng.standard_normal((4, n))
     br = rng.integers(0, 2, n)
     res = mp_bracket_scan(mp, r, th, xi, Th, Ph, Ps, br)
-    for i in (0, 13, 29):
-        if not res["ok"][i]:
-            continue
-        o = mp_bracket(mp, r[i], th[i], xi[i], Th[i], Ph[i], Ps[i],
-                       branch=int(br[i]))
-        assert abs(res["bracket"][i] - o["bracket"]) < 1e-11 * max(1.0, abs(o["bracket"]))
+    ok = res["ok"]
+    assert ok.sum() >= n // 2
+    tau, r_t = res["tau"], res["r_trap"]
+    on_shell = rho2_p(p, r, th, tau, xi, Th, Ph, Ps)
+    scale = tau**2 + xi**2 + Th**2 + Ph**2 + Ps**2
+    assert np.all(np.abs(on_shell[ok]) < 1e-13 * np.maximum(1.0, scale[ok]))
+    for i in np.nonzero(ok)[0]:
+        R0 = R_ab_oracle(p, r_t[i] ** 2, tau[i], Ph[i], Ps[i])
+        slope = R_ab_dx(p, r_t[i] ** 2, tau[i], Ph[i], Ps[i]) * 2 * r_t[i]
+        assert abs(R0 / slope) < 1e-11
 
 
 def test_mu_static_limit(sos, bh_static, rng):
@@ -146,34 +160,32 @@ def test_mu_static_limit(sos, bh_static, rng):
     the xi^2 coefficients coincide, and the eleven squares reconstruct the
     static sum of squares exactly."""
     mp0 = MpSos(params=bh_static, sos=sos)
-    for _ in range(25):
-        r = rng.uniform(1.25, 1.65)
-        th = rng.uniform(0.4, 1.1)
-        tau, xi, Th, Ph, Ps = rng.standard_normal(5)
-        mu2, comp, (t1, t2, b1, b2) = mu_terms(mp0, r, th, tau, xi, Th, Ph, Ps,
-                                               0.0, 0.0)
-        assert abs(b1 - b2) < 1e-11
-        assert mu2[9] < 1e-11 and mu2[10] < 1e-11
-        # reconstruction of r^2 q at the static limit
-        lam2 = lambda2(th, Th, Ph, Ps)
-        J = sos.jets(r)
-        a2, b2s, nu = float(J.alphaS2[0]), float(J.betaS2[0]), float(J.nu[0])
-        A = 1.0 - 1.0 / r**2
-        expect = ((1 - nu) * a2 * tau**2 + b2s * xi**2
-                  + nu * a2 * A / r**2 * (lam2 + (r**2 - 1.0) * xi**2))
-        tot = float(np.sum(mu2))
-        assert abs(tot - expect) < 1e-9 * max(1.0, abs(expect))
+    r, th, tau, xi, Th, Ph, Ps = _draws(rng, 25, lambda: (
+        rng.uniform(1.25, 1.65), rng.uniform(0.4, 1.1), rng.standard_normal(5)))
+    out = mu_scan(mp0, r, th, tau, xi, Th, Ph, Ps, 0.0, 0.0)
+    assert np.all(out["ok"])
+    mu2 = out["mu2"]
+    assert np.all(np.abs(out["b1sq"] - out["b2sq"]) < 1e-11)
+    assert np.all(mu2[9] < 1e-11) and np.all(mu2[10] < 1e-11)
+    # reconstruction of r^2 q at the static limit
+    lam2 = lambda2(th, Th, Ph, Ps)
+    J = sos.jets(r)
+    a2, b2s, nu = J.alphaS2, J.betaS2, J.nu
+    A = 1.0 - 1.0 / r**2
+    expect = ((1 - nu) * a2 * tau**2 + b2s * xi**2
+              + nu * a2 * A / r**2 * (lam2 + (r**2 - 1.0) * xi**2))
+    tot = np.sum(mu2, axis=0)
+    assert np.all(np.abs(tot - expect) < 1e-9 * np.maximum(1.0, np.abs(expect)))
 
 
 def test_mu_ratio_scale_invariance(sos, rng):
     p = BlackHoleParams(1.0, 0.03, 0.03)
     mp = MpSos(params=p, sos=sos)
-    r, th = 1.42, 0.9
     v = rng.standard_normal(5)
-    m1, c1, _ = mu_terms(mp, r, th, *v, 5.0, 0.05)
-    m2, c2, _ = mu_terms(mp, r, th, *(3.0 * v), 5.0, 0.05)
-    ratio1 = np.sum(m1) / c1
-    ratio2 = np.sum(m2) / c2
+    pts = np.column_stack([v, 3.0 * v])           # one point and its triple
+    out = mu_scan(mp, np.full(2, 1.42), np.full(2, 0.9), *pts, 5.0, 0.05)
+    assert np.all(out["ok"])
+    ratio1, ratio2 = np.sum(out["mu2"], axis=0) / out["comparison"]
     assert abs(ratio1 - ratio2) < 1e-9 * max(1.0, abs(ratio1))
 
 

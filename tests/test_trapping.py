@@ -5,9 +5,8 @@ import pytest
 
 from mptrap.params import BlackHoleParams
 from mptrap.trapping import (R_ab, R_ab_dx, R_ab_oracle, rho2_p,
-                             trapped_radius, trapped_radius_vec, tau_roots,
-                             tau_roots_vec, trapping_cutoffs, chi_geq_one,
-                             measure_cone_constant, NoRoot)
+                             trapped_radius_vec, tau_roots_vec,
+                             measure_cone_constant)
 from mptrap.geodesic import trapped_sphere
 
 
@@ -85,6 +84,11 @@ def test_fiber_identity(bh_small, rng):
         assert abs(d - 2 * Delta / x * xi) < 1e-12 * max(1.0, abs(d))
 
 
+def trapped_radius(params, tau, Phi, Psi):
+    r, _ = trapped_radius_vec(params, tau, Phi, Psi)
+    return float(r[0])
+
+
 def test_trapped_radius_static():
     p0 = BlackHoleParams(1.0, 0.0, 0.0)
     for tau, Ph, Ps in ((-1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 0.1, 0.2)):
@@ -118,67 +122,56 @@ def test_root_simplicity(rng):
         assert abs(slope) > 1.0      # grid floor, static value is 8 tau^2
 
 
-def test_trapped_radius_vec_matches_scalar(bh_small, rng):
+def test_trapped_radius_vec_oracle(bh_small, rng):
+    """The Newton roots are roots of the finite-difference oracle: the
+    Newton step the oracle implies at each is below 1e-11."""
     tau = rng.standard_normal(50) + np.sign(rng.standard_normal(50)) * 0.5
     Ph, Ps = 0.2 * rng.standard_normal((2, 50))
     rv, iters = trapped_radius_vec(bh_small, tau, Ph, Ps)
     for i in range(0, 50, 7):
-        assert abs(rv[i] - trapped_radius(bh_small, tau[i], Ph[i], Ps[i])) < 1e-11
+        x = rv[i] ** 2
+        step = (R_ab_oracle(bh_small, x, tau[i], Ph[i], Ps[i])
+                / (R_ab_dx(bh_small, x, tau[i], Ph[i], Ps[i]) * 2 * rv[i]))
+        assert abs(step) < 1e-11
     assert np.all(iters <= 60)
 
 
 def test_tau_roots_static(sp):
     p0 = BlackHoleParams(1.0, 0.0, 0.0)
-    roots = tau_roots(p0, math.sqrt(2.0), 0.8, 0.0, 1.0, 0.0, 0.0)
-    assert abs(roots.tau1 - 0.5) < 1e-14
-    assert abs(roots.tau2 + 0.5) < 1e-14
+    tau1, tau2 = tau_roots_vec(p0, math.sqrt(2.0), 0.8, 0.0, 1.0, 0.0, 0.0)
+    assert abs(tau1 - 0.5) < 1e-14
+    assert abs(tau2 + 0.5) < 1e-14
     # p vanishes at both roots
-    from mptrap.trapping import rho2_p
-    for t in (roots.tau1, roots.tau2):
+    for t in (tau1, tau2):
         assert abs(rho2_p(p0, math.sqrt(2.0), 0.8, t, 0.0, 1.0, 0.0, 0.0)) < 1e-12
 
 
 def test_tau_roots_ordering_symmetry():
     p0 = BlackHoleParams(1.0, 0.0, 0.0)
-    a = tau_roots(p0, 1.4, 0.7, 0.1, 0.3, 0.2, -0.1)
-    b = tau_roots(p0, 1.4, 0.7, 0.1, 0.3, -0.2, 0.1)
-    assert a.tau1 >= a.tau2
-    assert abs(a.tau1 - b.tau1) < 1e-13 and abs(a.tau2 - b.tau2) < 1e-13
+    a1, a2 = tau_roots_vec(p0, 1.4, 0.7, 0.1, 0.3, 0.2, -0.1)
+    b1, b2 = tau_roots_vec(p0, 1.4, 0.7, 0.1, 0.3, -0.2, 0.1)
+    assert a1 >= a2
+    assert abs(a1 - b1) < 1e-13 and abs(a2 - b2) < 1e-13
 
 
 def test_tau_roots_pinned():
     p = BlackHoleParams(1.0, 0.05, 0.03)
-    roots = tau_roots(p, 1.42, 1.0, 0.1, 0.3, 0.1, -0.05)
-    assert abs(roots.tau1 - 0.176162753227254) < 1e-13
-    assert abs(roots.tau2 + 0.174445841953409) < 1e-13
+    tau1, tau2 = tau_roots_vec(p, 1.42, 1.0, 0.1, 0.3, 0.1, -0.05)
+    assert abs(tau1 - 0.176162753227254) < 1e-13
+    assert abs(tau2 + 0.174445841953409) < 1e-13
 
 
 def test_tau_roots_vec(bh_small, rng):
+    """rho^2 p vanishes at both roots, which are ordered."""
     r = rng.uniform(1.15, 1.75, 40)
     th = rng.uniform(0.3, math.pi / 2 - 0.3, 40)
     xi, Th, Ph, Ps = rng.standard_normal((4, 40))
     t1, t2 = tau_roots_vec(bh_small, r, th, xi, Th, Ph, Ps)
-    for i in range(0, 40, 5):
-        roots = tau_roots(bh_small, r[i], th[i], xi[i], Th[i], Ph[i], Ps[i])
-        assert abs(t1[i] - roots.tau1) < 1e-13
-        assert abs(t2[i] - roots.tau2) < 1e-13
-
-
-def test_cutoffs(bh_small):
-    # far from the trapped radius at high frequency: saturated
-    spec = trapping_cutoffs(bh_small, 3.0, 0.8, 0.0, 1.0, 0.05, -0.02, 100.0)
-    assert spec.c1 == 1.0 and spec.c2 == 1.0
-    # at the trapped radius: vanishing
-    r_t = trapped_radius(bh_small, 1.0, 0.05, -0.02)
-    roots = tau_roots(bh_small, r_t, 0.8, 0.0, 1.0, 0.05, -0.02)
-    r_t1 = trapped_radius(bh_small, roots.tau1, 0.05, -0.02)
-    spec = trapping_cutoffs(bh_small, r_t1, 0.8, 0.0, 1.0, 0.05, -0.02, 100.0)
-    assert spec.c1 == 0.0
-    # low frequency: zero regardless of position
-    spec = trapping_cutoffs(bh_small, 3.0, 0.8, 0.0, 1.0, 0.05, -0.02, 0.5)
-    assert spec.c1 == 0.0 and spec.c2 == 0.0
-    # chi shape
-    assert chi_geq_one(0.5) == 0.0 and chi_geq_one(2.5) == 1.0
+    assert np.all(t1 >= t2)
+    for t in (t1, t2):
+        scale = t**2 + xi**2 + Th**2 + Ph**2 + Ps**2
+        residual = rho2_p(bh_small, r, th, t, xi, Th, Ph, Ps)
+        assert np.all(np.abs(residual) < 1e-13 * np.maximum(1.0, scale))
 
 
 def test_cone_constant(bh_small, rng):
