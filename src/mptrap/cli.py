@@ -45,9 +45,21 @@ from .smooth import rho_saturate
 
 RNG_ALGORITHM = "numpy-PCG64"
 
+# geodesic gate: the separated residual follows the integrator's accumulated
+# global error, not its per-step tolerance (about 2.6 tol at the defaults)
+SEP_RESIDUAL_PER_TOL = 1e3
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _verdict(checks):
+    """(status, witnesses) from {check: (passed, compared values)}: one
+    witness per failed check, naming it and the values it compared."""
+    witnesses = [{"check": name, **values}
+                 for name, (passed, values) in checks.items() if not passed]
+    return not witnesses, witnesses
 
 
 def _bh_params(cfg):
@@ -109,12 +121,19 @@ def task_geodesic(cfg, rng, outdir):
         "p_drift": traj.p_drift, "K_drift": traj.K_drift,
         "separated_residual": traj.sep_residual,
         "reference_p_drift": ref.p_drift,
-        "E_drift": 0.0, "Phi_drift": 0.0, "Psi_drift": 0.0,
     }
     traj.export_csv(os.path.join(outdir, "trajectory.csv"), params)
     drift_tol = float(blk.get("drift_tol", 1e-8))
-    status = (traj.p_drift < drift_tol and traj.K_drift < drift_tol
-              and traj.sep_residual < 10 * tol * 1e2)
+    sep_gate = SEP_RESIDUAL_PER_TOL * tol
+    checks = {
+        "p_drift": (traj.p_drift < drift_tol,
+                    {"p_drift": traj.p_drift, "bound": drift_tol}),
+        "K_drift": (traj.K_drift < drift_tol,
+                    {"K_drift": traj.K_drift, "bound": drift_tol}),
+        "separated_residual": (traj.sep_residual < sep_gate,
+                               {"separated_residual": traj.sep_residual,
+                                "bound": sep_gate}),
+    }
 
     if blk.get("trapped", True):
         ts = trapped_sphere(params, float(blk.get("phi_hat", 0.1)),
@@ -149,9 +168,15 @@ def task_geodesic(cfg, rng, outdir):
         metrics["literal_t50_met"] = bool(dev_50 < 1e-3 * params.r_s)
         metrics["instability_rate"] = lam
         metrics["trapped_departure"] = trj.termination
-        status = status and dev_w < 1e-3 * params.r_s and \
-            trj.termination in ("horizon", "escaped", "span")
-    return status, metrics, []
+        checks["trapped_persistence"] = (
+            dev_w < 1e-3 * params.r_s,
+            {"trapped_deviation_window": dev_w, "bound": 1e-3 * params.r_s,
+             "trapped_window": window})
+        checks["trapped_departure"] = (
+            trj.termination in ("horizon", "escaped", "span"),
+            {"termination": trj.termination})
+    status, witnesses = _verdict(checks)
+    return status, metrics, witnesses
 
 
 def task_trapped_scan(cfg, rng, outdir):
@@ -181,12 +206,15 @@ def task_trapped_scan(cfg, rng, outdir):
         "dR_dr_abs_min": float(np.min(np.abs(dRdr))),
         "C_mp": C_mp,
     }
-    status = bool(ok.all())
+    checks = {"all_converged": (bool(ok.all()),
+                                {"n_converged": int(ok.sum()), "n_samples": n})}
     if static:
         dev = float(np.max(np.abs(r_t[ok] - math.sqrt(2.0) * params.r_s)))
         metrics["static_deviation"] = dev
-        status = status and dev < 1e-12
-    return status, metrics, []
+        checks["static_photon_sphere"] = (
+            dev < 1e-12, {"static_deviation": dev, "bound": 1e-12})
+    status, witnesses = _verdict(checks)
+    return status, metrics, witnesses
 
 
 def task_multiplier_verify(cfg, rng, outdir):
@@ -244,13 +272,14 @@ def task_multiplier_verify(cfg, rng, outdir):
 
     # profile table artifact
     grid = positivity_grid(sp, chart.r_e, 10 * sp.r_s, 600)
-    f = prof.f_jet(grid)[0]
+    f_jet = prof.f_jet(grid)
+    f = f_jet[0]
     F = np.full_like(grid, np.nan)
     f1 = np.full_like(grid, np.nan)
     above = grid > sp.r_s * (1 + 1e-12)
     F[above] = prof.F_jet(grid[above])[0]
     f1[above] = prof.f1_jet(grid[above])[0]
-    q1 = prof.q1_jet(grid)[0]
+    q1 = prof.q1_jet(grid, f_jet)[0]
     q2 = prof.q2_jet(grid)[0]
     b = prof.b_jet(grid)[0]
     gam = prof.gamma_jet(grid)[0]
@@ -458,9 +487,16 @@ def task_wave_evolve(cfg, rng, outdir):
                "C_obs": erep.sup_E / erep.E_initial,
                "lateral_min_integrand": erep.lateral_min_integrand,
                "LE1_sq": nrep.LE1_sq, "l": dom.l, "n_r": dom.n_r}
-    status = (math.isfinite(nrep.LE1_sq) and erep.lateral_min_integrand >= 0
-              and erep.sup_E <= 10 * erep.E_initial)
-    return status, metrics, []
+    status, witnesses = _verdict({
+        "LE1_finite": (math.isfinite(nrep.LE1_sq), {"LE1_sq": nrep.LE1_sq}),
+        "lateral_flux_nonnegative": (
+            erep.lateral_min_integrand >= 0,
+            {"lateral_min_integrand": erep.lateral_min_integrand}),
+        "energy_bounded": (erep.sup_E <= 10 * erep.E_initial,
+                           {"sup_E": erep.sup_E, "E_initial": erep.E_initial,
+                            "bound": 10 * erep.E_initial}),
+    })
+    return status, metrics, witnesses
 
 
 def task_convergence(cfg, rng, outdir):
@@ -544,14 +580,16 @@ def run(task, cfg, outdir, seed):
     t0 = time.time()
     if task == "all":
         sub = {}
+        witnesses = []
         status = True
         for name in TASKS:
             sub_out = os.path.join(outdir, name)
             rep = run(name, cfg, sub_out, seed)
             sub[name] = {"status": rep["status"], "metrics": rep["metrics"]}
+            witnesses += [{"task": name, **w} for w in rep["witnesses"]]
             status = status and rep["status"] == "pass"
         report = {"task": "all", "status": "pass" if status else "fail",
-                  "metrics": sub, "witnesses": []}
+                  "metrics": sub, "witnesses": witnesses}
     else:
         rng = np.random.default_rng(seed)
         try:

@@ -325,6 +325,10 @@ def test_criterion_11_end_to_end(tmp_path):
         assert out.returncode == 0, out.stdout + out.stderr
         rep = json.load(open(tmp_path / f"run{k}" / "report.json"))
         rep.pop("wall_time_s")
+        # each task's witnesses reach the top-level report
+        assert any(w.get("task") == "multiplier-verify"
+                   and w.get("check") == "pinned_boundary_targets"
+                   for w in rep["witnesses"])
         reports.append(json.dumps(rep, sort_keys=True))
     dt = time.time() - t0
     ok = reports[0] == reports[1] and dt < 900.0

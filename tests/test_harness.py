@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -142,3 +145,35 @@ def test_kappa_witness_follows_seed(tmp_path):
             witness[tag] = json.load(fh)["metrics"]["mu"]["witness"]
     assert witness["a"] == witness["b"]
     assert witness["a"] != witness["c"]
+
+
+def test_physics_failure_has_witness(tmp_path):
+    """An unstable time step fails the energy bound and says so."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"wave": {"cfl": 5, "T": 10}}))
+    out = tmp_path / "o"
+    assert main(["wave-evolve", "--config", str(path), "--out", str(out)]) == 1
+    with open(out / "report.json") as fh:
+        rep = json.load(fh)
+    assert [w["check"] for w in rep["witnesses"]] == ["energy_bounded"]
+    assert rep["witnesses"][0]["sup_E"] > rep["witnesses"][0]["bound"]
+
+
+def test_traced_names_resolve():
+    """Every function and method the benchmark tracer wraps exists in mptrap,
+    so a deletion that would break the traced benchmark fails here."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod, name, _ in tracer.FUNCTIONS:
+        if not callable(getattr(importlib.import_module(f"mptrap.{mod}"), name, None)):
+            missing.append(f"{mod}.{name}")
+    for mod, cls, meth, _ in tracer.METHODS:
+        klass = getattr(importlib.import_module(f"mptrap.{mod}"), cls, None)
+        if not callable(getattr(klass, meth, None)):
+            missing.append(f"{mod}.{cls}.{meth}")
+    for mod in tracer.MODULES:
+        importlib.import_module(f"mptrap.{mod}")
+    assert missing == []
