@@ -243,11 +243,15 @@ def mp_bracket_scan(mp: MpSos, r, theta, xi, Theta, Phi, Psi, branch):
 
 def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi,
                   h_rel: float = 1e-4):
-    """Vectorized two-route evaluation of the static sum of squares.
+    """Relative residual between two evaluations of r^2 q, plus
+    (alpha_S^2, beta_S^2, nu), at each symbol point.
 
+    Route (i): the bracket (1/2i){r^2 p_S, X_sym} by Richardson differences
+    plus q~ r^2 p_S.  Route (ii): (1-nu) alpha_S^2 tau^2 + beta_S^2 xi^2
+    + nu alpha_S^2 A r^-2 (sum lambda_i^2 + (r^2 - r_s^2) xi^2).
     Route (ii) reads the coefficients at r from one RadialJets; route (i)
-    differentiates f~ by Richardson differences on four shifted radius sets,
-    each its own evaluation of the profile.
+    differentiates f~ on four shifted radius sets, each its own evaluation
+    of the profile.
     """
     sp = sos.profile.sp
     J = sos.jets(r)

@@ -1,4 +1,3 @@
-import importlib
 import importlib.util
 import json
 import math
