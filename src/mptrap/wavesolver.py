@@ -12,7 +12,8 @@ which is solved for v_tt (g^vv is bounded away from zero: the slices are
 uniformly spacelike).  Method of lines: second-order centered stencils in r
 with one-sided closures at both ends (all characteristics leave through the
 inner boundary, which lies inside the horizon; the outer boundary is
-causally buffered), classical four-stage Runge-Kutta in time.
+causally buffered), assembled once into one sparse operator on (v, v_t);
+classical four-stage Runge-Kutta in time.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ import json
 import math
 
 import numpy as np
+from scipy import sparse
 
 from .params import SchwParams, AssemblyError, InstabilityError, InconclusiveConvergence
 from .chart import IngoingChart
@@ -35,7 +37,7 @@ class SolverDomain:
     T: float
     cfl: float = 0.4
     sample_every: int = 8
-    ko_sigma: float = 0.5     # fourth-difference dissipation strength
+    ko_sigma: float = 0.5     # sixth-difference dissipation strength
 
     @property
     def dr(self):
@@ -56,26 +58,33 @@ class ModeOperator:
     c1: np.ndarray        # r^{-(d+2)} (r^{d+2} A)'
     cross0: np.ndarray    # r^{-(d+2)} (r^{d+2} B)'
     eig: float            # l(l+2)
-
-    def dt_stable(self):
-        # characteristic speeds 1/mu' and A/(2 - A mu') are bounded by 1
-        return self.dom.cfl * self.dom.dr
-
-
-def _d1(u, h):
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-    out[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
-    out[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
-    return out
+    dt: float             # RK4 step
+    n_steps: int
+    D1: sparse.csr_array
+    L: sparse.csr_array   # d/dt of the stacked (v, W), dissipation included
 
 
-def _d2(u, h):
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-    out[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2
-    out[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h**2
-    return out
+def _stencil(n, scale, centre, first=(), sign=1.0):
+    """scale * (finite-difference stencil) as an n x n CSR matrix.
+
+    `centre` holds the weights at offsets -k..k, applied on rows k..n-1-k;
+    `first` holds row 0's weights on columns 0, 1, ..., which row n-1
+    mirrors times `sign`.  Rows covered by neither are zero.
+    """
+    k = len(centre) // 2
+    rows = np.arange(k, n - k)
+    I, J, V = [], [], []
+    for off, w in enumerate(centre, start=-k):
+        if w:
+            I.append(rows)
+            J.append(rows + off)
+            V.append(np.full(rows.size, scale * w))
+    for col, w in enumerate(first):
+        I.append([0, n - 1])
+        J.append([col, n - 1 - col])
+        V.append([scale * w, sign * scale * w])
+    return sparse.csr_array((np.concatenate(V), (np.concatenate(I), np.concatenate(J))),
+                            shape=(n, n))
 
 
 def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> ModeOperator:
@@ -95,20 +104,33 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
     B1 = -(A1 * M + A * M1)
     c1 = A1 + 3.0 * A / r
     cross0 = B1 + 3.0 * B / r
+    eig = float(dom.l * (dom.l + 2))
+    # characteristic speeds 1/mu' and A/(2 - A mu') are bounded by 1
+    n_steps = max(1, int(math.ceil(dom.T / (dom.cfl * dom.dr))))
+    dt = dom.T / n_steps
+    n, h = dom.n_r, dom.dr
+    D1 = _stencil(n, 1.0 / (2 * h), (-1, 0, 1), first=(-3, 4, -1), sign=-1.0)
+    D2 = _stencil(n, 1.0 / h**2, (1, -2, 1), first=(2, -5, 4, -1))
+    # Sixth-difference Kreiss-Oliger dissipation stabilizes the one-sided
+    # outflow closures; the operator is O(dr^5) consistent so second-order
+    # accuracy is untouched even for sharply peaked data.
+    ko = _stencil(n, dom.ko_sigma / (64.0 * dt), (1, -6, 15, -20, 15, -6, 1))
+    # W_t = (eig v / r^2 - A v_rr - c1 v_r - 2 B W_r - cross0 W) / g_vv
+    diag = sparse.diags_array
+    L_Wv = diag(-A / g_vv) @ D2 + diag(-c1 / g_vv) @ D1 + diag(eig / r**2 / g_vv)
+    L_WW = diag(-2.0 * B / g_vv) @ D1 + diag(-cross0 / g_vv) + ko
+    L = sparse.block_array([[ko, sparse.eye_array(n)], [L_Wv, L_WW]], format="csr")
     return ModeOperator(sp=sp, dom=dom, r=r, g_vv=g_vv, B=B, A=A, c1=c1,
-                        cross0=cross0, eig=float(dom.l * (dom.l + 2)))
+                        cross0=cross0, eig=eig, dt=dt, n_steps=n_steps,
+                        D1=D1, L=L)
 
 
 def spatial_operator(op: ModeOperator, v, W, forcing=0.0):
-    """d/dt of (v, W): W and the solved-for second time derivative."""
-    h = op.dom.dr
-    v_r = _d1(v, h)
-    v_rr = _d2(v, h)
-    W_r = _d1(W, h)
-    rhs = (forcing + op.eig * v / op.r**2
-           - 2.0 * op.B * W_r - op.cross0 * W
-           - op.A * v_rr - op.c1 * v_r)
-    return W, rhs / op.g_vv
+    """d/dt of (v, W): W plus dissipation, and the solved-for second time
+    derivative."""
+    n = op.dom.n_r
+    out = op.L @ np.concatenate([v, W])
+    return out[:n], out[n:] + forcing / op.g_vv
 
 
 @dataclass
@@ -133,50 +155,33 @@ def gaussian_bump(r, center, width, amplitude=1.0):
     return out
 
 
-def evolve(op: ModeOperator, v0, W0, forcing=None, store_fields: bool = True) -> History:
+def evolve(op: ModeOperator, v0, W0, forcing=None) -> History:
     """Classical RK4 evolution with per-step lateral-flux sampling."""
-    dom = op.dom
-    dt = op.dt_stable()
-    n_steps = max(1, int(math.ceil(dom.T / dt)))
-    dt = dom.T / n_steps
+    dt = op.dt
     v = np.array(v0, dtype=float)
     W = np.array(W0, dtype=float)
     hist = History(op=op)
-    h = dom.dr
+    d1_0 = op.D1[[0]].toarray()[0]     # the one-sided v_r at the inner boundary
 
     def lateral(vv, WW):
-        vr0 = (-3 * vv[0] + 4 * vv[1] - vv[2]) / (2 * h)
-        return (vr0**2 + WW[0] ** 2 + op.eig * vv[0] ** 2 / op.r[0] ** 2) * op.r[0] ** 3
+        return (float(d1_0 @ vv) ** 2 + WW[0] ** 2
+                + op.eig * vv[0] ** 2 / op.r[0] ** 2) * op.r[0] ** 3
 
     def record(t, vv, WW):
         hist.times.append(t)
-        if store_fields:
-            hist.v.append(vv.copy())
-            hist.W.append(WW.copy())
+        hist.v.append(vv.copy())
+        hist.W.append(WW.copy())
 
     record(0.0, v, W)
     hist.lateral_times.append(0.0)
     hist.lateral_density.append(lateral(v, W))
     f_of_t = forcing if forcing is not None else (lambda t, r: 0.0)
 
-    # Sixth-difference Kreiss-Oliger dissipation stabilizes the one-sided
-    # outflow closures; the operator is O(dr^5) consistent so second-order
-    # accuracy is untouched even for sharply peaked data.
-    ko = dom.ko_sigma / (64.0 * dt)
+    def rhs(tt, vv, WW):
+        return spatial_operator(op, vv, WW, f_of_t(tt, op.r))
 
-    def dissipate(u):
-        out = np.zeros_like(u)
-        out[3:-3] = (u[:-6] - 6 * u[1:-5] + 15 * u[2:-4] - 20 * u[3:-3]
-                     + 15 * u[4:-2] - 6 * u[5:-1] + u[6:])
-        return ko * out
-
-    for k in range(n_steps):
+    for k in range(op.n_steps):
         t = k * dt
-
-        def rhs(tt, vv, WW):
-            dv, dw = spatial_operator(op, vv, WW, f_of_t(tt, op.r))
-            return dv + dissipate(vv), dw + dissipate(WW)
-
         k1v, k1w = rhs(t, v, W)
         k2v, k2w = rhs(t + dt / 2, v + dt / 2 * k1v, W + dt / 2 * k1w)
         k3v, k3w = rhs(t + dt / 2, v + dt / 2 * k2v, W + dt / 2 * k2w)
@@ -187,7 +192,7 @@ def evolve(op: ModeOperator, v0, W0, forcing=None, store_fields: bool = True) ->
             raise InstabilityError(f"NaN/overflow at step {k + 1} (t = {t + dt})")
         hist.lateral_times.append(t + dt)
         hist.lateral_density.append(lateral(v, W))
-        if (k + 1) % dom.sample_every == 0 or k == n_steps - 1:
+        if (k + 1) % op.dom.sample_every == 0 or k == op.n_steps - 1:
             record(t + dt, v, W)
     return hist
 
@@ -214,8 +219,7 @@ class NormReport:
 
 
 def slice_energy(op: ModeOperator, v, W):
-    h = op.dom.dr
-    v_r = _d1(v, h)
+    v_r = op.D1 @ v
     dens = (v_r**2 + W**2 + op.eig * v**2 / op.r**2) * op.r**3
     return float(np.trapezoid(dens, op.r))
 
@@ -223,8 +227,8 @@ def slice_energy(op: ModeOperator, v, W):
 def diagnostics(hist: History):
     """Energy and localized-energy reports from a stored history."""
     op = hist.op
-    times, vs, Ws = hist.snapshot_array()
-    E = np.array([slice_energy(op, vs[i], Ws[i]) for i in range(len(times))])
+    times = np.asarray(hist.times)
+    E = np.array([slice_energy(op, v, W) for v, W in zip(hist.v, hist.W)])
     lat_t = np.asarray(hist.lateral_times)
     lat_d = np.asarray(hist.lateral_density)
     E_lat = float(np.trapezoid(lat_d, lat_t))
@@ -235,34 +239,29 @@ def diagnostics(hist: History):
     # localized-energy norm: sup over dyadic annuli with the photon-sphere
     # weight on the temporal and angular pieces only
     r = op.r
-    h = op.dom.dr
     rps = op.sp.r_ps
     w_ps = ((r - rps) / r) ** 2
     j_lo = int(math.floor(math.log2(max(r[0], 1e-12))))
     j_hi = int(math.ceil(math.log2(r[-1])))
-    dud = {}
-    best_r = 0.0
-    best_deg = 0.0
+    annuli = {j: (r >= 2.0 ** (j - 1)) & (r < 2.0**j) for j in range(j_lo, j_hi + 1)}
+    annuli = {j: sel for j, sel in annuli.items() if np.any(sel)}
+    acc_r = dict.fromkeys(annuli, 0.0)
+    acc_deg = dict.fromkeys(annuli, 0.0)
     low = 0.0
     # time integration by trapezoid over the sampled slices
     wt = np.gradient(times)
-    for j in range(j_lo, j_hi + 1):
-        sel = (r >= 2.0 ** (j - 1)) & (r < 2.0**j)
-        if not np.any(sel):
-            continue
-        acc_r = 0.0
-        acc_deg = 0.0
-        for i in range(len(times)):
-            v_r = _d1(vs[i], h)
-            acc_r += wt[i] * np.trapezoid(v_r[sel] ** 2 * r[sel] ** 3, r[sel])
-            acc_deg += wt[i] * np.trapezoid(
-                w_ps[sel] * (Ws[i][sel] ** 2 + op.eig * vs[i][sel] ** 2 / r[sel] ** 2)
+    for i, (v, W) in enumerate(zip(hist.v, hist.W)):
+        v_r = op.D1 @ v
+        for j, sel in annuli.items():
+            acc_r[j] += wt[i] * np.trapezoid(v_r[sel] ** 2 * r[sel] ** 3, r[sel])
+            acc_deg[j] += wt[i] * np.trapezoid(
+                w_ps[sel] * (W[sel] ** 2 + op.eig * v[sel] ** 2 / r[sel] ** 2)
                 * r[sel] ** 3, r[sel])
-        dud[j] = {"radial": 2.0 ** (-j) * acc_r, "degenerate": 2.0 ** (-j) * acc_deg}
-        best_r = max(best_r, dud[j]["radial"])
-        best_deg = max(best_deg, dud[j]["degenerate"])
-    for i in range(len(times)):
-        low += wt[i] * np.trapezoid(vs[i] ** 2 / r**3 * r**3, r)
+        low += wt[i] * np.trapezoid(v ** 2 / r**3 * r**3, r)
+    dud = {j: {"radial": 2.0 ** (-j) * acc_r[j], "degenerate": 2.0 ** (-j) * acc_deg[j]}
+           for j in annuli}
+    best_r = max(d["radial"] for d in dud.values())
+    best_deg = max(d["degenerate"] for d in dud.values())
     nrep = NormReport(LE1_sq=best_r + best_deg + low, dyadic=dud,
                       lower_order_sq=low)
     return erep, nrep

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from mptrap.params import SchwParams, InstabilityError
@@ -62,6 +63,34 @@ def test_stencil_second_order(sp, wchart):
     order = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
     assert 1.8 < order < 2.2 and 1.8 < order2 < 2.2
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n_r=st.integers(7, 400), l=st.sampled_from((0, 1, 2)),
+       c=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_operator_exact_on_quadratics(sp, wchart, n_r, l, c):
+    """Every row of the assembled operator, the one-sided closure rows and
+    the dissipation included, is exact on quadratics p."""
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=n_r, l=l, T=1.0)
+    op = assemble_mode(sp, wchart, dom)
+    r = dom.grid()
+    half = 0.5 * (dom.r_max - dom.r_e)
+    s = (r - dom.r_e) / half - 1.0
+    p = c[0] + c[1] * s + c[2] * s**2
+    p1 = (c[1] + 2 * c[2] * s) / half
+    p2 = 2 * c[2] / half**2
+    zero = np.zeros_like(r)
+
+    def close(got, exp):
+        scale = max(np.abs(exp).max(), np.abs(p).max())
+        return np.abs(got - exp).max() <= 1e-9 * scale
+
+    dv, dW = spatial_operator(op, p, zero)
+    assert close(dv, zero)
+    assert close(dW, (op.eig * p / r**2 - op.A * p2 - op.c1 * p1) / op.g_vv)
+    dv, dW = spatial_operator(op, zero, p)
+    assert close(dv, p)
+    assert close(dW, (-2 * op.B * p1 - op.cross0 * p) / op.g_vv)
 
 
 def test_manufactured_energy_quadrature(sp, wchart):
