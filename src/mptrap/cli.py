@@ -220,7 +220,6 @@ def task_trapped_scan(cfg, rng, outdir):
 def task_multiplier_verify(cfg, rng, outdir):
     sp, prof, chart, triple = _multiplier_stack(cfg)
     blk = cfg.get("multiplier", {})
-    witnesses = []
     metrics = {"N": prof.N, "eps": prof.eps, "delta": prof.delta,
                "delta1": prof.delta1, "achieved_match": prof.achieved_match}
 
@@ -233,7 +232,7 @@ def task_multiplier_verify(cfg, rng, outdir):
     metrics["lF_min"] = float(np.min(lF))
     metrics["lF_argmin"] = float(r_lw[np.argmin(lF)])
 
-    _, _, _, nrep = build_redshift(sp, prof, chart)
+    nrep = build_redshift(sp, prof, chart)
     metrics.update({"n_min": nrep["n_min"], "n_argmin": nrep["n_argmin"],
                     "X_dr_at_rs": nrep["X_dr_at_rs"], "m_dr_at_rs": nrep["m_dr_at_rs"]})
 
@@ -265,25 +264,22 @@ def task_multiplier_verify(cfg, rng, outdir):
         metrics["boundary_feasible"] = {k: bd[k] for k in
                                         ("kappa", "slice_min_eig",
                                          "lateral_min_eig", "C_energy", "r_e")}
-        feas_ok = bd["lateral_min_eig"] > 0 and bd["slice_min_eig"] > 0
+        feasible = (bd["lateral_min_eig"] > 0 and bd["slice_min_eig"] > 0,
+                    {"slice_min_eig": bd["slice_min_eig"],
+                     "lateral_min_eig": bd["lateral_min_eig"], "bound": 0.0})
     except Exception as exc:
-        witnesses.append({"check": "boundary_feasible", "error": str(exc)})
-        feas_ok = False
+        feasible = (False, {"error": str(exc)})
 
     # profile table artifact
     grid = positivity_grid(sp, chart.r_e, 10 * sp.r_s, 600)
-    f_jet = prof.f_jet(grid)
-    f = f_jet[0]
+    ing = triple.ingredients(grid)
+    f, q1, q2, b, gam = (ing[k][0] for k in ("f", "q1", "q2", "b", "gam"))
     F = np.full_like(grid, np.nan)
     f1 = np.full_like(grid, np.nan)
     above = grid > sp.r_s * (1 + 1e-12)
     F[above] = prof.F_jet(grid[above])[0]
     f1[above] = prof.f1_jet(grid[above])[0]
-    q1 = prof.q1_jet(grid, f_jet)[0]
-    q2 = prof.q2_jet(grid)[0]
-    b = prof.b_jet(grid)[0]
-    gam = prof.gamma_jet(grid)[0]
-    nvals = zeroth_order_n(triple, grid)
+    nvals = zeroth_order_n(triple, ing)
     lFv = np.full_like(grid, np.nan)
     lFv[above] = prof.lF(grid[above])
     lfv = prof.lf(grid)
@@ -301,9 +297,19 @@ def task_multiplier_verify(cfg, rng, outdir):
                               "N": prof.N}},
                   fh, indent=1, sort_keys=True)
 
-    construction_ok = (metrics["F_prime_min"] > 0 and metrics["lF_min"] > 0
-                       and nrep["n_min"] > 0 and pos["c_star"] > 0
-                       and stab < 0.01 and I_val < prof.delta / 2.0 and feas_ok)
+    Fp_min, lF_min, n_min, c_star = (metrics["F_prime_min"], metrics["lF_min"],
+                                     nrep["n_min"], pos["c_star"])
+    status, witnesses = _verdict({
+        "F_prime_positive": (Fp_min > 0, {"F_prime_min": Fp_min, "bound": 0.0}),
+        "lF_positive": (lF_min > 0, {"lF_min": lF_min, "bound": 0.0}),
+        "n_positive": (n_min > 0, {"n_min": n_min, "bound": 0.0}),
+        "c_star_positive": (c_star > 0, {"c_star": c_star, "bound": 0.0}),
+        "c_star_grid_stability": (stab < 0.01,
+                                  {"c_star_grid_stability": stab, "bound": 0.01}),
+        "smallness": (I_val < prof.delta / 2.0,
+                      {"smallness_integral": I_val, "bound": prof.delta / 2.0}),
+        "boundary_feasible": feasible,
+    })
     pinned_targets = {"kappa_lt_10": bf["kappa"] < 10.0,
                     "lateral_pd_at_0p95": bf["lateral_min_eig"] > 0}
     metrics["pinned_boundary_targets_met"] = pinned_targets
@@ -315,7 +321,7 @@ def task_multiplier_verify(cfg, rng, outdir):
         witnesses.append({"check": "pinned_boundary_targets",
                           "kappa": bf["kappa"],
                           "lateral_min_eig": bf["lateral_min_eig"]})
-    return construction_ok, metrics, witnesses
+    return status, metrics, witnesses
 
 
 def integrated_smallness(prof, r_e):
@@ -355,7 +361,6 @@ def task_sos_verify(cfg, rng, outdir):
     params = _bh_params(cfg)
     n = int(blk.get("n_samples", 10000))
     eps0 = float(blk.get("eps0", 0.05))
-    witnesses = []
     sos = SchwSos(profile=prof)
     rs = sp.r_s
 
@@ -424,17 +429,23 @@ def task_sos_verify(cfg, rng, outdir):
                    "witness_points": [metrics["mu"]["witness"]]},
                   fh, indent=1, sort_keys=True)
 
-    status = (metrics["schw_residual_max"] <= 1e-8
-              and 0.0 < metrics["nu_range"][0]
-              and metrics["nu_range"][1] < 1.0
-              and metrics["lambda_identity_max_err"] <= 1e-12
-              and metrics["bracket_min"] >= -1e-10
-              and metrics["alpha2_min"] > 0 and metrics["beta2_min"] > 0
-              and metrics["mu"]["kappa"] > 0
-              and all(1.0 <= ratio <= 4.0 for ratio in lin))
-    if not status:
-        witnesses.append({"check": "sos", "metrics_snapshot": {
-            k: metrics[k] for k in ("schw_residual_max", "bracket_min")}})
+    res_max, lam_err = metrics["schw_residual_max"], metrics["lambda_identity_max_err"]
+    nu_lo, nu_hi = metrics["nu_range"]
+    br, a2, b2 = metrics["bracket_min"], metrics["alpha2_min"], metrics["beta2_min"]
+    kappa = metrics["mu"]["kappa"]
+    status, witnesses = _verdict({
+        "schw_residual": (res_max <= 1e-8, {"schw_residual_max": res_max, "bound": 1e-8}),
+        "nu_positive": (0.0 < nu_lo, {"nu_min": nu_lo, "bound": 0.0}),
+        "nu_below_one": (nu_hi < 1.0, {"nu_max": nu_hi, "bound": 1.0}),
+        "lambda_identity": (lam_err <= 1e-12,
+                            {"lambda_identity_max_err": lam_err, "bound": 1e-12}),
+        "bracket_nonnegative": (br >= -1e-10, {"bracket_min": br, "bound": -1e-10}),
+        "alpha2_positive": (a2 > 0, {"alpha2_min": a2, "bound": 0.0}),
+        "beta2_positive": (b2 > 0, {"beta2_min": b2, "bound": 0.0}),
+        "kappa_positive": (kappa > 0, {"kappa": kappa, "bound": 0.0}),
+        "envelope_doubling": (all(1.0 <= ratio <= 4.0 for ratio in lin),
+                              {"envelope_doubling_ratios": lin, "band": [1.0, 4.0]}),
+    })
     return status, metrics, witnesses
 
 
@@ -512,9 +523,10 @@ def task_convergence(cfg, rng, outdir):
                             levels=int(blk.get("levels", 4)))
     metrics = dict(res)
     lo, hi = blk.get("order_band", [1.8, 2.2])
-    status = lo <= res["field_order_fit"] <= hi
-    return status, metrics, ([] if status else
-                             [{"check": "order", "fit": res["field_order_fit"]}])
+    fit = res["field_order_fit"]
+    status, witnesses = _verdict({"field_order": (
+        lo <= fit <= hi, {"field_order_fit": fit, "band": [lo, hi]})})
+    return status, metrics, witnesses
 
 
 TASKS = {
@@ -585,6 +597,7 @@ def run(task, cfg, outdir, seed):
         for name in TASKS:
             sub_out = os.path.join(outdir, name)
             rep = run(name, cfg, sub_out, seed)
+            emit(rep, sub_out)
             sub[name] = {"status": rep["status"], "metrics": rep["metrics"]}
             witnesses += [{"task": name, **w} for w in rep["witnesses"]]
             status = status and rep["status"] == "pass"

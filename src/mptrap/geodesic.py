@@ -79,22 +79,24 @@ def angular_potential(params: BlackHoleParams, theta, cq: ConservedQuantities):
             - cq.Phi**2 / st2 - cq.Psi**2 / ct2 + cq.K)
 
 
-def conserved_from_state(params: BlackHoleParams, pp: PhasePoint) -> ConservedQuantities:
-    """E = -p_t, angular momenta, and the Carter-type constant.
+def carter_constant(params: BlackHoleParams, theta, tau, Theta, Phi, Psi):
+    """K = Theta^2 - tau^2(a^2 cos^2 + b^2 sin^2) + Phi^2/sin^2 + Psi^2/cos^2.
 
-    K is solved from the theta-separated equation rho^4 thetadot^2 =
-    Theta_pot using thetadot = Theta/rho^2 from the Hamiltonian flow, i.e.
-    K = Theta^2 - E^2(a^2 cos^2 + b^2 sin^2) + Phi^2/sin^2 + Psi^2/cos^2.
+    This solves the theta-separated equation rho^4 thetadot^2 = Theta_pot
+    for K, using thetadot = Theta/rho^2 from the Hamiltonian flow.
     """
-    st, ct = math.sin(pp.theta), math.cos(pp.theta)
-    if abs(st) < 1e-8 or abs(ct) < 1e-8:
+    st2, ct2 = math.sin(theta) ** 2, math.cos(theta) ** 2
+    return (Theta**2 - tau**2 * (params.a**2 * ct2 + params.b**2 * st2)
+            + Phi**2 / st2 + Psi**2 / ct2)
+
+
+def conserved_from_state(params: BlackHoleParams, pp: PhasePoint) -> ConservedQuantities:
+    """E = -p_t, angular momenta, and the Carter-type constant."""
+    if abs(math.sin(pp.theta)) < 1e-8 or abs(math.cos(pp.theta)) < 1e-8:
         raise CoordinateSingularity("theta too close to a pole")
     m = pp.momentum
-    E = -m.tau
-    st2, ct2 = st * st, ct * ct
-    K = (m.Theta**2 - E**2 * (params.a**2 * ct2 + params.b**2 * st2)
-         + m.Phi**2 / st2 + m.Psi**2 / ct2)
-    return ConservedQuantities(E=E, Phi=m.Phi, Psi=m.Psi, K=K)
+    K = carter_constant(params, pp.theta, m.tau, m.Theta, m.Phi, m.Psi)
+    return ConservedQuantities(E=-m.tau, Phi=m.Phi, Psi=m.Psi, K=K)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +321,7 @@ class Trajectory:
 
     def _carter(self, params: BlackHoleParams, i: int) -> float:
         _, _, th, _, _, _, Th = self.states[:, i]
-        return (Th**2 - self.tau**2 * (params.a**2 * math.cos(th)**2
-                                       + params.b**2 * math.sin(th)**2)
-                + self.Phi**2 / math.sin(th)**2 + self.Psi**2 / math.cos(th)**2)
+        return carter_constant(params, th, self.tau, Th, self.Phi, self.Psi)
 
     def export_csv(self, path, params: BlackHoleParams):
         K0 = self._carter(params, 0)
@@ -410,17 +410,14 @@ def integrate_geodesic(params: BlackHoleParams, init: PhasePoint,
         t=init.t, x=init.x, theta=init.theta, phi=init.phi, psi=init.psi,
         momentum=m))
     p_max, K_max, sep_max = 0.0, 0.0, 0.0
-    a2, b2, rs2 = params.a**2, params.b**2, params.r_s**2
+    pot = RadialPotential(params, cq0)
     for i in range(states.shape[1]):
         t, x, th, ph, ps, Xi, Th = states[:, i]
         pv = hamiltonian(params, x, th, m.tau, Xi, Th, m.Phi, m.Psi)
         p_max = max(p_max, abs(pv))
-        st2, ct2 = math.sin(th) ** 2, math.cos(th) ** 2
-        Kv = (Th**2 - m.tau**2 * (a2 * ct2 + b2 * st2)
-              + m.Phi**2 / st2 + m.Psi**2 / ct2)
+        Kv = carter_constant(params, th, m.tau, Th, m.Phi, m.Psi)
         K_max = max(K_max, abs(Kv - cq0.K))
-        D = (x + a2) * (x + b2) - rs2 * x
-        pot = RadialPotential(params, cq0)
+        D = pot.delta(x)
         sep = 16.0 * D * D * Xi * Xi - 4.0 * pot.form_B(x)
         scale = max(1.0, abs(4.0 * pot.form_B(x)), 16.0 * D * D * Xi * Xi)
         sep_max = max(sep_max, abs(sep) / scale)

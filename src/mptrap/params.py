@@ -46,10 +46,6 @@ class RedshiftBudgetFailure(RuntimeError):
     """Zeroth-order coefficient n(r) could not be made positive; offending radius attached."""
 
 
-class LemmaViolation(RuntimeError):
-    """Energy quadratic form is not bounded below by the comparison weights."""
-
-
 class BoundaryFormFailure(RuntimeError):
     """Boundary flux form failed its positivity/equivalence check."""
 

@@ -146,16 +146,25 @@ def test_kappa_witness_follows_seed(tmp_path):
     assert witness["a"] != witness["c"]
 
 
-def test_physics_failure_has_witness(tmp_path):
-    """An unstable time step fails the energy bound and says so."""
+@pytest.mark.parametrize("task, cfg, check, failed", [
+    # an unstable time step fails the energy bound
+    ("wave-evolve", {"wave": {"cfl": 5, "T": 10}}, "energy_bounded",
+     lambda w: w["sup_E"] > w["bound"]),
+    # a coarse, short run fits a field order outside the band
+    ("convergence", {"convergence": {"n_r": 300, "T": 8}}, "field_order",
+     lambda w: w["band"] == [1.8, 2.2]
+     and not 1.8 <= w["field_order_fit"] <= 2.2),
+], ids=["wave-evolve", "convergence"])
+def test_physics_failure_has_witness(tmp_path, task, cfg, check, failed):
+    """A failed check exits 1 and names itself and the values it compared."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"wave": {"cfl": 5, "T": 10}}))
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    assert main(["wave-evolve", "--config", str(path), "--out", str(out)]) == 1
+    assert main([task, "--config", str(path), "--out", str(out)]) == 1
     with open(out / "report.json") as fh:
         rep = json.load(fh)
-    assert [w["check"] for w in rep["witnesses"]] == ["energy_bounded"]
-    assert rep["witnesses"][0]["sup_E"] > rep["witnesses"][0]["bound"]
+    assert [w["check"] for w in rep["witnesses"]] == [check]
+    assert failed(rep["witnesses"][0])
 
 
 def test_traced_names_resolve():

@@ -19,7 +19,7 @@ def test_quadform_symmetric(triple):
 
 
 def test_n_positive_on_grid(sp, profile, chart):
-    _, _, _, rep = build_redshift(sp, profile, chart)
+    rep = build_redshift(sp, profile, chart)
     assert rep["n_min"] > 0
     assert rep["X_dr_at_rs"] < 0
     assert rep["m_dr_at_rs"] > 0
@@ -105,8 +105,8 @@ def test_n_definition_consistency(sp, triple):
     """n differs from the u^2 matrix entry by the completed-square term."""
     r = np.asarray([1.05, 1.22])
     M = quad_matrix(triple, r)
-    n = zeroth_order_n(triple, r)
     ing = triple.ingredients(r)
+    n = zeroth_order_n(triple, ing)
     extra = triple.profile.delta * ing["b"][0] * ing["gam"][0] ** 2 / r**3
     assert np.abs(M[:, 3, 3] - (n + extra)).max() < 1e-14
 

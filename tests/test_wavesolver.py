@@ -67,7 +67,7 @@ def test_stencil_second_order(sp, wchart):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(n_r=st.integers(7, 400), l=st.sampled_from((0, 1, 2)),
-       c=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+       c=st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 3))
 def test_operator_exact_on_quadratics(sp, wchart, n_r, l, c):
     """Every row of the assembled operator, the one-sided closure rows and
     the dissipation included, is exact on quadratics p."""
