@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -524,8 +525,12 @@ def task_convergence(cfg, rng, outdir):
     metrics = dict(res)
     lo, hi = blk.get("order_band", [1.8, 2.2])
     fit = res["field_order_fit"]
+    # the pairwise orders and the errors show whether the levels were still
+    # pre-asymptotic
     status, witnesses = _verdict({"field_order": (
-        lo <= fit <= hi, {"field_order_fit": fit, "band": [lo, hi]})})
+        lo <= fit <= hi, {"field_order_fit": fit, "band": [lo, hi],
+                          "field_orders": res["field_orders"],
+                          "field_errors": res["field_errors"]})})
     return status, metrics, witnesses
 
 
@@ -612,9 +617,13 @@ def run(task, cfg, outdir, seed):
         except ConfigError:
             raise
         except Exception as exc:
-            report = {"task": task, "status": "fail",
-                      "metrics": {}, "witnesses": [{"error": str(exc),
-                                                    "type": type(exc).__name__}]}
+            # the innermost frames, by file basename so that reports do not
+            # depend on where the package is installed
+            frames = [f"{os.path.basename(f.filename)}:{f.lineno}:{f.name}"
+                      for f in traceback.extract_tb(exc.__traceback__)[-3:]]
+            report = {"task": task, "status": "fail", "metrics": {},
+                      "witnesses": [{"error": str(exc), "type": type(exc).__name__,
+                                     "frames": frames}]}
     report["config_echo"] = cfg
     report["seed"] = seed
     report["rng"] = RNG_ALGORITHM

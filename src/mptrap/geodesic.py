@@ -29,9 +29,6 @@ class Covector:
     Phi: float
     Psi: float
 
-    def xi_at(self, r: float) -> float:
-        return 2.0 * r * self.Xi
-
 
 @dataclass(frozen=True)
 class PhasePoint:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from mptrap import cli
 from mptrap.cli import main, run, validate_config, ConfigError
 
 
@@ -150,10 +151,14 @@ def test_kappa_witness_follows_seed(tmp_path):
     # an unstable time step fails the energy bound
     ("wave-evolve", {"wave": {"cfl": 5, "T": 10}}, "energy_bounded",
      lambda w: w["sup_E"] > w["bound"]),
-    # a coarse, short run fits a field order outside the band
+    # a coarse, short run fits a field order outside the band; the witness
+    # carries the errors it fitted and their pairwise orders
     ("convergence", {"convergence": {"n_r": 300, "T": 8}}, "field_order",
      lambda w: w["band"] == [1.8, 2.2]
-     and not 1.8 <= w["field_order_fit"] <= 2.2),
+     and not 1.8 <= w["field_order_fit"] <= 2.2
+     and len(w["field_errors"]) == 3
+     and w["field_orders"] == pytest.approx(
+         [math.log2(a / b) for a, b in zip(w["field_errors"], w["field_errors"][1:])])),
 ], ids=["wave-evolve", "convergence"])
 def test_physics_failure_has_witness(tmp_path, task, cfg, check, failed):
     """A failed check exits 1 and names itself and the values it compared."""
@@ -165,6 +170,28 @@ def test_physics_failure_has_witness(tmp_path, task, cfg, check, failed):
         rep = json.load(fh)
     assert [w["check"] for w in rep["witnesses"]] == [check]
     assert failed(rep["witnesses"][0])
+
+
+def test_task_exception_has_frames(tmp_path, monkeypatch):
+    """A task that raises fails with its message, its type and its innermost
+    three frames as basename:line:function."""
+    def innermost():
+        raise RuntimeError("boom")
+
+    def task(cfg, rng, outdir):
+        innermost()
+
+    monkeypatch.setitem(cli.TASKS, "geodesic", task)
+    out = tmp_path / "o"
+    assert main(["geodesic", "--out", str(out)]) == 1
+    with open(out / "report.json") as fh:
+        rep = json.load(fh)
+    [w] = rep["witnesses"]
+    assert (w["error"], w["type"]) == ("boom", "RuntimeError")
+    assert [f.split(":")[::2] for f in w["frames"]] == [
+        ["cli.py", "run"], ["test_harness.py", "task"],
+        ["test_harness.py", "innermost"]]
+    assert all(f.split(":")[1].isdigit() for f in w["frames"])
 
 
 def test_traced_names_resolve():

@@ -17,6 +17,11 @@ def wchart(sp):
     return ingoing_chart(sp, 0.9, 90.0)
 
 
+def split_rhs(op, v, W):
+    """spatial_operator on the stacked (v, W), split into (v_t, W_t)."""
+    return np.split(spatial_operator(op, np.concatenate([v, W])), 2)
+
+
 def test_zero_data_stays_zero(sp, wchart):
     dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=300, l=0, T=5.0)
     op = assemble_mode(sp, wchart, dom)
@@ -27,7 +32,7 @@ def test_zero_data_stays_zero(sp, wchart):
 def test_constant_annihilated(sp, wchart):
     dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=300, l=0, T=1.0)
     op = assemble_mode(sp, wchart, dom)
-    _, vtt = spatial_operator(op, np.ones(300), np.zeros(300))
+    _, vtt = split_rhs(op, np.ones(300), np.zeros(300))
     assert np.abs(vtt).max() < 1e-12
 
 
@@ -53,7 +58,7 @@ def test_stencil_second_order(sp, wchart):
         r = dom.grid()
         v = np.sin(r) / r
         W = np.zeros_like(r)
-        _, vtt = spatial_operator(op, v, W)
+        _, vtt = split_rhs(op, v, W)
         v1 = np.cos(r) / r - np.sin(r) / r**2
         v2 = -np.sin(r) / r - 2 * np.cos(r) / r**2 + 2 * np.sin(r) / r**3
         exact = (op.eig * v / r**2 - op.A * v2
@@ -85,10 +90,10 @@ def test_operator_exact_on_quadratics(sp, wchart, n_r, l, c):
         scale = max(np.abs(exp).max(), np.abs(p).max())
         return np.abs(got - exp).max() <= 1e-9 * scale
 
-    dv, dW = spatial_operator(op, p, zero)
+    dv, dW = split_rhs(op, p, zero)
     assert close(dv, zero)
     assert close(dW, (op.eig * p / r**2 - op.A * p2 - op.c1 * p1) / op.g_vv)
-    dv, dW = spatial_operator(op, zero, p)
+    dv, dW = split_rhs(op, zero, p)
     assert close(dv, p)
     assert close(dW, (-2 * op.B * p1 - op.cross0 * p) / op.g_vv)
 
@@ -208,3 +213,79 @@ def test_convergence_smoke(sp, wchart):
     res = convergence_study(sp, wchart, base, 3.0, 0.9, levels=3)
     assert res["field_errors"][0] > res["field_errors"][1]
     assert 1.5 < res["field_order_fit"] < 3.5
+
+
+def test_no_subnormal_state(sp, wchart):
+    """The precursor tail of an evolved bump never leaves subnormal entries
+    in the state."""
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=600, l=0, T=10.0, sample_every=1)
+    op = assemble_mode(sp, wchart, dom)
+    v0 = gaussian_bump(dom.grid(), 3.0, 0.8)
+    hist = evolve(op, v0, np.zeros_like(v0))
+    mag = np.abs(np.concatenate([hist.v, hist.W], axis=1))
+    assert not np.any((mag > 0) & (mag < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+def test_evolve_matches_reference_rk4(sp, wchart, forced):
+    """evolve agrees with the classical RK4 tableau applied out of place on
+    top of spatial_operator."""
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.0, sample_every=5)
+    op = assemble_mode(sp, wchart, dom)
+    v0 = gaussian_bump(dom.grid(), 3.0, 0.8)
+
+    def forcing(t, rr):
+        return math.exp(-((t - 2.0) / 1.0) ** 2) * gaussian_bump(rr, 5.0, 1.0)
+
+    f = forcing if forced else None
+    hist = evolve(op, v0, np.zeros_like(v0), forcing=f)
+    a = [[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]]
+    b = [1 / 6, 1 / 3, 1 / 3, 1 / 6]
+    c = [0.0, 0.5, 0.5, 1.0]
+    y = np.concatenate([v0, np.zeros_like(v0)])
+    states = [y]
+    for k in range(op.n_steps):
+        t = k * op.dt
+        ks = []
+        for i in range(4):
+            yi = y + op.dt * sum(aij * kj for aij, kj in zip(a[i], ks))
+            ti = t + c[i] * op.dt
+            ks.append(spatial_operator(op, yi, None if f is None else f(ti, op.r)))
+        y = y + op.dt * sum(bi * ki for bi, ki in zip(b, ks))
+        states.append(y)
+    assert len(hist.lateral_times) == op.n_steps + 1
+    for t, v, W in zip(hist.times, hist.v, hist.W):
+        ref = states[round(t / op.dt)]
+        got = np.concatenate([v, W])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dyadic_norms_match_masked_trapezoid(sp, wchart):
+    """The dyadic LE pieces and the lower-order term agree with the
+    annulus-by-annulus masked trapezoid rule."""
+    dom = SolverDomain(r_e=0.9, r_max=60.0, n_r=500, l=2, T=10.0)
+    op = assemble_mode(sp, wchart, dom)
+    r = op.r
+    v0 = gaussian_bump(r, 3.0, 0.8)
+    hist = evolve(op, v0, np.zeros_like(v0))
+    _, nrep = diagnostics(hist)
+    w_ps = ((r - sp.r_ps) / r) ** 2
+    wt = np.gradient(np.asarray(hist.times))
+    radial, degenerate, low = {}, {}, 0.0
+    for i, (v, W) in enumerate(zip(hist.v, hist.W)):
+        v_r = op.D1 @ v
+        for j in range(-1, 7):
+            sel = (r >= 2.0 ** (j - 1)) & (r < 2.0**j)
+            if not sel.any():
+                continue
+            radial[j] = radial.get(j, 0.0) + wt[i] * 2.0 ** (-j) * np.trapezoid(
+                v_r[sel] ** 2 * r[sel] ** 3, r[sel])
+            degenerate[j] = degenerate.get(j, 0.0) + wt[i] * 2.0 ** (-j) * np.trapezoid(
+                w_ps[sel] * (W[sel] ** 2 + op.eig * v[sel] ** 2 / r[sel] ** 2)
+                * r[sel] ** 3, r[sel])
+        low += wt[i] * np.trapezoid(v**2, r)
+    assert sorted(nrep.dyadic) == sorted(radial)
+    for j in radial:
+        assert nrep.dyadic[j]["radial"] == pytest.approx(radial[j], rel=1e-13)
+        assert nrep.dyadic[j]["degenerate"] == pytest.approx(degenerate[j], rel=1e-13)
+    assert nrep.lower_order_sq == pytest.approx(low, rel=1e-13)
