@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .params import SchwParams, ChartConstructionFailure
-from .smooth import smoothstep
+from .smooth import step_jet
 
 
 def tortoise(sp: SchwParams, r):
@@ -74,22 +74,21 @@ class IngoingChart:
         return self.sp.A2(np.asarray(r, dtype=float))
 
     # -- mu profile --------------------------------------------------------
-    def _blend(self, r, order=0):
-        w = self.r_match - self.r_blend_lo
-        return smoothstep((np.asarray(r, dtype=float) - self.r_blend_lo) / w, order) / w**order
+    def _blend(self, r):
+        """Jet of the step from 0 at r_blend_lo to 1 at r_match."""
+        return step_jet(r, self.r_blend_lo, self.r_match - self.r_blend_lo)
 
     def mu_prime(self, r):
         """mu' = 1/A for r >= r_match, blended to 1 near and through the horizon."""
         r = np.asarray(r, dtype=float)
-        s = self._blend(r)
+        s = self._blend(r)[0]
         safe = np.where(r > self.r_blend_lo, r, self.r_match)
         Ainv = 1.0 / self.A(safe)
         return np.where(r <= self.r_blend_lo, 1.0, s * Ainv + (1.0 - s))
 
     def mu_pp(self, r):
         r = np.asarray(r, dtype=float)
-        s = self._blend(r)
-        s1 = self._blend(r, 1)
+        s, s1 = self._blend(r)[:2]
         safe = np.where(r > self.r_blend_lo, r, self.r_match)
         A = self.A(safe)
         A1 = self.A1(safe)

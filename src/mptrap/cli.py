@@ -229,7 +229,7 @@ def task_multiplier_verify(cfg, rng, outdir):
     Fp = prof.F_jet(r_mono)[1]
     metrics["F_prime_min"] = float(np.min(Fp))
     r_lw = np.linspace(sp.r_s + 0.01 * sp.r_s, 10 * sp.r_s, 2000)
-    lF = prof.lF(r_lw)
+    lF = prof.lF(r_lw, prof.F_jet(r_lw))
     metrics["lF_min"] = float(np.min(lF))
     metrics["lF_argmin"] = float(r_lw[np.argmin(lF)])
 
@@ -277,13 +277,14 @@ def task_multiplier_verify(cfg, rng, outdir):
     f, q1, q2, b, gam = (ing[k][0] for k in ("f", "q1", "q2", "b", "gam"))
     F = np.full_like(grid, np.nan)
     f1 = np.full_like(grid, np.nan)
-    above = grid > sp.r_s * (1 + 1e-12)
-    F[above] = prof.F_jet(grid[above])[0]
-    f1[above] = prof.f1_jet(grid[above])[0]
-    nvals = zeroth_order_n(triple, ing)
     lFv = np.full_like(grid, np.nan)
-    lFv[above] = prof.lF(grid[above])
-    lfv = prof.lf(grid)
+    above = grid > sp.r_s * (1 + 1e-12)
+    F_above = prof.F_jet(grid[above])
+    F[above] = F_above[0]
+    f1[above] = prof.f1_jet(grid[above])[0]
+    lFv[above] = prof.lF(grid[above], F_above)
+    nvals = zeroth_order_n(triple, ing)
+    lfv = prof.lf(grid, ing["f"])
     with open(os.path.join(outdir, "profiles.csv"), "w") as fh:
         fh.write("r,f,F,f1,q1,q2,b_red,gamma,n,lF,lf\n")
         for i in range(len(grid)):
@@ -342,8 +343,9 @@ def integrated_smallness(prof, r_e):
     width = sp.r_s - r_e
     part_delta = prof.delta * width
     R = np.linspace(-3.0, -1.0, 4001)
-    rho2m = np.abs(rho_saturate(R, 2))
-    rho3m = np.abs(rho_saturate(R, 3))
+    rho = rho_saturate(R)
+    rho2m = np.abs(rho[2])
+    rho3m = np.abs(rho[3])
     cd = prof.c_d
     # lapse along the transition zone: A ~ exp(h) with
     # h(R) = (R/eps - r^{d+2} g(r_s)) / c_d  (log-dominated regime)
@@ -551,16 +553,16 @@ KNOWN_KEYS = {"task", "seed", "out", "params", "schw", "mult", "r_e", "r_max",
 SAMPLE_COUNTS = {"n_samples", "n_bracket", "n_mu", "n_grid"}
 
 
-def _check_range(block, name, key, kind, lo, what, strict=False):
+def _check_range(block, name, key, kind, lo, what, strict=False, hi=None):
     """ConfigError unless block[key] (when present) converts with kind and is
-    >= lo (> lo when strict)."""
+    >= lo (> lo when strict) and < hi (when given)."""
     if key not in block:
         return
     try:
         val = kind(block[key])
     except (TypeError, ValueError):
         raise ConfigError(f"{name}.{key} = {block[key]!r} is not a number")
-    if val < lo or (strict and val == lo) or val != val:
+    if val < lo or (strict and val == lo) or val != val or (hi is not None and val >= hi):
         raise ConfigError(f"{name}.{key} = {block[key]!r} must be {what}")
 
 
@@ -588,6 +590,13 @@ def validate_config(cfg):
             _check_range(block, name, "T", float, 0.0, "positive", strict=True)
         if name == "wave":
             _check_range(block, name, "cfl", float, 0.0, "positive", strict=True)
+        if name == "mult":
+            _check_range(block, name, "alpha_cap", float, 0.0, "in (0, 5)",
+                         strict=True, hi=5.0)
+            _check_range(block, name, "eps", float, 0.0, "positive", strict=True)
+            _check_range(block, name, "eps_match", float, 0.0, "positive", strict=True)
+            if block.get("N") is not None:      # null selects the adaptive scale
+                _check_range(block, name, "N", float, 0.0, "positive", strict=True)
     return cfg
 
 

@@ -11,13 +11,14 @@ arithmetic and cross-checked against finite differences in the tests.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
 
 from .params import SchwParams, ProfileConstructionFailure, DifferentiationError
-from .smooth import (smoothstep, rho_saturate, mollify, plateau_bump,
-                     integrate_gl, gauss_legendre)
+from .smooth import (smoothstep, smoothstep_integral, step_jet, rho_saturate,
+                     mollify, plateau_bump)
 
 # ---------------------------------------------------------------------------
 # order-3 jet arithmetic: a jet is an ndarray of shape (4, ...) holding
@@ -72,42 +73,37 @@ def jet_compose(outer, H):
 # capped cubic-quintic smoothing of the logarithm
 # ---------------------------------------------------------------------------
 
-def cap_fn(x, alpha, order=0):
-    """Piecewise profile: x below 0; x - 2x^3/(3 a^2) + x^5/(5 a^4) on [0, a];
-    constant 8a/15 above.  C^2 at 0, C-infinity elsewhere; third derivative
-    jumps at 0 (one-sided value taken from the middle branch)."""
+def cap_fn(x, alpha):
+    """Jet of the piecewise profile: x below 0; x - 2x^3/(3 a^2) + x^5/(5 a^4)
+    on [0, a]; constant 8a/15 above.  C^2 at 0, C-infinity elsewhere; third
+    derivative jumps at 0 (one-sided value taken from the middle branch)."""
     x = np.asarray(x, dtype=float)
     a2, a4 = alpha**2, alpha**4
     mid = (x > 0) & (x < alpha)
     lo = x <= 0
-    if order == 0:
-        vals = x - 2 * x**3 / (3 * a2) + x**5 / (5 * a4)
-        return np.where(lo, x, np.where(mid, vals, 8 * alpha / 15.0))
-    if order == 1:
-        vals = (1 - x**2 / a2) ** 2
-        return np.where(lo, 1.0, np.where(mid, vals, 0.0))
-    if order == 2:
-        vals = -4 * x / a2 * (1 - x**2 / a2)
-        return np.where(lo, 0.0, np.where(mid, vals, 0.0))
-    if order == 3:
-        vals = -4 / a2 * (1 - 3 * x**2 / a2)
-        return np.where(lo, 0.0, np.where(mid, vals, 0.0))
-    raise ValueError("order must be 0..3")
+    middle = (x - 2 * x**3 / (3 * a2) + x**5 / (5 * a4),
+              (1 - x**2 / a2) ** 2,
+              -4 * x / a2 * (1 - x**2 / a2),
+              -4 / a2 * (1 - 3 * x**2 / a2))
+    below = (x, 1.0, 0.0, 0.0)
+    above = (8 * alpha / 15.0, 0.0, 0.0, 0.0)
+    return np.stack([np.where(lo, b, np.where(mid, m, a))
+                     for b, m, a in zip(below, middle, above)])
 
 
 def ramp_jet(r, lo, hi, slope, w0):
     """Slope-controlled C-infinity ramp: derivative equals `slope` exactly on
     [lo + w0, hi], rounds off over corner width w0, total rise slope*(hi-lo),
     identically 0 below lo and identically slope*(hi-lo) above hi + w0."""
-    from .smooth import smoothstep_integral
     r = np.asarray(r, dtype=float)
     t1 = (r - lo) / w0
     t2 = (r - hi) / w0
+    S1, S2 = smoothstep(t1), smoothstep(t2)
     out = np.empty((4,) + r.shape)
     out[0] = slope * w0 * (smoothstep_integral(t1) - smoothstep_integral(t2))
-    out[1] = slope * (smoothstep(t1) - smoothstep(t2))
-    out[2] = slope / w0 * (smoothstep(t1, 1) - smoothstep(t2, 1))
-    out[3] = slope / w0**2 * (smoothstep(t1, 2) - smoothstep(t2, 2))
+    out[1] = slope * (S1[0] - S2[0])
+    out[2] = slope / w0 * (S1[1] - S2[1])
+    out[3] = slope / w0**2 * (S1[2] - S2[2])
     return out
 
 
@@ -177,44 +173,35 @@ class MultiplierProfile:
         outer = (np.log(Y[0] / denom), 1.0 / Y[0], -1.0 / Y[0] ** 2, 2.0 / Y[0] ** 3)
         return jet_compose(outer, Y)
 
-    def a_of(self, x, order=0):
-        return cap_fn(x, self.alpha_cap, order)
+    def a_of(self, x):
+        """Jet of the cap a at x."""
+        return cap_fn(x, self.alpha_cap)
 
-    def a_mollified(self, y, order=0):
-        return mollify(lambda s: self.a_of(s, order), y, self.N,
-                       kinks=(0.0, self.alpha_cap))
+    def a_mollified(self, y):
+        """Jet of the mollified cap psi_N * a at y."""
+        return mollify(self.a_of, y, self.N, kinks=(0.0, self.alpha_cap))
+
+    def D_m_jet(self, H):
+        """Jet in r of (psi_N * a)(H) - a(H) along the jet H."""
+        return (jet_compose(self.a_mollified(H[0]), H)
+                - jet_compose(self.a_of(H[0]), H))
 
     def chi_jet(self, r):
         rps = self.sp.r_ps
-        lo0, lo1 = rps - self.chi_outer, rps - self.chi_inner
-        hi0, hi1 = rps + self.chi_inner, rps + self.chi_outer
-        r = np.asarray(r, dtype=float)
-        out = np.empty((4,) + r.shape)
-        for k in range(4):
-            out[k] = plateau_bump(r, lo0, lo1, hi0, hi1, order=k)
-        return out
+        return plateau_bump(r, rps - self.chi_outer, rps - self.chi_inner,
+                            rps + self.chi_inner, rps + self.chi_outer)
 
     # -- f1, F, f -------------------------------------------------------------
     def f1_jet(self, r):
         H = self.h_jet(r)
-        outer = tuple(self.a_of(H[0], k) for k in range(4))
-        aH = jet_compose(outer, H)
+        aH = jet_compose(self.a_of(H[0]), H)
         return self.g_jet(r) + self.c_d * jet_mul(jet_monomial(r, -(self.sp.d + 2)), aH)
 
+    @cached_property
     def _q2_poly(self):
         """Second-order matching polynomial at the photon sphere."""
-        rps = np.asarray([self.sp.r_ps])
-        H = self.h_jet(rps)
-        am = tuple(self.a_mollified(H[0], k) for k in range(4))
-        aa = tuple(self.a_of(H[0], k) for k in range(4))
-        Dm = jet_compose(am, H) - jet_compose(aa, H)
+        Dm = self.D_m_jet(self.h_jet(np.asarray([self.sp.r_ps])))
         return float(Dm[0][0]), float(Dm[1][0]), float(Dm[2][0])
-
-    @property
-    def _q2_cache(self):
-        if not hasattr(self, "_q2_cache_val"):
-            self._q2_cache_val = self._q2_poly()
-        return self._q2_cache_val
 
     def F_jet(self, r):
         """f1 plus the matching correction c_d r^{-(d+2)} chi (D_m - Q2).
@@ -229,11 +216,8 @@ class MultiplierProfile:
         on = (rv > rps - self.chi_outer) & (rv < rps + self.chi_outer)
         if np.any(on):
             ro = rv[on]
-            H = self.h_jet(ro)
-            am = tuple(self.a_mollified(H[0], k) for k in range(4))
-            aa = tuple(self.a_of(H[0], k) for k in range(4))
-            Dm = jet_compose(am, H) - jet_compose(aa, H)
-            d0, d1, d2 = self._q2_cache
+            Dm = self.D_m_jet(self.h_jet(ro))
+            d0, d1, d2 = self._q2_poly
             dr = ro - rps
             Q2 = np.zeros((4,) + ro.shape)
             Q2[0] = d0 + d1 * dr + 0.5 * d2 * dr**2
@@ -257,11 +241,9 @@ class MultiplierProfile:
         if np.any(above):
             ra = rv[above]
             W = jet_mul(jet_monomial(ra, d + 2), self.F_jet(ra))
-            eW = self.eps * W[0]
-            outer = (rho_saturate(eW, 0) / self.eps,
-                     rho_saturate(eW, 1),
-                     rho_saturate(eW, 2) * self.eps,
-                     rho_saturate(eW, 3) * self.eps**2)
+            rho = rho_saturate(self.eps * W[0])
+            outer = (rho[0] / self.eps, rho[1], rho[2] * self.eps,
+                     rho[3] * self.eps**2)
             sat = jet_compose(outer, W)
             out[:, above] = jet_mul(jet_monomial(ra, -(d + 2)), sat)
         return out[:, 0] if scalar else out
@@ -326,10 +308,7 @@ class MultiplierProfile:
         r = np.asarray(r, dtype=float)
         rm = 0.5 * (sp.r_s + sp.r_ps)
         lo = rm - 0.08 * sp.r_s
-        w = 0.1 * sp.r_s
-        step = np.empty((4,) + r.shape)
-        for k in range(4):
-            step[k] = smoothstep((r - lo) / w, k) / w**k
+        step = step_jet(r, lo, 0.1 * sp.r_s)
         core = jet_mul(jet_monomial(r, -(sp.d + 5)),
                        jet_mul(jet_var(r) - sp.r_ps * jet_const(1.0, r),
                                jet_var(r) - sp.r_ps * jet_const(1.0, r)))
@@ -363,11 +342,11 @@ class MultiplierProfile:
                               jet_mul(self.b_jet(r), self.gamma_jet(r)))
 
     # -- third-order weight ----------------------------------------------------
-    def u2_weight(self, P_jet_fn, r):
-        """l(P) = -1/4 r^{-(d+2)} d[A r^{d+2} d{A r^{-(d+2)} d(P r^{d+2})}]."""
+    def u2_weight(self, P, r):
+        """l(P) = -1/4 r^{-(d+2)} d[A r^{d+2} d{A r^{-(d+2)} d(P r^{d+2})}]
+        from the jet P of the profile at r."""
         d = self.sp.d
         r = np.asarray(r, dtype=float)
-        P = P_jet_fn(r)
         T1 = jet_mul(jet_monomial(r, d + 2), P)
         u1 = np.stack([T1[1], T1[2], T1[3], np.zeros_like(T1[0])])
         v = jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, -(d + 2)), u1))
@@ -375,32 +354,29 @@ class MultiplierProfile:
         w = jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, d + 2), v1))
         return -0.25 * r ** (-(d + 2)) * w[1]
 
-    def _l_piecewise(self, fn, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rv = np.atleast_1d(r)
-        out = np.empty_like(rv)
-        hz = self._hz_mask(rv)
+    def _l_piecewise(self, P, r):
+        out = np.empty_like(r)
+        hz = self._hz_mask(r)
         if np.any(~hz):
-            out[~hz] = self.u2_weight(fn, rv[~hz])
+            out[~hz] = self.u2_weight(P[:, ~hz], r[~hz])
         if np.any(hz):
-            out[hz] = self._l_hz(rv[hz])
-        return float(out[0]) if scalar else out
+            out[hz] = self._l_hz(r[hz])
+        return out
 
-    def lF(self, r):
-        return self._l_piecewise(self.F_jet, r)
+    def lF(self, r, F):
+        """Third-order weight of the unsaturated profile from its jet F at the
+        radii r (1-d, above the horizon)."""
+        return self._l_piecewise(F, np.asarray(r, dtype=float))
 
-    def lf(self, r):
-        """Third-order weight of the saturated profile (0 below the horizon)."""
+    def lf(self, r, f):
+        """Third-order weight of the saturated profile from its jet f at the
+        radii r (1-d); 0 at and below the horizon."""
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rv = np.atleast_1d(r)
-        out = np.empty_like(rv)
-        below = rv <= self.sp.r_s * (1.0 + 1e-13)
-        out[below] = 0.0
-        if np.any(~below):
-            out[~below] = self._l_piecewise(self.f_jet, rv[~below])
-        return float(out[0]) if scalar else out
+        out = np.zeros_like(r)
+        above = r > self.sp.r_s * (1.0 + 1e-13)
+        if np.any(above):
+            out[above] = self._l_piecewise(f[:, above], r[above])
+        return out
 
 
 def build_profiles(sp: SchwParams, alpha_cap: float = 4.9, N: float = None,
@@ -478,12 +454,12 @@ def validate_profile(prof: MultiplierProfile):
     if abs(f1ps[0][0]) > 1e-12 or abs(F[0][np.argmin(np.abs(r - rps))]) > 2e-3:
         raise ProfileConstructionFailure("base profile does not vanish at the photon sphere")
     # cap value 8 alpha / 15
-    acap = prof.a_of(np.asarray([prof.alpha_cap + 1.0]))
+    acap = prof.a_of(np.asarray([prof.alpha_cap + 1.0]))[0]
     if abs(acap[0] - 8 * prof.alpha_cap / 15.0) > 1e-14:
         raise ProfileConstructionFailure("cap plateau value incorrect")
     # capped-log third derivative nonpositive where the matching cutoff lives
     H = prof.h_jet(np.linspace(rps - prof.chi_outer, rps + prof.chi_outer, 101))
-    a3 = prof.a_mollified(H[0], 3)
+    a3 = prof.a_mollified(H[0])[3]
     if np.any(a3 > 1e-10):
         raise ProfileConstructionFailure("mollified third derivative positive on cutoff support")
     # gamma constraints

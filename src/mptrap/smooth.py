@@ -1,9 +1,11 @@
-"""Smooth bump/step primitives with analytic derivatives.
+"""Smooth step, bump, saturation and mollifier primitives.
 
 Everything is built from sigma(t) = exp(-1/t) (t > 0), giving C-infinity
-transitions with all derivatives vanishing at the junctions.  Derivatives up
-to third order are provided analytically; the test suite cross-checks them
-against Richardson finite differences.
+transitions with all derivatives vanishing at the junctions.  Each primitive
+makes one evaluation and returns its order-3 jet: an ndarray of shape
+(4, ...) holding (value, d, d2, d3), the layout of the jet arithmetic in
+``multiplier``.  The test suite checks every row against a finite difference
+of the row before it.
 """
 
 import numpy as np
@@ -13,25 +15,19 @@ def _sigma_derivs(t):
     """sigma = exp(-1/t) on t > 0 (0 on t <= 0) and derivatives to order 3."""
     t = np.asarray(t, dtype=float)
     pos = t > 1e-12
-    s = np.zeros_like(t)
-    s1 = np.zeros_like(t)
-    s2 = np.zeros_like(t)
-    s3 = np.zeros_like(t)
     ts = np.where(pos, t, 1.0)
     e = np.where(pos, np.exp(-1.0 / ts), 0.0)
-    s = e
     s1 = np.where(pos, e / ts**2, 0.0)
     s2 = np.where(pos, e * (1.0 / ts**4 - 2.0 / ts**3), 0.0)
     s3 = np.where(pos, e * (1.0 / ts**6 - 6.0 / ts**5 + 6.0 / ts**4), 0.0)
-    return s, s1, s2, s3
+    return e, s1, s2, s3
 
 
-def smoothstep(t, order: int = 0):
-    """Symmetric C-infinity step S(t): 0 for t <= 0, 1 for t >= 1.
+def smoothstep(t):
+    """Jet of the symmetric C-infinity step S(t): 0 for t <= 0, 1 for t >= 1.
 
     S = sigma(t) / (sigma(t) + sigma(1-t)); satisfies S(t) + S(1-t) = 1, so
-    its integral over [0,1] is exactly 1/2.  order in {0,1,2,3} selects the
-    derivative.
+    its integral over [0,1] is exactly 1/2.
     """
     t = np.asarray(t, dtype=float)
     u, u1, u2, u3 = _sigma_derivs(t)
@@ -45,45 +41,45 @@ def smoothstep(t, order: int = 0):
     hi = t >= 1.0 - 1e-12
     Ds = np.where(D == 0, 1.0, D)
     S = u / Ds
-    if order == 0:
-        out = S
-        out = np.where(lo, 0.0, out)
-        out = np.where(hi, 1.0, out)
-        return out if out.shape else float(out)
     S1 = u1 / Ds - u * D1 / Ds**2
-    if order == 1:
-        out = np.where(lo | hi, 0.0, S1)
-        return out if out.shape else float(out)
     S2 = u2 / Ds - 2 * u1 * D1 / Ds**2 - u * D2 / Ds**2 + 2 * u * D1**2 / Ds**3
-    if order == 2:
-        out = np.where(lo | hi, 0.0, S2)
-        return out if out.shape else float(out)
     S3 = (u3 / Ds - 3 * u2 * D1 / Ds**2 - 3 * u1 * D2 / Ds**2
           + 6 * u1 * D1**2 / Ds**3 - u * D3 / Ds**2
           + 6 * u * D1 * D2 / Ds**3 - 6 * u * D1**3 / Ds**4)
-    if order == 3:
-        out = np.where(lo | hi, 0.0, S3)
-        return out if out.shape else float(out)
-    raise ValueError("order must be 0..3")
+    edge = lo | hi
+    return np.stack([np.where(hi, 1.0, np.where(lo, 0.0, S)),
+                     np.where(edge, 0.0, S1), np.where(edge, 0.0, S2),
+                     np.where(edge, 0.0, S3)])
 
 
-def ramp(r, r0, w, amplitude=1.0, order: int = 0):
-    """amplitude * S((r - r0)/w) and derivatives in r."""
-    return amplitude * smoothstep((np.asarray(r, dtype=float) - r0) / w, order) / w**order
+def step_jet(r, r0, w):
+    """Jet in r of S((r - r0) / w); a negative width w steps down."""
+    S = smoothstep((np.asarray(r, dtype=float) - r0) / w)
+    return np.stack([S[k] / w**k for k in range(4)])
 
 
-def plateau_bump(r, left0, left1, right0, right1, order: int = 0):
+def plateau_bump(r, left0, left1, right0, right1):
     """C-infinity bump: 0 below left0, 1 on [left1, right0], 0 above right1."""
-    r = np.asarray(r, dtype=float)
-    up = smoothstep((r - left0) / (left1 - left0), order) / (left1 - left0) ** order
-    dn = smoothstep((right1 - r) / (right1 - right0), order) / (right1 - right0) ** order
-    if order == 0:
-        return up * dn
+    up = step_jet(r, left0, left1 - left0)
+    dn = step_jet(r, right1, right0 - right1)
     # supports are disjoint for the profiles used here (left1 < right0), so
     # derivative cross terms vanish
-    sgn = (-1.0) ** order
-    return up * smoothstep((right1 - r) / (right1 - right0), 0) \
-        + smoothstep((r - left0) / (left1 - left0), 0) * sgn * dn
+    out = up * dn[0]
+    out[1:] += up[0] * dn[1:]
+    return out
+
+
+# points per block in the quadratures below, so that a block's
+# (4, points, nodes) jet and its temporaries stay near 1 MB; one pass over the
+# ~10^4-radius sets of sos-verify would hold about 60 MB more
+_BLOCK = 64
+
+
+def _blockwise(fn, x):
+    """fn applied to consecutive blocks of x (first axis), joined on the last
+    axis; fn sees an empty block when x is empty."""
+    return np.concatenate([fn(x[i:i + _BLOCK])
+                           for i in range(0, max(len(x), 1), _BLOCK)], axis=-1)
 
 
 _GL_CACHE = {}
@@ -112,10 +108,13 @@ def smoothstep_integral(t):
     out = np.where(tv >= 1.0, tv - 0.5, 0.0)
     mask = (tv > 0.0) & (tv < 1.0)
     if np.any(mask):
-        tm = tv[mask]
         xn, wn = gauss_legendre(64)
-        nodes = 0.5 * tm[:, None] * (xn[None, :] + 1.0)
-        out[mask] = 0.5 * tm * np.sum(wn[None, :] * smoothstep(nodes), axis=1)
+
+        def block(tm):
+            nodes = 0.5 * tm[:, None] * (xn[None, :] + 1.0)
+            return 0.5 * tm * np.sum(wn[None, :] * smoothstep(nodes)[0], axis=1)
+
+        out[mask] = _blockwise(block, tv[mask])
     return float(out[0]) if scalar else out
 
 
@@ -125,25 +124,18 @@ def smoothstep_integral(t):
 # over the transition by the symmetry of S.
 # ---------------------------------------------------------------------------
 
-def rho_saturate(R, order: int = 0):
+def rho_saturate(R):
     R = np.asarray(R, dtype=float)
-    t = (R + 3.0) / 2.0
-    if order == 0:
-        scalar = R.ndim == 0
-        Rv = np.atleast_1d(R)
-        out = np.where(Rv >= -1.0, Rv, -2.0)
-        mask = (Rv > -3.0) & (Rv < -1.0)
-        if np.any(mask):
-            tm = (Rv[mask] + 3.0) / 2.0
-            out[mask] = -2.0 + 2.0 * np.atleast_1d(smoothstep_integral(tm))
-        return float(out[0]) if scalar else out
-    if order == 1:
-        return np.where(R >= -1.0, 1.0, smoothstep(t, 0))
-    if order == 2:
-        return np.where(R >= -1.0, 0.0, smoothstep(t, 1) / 2.0)
-    if order == 3:
-        return np.where(R >= -1.0, 0.0, smoothstep(t, 2) / 4.0)
-    raise ValueError("order must be 0..3")
+    S = smoothstep((R + 3.0) / 2.0)
+    ident = R >= -1.0
+    mid = (R > -3.0) & (R < -1.0)
+    out = np.empty((4,) + R.shape)
+    out[0] = np.where(ident, R, -2.0)
+    out[0, mid] = -2.0 + 2.0 * smoothstep_integral((R[mid] + 3.0) / 2.0)
+    out[1] = np.where(ident, 1.0, S[0])
+    out[2] = np.where(ident, 0.0, S[1] / 2.0)
+    out[3] = np.where(ident, 0.0, S[2] / 4.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +163,24 @@ def mollifier(u):
 def mollify(f, y, N: float, n_nodes: int = 80, kinks=()):
     """(psi_N * f)(y) = int psi(u) f(y - u/N) du  for vectorized f.
 
-    Points whose sampling interval contains a kink of f get per-point
-    Gauss-Legendre panels split at the kink images; all other points are
-    handled in one vectorized single-panel pass (the integrand is smooth
-    there).
+    f may return leading axes ahead of its argument's shape (a jet returns
+    shape (4,) + s.shape); they are kept in front of y's shape.  Points whose
+    sampling interval contains a kink of f get per-point Gauss-Legendre
+    panels split at the kink images; all other points are handled in
+    vectorized single-panel passes over blocks of points (the integrand is
+    smooth there).
     """
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y).astype(float)
-    out = np.zeros_like(y)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     xn, wn = gauss_legendre(n_nodes)
     psi_w = mollifier(xn) * wn
     near_kink = np.zeros(y.shape, dtype=bool)
     for k in kinks:
         near_kink |= np.abs(y - k) < 1.05 / N
     bulk = ~near_kink
-    if np.any(bulk):
-        yy = y[bulk]
-        args = yy[:, None] - xn[None, :] / N
-        out[bulk] = f(args) @ psi_w
+    smooth_part = _blockwise(lambda yy: f(yy[:, None] - xn[None, :] / N) @ psi_w,
+                             y[bulk])
+    out = np.empty(smooth_part.shape[:-1] + y.shape)
+    out[..., bulk] = smooth_part
     for i in np.nonzero(near_kink)[0]:
         yi = y[i]
         cuts = [-1.0, 1.0]
@@ -203,6 +194,6 @@ def mollify(f, y, N: float, n_nodes: int = 80, kinks=()):
             mid = 0.5 * (lo + hi)
             half = 0.5 * (hi - lo)
             uu = mid + half * xn
-            total += half * np.sum(wn * mollifier(uu) * f(yi - uu / N))
-        out[i] = total
-    return float(out[0]) if scalar else out
+            total += half * np.sum(wn * mollifier(uu) * f(yi - uu / N), axis=-1)
+        out[..., i] = total
+    return out

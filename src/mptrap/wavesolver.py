@@ -232,8 +232,11 @@ class NormReport:
     lower_order_sq: float
 
 
-def slice_energy(op: ModeOperator, v, W):
-    v_r = op.D1 @ v
+def slice_energy(op: ModeOperator, v, W, v_r=None):
+    """Energy of one slice; `v_r` is op.D1 @ v when the caller already
+    holds it."""
+    if v_r is None:
+        v_r = op.D1 @ v
     dens = (v_r**2 + W**2 + op.eig * v**2 / op.r**2) * op.r**3
     return float(np.trapezoid(dens, op.r))
 
@@ -242,13 +245,6 @@ def diagnostics(hist: History):
     """Energy and localized-energy reports from a stored history."""
     op = hist.op
     times = np.asarray(hist.times)
-    E = np.array([slice_energy(op, v, W) for v, W in zip(hist.v, hist.W)])
-    lat_t = np.asarray(hist.lateral_times)
-    lat_d = np.asarray(hist.lateral_density)
-    E_lat = float(np.trapezoid(lat_d, lat_t))
-    erep = EnergyReport(times=times, E_slice=E, E_initial=float(E[0]),
-                        E_lateral=E_lat, sup_E=float(np.max(E)),
-                        lateral_min_integrand=float(np.min(lat_d)))
 
     # localized-energy norm: sup over dyadic annuli with the photon-sphere
     # weight on the temporal and angular pieces only.  Row k of quad_r holds
@@ -272,10 +268,13 @@ def diagnostics(hist: History):
     acc_r = np.zeros(len(annuli))
     acc_deg = np.zeros(len(annuli))
     low = 0.0
+    E = np.empty(len(times))
     # time integration by trapezoid over the sampled slices
     wt = np.gradient(times)
     for i, (v, W) in enumerate(zip(hist.v, hist.W)):
-        acc_r += wt[i] * (quad_r @ (op.D1 @ v) ** 2)
+        v_r = op.D1 @ v
+        E[i] = slice_energy(op, v, W, v_r)
+        acc_r += wt[i] * (quad_r @ v_r**2)
         acc_deg += wt[i] * (quad_deg @ (W**2 + op.eig * v**2 / r**2))
         low += wt[i] * np.trapezoid(v**2, r)
     dud = {j: {"radial": 2.0 ** (-j) * float(acc_r[k]),
@@ -285,6 +284,11 @@ def diagnostics(hist: History):
     best_deg = max(d["degenerate"] for d in dud.values())
     nrep = NormReport(LE1_sq=best_r + best_deg + low, dyadic=dud,
                       lower_order_sq=low)
+    lat_d = np.asarray(hist.lateral_density)
+    erep = EnergyReport(times=times, E_slice=E, E_initial=float(E[0]),
+                        E_lateral=float(np.trapezoid(lat_d, hist.lateral_times)),
+                        sup_E=float(np.max(E)),
+                        lateral_min_integrand=float(np.min(lat_d)))
     return erep, nrep
 
 

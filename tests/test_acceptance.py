@@ -178,7 +178,7 @@ def test_criterion_05_energy_form_positivity(sp, profile, chart, triple):
     res2 = check_positivity(triple, n_grid=4000)
     stable = abs(res2["c_star"] - res["c_star"]) <= 0.01 * abs(res["c_star"])
     r_w = np.linspace(1.01, 10.0, 2000)
-    lF_min = float(np.min(profile.lF(r_w)))
+    lF_min = float(np.min(profile.lF(r_w, profile.F_jet(r_w))))
     r_m = np.linspace(1.001, 20.0, 2000)
     Fp_min = float(np.min(profile.F_jet(r_m)[1]))
     nrep = build_redshift(sp, profile, chart)

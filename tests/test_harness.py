@@ -100,12 +100,18 @@ def test_console_entry_point(tmp_path):
     ("wave", "n_r", 3),
     ("wave", "T", -1),
     ("trapped_scan", "n_samples", 0),
+    ("mult", "alpha_cap", 5),
+    ("mult", "alpha_cap", 0),
+    ("mult", "N", 0),
+    ("mult", "N", "abc"),
+    ("mult", "eps", 0),
+    ("mult", "eps_match", -1),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({block: {key: value}}))
-    task = "wave-evolve" if block == "wave" else "trapped-scan"
+    task = {"wave": "wave-evolve", "mult": "multiplier-verify"}.get(block, "trapped-scan")
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from mptrap import multiplier
 from mptrap.params import SchwParams, ProfileConstructionFailure
 from mptrap.multiplier import build_profiles, cap_fn, jet_mul, jet_monomial
 from mptrap.smooth import (smoothstep, smoothstep_integral, rho_saturate,
-                           mollifier, mollify, gauss_legendre, integrate_gl)
+                           plateau_bump, mollifier, mollify, gauss_legendre,
+                           integrate_gl)
 
 
 # ---------------------------------------------------------------------------
@@ -14,36 +16,63 @@ from mptrap.smooth import (smoothstep, smoothstep_integral, rho_saturate,
 # ---------------------------------------------------------------------------
 
 def test_smoothstep_basics():
-    assert smoothstep(-0.5) == 0.0
-    assert smoothstep(1.5) == 1.0
+    assert smoothstep(-0.5)[0] == 0.0
+    assert smoothstep(1.5)[0] == 1.0
     t = np.linspace(0.05, 0.95, 19)
-    s = smoothstep(t)
+    s = smoothstep(t)[0]
     assert np.all(np.diff(s) > 0)
-    assert abs(smoothstep(0.5) - 0.5) < 1e-14       # symmetric
+    assert abs(smoothstep(0.5)[0] - 0.5) < 1e-14       # symmetric
     assert abs(smoothstep_integral(1.0) - 0.5) < 1e-12
     assert abs(smoothstep_integral(3.0) - 2.5) < 1e-12
 
 
-def test_smoothstep_derivatives_vs_fd():
-    t = np.linspace(0.08, 0.92, 15)
+A_CAP, N_MOLL = 4.9, 512.0
+
+
+def _mollified_cap(y):
+    return mollify(lambda s: cap_fn(s, A_CAP), y, N_MOLL, kinks=(0.0, A_CAP))
+
+
+# (jet primitive, points inside one smooth piece of it)
+JET_PRIMITIVES = {
+    "smoothstep": (smoothstep, np.linspace(0.08, 0.92, 15)),
+    "plateau_bump": (lambda r: plateau_bump(r, 1.0, 1.3, 1.5, 1.9),
+                     np.linspace(0.95, 1.95, 41)),
+    "cap_below": (lambda x: cap_fn(x, A_CAP), np.linspace(-3.0, -0.05, 11)),
+    "cap_middle": (lambda x: cap_fn(x, A_CAP), np.linspace(0.05, A_CAP - 0.05, 25)),
+    "cap_above": (lambda x: cap_fn(x, A_CAP), np.linspace(A_CAP + 0.05, 8.0, 11)),
+    "rho_saturate": (rho_saturate, np.linspace(-2.9, -1.1, 31)),
+    # bulk points and points whose quadrature is split at a kink image
+    "mollified_cap": (_mollified_cap,
+                      np.concatenate([np.linspace(-0.05, 0.05, 21),
+                                      np.linspace(0.5, 4.0, 8),
+                                      A_CAP + np.linspace(-1.5, 1.5, 7) / N_MOLL])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_PRIMITIVES))
+def test_jet_rows_vs_fd(name):
+    """Row k of every jet primitive is the centred difference of row k - 1."""
+    fn, t = JET_PRIMITIVES[name]
     h = 1e-6
+    J = fn(t)
+    assert J.shape == (4,) + t.shape
     for k in (1, 2, 3):
-        fd = (smoothstep(t + h, k - 1) - smoothstep(t - h, k - 1)) / (2 * h)
-        an = smoothstep(t, k)
-        assert np.abs(an - fd).max() < 1e-5 * max(1.0, np.abs(an).max())
+        fd = (fn(t + h)[k - 1] - fn(t - h)[k - 1]) / (2 * h)
+        assert np.abs(J[k] - fd).max() < 1e-5 * max(1.0, np.abs(J[k]).max())
 
 
 def test_rho_saturation_shape():
     R = np.linspace(-5, 2, 141)
-    v = rho_saturate(R)
+    v = rho_saturate(R)[0]
     assert np.all(v[R >= -1.0] == R[R >= -1.0])
     assert np.all(v[R <= -3.0] == -2.0)
-    d = rho_saturate(R, 1)
+    d = rho_saturate(R)[1]
     assert np.all(d >= 0) and np.all(d <= 1.0 + 1e-15)
     h = 1e-6
     mid = np.linspace(-2.9, -1.1, 31)
-    fd = (rho_saturate(mid + h) - rho_saturate(mid - h)) / (2 * h)
-    assert np.abs(fd - rho_saturate(mid, 1)).max() < 1e-6
+    fd = (rho_saturate(mid + h)[0] - rho_saturate(mid - h)[0]) / (2 * h)
+    assert np.abs(fd - rho_saturate(mid)[1]).max() < 1e-6
 
 
 def test_mollifier_mass_and_smoothing():
@@ -61,16 +90,16 @@ def test_mollifier_mass_and_smoothing():
 
 def test_cap_function():
     a = 4.9
-    assert cap_fn(-1.0, a) == -1.0
-    assert abs(cap_fn(a, a) - 8 * a / 15.0) < 1e-14
-    assert abs(cap_fn(a + 3.0, a) - 8 * a / 15.0) < 1e-15
+    assert cap_fn(-1.0, a)[0] == -1.0
+    assert abs(cap_fn(a, a)[0] - 8 * a / 15.0) < 1e-14
+    assert abs(cap_fn(a + 3.0, a)[0] - 8 * a / 15.0) < 1e-15
     x = np.linspace(0.01, a - 0.01, 50)
-    assert np.abs(cap_fn(x, a, 1) - (1 - x**2 / a**2) ** 2).max() < 1e-14
+    assert np.abs(cap_fn(x, a)[1] - (1 - x**2 / a**2) ** 2).max() < 1e-14
     # capped smoothing is C^2 at zero: first two derivatives matchsides
-    assert abs(cap_fn(1e-12, a, 1) - 1.0) < 1e-11
-    assert abs(cap_fn(1e-12, a, 2)) < 1e-11
+    assert abs(cap_fn(1e-12, a)[1] - 1.0) < 1e-11
+    assert abs(cap_fn(1e-12, a)[2]) < 1e-11
     # third derivative jumps at zero (negative from the right)
-    assert cap_fn(1e-9, a, 3) < 0 and cap_fn(-1e-9, a, 3) == 0.0
+    assert cap_fn(1e-9, a)[3] < 0 and cap_fn(-1e-9, a)[3] == 0.0
 
 
 def test_anchors_at_photon_sphere(sp, profile):
@@ -118,7 +147,8 @@ def test_saturation_identities(sp, profile):
 def test_third_order_weight_constant_profile(sp, profile):
     """l applied to the constant profile 1: closed form
     -(3/4) r^{-3} [A'^2 r^2 + A A'' r^2 - A^2]; at r = 2 equals 69/512."""
-    val = profile.u2_weight(lambda r: _const_jet(r), np.array([2.0]))[0]
+    r = np.array([2.0])
+    val = profile.u2_weight(_const_jet(r), r)[0]
     assert abs(val - 69.0 / 512.0) < 1e-12
 
 
@@ -130,7 +160,7 @@ def _const_jet(r):
 
 def test_lF_positive_on_window(profile):
     r = np.linspace(1.01, 10.0, 1500)
-    assert np.min(profile.lF(r)) > 0
+    assert np.min(profile.lF(r, profile.F_jet(r))) > 0
 
 
 def test_F_increasing(profile):
@@ -140,9 +170,10 @@ def test_F_increasing(profile):
 
 def test_lf_matches_lF_outside_saturation(profile):
     r = np.linspace(1.01, 10.0, 200)
-    assert np.abs(profile.lf(r) - profile.lF(r)).max() < 1e-12
+    assert np.abs(profile.lf(r, profile.f_jet(r))
+                  - profile.lF(r, profile.F_jet(r))).max() < 1e-12
     rb = np.linspace(0.9, 0.999, 9)
-    assert np.abs(profile.lf(rb)).max() == 0.0
+    assert np.abs(profile.lf(rb, profile.f_jet(rb))).max() == 0.0
 
 
 def test_mollified_curvature_sign(sp, profile):
@@ -150,8 +181,25 @@ def test_mollified_curvature_sign(sp, profile):
     photon-sphere matching cutoff is supported."""
     r = np.linspace(sp.r_ps - profile.chi_outer, sp.r_ps + profile.chi_outer, 81)
     H = profile.h_jet(r)
-    a3 = profile.a_mollified(H[0], 3)
+    a3 = profile.a_mollified(H[0])[3]
     assert np.max(a3) <= 1e-10
+
+
+def test_F_jet_mollifies_once(sp, profile, monkeypatch):
+    """F_jet on the matching cutoff's support mollifies the cap jet in one
+    call, not once per derivative order."""
+    calls = []
+    orig = multiplier.mollify
+
+    def counting(f, y, *args, **kwargs):
+        calls.append(np.size(y))
+        return orig(f, y, *args, **kwargs)
+
+    # the name F_jet looks up: multiplier binds smooth.mollify at import
+    monkeypatch.setattr(multiplier, "mollify", counting)
+    r = np.linspace(sp.r_ps - profile.chi_outer, sp.r_ps + profile.chi_outer, 41)[1:-1]
+    profile.F_jet(r)
+    assert calls == [r.size]
 
 
 def test_redshift_shape_invariants(sp, profile):
