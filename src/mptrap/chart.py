@@ -70,9 +70,6 @@ class IngoingChart:
     def A1(self, r):
         return self.sp.A1(np.asarray(r, dtype=float))
 
-    def A2(self, r):
-        return self.sp.A2(np.asarray(r, dtype=float))
-
     # -- mu profile --------------------------------------------------------
     def _blend(self, r):
         """Jet of the step from 0 at r_blend_lo to 1 at r_match."""

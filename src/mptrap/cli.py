@@ -42,7 +42,7 @@ from .sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
 from .wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
                          gaussian_bump, convergence_study, export_energy_csv,
                          export_norm_json)
-from .smooth import rho_saturate
+from .smooth import smoothstep
 
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -82,10 +82,10 @@ def _schw_params(cfg):
         raise ConfigError(str(exc))
 
 
-def _multiplier_stack(cfg):
+def _profile(cfg):
     sp = _schw_params(cfg)
     m = cfg.get("mult", {})
-    prof = build_profiles(
+    return sp, build_profiles(
         sp,
         alpha_cap=float(m.get("alpha_cap", 4.9)),
         N=m.get("N"),
@@ -93,9 +93,6 @@ def _multiplier_stack(cfg):
         delta=float(m.get("delta", 0.03)),
         delta1=float(m.get("delta1", 0.005)),
         eps_match=float(m.get("eps_match", 1e-3)))
-    r_e = float(cfg.get("r_e", 0.95 * sp.r_s))
-    chart = ingoing_chart(sp, r_e, float(cfg.get("r_max", 60.0 * sp.r_s)))
-    return sp, prof, chart, MultiplierTriple(profile=prof, chart=chart)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +134,10 @@ def task_geodesic(cfg, rng, outdir):
     }
 
     if blk.get("trapped", True):
-        ts = trapped_sphere(params, float(blk.get("phi_hat", 0.1)),
-                            float(blk.get("psi_hat", -0.05)))
+        E, Ph, Ps = 1.0, float(blk.get("phi_hat", 0.1)), float(blk.get("psi_hat", -0.05))
+        ts = trapped_sphere(params, Ph, Ps)
         th0 = 1.0
         g = inverse_metric_components(params, ts.x0, th0)
-        E, Ph, Ps = 1.0, float(blk.get("phi_hat", 0.1)), float(blk.get("psi_hat", -0.05))
         rest = inverse_metric_form(g, -E, 0.0, 0.0, Ph, Ps)
         Th0 = math.sqrt(-rest / g[7])
         ppt = PhasePoint(t=0.0, x=ts.x0, theta=th0, phi=0.0, psi=0.0,
@@ -219,7 +215,10 @@ def task_trapped_scan(cfg, rng, outdir):
 
 
 def task_multiplier_verify(cfg, rng, outdir):
-    sp, prof, chart, triple = _multiplier_stack(cfg)
+    sp, prof = _profile(cfg)
+    chart = ingoing_chart(sp, float(cfg.get("r_e", 0.95 * sp.r_s)),
+                          float(cfg.get("r_max", 60.0 * sp.r_s)))
+    triple = MultiplierTriple(profile=prof, chart=chart)
     blk = cfg.get("multiplier", {})
     metrics = {"N": prof.N, "eps": prof.eps, "delta": prof.delta,
                "delta1": prof.delta1, "achieved_match": prof.achieved_match}
@@ -233,7 +232,7 @@ def task_multiplier_verify(cfg, rng, outdir):
     metrics["lF_min"] = float(np.min(lF))
     metrics["lF_argmin"] = float(r_lw[np.argmin(lF)])
 
-    nrep = build_redshift(sp, prof, chart)
+    nrep = build_redshift(triple)
     metrics.update({"n_min": nrep["n_min"], "n_argmin": nrep["n_argmin"],
                     "X_dr_at_rs": nrep["X_dr_at_rs"], "m_dr_at_rs": nrep["m_dr_at_rs"]})
 
@@ -343,9 +342,11 @@ def integrated_smallness(prof, r_e):
     width = sp.r_s - r_e
     part_delta = prof.delta * width
     R = np.linspace(-3.0, -1.0, 4001)
-    rho = rho_saturate(R)
-    rho2m = np.abs(rho[2])
-    rho3m = np.abs(rho[3])
+    # second and third derivatives of rho on the transition, from
+    # rho' = S((R + 3)/2)
+    S = smoothstep((R + 3.0) / 2.0)
+    rho2m = np.abs(S[1]) / 2.0
+    rho3m = np.abs(S[2]) / 4.0
     cd = prof.c_d
     # lapse along the transition zone: A ~ exp(h) with
     # h(R) = (R/eps - r^{d+2} g(r_s)) / c_d  (log-dominated regime)
@@ -359,7 +360,7 @@ def integrated_smallness(prof, r_e):
 
 
 def task_sos_verify(cfg, rng, outdir):
-    sp, prof, chart, triple = _multiplier_stack(cfg)
+    sp, prof = _profile(cfg)
     blk = cfg.get("sos", {})
     params = _bh_params(cfg)
     n = int(blk.get("n_samples", 10000))
@@ -467,22 +468,18 @@ def task_wave_evolve(cfg, rng, outdir):
     data = blk.get("data", {"type": "bump", "center": 3.0, "width": 0.8,
                             "amplitude": 1.0})
     r = dom.grid()
-    if data.get("type", "bump") != "bump":
-        raise ConfigError(f"unknown data type {data.get('type')}")
     v0 = gaussian_bump(r, float(data["center"]), float(data["width"]),
                        float(data.get("amplitude", 1.0)))
     fblk = blk.get("forcing", {"type": "none"})
     if fblk.get("type", "none") == "none":
         forcing = None
-    elif fblk["type"] == "bump":
+    else:
         fc, fw = float(fblk["center"]), float(fblk["width"])
         famp = float(fblk.get("amplitude", 1.0))
         ft0, fts = float(fblk.get("t_center", 5.0)), float(fblk.get("t_width", 2.0))
 
         def forcing(t, rr):
             return famp * math.exp(-((t - ft0) / fts) ** 2) * gaussian_bump(rr, fc, fw)
-    else:
-        raise ConfigError(f"unknown forcing type {fblk.get('type')}")
     hist = evolve(op, v0, np.zeros_like(v0), forcing=forcing)
     if blk.get("snapshots", False):
         times, vs, _ = hist.snapshot_array()
@@ -590,6 +587,14 @@ def validate_config(cfg):
             _check_range(block, name, "T", float, 0.0, "positive", strict=True)
         if name == "wave":
             _check_range(block, name, "cfl", float, 0.0, "positive", strict=True)
+            for sub, kinds in (("data", ("bump",)), ("forcing", ("none", "bump"))):
+                sub_blk = block.get(sub, {})
+                kind = sub_blk.get("type", kinds[0]) if isinstance(sub_blk, dict) else None
+                if kind not in kinds:
+                    raise ConfigError(f"{name}.{sub}.type = {kind!r} must be one of {kinds}")
+        if name == "convergence":
+            # the order fit needs at least two pairwise errors
+            _check_range(block, name, "levels", int, 3, "at least 3")
         if name == "mult":
             _check_range(block, name, "alpha_cap", float, 0.0, "in (0, 5)",
                          strict=True, hi=5.0)

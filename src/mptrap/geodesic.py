@@ -192,7 +192,7 @@ def radial_classification(params: BlackHoleParams,
         if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)):
             xr = z.real
             for _ in range(3):  # Newton polish on form B
-                d = pot.derivative(xr) if cq.E != 0 else (2 * c2 * xr + c1)
+                d = pot.derivative(xr)
                 if d != 0:
                     xr -= pot.form_B(xr) / d
             real.append(xr)

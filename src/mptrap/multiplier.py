@@ -18,7 +18,7 @@ import numpy as np
 
 from .params import SchwParams, ProfileConstructionFailure, DifferentiationError
 from .smooth import (smoothstep, smoothstep_integral, step_jet, rho_saturate,
-                     mollify, plateau_bump)
+                     mollify, plateau_bump, richardson_derivative)
 
 # ---------------------------------------------------------------------------
 # order-3 jet arithmetic: a jet is an ndarray of shape (4, ...) holding
@@ -209,13 +209,11 @@ class MultiplierProfile:
         The correction is evaluated only where chi is nonzero (inside
         chi_outer of the photon sphere); elsewhere F equals f1."""
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rv = np.atleast_1d(r)
-        out = self.f1_jet(rv)
+        out = self.f1_jet(r)
         rps = self.sp.r_ps
-        on = (rv > rps - self.chi_outer) & (rv < rps + self.chi_outer)
+        on = (r > rps - self.chi_outer) & (r < rps + self.chi_outer)
         if np.any(on):
-            ro = rv[on]
+            ro = r[on]
             Dm = self.D_m_jet(self.h_jet(ro))
             d0, d1, d2 = self._q2_poly
             dr = ro - rps
@@ -225,28 +223,26 @@ class MultiplierProfile:
             Q2[2] = d2
             corr = jet_mul(self.chi_jet(ro), Dm - Q2)
             out[:, on] += self.c_d * jet_mul(jet_monomial(ro, -(self.sp.d + 2)), corr)
-        return out[:, 0] if scalar else out
+        return out
 
     def f_jet(self, r):
         """Saturated profile; equals -2/(eps r^{d+2}) at and below the horizon."""
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rv = np.atleast_1d(r)
         d = self.sp.d
-        out = np.empty((4,) + rv.shape)
-        below = rv <= self.sp.r_s * (1.0 + 1e-13)
+        out = np.empty((4,) + r.shape)
+        below = r <= self.sp.r_s * (1.0 + 1e-13)
         if np.any(below):
-            out[:, below] = (-2.0 / self.eps) * jet_monomial(rv[below], -(d + 2))
+            out[:, below] = (-2.0 / self.eps) * jet_monomial(r[below], -(d + 2))
         above = ~below
         if np.any(above):
-            ra = rv[above]
+            ra = r[above]
             W = jet_mul(jet_monomial(ra, d + 2), self.F_jet(ra))
             rho = rho_saturate(self.eps * W[0])
             outer = (rho[0] / self.eps, rho[1], rho[2] * self.eps,
                      rho[3] * self.eps**2)
             sat = jet_compose(outer, W)
             out[:, above] = jet_mul(jet_monomial(ra, -(d + 2)), sat)
-        return out[:, 0] if scalar else out
+        return out
 
     # -- horizon zone ------------------------------------------------------
     # On (r_s, r_s(1 + HZ_WIDTH)] the construction reduces exactly to
@@ -287,16 +283,14 @@ class MultiplierProfile:
         `f` is the jet f_jet(r) when the caller already holds it."""
         d = self.sp.d
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rv = np.atleast_1d(r)
-        rf = jet_mul(jet_monomial(rv, d + 2), self.f_jet(rv) if f is None else f)
+        rf = jet_mul(jet_monomial(r, d + 2), self.f_jet(r) if f is None else f)
         dr_rf = np.stack([rf[1], rf[2], rf[3], np.zeros_like(rf[0])])
-        out = 0.5 * jet_mul(self.A_jet(rv), jet_mul(jet_monomial(rv, -(d + 2)), dr_rf))
-        hz = self._hz_mask(rv)
+        out = 0.5 * jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, -(d + 2)), dr_rf))
+        hz = self._hz_mask(r)
         if np.any(hz):
-            q0, q1, q2, q3 = self._q1_hz(rv[hz])
+            q0, q1, q2, q3 = self._q1_hz(r[hz])
             out[0, hz], out[1, hz], out[2, hz], out[3, hz] = q0, q1, q2, q3
-        return out[:, 0] if scalar else out
+        return out
 
     def q2_jet(self, r):
         """Temporal-control weight switching on across (r_s + r_ps)/2.
@@ -334,12 +328,12 @@ class MultiplierProfile:
                         sh.gamma_fall_slope / rs, sh.gamma_fall_w0 * rs)
         return jet_const(sh.gamma_base, np.asarray(r, dtype=float)) + rise - fall
 
-    def m_t_jet(self, r):
-        """Covariant time component of the 1-form (before the delta factor)."""
+    def m_t_jet(self, r, b, gam):
+        """Covariant time component of the 1-form (before the delta factor),
+        from the jets b = b_jet(r) and gam = gamma_jet(r)."""
         d = self.sp.d
         coef = (d + 1) * self.sp.r_s ** (d + 1)
-        return coef * jet_mul(jet_monomial(r, -(d + 2)),
-                              jet_mul(self.b_jet(r), self.gamma_jet(r)))
+        return coef * jet_mul(jet_monomial(r, -(d + 2)), jet_mul(b, gam))
 
     # -- third-order weight ----------------------------------------------------
     def u2_weight(self, P, r):
@@ -383,8 +377,7 @@ def build_profiles(sp: SchwParams, alpha_cap: float = 4.9, N: float = None,
                    eps: float = 0.012, delta: float = 0.03, delta1: float = 0.005,
                    eps_match: float = 1e-3, chi_inner: float = 0.05,
                    chi_outer: float = 0.15,
-                   shape: RedshiftShape = RedshiftShape(),
-                   validate: bool = True) -> MultiplierProfile:
+                   shape: RedshiftShape = RedshiftShape()) -> MultiplierProfile:
     """Build and validate the multiplier profile family.
 
     N (mollifier scale) adapts by doubling until |d^k(F - f1)| < eps_match
@@ -412,8 +405,7 @@ def build_profiles(sp: SchwParams, alpha_cap: float = 4.9, N: float = None,
         raise ProfileConstructionFailure(
             f"mollifier scale N = {N_val} missed the matching bound: "
             f"{prof.achieved_match} >= {eps_match}")
-    if validate:
-        validate_profile(prof)
+    validate_profile(prof)
     return prof
 
 
@@ -435,9 +427,7 @@ def validate_profile(prof: MultiplierProfile):
     h = 1e-5 * rs
     for fn in (prof.F_jet, prof.f_jet, prof.q1_jet, prof.b_jet, prof.gamma_jet):
         J = fn(r_fd)
-        d_h = (fn(r_fd + h)[0] - fn(r_fd - h)[0]) / (2 * h)
-        d_h2 = (fn(r_fd + h / 2)[0] - fn(r_fd - h / 2)[0]) / h
-        fd = (4 * d_h2 - d_h) / 3.0
+        fd = richardson_derivative(lambda rr: fn(rr)[0], r_fd, h)
         err = np.abs(J[1] - fd) / np.maximum(1.0, np.abs(fd))
         if err.max() > 1e-8:
             raise DifferentiationError(

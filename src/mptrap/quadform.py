@@ -50,7 +50,7 @@ class MultiplierTriple:
         gam = pr.gamma_jet(r)
         q1 = pr.q1_jet(r, f)
         q2 = pr.q2_jet(r)
-        mt = pr.m_t_jet(r)
+        mt = pr.m_t_jet(r, b, gam)
         # X = f (A d_r + (1 - A mu') d_v) - delta b (d_r - mu' d_v)
         Xv = f[0] * (1 - A * M) + delta * b[0] * M
         Xr = f[0] * A - delta * b[0]
@@ -115,11 +115,6 @@ def quad_matrix(triple: MultiplierTriple, r):
     return Mm
 
 
-def quadform(triple: MultiplierTriple, r):
-    """QuadForm at radius r: (r, 4x4 matrix)."""
-    return quad_matrix(triple, np.asarray([r], dtype=float))[0]
-
-
 def zeroth_order_n(triple: MultiplierTriple, ing):
     """n(r): u^2 coefficient before completing the horizon square, from the
     ingredients triple.ingredients(r)."""
@@ -158,36 +153,33 @@ def positivity_grid(sp: SchwParams, r_e: float, r_hi: float, n_grid: int):
 def check_positivity(triple: MultiplierTriple, n_grid: int = 2000):
     """Largest c with Q-matrix(r) - c W(r) >= 0 on the grid over [r_e, 50 r_s].
 
-    Returns dict with c_star, minimizing radius and eigenvector.  c_star > 0
-    certifies the localized-energy positivity at the shipped parameters.
+    W is diagonal, so the pencil (M, W) has the spectrum of S M S with
+    S = W^{-1/2}: one stacked eigvalsh picks the minimising radius, where one
+    generalized eigh gives c_star and its eigenvector.  Returns dict with
+    c_star, minimizing radius and eigenvector.  c_star > 0 certifies the
+    localized-energy positivity at the shipped parameters.
     """
     sp = triple.sp
     grid = positivity_grid(sp, triple.chart.r_e, 50.0 * sp.r_s, n_grid)
     Mm = quad_matrix(triple, grid)
     W = comparison_weights(sp, grid)
-    c_star = math.inf
-    argmin = None
-    vec = None
-    for i in range(len(grid)):
-        vals, vecs = eigh(Mm[i], W[i])
-        if vals[0] < c_star:
-            c_star = vals[0]
-            argmin = grid[i]
-            vec = vecs[:, 0]
-    return {"c_star": float(c_star), "min_r": float(argmin),
-            "min_eigvec": [float(v) for v in vec], "grid_points": len(grid)}
+    S = np.diagonal(W, axis1=1, axis2=2) ** -0.5
+    i = int(np.argmin(np.linalg.eigvalsh(S[:, :, None] * Mm * S[:, None, :])[:, 0]))
+    vals, vecs = eigh(Mm[i], W[i])
+    return {"c_star": float(vals[0]), "min_r": float(grid[i]),
+            "min_eigvec": [float(v) for v in vecs[:, 0]], "grid_points": len(grid)}
 
 
-def build_redshift(sp: SchwParams, profile: MultiplierProfile, chart: IngoingChart,
-                   n_grid: int = 2000, r_hi: float = 10.0):
-    """Verify the horizon-component budget: n(r) > 0 on the sampled grid.
+def build_redshift(triple: MultiplierTriple):
+    """Verify the horizon-component budget: n(r) > 0 on the sampled grid
+    over [r_e, 10 r_s].
 
     Returns the report.  The profile shape was fixed by a
     deterministic search during development; if the budget fails here the
     offending radius is reported so the caller can retune the shape.
     """
-    triple = MultiplierTriple(profile=profile, chart=chart)
-    grid = positivity_grid(sp, chart.r_e, r_hi * sp.r_s, n_grid)
+    sp = triple.sp
+    grid = positivity_grid(sp, triple.chart.r_e, 10.0 * sp.r_s, 2000)
     n_vals = zeroth_order_n(triple, triple.ingredients(grid))
     i_min = int(np.argmin(n_vals))
     report = {"n_min": float(n_vals[i_min]), "n_argmin": float(grid[i_min]),
@@ -196,10 +188,9 @@ def build_redshift(sp: SchwParams, profile: MultiplierProfile, chart: IngoingCha
         raise RedshiftBudgetFailure(
             f"n(r) = {n_vals[i_min]} <= 0 at r = {grid[i_min]}")
     # boundary values required by the energy identity
-    rs = np.asarray([sp.r_s])
-    ing = triple.ingredients(rs)
+    ing = triple.ingredients(np.asarray([sp.r_s]))
     report["X_dr_at_rs"] = float(ing["Xr"][0])
-    report["m_dr_at_rs"] = float(ing["mt"][0][0] * profile.delta)
+    report["m_dr_at_rs"] = float(ing["mv"][0])
     if not report["X_dr_at_rs"] < 0:
         raise RedshiftBudgetFailure("X(dr)(r_s) must be negative")
     if not report["m_dr_at_rs"] > 0:
@@ -249,19 +240,15 @@ def flux_matrices(triple: MultiplierTriple, r, C_energy: float):
     return S, L
 
 
-def boundary_forms(triple: MultiplierTriple, C_energy: float, r_e: float,
-                   r_hi: float = 30.0, n_grid: int = 1200,
-                   raise_on_fail: bool = False):
+def boundary_forms(triple: MultiplierTriple, C_energy: float, r_e: float):
     """Slice-form equivalence constants and lateral-form spectrum at r_e.
 
     The slice form is compared two-sided against the nondegenerate energy
-    density diag(1,1,1) on the derivative block; kappa = sqrt(c_hi/c_lo).
-    The lateral form is the full 4x4 at r = r_e.  With raise_on_fail, a
-    non-equivalent slice form or indefinite lateral form raises
-    BoundaryFormFailure carrying the measured constants.
+    density diag(1,1,1) on the derivative block over [r_e, 30 r_s];
+    kappa = sqrt(c_hi/c_lo).  The lateral form is the full 4x4 at r = r_e.
     """
     sp = triple.sp
-    grid = positivity_grid(sp, r_e, r_hi * sp.r_s, n_grid)
+    grid = positivity_grid(sp, r_e, 30.0 * sp.r_s, 1200)
     S, _ = flux_matrices(triple, grid, C_energy)
     vals = np.linalg.eigvalsh(S[:, :3, :3])
     i_min = int(np.argmin(vals[:, 0]))
@@ -276,20 +263,17 @@ def boundary_forms(triple: MultiplierTriple, C_energy: float, r_e: float,
         "lateral_min_eig": float(lat_eigs[0]),
         "C_energy": float(C_energy), "r_e": float(r_e),
     }
-    if raise_on_fail and (lo <= 0 or lat_eigs[0] <= 0):
-        raise BoundaryFormFailure(f"boundary forms not positive: {report}")
     return report
 
 
-def hardy_check(sp: SchwParams, r_e: float, r_hi: float = 400.0,
-                n_grid: int = 4000):
-    """Discrete Hardy inequality with measure r^{d+2} dr.
+def hardy_check(sp: SchwParams, r_e: float):
+    """Discrete Hardy inequality with measure r^{d+2} dr on [r_e, 400].
 
     int r^-2 u^2 r^{d+2} dr <= C_H int (u')^2 r^{d+2} dr for test functions
     decaying at infinity; the classical constant is (2/(d+1))^2.  Returns the
     measured worst ratio over a family of test functions.
     """
-    r = np.linspace(r_e, r_hi, n_grid)
+    r = np.linspace(r_e, 400.0, 4000)
     dr = r[1] - r[0]
     d = sp.d
     worst = 0.0
@@ -317,13 +301,13 @@ def demo_boundary_parameters(triple: MultiplierTriple):
     return C_demo, r_demo
 
 
-def feasible_lateral_radius(triple: MultiplierTriple, C_energy: float,
-                            lo_frac: float = 0.994, hi_frac: float = 1.0 - 4e-12):
+def feasible_lateral_radius(triple: MultiplierTriple, C_energy: float):
     """Largest horizon margin at which the lateral form is positive definite.
 
     The lateral (d_r u)^2 entry is A(r_e) X(dr)(r_e)/2; with the saturated
-    profile this forces r_e extremely close to r_s.  Bisect for the
-    transition and return a radius safely inside the positive region.
+    profile this forces r_e extremely close to r_s.  Bisect on
+    [0.994 r_s, (1 - 4e-12) r_s] until the midpoint rounds to an end, and
+    return a radius safely inside the positive region.
     """
     sp = triple.sp
 
@@ -331,16 +315,17 @@ def feasible_lateral_radius(triple: MultiplierTriple, C_energy: float,
         _, L = flux_matrices(triple, np.asarray([re]), C_energy)
         return np.linalg.eigvalsh(L[0])[0]
 
-    lo = lo_frac * sp.r_s
-    hi = hi_frac * sp.r_s
+    lo = 0.994 * sp.r_s
+    hi = (1.0 - 4e-12) * sp.r_s
     if min_eig(hi) <= 0:
         raise BoundaryFormFailure(
             f"lateral form not positive adjacent to the horizon at C = {C_energy}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if min_eig(mid) > 0:
             hi = mid
         else:
             lo = mid
+        mid = 0.5 * (lo + hi)
     r_feasible = hi + 0.25 * (sp.r_s - hi)
     return float(r_feasible)

@@ -100,6 +100,14 @@ def integrate_gl(f, lo, hi, n: int = 60):
     return half * np.sum(wn * f(mid + half * xn))
 
 
+def richardson_derivative(f, x, h):
+    """(4 D(h/2) - D(h)) / 3 with D(h) the central difference of f at x:
+    the h^2 error term of D cancels."""
+    d_h = (f(x + h) - f(x - h)) / (2 * h)
+    d_h2 = (f(x + h / 2) - f(x - h / 2)) / h
+    return (4 * d_h2 - d_h) / 3.0
+
+
 def smoothstep_integral(t):
     """Integral of S from 0 to t; equals t - 1/2 for t >= 1 (S symmetric)."""
     t = np.asarray(t, dtype=float)

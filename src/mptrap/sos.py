@@ -26,6 +26,7 @@ import numpy as np
 
 from .params import BlackHoleParams, CBandEmpty, LowerBoundViolation
 from .multiplier import MultiplierProfile, jet_mul
+from .smooth import richardson_derivative
 from .trapping import R_ab, R_ab_dx, rho2_p, tau_roots_vec, trapped_radius_vec
 
 
@@ -163,17 +164,12 @@ class MpSos:
             return float(self.sos.jets(rr).f_tilde[0]) * (rr - r_t)
 
         h = h_rel * p.r_s
-
-        def ddr(fn, rr):
-            d1 = (fn(rr + h) - fn(rr - h)) / (2 * h)
-            d2 = (fn(rr + h / 2) - fn(rr - h / 2)) / h
-            return (4 * d2 - d1) / 3.0
-
-        p_r = ddr(lambda rr: rho2_p(p, rr, theta, tau, xi, Theta, Phi, Psi), r)
+        p_r = richardson_derivative(
+            lambda rr: rho2_p(p, rr, theta, tau, xi, Theta, Phi, Psi), r, h)
         hxi = h_rel
         p_xi = (rho2_p(p, r, theta, tau, xi + hxi, Theta, Phi, Psi)
                 - rho2_p(p, r, theta, tau, xi - hxi, Theta, Phi, Psi)) / (2 * hxi)
-        s_r = ddr(sig, r) * xi             # full symbol is sig(r) * xi
+        s_r = richardson_derivative(sig, r, h) * xi    # full symbol is sig(r) * xi
         s_xi = sig(r)
         return 0.5 * (p_xi * s_r - p_r * s_xi)
 
@@ -269,9 +265,7 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi,
     h = h_rel * sp.r_s
 
     def ddr(fn):
-        d1 = (fn(r + h) - fn(r - h)) / (2 * h)
-        d2 = (fn(r + h / 2) - fn(r - h / 2)) / h
-        return (4 * d2 - d1) / 3.0
+        return richardson_derivative(fn, r, h)
 
     s_r = ddr(sigma) * xi
     s_xi = J.f_tilde * (r - sp.r_ps)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .params import BlackHoleParams, OracleFailure
 from .geometry import inverse_metric_components, inverse_metric_form
+from .smooth import richardson_derivative
 
 TAU_WINDOW = (1.1, 1.8)     # r/r_s window for the frequency factorization
 SOS_WINDOW = (1.2, 1.7)     # r/r_s window for the sum-of-squares checks
@@ -90,9 +91,7 @@ def R_ab_oracle(params: BlackHoleParams, x, tau, Phi, Psi, theta: float = 0.7,
     def f(rr):
         return rho2_p(params, rr, theta, tau, 0.0, 0.0, Phi, Psi)
 
-    d_h = (f(r + h) - f(r - h)) / (2 * h)
-    d_h2 = (f(r + h / 2) - f(r - h / 2)) / h
-    deriv = (4 * d_h2 - d_h) / 3.0
+    deriv = richardson_derivative(f, r, h)
     a2, b2, rs2 = params.a**2, params.b**2, params.r_s**2
     Delta = (x + a2) * (x + b2) - rs2 * x
     if Delta == 0:

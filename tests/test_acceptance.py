@@ -181,7 +181,7 @@ def test_criterion_05_energy_form_positivity(sp, profile, chart, triple):
     lF_min = float(np.min(profile.lF(r_w, profile.F_jet(r_w))))
     r_m = np.linspace(1.001, 20.0, 2000)
     Fp_min = float(np.min(profile.F_jet(r_m)[1]))
-    nrep = build_redshift(sp, profile, chart)
+    nrep = build_redshift(triple)
     dt = time.time() - t0
     ok = (res["c_star"] > 0 and stable and lF_min > 0 and Fp_min > 0
           and nrep["n_min"] > 0 and dt < 60.0)

@@ -106,12 +106,19 @@ def test_console_entry_point(tmp_path):
     ("mult", "N", "abc"),
     ("mult", "eps", 0),
     ("mult", "eps_match", -1),
+    pytest.param("wave", "data", {"type": "ring", "center": 3.0, "width": 0.8},
+                 id="wave-data-type-ring"),
+    pytest.param("wave", "forcing", {"type": "ring", "center": 3.0, "width": 0.8},
+                 id="wave-forcing-type-ring"),
+    ("convergence", "levels", 1),
+    ("convergence", "levels", 2),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({block: {key: value}}))
-    task = {"wave": "wave-evolve", "mult": "multiplier-verify"}.get(block, "trapped-scan")
+    task = {"wave": "wave-evolve", "mult": "multiplier-verify",
+            "convergence": "convergence"}.get(block, "trapped-scan")
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()

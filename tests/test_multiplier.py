@@ -122,7 +122,7 @@ def test_profile_jets_vs_fd(profile):
     h = 1e-5
     for fn in (profile.f1_jet, profile.F_jet, profile.f_jet, profile.b_jet,
                profile.gamma_jet, profile.q1_jet, profile.q2_jet,
-               profile.m_t_jet):
+               lambda r: profile.m_t_jet(r, profile.b_jet(r), profile.gamma_jet(r))):
         J = fn(r)
         fd1 = (fn(r + h)[0] - fn(r - h)[0]) / (2 * h)
         fd2 = (fn(r + h)[0] - 2 * J[0] + fn(r - h)[0]) / h**2

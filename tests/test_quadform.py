@@ -6,20 +6,29 @@ import pytest
 from mptrap.params import SchwParams
 from mptrap.multiplier import build_profiles
 from mptrap.chart import ingoing_chart
-from mptrap.quadform import (MultiplierTriple, quad_matrix, quadform,
+from scipy.linalg import eigh
+
+from mptrap import quadform
+from mptrap.quadform import (MultiplierTriple, quad_matrix,
                              comparison_weights, check_positivity,
                              build_redshift, boundary_forms, hardy_check,
                              demo_boundary_parameters, zeroth_order_n,
-                             flux_matrices)
+                             flux_matrices, positivity_grid)
+
+
+@pytest.fixture(scope="module")
+def triple_no_redshift(sp, chart):
+    """The shipped triple with the horizon component switched off."""
+    return MultiplierTriple(profile=build_profiles(sp, delta=1e-12), chart=chart)
 
 
 def test_quadform_symmetric(triple):
-    M = quadform(triple, 1.3)
+    M = quad_matrix(triple, [1.3])[0]
     assert np.array_equal(M, M.T)
 
 
-def test_n_positive_on_grid(sp, profile, chart):
-    rep = build_redshift(sp, profile, chart)
+def test_n_positive_on_grid(triple):
+    rep = build_redshift(triple)
     assert rep["n_min"] > 0
     assert rep["X_dr_at_rs"] < 0
     assert rep["m_dr_at_rs"] > 0
@@ -32,16 +41,66 @@ def test_c_star_positive_and_stable(triple):
     assert abs(res2["c_star"] - res["c_star"]) <= 0.01 * abs(res["c_star"])
 
 
-def test_no_redshift_degenerates_near_horizon(sp, chart):
+def test_no_redshift_degenerates_near_horizon(triple_no_redshift):
     """Dropping the horizon component leaves the A^2 degeneracy uncompensated:
     the photon-sphere part alone is a rank-one square in the derivative block
     near the horizon, so the positivity constant collapses (c_star <= 0 up to
     rounding; with the component on it is ~5e-3)."""
-    prof0 = build_profiles(sp, delta=1e-12, validate=False)
-    triple0 = MultiplierTriple(profile=prof0, chart=chart)
-    res = check_positivity(triple0, n_grid=500)
+    res = check_positivity(triple_no_redshift, n_grid=500)
     assert res["c_star"] <= 1e-9
     assert res["min_r"] < 1.05
+
+
+@pytest.mark.parametrize("name", ["triple", "triple_no_redshift"])
+def test_positivity_matches_pencil_oracle(request, name):
+    """c_star, its radius and eigenvector equal the minimum of a per-point
+    generalized eigen-solve of the pencil (M(r), W(r)).  The shipped triple
+    has its minimum at the outer end, the one without horizon component next
+    to the horizon."""
+    triple = request.getfixturevalue(name)
+    sp = triple.sp
+    grid = positivity_grid(sp, triple.chart.r_e, 50.0 * sp.r_s, 500)
+    M, W = quad_matrix(triple, grid), comparison_weights(sp, grid)
+    best = None
+    for i in range(len(grid)):
+        vals, vecs = eigh(M[i], W[i])
+        if best is None or vals[0] < best[0]:
+            best = (vals[0], grid[i], vecs[:, 0])
+    res = check_positivity(triple, n_grid=500)
+    assert res["grid_points"] == len(grid)
+    assert res["c_star"] == best[0]
+    assert res["min_r"] == best[1]
+    assert np.array_equal(res["min_eigvec"], best[2])
+    assert (best[1] == grid[-1]) if name == "triple" else (best[1] < 1.05)
+
+
+def test_ingredients_evaluates_each_jet_once(triple, monkeypatch):
+    """The 1-form is built from the b and gamma jets ingredients holds."""
+    calls = []
+    prof = triple.profile
+    for name in ("b_jet", "gamma_jet"):
+        def counting(r, orig=getattr(prof, name), name=name):
+            calls.append(name)
+            return orig(r)
+        monkeypatch.setattr(prof, name, counting)
+    triple.ingredients(np.linspace(1.01, 3.0, 7))
+    assert sorted(calls) == ["b_jet", "gamma_jet"]
+
+
+def test_lateral_bisection_stops_at_float_resolution(triple, monkeypatch):
+    """The lateral-radius bisection ends when its midpoint rounds to an end,
+    well before a fixed 80 steps."""
+    calls = []
+    orig = quadform.flux_matrices
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(quadform, "flux_matrices", counting)
+    C_demo, r_demo = demo_boundary_parameters(triple)
+    assert len(calls) < 60
+    assert r_demo < triple.sp.r_s
 
 
 def test_comparison_weight_degeneracy(sp):
@@ -134,8 +193,3 @@ def test_wave_forcing_config(tmp_path):
     assert (tmp_path / "snapshots.csv").exists()
     assert rep["metrics"]["E_lateral"] > 0
 
-
-def test_boundary_raise_on_fail(triple):
-    from mptrap.params import BoundaryFormFailure
-    with pytest.raises(BoundaryFormFailure):
-        boundary_forms(triple, 100.0, 0.95, raise_on_fail=True)
