@@ -189,11 +189,9 @@ def task_trapped_scan(cfg, rng, outdir):
     dRdr = R_ab_dx(params, r_t[ok] ** 2, taus[ok], Phis[ok], Psis[ok]) * 2 * r_t[ok]
     rows = np.column_stack([np.full(ok.sum(), params.a), np.full(ok.sum(), params.b),
                             taus[ok], Phis[ok], Psis[ok], r_t[ok], dRdr, iters[ok]])
-    path = os.path.join(outdir, "trapped_scan.csv")
-    with open(path, "w") as fh:
-        fh.write("a,b,tau,Phi,Psi,r_trapped,dR_dr,newton_iters\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
+    with open(os.path.join(outdir, "trapped_scan.csv"), "w") as fh:
+        np.savetxt(fh, rows, fmt="%.16e", delimiter=",", comments="",
+                   header="a,b,tau,Phi,Psi,r_trapped,dR_dr,newton_iters")
     C_mp = measure_cone_constant(params, rng)
     static = abs(params.a) < 1e-15 and abs(params.b) < 1e-15
     metrics = {
@@ -285,11 +283,9 @@ def task_multiplier_verify(cfg, rng, outdir):
     nvals = zeroth_order_n(triple, ing)
     lfv = prof.lf(grid, ing["f"])
     with open(os.path.join(outdir, "profiles.csv"), "w") as fh:
-        fh.write("r,f,F,f1,q1,q2,b_red,gamma,n,lF,lf\n")
-        for i in range(len(grid)):
-            fh.write(",".join(f"{v:.16e}" for v in
-                              (grid[i], f[i], F[i], f1[i], q1[i], q2[i], b[i],
-                               gam[i], nvals[i], lFv[i], lfv[i])) + "\n")
+        np.savetxt(fh, np.column_stack([grid, f, F, f1, q1, q2, b, gam, nvals, lFv, lfv]),
+                   fmt="%.16e", delimiter=",", header="r,f,F,f1,q1,q2,b_red,gamma,n,lF,lf",
+                   comments="")
     with open(os.path.join(outdir, "positivity.json"), "w") as fh:
         json.dump({"c_star": pos["c_star"], "min_r": pos["min_r"],
                    "min_eigvec": pos["min_eigvec"], "grid": pos["grid_points"],
@@ -393,16 +389,13 @@ def task_sos_verify(cfg, rng, outdir):
     metrics["alpha2_min"] = float(np.min(res["alpha2"][okb]))
     metrics["beta2_min"] = float(np.min(res["beta2"][okb]))
     metrics["bracket_samples"] = int(okb.sum())
+    rows = np.arange(0, nb, max(1, nb // 2000))
+    rows = rows[okb[rows]]
+    cols = [rb, thb, xib, Thb, Phb, Psb] + [res[k] for k in ("tau", "bracket", "alpha2",
+                                                              "beta2", "r_trap")]
     with open(os.path.join(outdir, "bracket_scan.csv"), "w") as fh:
-        fh.write("r,theta,xi,Theta,Phi,Psi,tau,bracket,alpha2,beta2,r_trap\n")
-        step = max(1, nb // 2000)
-        for i in range(0, nb, step):
-            if not okb[i]:
-                continue
-            fh.write(",".join(f"{v:.16e}" for v in
-                              (rb[i], thb[i], xib[i], Thb[i], Phb[i], Psb[i],
-                               res["tau"][i], res["bracket"][i], res["alpha2"][i],
-                               res["beta2"][i], res["r_trap"][i])) + "\n")
+        np.savetxt(fh, np.column_stack(cols)[rows], fmt="%.16e", delimiter=",", comments="",
+                   header="r,theta,xi,Theta,Phi,Psi,tau,bracket,alpha2,beta2,r_trap")
 
     region = blk.get("region", [1.35 * rs, 1.50 * rs, 0.3, math.pi / 2 - 0.3])
     # one calibration sample set and its radial jets, shared by every eps0;

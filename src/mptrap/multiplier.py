@@ -91,6 +91,15 @@ def cap_fn(x, alpha):
                      for b, m, a in zip(below, middle, above)])
 
 
+def cap_pieces(alpha):
+    """cap_fn as the piecewise polynomial smooth.mollify takes: the breaks and
+    the power-basis coefficients of the three pieces."""
+    c = np.zeros((3, 6))
+    c[:2, 1] = 1.0
+    c[1, 3], c[1, 5], c[2, 0] = -2 / (3 * alpha**2), 1 / (5 * alpha**4), 8 * alpha / 15.0
+    return np.array([0.0, alpha]), c
+
+
 def ramp_jet(r, lo, hi, slope, w0):
     """Slope-controlled C-infinity ramp: derivative equals `slope` exactly on
     [lo + w0, hi], rounds off over corner width w0, total rise slope*(hi-lo),
@@ -179,7 +188,7 @@ class MultiplierProfile:
 
     def a_mollified(self, y):
         """Jet of the mollified cap psi_N * a at y."""
-        return mollify(self.a_of, y, self.N, kinks=(0.0, self.alpha_cap))
+        return mollify(cap_pieces(self.alpha_cap), y, self.N)
 
     def D_m_jet(self, H):
         """Jet in r of (psi_N * a)(H) - a(H) along the jet H."""

@@ -8,6 +8,8 @@ makes one evaluation and returns its order-3 jet: an ndarray of shape
 of the row before it.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -69,27 +71,14 @@ def plateau_bump(r, left0, left1, right0, right1):
     return out
 
 
-# points per block in the quadratures below, so that a block's
-# (4, points, nodes) jet and its temporaries stay near 1 MB; one pass over the
-# ~10^4-radius sets of sos-verify would hold about 60 MB more
+# points per block in smoothstep_integral, so that a block's (4, points,
+# nodes) smoothstep jet and its temporaries stay near 1 MB
 _BLOCK = 64
 
 
-def _blockwise(fn, x):
-    """fn applied to consecutive blocks of x (first axis), joined on the last
-    axis; fn sees an empty block when x is empty."""
-    return np.concatenate([fn(x[i:i + _BLOCK])
-                           for i in range(0, max(len(x), 1), _BLOCK)], axis=-1)
-
-
-_GL_CACHE = {}
-
-
+@functools.cache
 def gauss_legendre(n: int):
-    if n not in _GL_CACHE:
-        xn, wn = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (xn, wn)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def integrate_gl(f, lo, hi, n: int = 60):
@@ -111,10 +100,8 @@ def richardson_derivative(f, x, h):
 def smoothstep_integral(t):
     """Integral of S from 0 to t; equals t - 1/2 for t >= 1 (S symmetric)."""
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tv = np.atleast_1d(t).astype(float)
-    out = np.where(tv >= 1.0, tv - 0.5, 0.0)
-    mask = (tv > 0.0) & (tv < 1.0)
+    out = np.where(t >= 1.0, t - 0.5, 0.0)
+    mask = (t > 0.0) & (t < 1.0)
     if np.any(mask):
         xn, wn = gauss_legendre(64)
 
@@ -122,8 +109,10 @@ def smoothstep_integral(t):
             nodes = 0.5 * tm[:, None] * (xn[None, :] + 1.0)
             return 0.5 * tm * np.sum(wn[None, :] * smoothstep(nodes)[0], axis=1)
 
-        out[mask] = _blockwise(block, tv[mask])
-    return float(out[0]) if scalar else out
+        tv = t[mask]
+        out[mask] = np.concatenate([block(tv[i:i + _BLOCK])
+                                    for i in range(0, len(tv), _BLOCK)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +139,9 @@ def rho_saturate(R):
 # standard mollifier, unit mass on (-1, 1)
 # ---------------------------------------------------------------------------
 
-_PSI_NORM = None
-
-
+@functools.cache
 def _psi_norm():
-    global _PSI_NORM
-    if _PSI_NORM is None:
-        _PSI_NORM = integrate_gl(lambda u: np.exp(-1.0 / (1.0 - u**2)), -1.0, 1.0, n=120)
-    return _PSI_NORM
+    return integrate_gl(lambda u: np.exp(-1.0 / (1.0 - u**2)), -1.0, 1.0, n=120)
 
 
 def mollifier(u):
@@ -168,40 +152,48 @@ def mollifier(u):
     return np.where(inside, np.exp(-1.0 / (1.0 - us**2)), 0.0) / _psi_norm()
 
 
-def mollify(f, y, N: float, n_nodes: int = 80, kinks=()):
-    """(psi_N * f)(y) = int psi(u) f(y - u/N) du  for vectorized f.
+def _psi_moments(lo, hi, n):
+    """int_lo^hi psi(u) u^k du for k < n by one 80-node Gauss-Legendre panel
+    per (lo, hi) pair; shape (n,) + lo.shape."""
+    xn, wn = gauss_legendre(80)
+    half = 0.5 * (hi - lo)
+    u = 0.5 * (lo + hi)[..., None] + half[..., None] * xn
+    uk = np.cumprod(np.stack([np.ones_like(u)] + [u] * (n - 1)), axis=0)
+    return np.sum(half[..., None] * wn * mollifier(u) * uk, axis=-1)
 
-    f may return leading axes ahead of its argument's shape (a jet returns
-    shape (4,) + s.shape); they are kept in front of y's shape.  Points whose
-    sampling interval contains a kink of f get per-point Gauss-Legendre
-    panels split at the kink images; all other points are handled in
-    vectorized single-panel passes over blocks of points (the integrand is
-    smooth there).
+
+def mollify(pieces, y, N: float):
+    """Jet of (psi_N * p)(y) = int psi(u) p(y - u/N) du, shape (4,) + y.shape.
+
+    pieces = (breaks, coefs): between breaks[j - 1] and breaks[j] (the outer
+    pieces unbounded) p has power-basis coefficients coefs[j], increasing
+    degree.  As p(y - u/N) = sum_k p^(k)(y) (-u/N)^k / k! on a piece, its share
+    is sum_k p^(k)(y) (-1/N)^k m_k / k!, m_k = int psi(u) u^k du over the part
+    of (-1, 1) it covers: all of it for one piece away from the breaks, whose
+    mollified polynomial is formed once; within 1.05/N of a break a
+    sub-interval per piece, with partial moments (odd ones included).
     """
+    breaks, coefs = pieces
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    xn, wn = gauss_legendre(n_nodes)
-    psi_w = mollifier(xn) * wn
-    near_kink = np.zeros(y.shape, dtype=bool)
-    for k in kinks:
-        near_kink |= np.abs(y - k) < 1.05 / N
-    bulk = ~near_kink
-    smooth_part = _blockwise(lambda yy: f(yy[:, None] - xn[None, :] / N) @ psi_w,
-                             y[bulk])
-    out = np.empty(smooth_part.shape[:-1] + y.shape)
-    out[..., bulk] = smooth_part
-    for i in np.nonzero(near_kink)[0]:
-        yi = y[i]
-        cuts = [-1.0, 1.0]
-        for k in kinks:
-            u_k = N * (yi - k)
-            if -1.0 < u_k < 1.0:
-                cuts.append(u_k)
-        cuts = sorted(cuts)
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            uu = mid + half * xn
-            total += half * np.sum(wn * mollifier(uu) * f(yi - uu / N), axis=-1)
-        out[..., i] = total
+    n = coefs.shape[1]
+    # dp[k, j]: power-basis coefficients of the k-th derivative of piece j
+    dp = [coefs]
+    for _ in range(n + 2):
+        dp.append(np.pad(dp[-1][:, 1:] * np.arange(1.0, n), ((0, 0), (0, 1))))
+    dp = np.stack(dp)
+    scale = (-1.0 / N) ** np.arange(n) / np.cumprod(np.r_[1.0, np.arange(1.0, n)])
+    m = scale * _psi_moments(np.array(-1.0), np.array(1.0), n)
+    mq = np.stack([np.sum(m[:, None, None] * dp[r:r + n], axis=0) for r in range(4)])
+    near = np.any(np.abs(y[..., None] - breaks) < 1.05 / N, axis=-1)
+    yk = y[near]
+    piece = np.searchsorted(breaks, y)
+    edges = np.r_[-np.inf, breaks, np.inf]
+    out = np.zeros((4,) + y.shape)
+    for j in range(len(coefs)):
+        bulk = ~near & (piece == j)
+        out[:, bulk] = np.polynomial.polynomial.polyval(y[bulk], mq[:, j].T)
+        M = scale[:, None] * _psi_moments(np.clip(N * (yk - edges[j + 1]), -1.0, 1.0),
+                                          np.clip(N * (yk - edges[j]), -1.0, 1.0), n)
+        D = np.polynomial.polynomial.polyval(yk, dp[:, j].T)
+        out[:, near] += np.stack([np.sum(M * D[r:r + n], axis=0) for r in range(4)])
     return out

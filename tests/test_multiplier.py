@@ -5,7 +5,7 @@ import pytest
 
 from mptrap import multiplier
 from mptrap.params import SchwParams, ProfileConstructionFailure
-from mptrap.multiplier import build_profiles, cap_fn, jet_mul, jet_monomial
+from mptrap.multiplier import build_profiles, cap_fn, cap_pieces, jet_mul, jet_monomial
 from mptrap.smooth import (smoothstep, smoothstep_integral, rho_saturate,
                            plateau_bump, mollifier, mollify, gauss_legendre,
                            integrate_gl)
@@ -22,15 +22,32 @@ def test_smoothstep_basics():
     s = smoothstep(t)[0]
     assert np.all(np.diff(s) > 0)
     assert abs(smoothstep(0.5)[0] - 0.5) < 1e-14       # symmetric
-    assert abs(smoothstep_integral(1.0) - 0.5) < 1e-12
-    assert abs(smoothstep_integral(3.0) - 2.5) < 1e-12
+    assert abs(smoothstep_integral(np.array([1.0]))[0] - 0.5) < 1e-12
+    assert abs(smoothstep_integral(np.array([3.0]))[0] - 2.5) < 1e-12
 
 
 A_CAP, N_MOLL = 4.9, 512.0
 
 
 def _mollified_cap(y):
-    return mollify(lambda s: cap_fn(s, A_CAP), y, N_MOLL, kinks=(0.0, A_CAP))
+    return mollify(cap_pieces(A_CAP), y, N_MOLL)
+
+
+def _quadrature_mollify(f, y, N, kinks):
+    """Oracle for mollify: (psi_N * f)(y) for a jet-valued callable f by
+    Gauss-Legendre panels per point, split at the kink images in (-1, 1)."""
+    xn, wn = gauss_legendre(80)
+    out = np.empty((4,) + y.shape)
+    for i, yi in enumerate(y):
+        cuts = sorted([-1.0, 1.0] + [N * (yi - k) for k in kinks
+                                     if -1.0 < N * (yi - k) < 1.0])
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            half = 0.5 * (hi - lo)
+            uu = 0.5 * (lo + hi) + half * xn
+            total += half * np.sum(wn * mollifier(uu) * f(yi - uu / N), axis=-1)
+        out[:, i] = total
+    return out
 
 
 # (jet primitive, points inside one smooth piece of it)
@@ -80,8 +97,37 @@ def test_mollifier_mass_and_smoothing():
     mass = np.sum(wn * mollifier(xn))
     assert abs(mass - 1.0) < 1e-12
     # mollifying a linear function reproduces it away from kinks
-    out = mollify(lambda s: 2.0 * s + 1.0, np.array([0.3, -0.2]), 64.0)
+    line = (np.array([]), np.array([[1.0, 2.0]]))
+    out = mollify(line, np.array([0.3, -0.2]), 64.0)[0]
     assert np.abs(out - np.array([1.6, 0.6])).max() < 1e-10
+
+
+@pytest.mark.parametrize("N", [N_MOLL, 8.0])
+def test_mollified_cap_matches_quadrature(N):
+    """The closed form from the mollifier's moments equals the panel
+    quadrature of the cap jet, on bulk radii of all three pieces and on radii
+    whose window holds a kink.  At N = 8 every moment's term is far above the
+    tolerance."""
+    edge = np.linspace(-1.05, 1.05, 43) / N
+    y = np.concatenate([np.linspace(-3.0, -0.2, 9), np.linspace(0.2, A_CAP - 0.2, 17),
+                        np.linspace(A_CAP + 0.2, 8.0, 9), edge, A_CAP + edge])
+    ref = _quadrature_mollify(lambda s: cap_fn(s, A_CAP), y, N, (0.0, A_CAP))
+    got = mollify(cap_pieces(A_CAP), y, N)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_cap_pieces_reproduce_cap():
+    """The power-basis pieces give cap_fn's rows 0-3 on each piece."""
+    P = np.polynomial.polynomial
+    breaks, coefs = cap_pieces(A_CAP)
+    for c, x in zip(coefs, (np.linspace(-3.0, -0.01, 30),
+                            np.linspace(0.01, A_CAP - 0.01, 60),
+                            np.linspace(A_CAP + 0.01, 8.0, 30))):
+        J = cap_fn(x, A_CAP)
+        for k in range(4):
+            row = P.polyval(x, P.polyder(c, k))
+            assert np.all(np.abs(row - J[k]) <= 1e-14 * np.maximum(1.0, np.abs(J[k])))
+    assert np.array_equal(breaks, [0.0, A_CAP])
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +237,9 @@ def test_F_jet_mollifies_once(sp, profile, monkeypatch):
     calls = []
     orig = multiplier.mollify
 
-    def counting(f, y, *args, **kwargs):
+    def counting(pieces, y, *args, **kwargs):
         calls.append(np.size(y))
-        return orig(f, y, *args, **kwargs)
+        return orig(pieces, y, *args, **kwargs)
 
     # the name F_jet looks up: multiplier binds smooth.mollify at import
     monkeypatch.setattr(multiplier, "mollify", counting)
