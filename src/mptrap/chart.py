@@ -8,14 +8,12 @@ inverse exact.
 """
 
 from dataclasses import dataclass, field
-import csv
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import SchwParams, ChartConstructionFailure
-from .smooth import step_jet
+from .smooth import step_jet, integrate_gl
 
 
 def tortoise(sp: SchwParams, r):
@@ -37,6 +35,7 @@ def tortoise(sp: SchwParams, r):
 
         out = F(rv) - F(sp.r_ps)
     else:
+        from scipy.integrate import quad
         out = np.empty_like(rv)
         for i, ri in enumerate(rv):
             val, _ = quad(lambda s: 1.0 / sp.A(s), sp.r_ps, ri,
@@ -93,20 +92,18 @@ class IngoingChart:
                         s1 * (1.0 / A - 1.0) + s * (-A1 / A**2))
 
     def mu(self, r):
-        """mu(r), equal to r_star above r_match; quadrature of mu' below."""
+        """mu(r), equal to r_star above r_match.  Below it, r_star(r_match)
+        less the integral of mu' up to r_match: a 128-node Gauss-Legendre sum
+        above r_blend_lo plus the length of the stretch below, where mu' = 1."""
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rv = np.atleast_1d(r).astype(float)
+        rv = np.atleast_1d(r)
         out = np.empty_like(rv)
         hi = rv >= self.r_match
-        if np.any(hi):
-            out[hi] = tortoise(self.sp, rv[hi])
-        lo = ~hi
-        for i in np.nonzero(lo)[0]:
-            val, _ = quad(lambda s: float(self.mu_prime(s)), rv[i], self.r_match,
-                          epsrel=1e-12, epsabs=1e-14, limit=200)
-            out[i] = self._mu_anchor - val
-        return float(out[0]) if scalar else out
+        out[hi] = tortoise(self.sp, rv[hi])
+        lo = rv[~hi]
+        a = np.maximum(lo, self.r_blend_lo)
+        out[~hi] = self._mu_anchor - integrate_gl(self.mu_prime, a, self.r_match, 128) - (a - lo)
+        return float(out[0]) if r.ndim == 0 else out
 
     # -- metric block -------------------------------------------------------
     def block(self, r):
@@ -146,15 +143,14 @@ class IngoingChart:
         """Grid table (r, r_star, mu, mu_prime, g_vv, g_vr, g_rr)."""
         r = np.linspace(self.r_e, self.r_max, n_grid)
         g_vv, g_vr, g_rr = self.block(r)
-        mu = self.mu(r)
-        mup = self.mu_prime(r)
+        above = r > self.sp.r_s * (1 + 1e-12)
+        rstar = np.full_like(r, math.nan)
+        rstar[above] = tortoise(self.sp, r[above])
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "r_star", "mu", "mu_prime", "g_vv", "g_vr", "g_rr"])
-            for i, ri in enumerate(r):
-                rstar = tortoise(self.sp, ri) if ri > self.sp.r_s * (1 + 1e-12) else math.nan
-                w.writerow([f"{v:.16e}" for v in
-                            (ri, rstar, mu[i], mup[i], g_vv[i], g_vr[i], g_rr[i])])
+            np.savetxt(fh, np.column_stack([r, rstar, self.mu(r), self.mu_prime(r),
+                                            g_vv, g_vr, g_rr]),
+                       fmt="%.16e", delimiter=",", newline="\r\n", comments="",
+                       header="r,r_star,mu,mu_prime,g_vv,g_vr,g_rr")
 
 
 def ingoing_chart(sp: SchwParams, r_e: float, r_max: float) -> IngoingChart:

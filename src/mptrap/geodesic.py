@@ -12,7 +12,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .params import (BlackHoleParams, CoordinateSingularity, InvalidConstants,
                      NoTrappedSphere, horizons)
@@ -363,6 +362,7 @@ def integrate_geodesic(params: BlackHoleParams, init: PhasePoint,
     the escape radius.  Diagnostics: max |p| drift, Carter-constant drift,
     and the separated-equation residual rho^4 xdot^2 - 4 X along the path.
     """
+    from scipy.integrate import solve_ivp
     hz = horizons(params)
     m = init.momentum
     p0 = hamiltonian(params, init.x, init.theta, m.tau, m.Xi, m.Theta, m.Phi, m.Psi)

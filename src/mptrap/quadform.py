@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .params import SchwParams, RedshiftBudgetFailure, BoundaryFormFailure
 from .chart import IngoingChart
@@ -159,6 +158,7 @@ def check_positivity(triple: MultiplierTriple, n_grid: int = 2000):
     c_star, minimizing radius and eigenvector.  c_star > 0 certifies the
     localized-energy positivity at the shipped parameters.
     """
+    from scipy.linalg import eigh
     sp = triple.sp
     grid = positivity_grid(sp, triple.chart.r_e, 50.0 * sp.r_s, n_grid)
     Mm = quad_matrix(triple, grid)

@@ -82,11 +82,11 @@ def gauss_legendre(n: int):
 
 
 def integrate_gl(f, lo, hi, n: int = 60):
-    """Fixed-order Gauss-Legendre integral of a vectorized callable."""
+    """Fixed-order Gauss-Legendre integral of a vectorized callable; array
+    bounds give one integral per entry."""
     xn, wn = gauss_legendre(n)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * np.sum(wn * f(mid + half * xn))
+    mid, half = 0.5 * np.add(lo, hi), 0.5 * np.subtract(hi, lo)
+    return half * np.sum(wn * f(mid[..., None] + half[..., None] * xn), axis=-1)
 
 
 def richardson_derivative(f, x, h):

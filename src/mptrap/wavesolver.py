@@ -22,7 +22,6 @@ import json
 import math
 
 import numpy as np
-from scipy import sparse
 
 from .params import SchwParams, AssemblyError, InstabilityError, InconclusiveConvergence
 from .chart import IngoingChart
@@ -67,8 +66,8 @@ class ModeOperator:
     eig: float            # l(l+2)
     dt: float             # RK4 step
     n_steps: int
-    D1: sparse.csr_array
-    L: sparse.csr_array   # d/dt of the stacked (v, W), dissipation included
+    D1: "sparse.csr_array"
+    L: "sparse.csr_array"   # d/dt of the stacked (v, W), dissipation included
 
 
 def _stencil(n, scale, centre, first=(), sign=1.0):
@@ -78,6 +77,7 @@ def _stencil(n, scale, centre, first=(), sign=1.0):
     `first` holds row 0's weights on columns 0, 1, ..., which row n-1
     mirrors times `sign`.  Rows covered by neither are zero.
     """
+    from scipy import sparse
     k = len(centre) // 2
     rows = np.arange(k, n - k)
     I, J, V = [], [], []
@@ -95,6 +95,7 @@ def _stencil(n, scale, centre, first=(), sign=1.0):
 
 
 def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> ModeOperator:
+    from scipy import sparse
     if sp.d != 1:
         raise AssemblyError("mode solver implemented for the d = 1 (S^3) case")
     r = dom.grid()

@@ -154,11 +154,17 @@ def test_tortoise_anchor_and_pinned_value(sp):
 
 
 def test_tortoise_quadrature_matches_closed_form():
+    """The generic-d quadrature path against the d = 2 antiderivative of
+    1/A = r^3/(r^3 - 1), anchored at r_ps."""
     sp2 = SchwParams(1.0, 2)
-    # generic-d quadrature path vs an independent dense Romberg-style sum
-    import scipy.integrate as si
-    val, _ = si.quad(lambda s: 1.0 / (1.0 - s**-3), sp2.r_ps, 2.5, epsrel=1e-12)
-    assert abs(tortoise(sp2, 2.5) - val) < 1e-10
+
+    def F(r):
+        return (r + math.log(r - 1.0) / 3.0 - math.log(r * r + r + 1.0) / 6.0
+                - math.atan((2.0 * r + 1.0) / math.sqrt(3.0)) / math.sqrt(3.0))
+
+    r = np.array([1.05, 1.5, 2.5, 10.0])
+    exact = np.array([F(ri) - F(sp2.r_ps) for ri in r])
+    assert np.abs(tortoise(sp2, r) - exact).max() < 1e-12
 
 
 def test_chart_far_block(sp, chart):
@@ -200,6 +206,27 @@ def test_mu_dominates_tortoise(sp, chart):
     assert np.min(gap) > -1e-10
     far = r > chart.r_match
     assert np.abs(gap[far]).max() < 1e-10
+
+
+def _simpson(f, a, b, n=20000):
+    """Composite Simpson sum of a vectorized f over [a, b] with n panels."""
+    x = np.linspace(a, b, n + 1)
+    y = f(x)
+    return (b - a) / (3 * n) * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
+
+
+def test_mu_below_match_radius(sp, chart):
+    """Below r_match, mu is r_star(r_match) less the integral of mu': checked
+    against a dense Simpson sum of mu', with continuity onto r_star at
+    r_match and unit slope below r_blend_lo, where mu' = 1."""
+    rm, lo = chart.r_match, chart.r_blend_lo
+    r = np.concatenate([np.linspace(chart.r_e, lo, 4), np.linspace(lo, rm, 6)[1:-1]])
+    simpson = np.array([tortoise(sp, rm) - _simpson(chart.mu_prime, ri, rm) for ri in r])
+    assert np.abs(chart.mu(r) - simpson).max() < 1e-11
+    below = np.array([np.nextafter(rm, 0.0), rm - 1e-6])
+    assert np.abs(chart.mu(below) - tortoise(sp, below)).max() < 1e-12
+    r1, r2 = chart.r_e, 0.5 * (sp.r_s + lo)
+    assert abs((chart.mu(r1) - chart.mu(r2)) - (r1 - r2)) < 1e-13
 
 
 def test_chart_c1_across_match(sp, chart):
