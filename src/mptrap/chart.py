@@ -8,7 +8,6 @@ inverse exact.
 """
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
@@ -138,19 +137,6 @@ class IngoingChart:
         if np.any(gap < -1e-9 * self.sp.r_s):
             raise ChartConstructionFailure("mu < r_star above the horizon")
         return True
-
-    def export_csv(self, path, n_grid: int = 512):
-        """Grid table (r, r_star, mu, mu_prime, g_vv, g_vr, g_rr)."""
-        r = np.linspace(self.r_e, self.r_max, n_grid)
-        g_vv, g_vr, g_rr = self.block(r)
-        above = r > self.sp.r_s * (1 + 1e-12)
-        rstar = np.full_like(r, math.nan)
-        rstar[above] = tortoise(self.sp, r[above])
-        with open(path, "w", newline="") as fh:
-            np.savetxt(fh, np.column_stack([r, rstar, self.mu(r), self.mu_prime(r),
-                                            g_vv, g_vr, g_rr]),
-                       fmt="%.16e", delimiter=",", newline="\r\n", comments="",
-                       header="r,r_star,mu,mu_prime,g_vv,g_vr,g_rr")
 
 
 def ingoing_chart(sp: SchwParams, r_e: float, r_max: float) -> IngoingChart:

@@ -1,23 +1,29 @@
 """Null geodesics of the rotating five-dimensional black hole.
 
-The flow integrated is that of H = p/2 with p = g^{ab} xi_a xi_b, so that the
-overdot normalization matches the separated first-order system: along exact
-null geodesics rho^4 xdot^2 = 4 X(x) with X the cubic radial potential, and
-rho^4 thetadot^2 equals the angular potential.
+The flow integrated is that of H = p/2 with p = g^{ab} xi_a xi_b.  The symbol
+separates,
+
+    rho^2 p = 4 Delta Xi^2 + U(x) + Theta^2 + V(theta),
+    U'(x) = -R_ab(x, tau, Phi, Psi) / Delta^2,
+    V(theta) = tau^2 (a^2 - b^2) sin^2 theta + Phi^2/sin^2 theta + Psi^2/cos^2 theta,
+
+with R_ab the trapping quartic of `trapping`: the quartic is the flow's
+radial force, and the trapped spheres (null geodesics of constant x) sit at
+its roots.  The overdot normalization matches the separated first-order
+system: along exact null geodesics rho^4 xdot^2 = 4 X(x) with X the cubic
+radial potential, and rho^4 thetadot^2 equals the angular potential.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-import csv
 import math
 
 import numpy as np
 
 from .params import (BlackHoleParams, CoordinateSingularity, InvalidConstants,
                      NoTrappedSphere, horizons)
-from .geometry import (inverse_metric_components, inverse_metric_form,
-                       inverse_metric_x_derivatives,
-                       inverse_metric_theta_derivatives)
+from .geometry import inverse_metric_components, inverse_metric_form
+from .trapping import R_ab, trapped_radius_vec
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ def carter_constant(params: BlackHoleParams, theta, tau, Theta, Phi, Psi):
     This solves the theta-separated equation rho^4 thetadot^2 = Theta_pot
     for K, using thetadot = Theta/rho^2 from the Hamiltonian flow.
     """
-    st2, ct2 = math.sin(theta) ** 2, math.cos(theta) ** 2
+    st2, ct2 = np.sin(theta) ** 2, np.cos(theta) ** 2
     return (Theta**2 - tau**2 * (params.a**2 * ct2 + params.b**2 * st2)
             + Phi**2 / st2 + Psi**2 / ct2)
 
@@ -220,83 +226,22 @@ class TrappedSphere:
 
 
 def trapped_sphere(params: BlackHoleParams, phi_hat: float, psi_hat: float,
-                   eps0: float = 0.3, tol: float = 1e-13) -> TrappedSphere:
+                   eps0: float = 0.3) -> TrappedSphere:
     """Double root of the radial potential at E = 1: X(x0) = X'(x0) = 0.
 
     The potential is linear in K, X = G(x) - K Delta(x), so the double-root
-    condition reduces to the scalar equation h(x) = G'(x)Delta - G Delta' = 0
-    with K_hat = G(x0)/Delta(x0).  Newton seeded at 2 r_s^2 with bisection
-    fallback.
+    condition G' Delta - G Delta' = 0 is the trapping quartic R_ab at
+    (tau, Phi, Psi) = (-1, phi_hat, psi_hat): x0 is its trapped root and
+    K_hat = G(x0)/Delta(x0), with G the potential at K = 0.
     """
     params.require_small_spin(eps0)
-    a, b, rs2 = params.a, params.b, params.r_s**2
-    a2, b2 = a * a, b * b
-    hz = horizons(params)
-    E, Ph, Ps = 1.0, phi_hat, psi_hat
-
-    def G(x):
-        D = (x + a2) * (x + b2) - rs2 * x
-        return (D * E**2 * x + (a2 - b2) * (Ph**2 * (x + b2) - Ps**2 * (x + a2))
-                + rs2 * (E**2 * (x + a2) * (x + b2) + 2 * a * E * Ph * (x + b2)
-                         + 2 * b * E * Ps * (x + a2) + (b * Ph + a * Ps) ** 2))
-
-    def G1(x):
-        D = (x + a2) * (x + b2) - rs2 * x
-        D1 = 2 * x + a2 + b2 - rs2
-        return (D1 * E**2 * x + D * E**2 + (a2 - b2) * (Ph**2 - Ps**2)
-                + rs2 * (E**2 * (2 * x + a2 + b2) + 2 * a * E * Ph + 2 * b * E * Ps))
-
-    def G2(x):
-        D1 = 2 * x + a2 + b2 - rs2
-        return 2 * E**2 * x + 2 * D1 * E**2 + 2 * rs2 * E**2
-
-    def Dl(x):
-        return (x + a2) * (x + b2) - rs2 * x
-
-    def Dl1(x):
-        return 2 * x + a2 + b2 - rs2
-
-    def h(x):
-        return G1(x) * Dl(x) - G(x) * Dl1(x)
-
-    def h1(x):
-        return G2(x) * Dl(x) - 2.0 * G(x)
-
-    x0 = 2.0 * rs2
-    converged = False
-    for _ in range(50):
-        hv, hd = h(x0), h1(x0)
-        if hd == 0:
-            break
-        step = hv / hd
-        x0 -= step
-        if abs(step) < tol * max(1.0, abs(x0)):
-            converged = True
-            break
-    if not converged or not (x0 > hz.x_plus) or not math.isfinite(x0):
-        # bisection fallback on [x_plus(1+1e-6), 10 r_s^2]
-        lo, hi = hz.x_plus * (1 + 1e-6), 10.0 * rs2
-        if h(lo) * h(hi) > 0:
-            raise NoTrappedSphere("Newton failed and no sign change for bisection")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if h(lo) * h(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        x0 = 0.5 * (lo + hi)
-        for _ in range(5):
-            hv, hd = h(x0), h1(x0)
-            if hd != 0:
-                x0 -= hv / hd
-    K_hat = G(x0) / Dl(x0)
-    cq = ConservedQuantities(E=1.0, Phi=phi_hat, Psi=psi_hat, K=K_hat)
-    pot = RadialPotential(params, cq)
-    if abs(pot.form_B(x0)) > 1e-9 * max(1.0, abs(G(x0))) or \
-       abs(pot.derivative(x0)) > 1e-8 * max(1.0, abs(G1(x0))):
+    x0 = float(trapped_radius_vec(params, -1.0, phi_hat, psi_hat)[0][0]) ** 2
+    if math.isnan(x0):
         raise NoTrappedSphere(
-            f"double-root residuals too large at x0 = {x0}")
-    return TrappedSphere(x0=x0, K_hat=K_hat)
+            f"no trapped root for (Phi, Psi) = ({phi_hat}, {psi_hat})")
+    pot = RadialPotential(params, ConservedQuantities(E=1.0, Phi=phi_hat,
+                                                      Psi=psi_hat, K=0.0))
+    return TrappedSphere(x0=x0, K_hat=pot.form_B(x0) / pot.delta(x0))
 
 
 # ---------------------------------------------------------------------------
@@ -315,41 +260,40 @@ class Trajectory:
     K_drift: float = 0.0
     sep_residual: float = 0.0
 
-    def _carter(self, params: BlackHoleParams, i: int) -> float:
-        _, _, th, _, _, _, Th = self.states[:, i]
-        return carter_constant(params, th, self.tau, Th, self.Phi, self.Psi)
-
     def export_csv(self, path, params: BlackHoleParams):
-        K0 = self._carter(params, 0)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "t", "r", "theta", "phi", "psi", "tau",
-                        "xi", "Theta", "Phi", "Psi", "p_residual", "K_drift"])
-            for i, lv in enumerate(self.lam):
-                t, x, th, ph, ps, Xi, Th = self.states[:, i]
-                r = math.sqrt(x)
-                pres = hamiltonian(params, x, th, self.tau, Xi, Th, self.Phi, self.Psi)
-                Kv = self._carter(params, i)
-                w.writerow([f"{v:.16e}" for v in
-                            (lv, t, r, th, ph, ps, self.tau, 2 * r * Xi, Th,
-                             self.Phi, self.Psi, pres, Kv - K0)])
+        t, x, th, ph, ps, Xi, Th = self.states
+        r = np.sqrt(x)
+        pres = hamiltonian(params, x, th, self.tau, Xi, Th, self.Phi, self.Psi)
+        K = carter_constant(params, th, self.tau, Th, self.Phi, self.Psi)
+        np.savetxt(path, np.column_stack([
+            self.lam, t, r, th, ph, ps, np.full_like(r, self.tau), 2 * r * Xi, Th,
+            np.full_like(r, self.Phi), np.full_like(r, self.Psi), pres, K - K[0]]),
+            fmt="%.16e", delimiter=",", newline="\r\n", comments="",
+            header="lambda,t,r,theta,phi,psi,tau,xi,Theta,Phi,Psi,p_residual,K_drift")
 
 
 def _rhs(params: BlackHoleParams, tau, Phi, Psi):
+    """Hamilton's equations of p/2.  The forces d_x p and d_theta p come from
+    the separated form of rho^2 p, with d_x rho^2 = 1 and
+    d_theta rho^2 = 2 (b^2 - a^2) sin cos."""
+    a2, b2, rs2 = params.a**2, params.b**2, params.r_s**2
+    tau2, Phi2, Psi2 = tau * tau, Phi * Phi, Psi * Psi
+
     def rhs(lam, y):
-        t, x, th, ph, ps, Xi, Th = y
-        gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = \
-            inverse_metric_components(params, x, th)
-        tdot = gtt * tau + gtph * Phi + gtps * Psi
-        xdot = gxx * Xi
-        thdot = gthth * Th
-        phdot = gtph * tau + gphph * Phi + gphps * Psi
-        psdot = gtps * tau + gphps * Phi + gpsps * Psi
-        Xidot = -0.5 * inverse_metric_form(
-            inverse_metric_x_derivatives(params, x, th), tau, Xi, Th, Phi, Psi)
-        Thdot = -0.5 * inverse_metric_form(
-            inverse_metric_theta_derivatives(params, x, th), tau, Xi, Th, Phi, Psi)
-        return (tdot, xdot, thdot, phdot, psdot, Xidot, Thdot)
+        t, x, th, ph, ps, Xi, Th = y.tolist()
+        g = inverse_metric_components(params, x, th)
+        gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = g
+        p = inverse_metric_form(g, tau, Xi, Th, Phi, Psi)
+        st, ct = math.sin(th), math.cos(th)
+        D = (x + a2) * (x + b2) - rs2 * x
+        rho2 = x + a2 * ct * ct + b2 * st * st
+        p_x = (4.0 * (2 * x + a2 + b2 - rs2) * Xi * Xi
+               - R_ab(params, x, tau, Phi, Psi) / (D * D) - p) / rho2
+        dV = 2.0 * (tau2 * (a2 - b2) * st * ct - Phi2 * ct / st**3 + Psi2 * st / ct**3)
+        p_th = (dV - 2.0 * p * (b2 - a2) * st * ct) / rho2
+        return (gtt * tau + gtph * Phi + gtps * Psi, gxx * Xi, gthth * Th,
+                gtph * tau + gphph * Phi + gphps * Psi,
+                gtps * tau + gphps * Phi + gpsps * Psi, -0.5 * p_x, -0.5 * p_th)
     return rhs
 
 
@@ -406,18 +350,17 @@ def integrate_geodesic(params: BlackHoleParams, init: PhasePoint,
     cq0 = conserved_from_state(params, PhasePoint(
         t=init.t, x=init.x, theta=init.theta, phi=init.phi, psi=init.psi,
         momentum=m))
-    p_max, K_max, sep_max = 0.0, 0.0, 0.0
+    t, x, th, ph, ps, Xi, Th = states
+    pv = hamiltonian(params, x, th, m.tau, Xi, Th, m.Phi, m.Psi)
+    Kv = carter_constant(params, th, m.tau, Th, m.Phi, m.Psi)
     pot = RadialPotential(params, cq0)
-    for i in range(states.shape[1]):
-        t, x, th, ph, ps, Xi, Th = states[:, i]
-        pv = hamiltonian(params, x, th, m.tau, Xi, Th, m.Phi, m.Psi)
-        p_max = max(p_max, abs(pv))
-        Kv = carter_constant(params, th, m.tau, Th, m.Phi, m.Psi)
-        K_max = max(K_max, abs(Kv - cq0.K))
-        D = pot.delta(x)
-        sep = 16.0 * D * D * Xi * Xi - 4.0 * pot.form_B(x)
-        scale = max(1.0, abs(4.0 * pot.form_B(x)), 16.0 * D * D * Xi * Xi)
-        sep_max = max(sep_max, abs(sep) / scale)
+    D = pot.delta(x)
+    X4 = 4.0 * pot.form_B(x)
+    rho4_xdot2 = 16.0 * D * D * Xi * Xi
+    scale = np.maximum(np.maximum(1.0, np.abs(X4)), rho4_xdot2)
+    p_max = float(np.max(np.abs(pv)))
+    K_max = float(np.max(np.abs(Kv - cq0.K)))
+    sep_max = float(np.max(np.abs(rho4_xdot2 - X4) / scale))
     return Trajectory(lam=lam, states=states, tau=m.tau, Phi=m.Phi, Psi=m.Psi,
                       termination=term, p_drift=p_max, K_drift=K_max,
                       sep_residual=sep_max)

@@ -55,7 +55,10 @@ def _check_point(params: BlackHoleParams, point: ChartPoint):
 
 
 def covariant_metric(params: BlackHoleParams, point: ChartPoint) -> np.ndarray:
-    """5x5 covariant metric in (t, x, theta, phi, psi), from the line element."""
+    """5x5 covariant metric in (t, x, theta, phi, psi), from the line element.
+
+    A witness: no task reads it.  Its numerical inverse checks the closed-form
+    contravariant components (criterion 1 and the perfbench checks)."""
     a, b, rs2 = params.a, params.b, params.r_s**2
     x, th = point.x, point.theta
     s2 = math.sin(th) ** 2
@@ -93,7 +96,9 @@ def contravariant_metric(params: BlackHoleParams, point: ChartPoint) -> np.ndarr
 
 
 def metric_pair(params: BlackHoleParams, point: ChartPoint):
-    """(covariant, contravariant, cache); raises CoordinateSingularity off-domain."""
+    """(covariant, contravariant, cache); raises CoordinateSingularity off-domain.
+
+    A witness: the inversion tests compare the two matrices; no task calls it."""
     _check_point(params, point)
     cache = geometry_scalars(params, point.x, point.theta)
     if cache.Delta <= 0:
@@ -102,10 +107,9 @@ def metric_pair(params: BlackHoleParams, point: ChartPoint):
 
 
 # ---------------------------------------------------------------------------
-# analytic partial derivatives of the contravariant components, needed by the
-# geodesic flow.  Each g^{ab} = P(x, theta)/(rho2 * Delta)-type rational; the
-# derivatives below were obtained by straightforward differentiation and are
-# cross-checked against central finite differences in the test suite.
+# closed-form contravariant components and the quadratic form they define:
+# the symbol p = g^{ab} xi_a xi_b read by the geodesic flow, the trapping
+# polynomial's oracle and the frequency roots.
 # ---------------------------------------------------------------------------
 
 def inverse_metric_components(params: BlackHoleParams, x: float, theta: float):
@@ -129,63 +133,8 @@ def inverse_metric_components(params: BlackHoleParams, x: float, theta: float):
 
 def inverse_metric_form(g, tau, Xi, Theta, Phi, Psi):
     """g^{ab} xi_a xi_b for the covector (tau, Xi, Theta, Phi, Psi), with g the
-    eight components in the order of `inverse_metric_components` (or of its
-    x- and theta-derivatives, which gives the derivative of the form)."""
+    eight components in the order of `inverse_metric_components`."""
     gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = g
     return (gtt * tau**2 + 2 * gtph * tau * Phi + 2 * gtps * tau * Psi
             + gphph * Phi**2 + gpsps * Psi**2 + 2 * gphps * Phi * Psi
             + gxx * Xi**2 + gthth * Theta**2)
-
-
-def inverse_metric_x_derivatives(params: BlackHoleParams, x: float, theta: float):
-    """d/dx of the eight contravariant components, same order as above."""
-    a, b, rs2 = params.a, params.b, params.r_s**2
-    a2, b2 = a * a, b * b
-    s2 = np.sin(theta) ** 2
-    c2 = np.cos(theta) ** 2
-    D = (x + a2) * (x + b2) - rs2 * x
-    D1 = 2 * x + a2 + b2 - rs2
-    rho2 = x + a2 * c2 + b2 * s2
-    # helper: d/dx [ N / (rho2 * D) ] = (N' - N*(D'/D + 1/rho2)) / (rho2*D)
-    def dfrac(N, N1):
-        return (N1 - N * (D1 / D + 1.0 / rho2)) / (rho2 * D)
-
-    # gtt = (a2-b2) s2 / rho2 - (x+a2)(D + rs2(x+b2)) / (rho2 D)
-    N_tt = (x + a2) * (D + rs2 * (x + b2))
-    N1_tt = (D + rs2 * (x + b2)) + (x + a2) * (D1 + rs2)
-    dgtt = -(a2 - b2) * s2 / rho2**2 - dfrac(N_tt, N1_tt)
-    dgtph = dfrac(a * rs2 * (x + b2), a * rs2)
-    dgtps = dfrac(b * rs2 * (x + a2), b * rs2)
-    # gphph = 1/(s2 rho2) - ((a2-b2)(x+b2) + b2 rs2)/(rho2 D)
-    dgphph = -1.0 / (s2 * rho2**2) - dfrac((a2 - b2) * (x + b2) + b2 * rs2, (a2 - b2))
-    dgpsps = -1.0 / (c2 * rho2**2) + dfrac((a2 - b2) * (x + a2) - a2 * rs2, (a2 - b2))
-    # direct: gphps = -ab rs2/(rho2 D): d/dx = +ab rs2 (D'/D + 1/rho2)/(rho2 D)
-    dgphps = a * b * rs2 * (D1 / D + 1.0 / rho2) / (rho2 * D)
-    dgxx = 4.0 * (D1 - D / rho2) / rho2
-    dgthth = -1.0 / rho2**2
-    return dgtt, dgtph, dgtps, dgphph, dgpsps, dgphps, dgxx, dgthth
-
-
-def inverse_metric_theta_derivatives(params: BlackHoleParams, x: float, theta: float):
-    """d/dtheta of the eight contravariant components, same order as above."""
-    a, b, rs2 = params.a, params.b, params.r_s**2
-    a2, b2 = a * a, b * b
-    st, ct = np.sin(theta), np.cos(theta)
-    s2, c2 = st * st, ct * ct
-    D = (x + a2) * (x + b2) - rs2 * x
-    rho2 = x + a2 * c2 + b2 * s2
-    drho2 = (b2 - a2) * 2.0 * st * ct  # d rho2 / d theta
-    ds2 = 2.0 * st * ct
-
-    dgtt = (a2 - b2) * (ds2 * rho2 - s2 * drho2) / rho2**2 \
-        + (x + a2) * (D + rs2 * (x + b2)) / D * drho2 / rho2**2
-    dgtph = -a * rs2 * (x + b2) / D * drho2 / rho2**2
-    dgtps = -b * rs2 * (x + a2) / D * drho2 / rho2**2
-    dgphph = (-ds2 / s2**2 * rho2 - drho2 / s2) / rho2**2 \
-        + ((a2 - b2) * (x + b2) + b2 * rs2) / D * drho2 / rho2**2
-    dgpsps = (ds2 / c2**2 * rho2 - drho2 / c2) / rho2**2 \
-        - ((a2 - b2) * (x + a2) - a2 * rs2) / D * drho2 / rho2**2
-    dgphps = a * b * rs2 / D * drho2 / rho2**2
-    dgxx = -4.0 * D * drho2 / rho2**2
-    dgthth = -drho2 / rho2**2
-    return dgtt, dgtph, dgtps, dgphph, dgpsps, dgphps, dgxx, dgthth

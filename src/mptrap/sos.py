@@ -155,6 +155,9 @@ class MpSos:
     def bracket_fd(self, r, theta, tau, xi, Theta, Phi, Psi, h_rel=1e-5):
         """Richardson finite-difference evaluation of (1/2i){rho^2 p, s~}.
 
+        A witness for the closed-form bracket of `mp_bracket_scan` (tests and
+        perfbench); no task calls it.
+
         Only the (r, xi) pair contributes: the symbol s~ is independent of
         (theta, phi, psi, Theta) and rho^2 p of (phi, psi)."""
         p = self.params

@@ -79,6 +79,7 @@ def R_ab_oracle(params: BlackHoleParams, x, tau, Phi, Psi, theta: float = 0.7,
                 rel_step: float = 1e-4):
     """Independent reconstruction -Delta^2/(2r) d_r(rho^2 p)|_{xi=0, Theta=0}.
 
+    A witness for `R_ab` (tests and perfbench); no task calls it.
     Richardson-extrapolated central differences of the assembled symbol; the
     value is theta-independent because the theta-content of rho^2 p separates
     from the radial part.

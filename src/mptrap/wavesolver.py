@@ -58,9 +58,9 @@ class ModeOperator:
     sp: SchwParams
     dom: SolverDomain
     r: np.ndarray
-    g_vv: np.ndarray      # inverse-metric vtilde-vtilde component (negative)
-    B: np.ndarray
-    A: np.ndarray
+    gi_vv: np.ndarray     # g^{vv}, the inverse block's vtilde-vtilde entry (negative)
+    B: np.ndarray         # g^{vr}
+    A: np.ndarray         # g^{rr}
     c1: np.ndarray        # r^{-(d+2)} (r^{d+2} A)'
     cross0: np.ndarray    # r^{-(d+2)} (r^{d+2} B)'
     eig: float            # l(l+2)
@@ -101,14 +101,12 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
     r = dom.grid()
     if r[0] < chart.r_e or r[-1] > chart.r_max:
         raise AssemblyError("chart does not cover the solver domain")
-    A = chart.A(r)
+    gi_vv, B, A = chart.block_inverse(r)
+    if np.any(gi_vv >= 0):
+        raise AssemblyError("vtilde slices not uniformly spacelike on the grid")
     M = chart.mu_prime(r)
     M1 = chart.mu_pp(r)
     A1 = chart.A1(r)
-    g_vv = -M * (2.0 - A * M)
-    if np.any(g_vv >= 0):
-        raise AssemblyError("vtilde slices not uniformly spacelike on the grid")
-    B = 1.0 - A * M
     B1 = -(A1 * M + A * M1)
     c1 = A1 + 3.0 * A / r
     cross0 = B1 + 3.0 * B / r
@@ -123,26 +121,26 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
     # outflow closures; the operator is O(dr^5) consistent so second-order
     # accuracy is untouched even for sharply peaked data.
     ko = _stencil(n, dom.ko_sigma / (64.0 * dt), (1, -6, 15, -20, 15, -6, 1))
-    # W_t = (eig v / r^2 - A v_rr - c1 v_r - 2 B W_r - cross0 W) / g_vv
+    # W_t = (eig v / r^2 - A v_rr - c1 v_r - 2 B W_r - cross0 W) / gi_vv
     diag = sparse.diags_array
-    L_Wv = diag(-A / g_vv) @ D2 + diag(-c1 / g_vv) @ D1 + diag(eig / r**2 / g_vv)
-    L_WW = diag(-2.0 * B / g_vv) @ D1 + diag(-cross0 / g_vv) + ko
+    L_Wv = diag(-A / gi_vv) @ D2 + diag(-c1 / gi_vv) @ D1 + diag(eig / r**2 / gi_vv)
+    L_WW = diag(-2.0 * B / gi_vv) @ D1 + diag(-cross0 / gi_vv) + ko
     L = sparse.block_array([[ko, sparse.eye_array(n)], [L_Wv, L_WW]], format="csr")
     # block_array returns int64 indices; int32 ones give the same products
     # in the same order at a cheaper mat-vec
     L = sparse.csr_array((L.data, L.indices.astype(np.int32),
                           L.indptr.astype(np.int32)), shape=L.shape)
-    return ModeOperator(sp=sp, dom=dom, r=r, g_vv=g_vv, B=B, A=A, c1=c1,
+    return ModeOperator(sp=sp, dom=dom, r=r, gi_vv=gi_vv, B=B, A=A, c1=c1,
                         cross0=cross0, eig=eig, dt=dt, n_steps=n_steps,
                         D1=D1, L=L)
 
 
 def spatial_operator(op: ModeOperator, y, forcing=None):
     """d/dt of the stacked state y = (v, W): W plus dissipation, and the
-    solved-for second time derivative, which takes forcing / g_vv."""
+    solved-for second time derivative, which takes forcing / gi_vv."""
     out = op.L @ y
     if forcing is not None:
-        out[op.dom.n_r:] += forcing / op.g_vv
+        out[op.dom.n_r:] += forcing / op.gi_vv
     return out
 
 
