@@ -120,8 +120,8 @@ class IngoingChart:
         return -M * (2.0 - A * M), 1.0 - A * M, A
 
     # -- validation ----------------------------------------------------------
-    def validate(self, n_grid: int = 2048):
-        r = np.linspace(self.r_e, self.r_max, n_grid)
+    def validate(self):
+        r = np.linspace(self.r_e, self.r_max, 2048)
         M = self.mu_prime(r)
         A = self.A(r)
         if np.any(M <= 0):

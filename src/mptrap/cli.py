@@ -170,7 +170,7 @@ def task_geodesic(cfg, rng, outdir):
             {"trapped_deviation_window": dev_w, "bound": 1e-3 * params.r_s,
              "trapped_window": window})
         checks["trapped_departure"] = (
-            trj.termination in ("horizon", "escaped", "span"),
+            trj.termination in ("horizon", "escaped"),
             {"termination": trj.termination})
     status, witnesses = _verdict(checks)
     return status, metrics, witnesses
@@ -226,7 +226,7 @@ def task_multiplier_verify(cfg, rng, outdir):
     Fp = prof.F_jet(r_mono)[1]
     metrics["F_prime_min"] = float(np.min(Fp))
     r_lw = np.linspace(sp.r_s + 0.01 * sp.r_s, 10 * sp.r_s, 2000)
-    lF = prof.lF(r_lw, prof.F_jet(r_lw))
+    lF = prof.lf(r_lw, prof.F_jet(r_lw))
     metrics["lF_min"] = float(np.min(lF))
     metrics["lF_argmin"] = float(r_lw[np.argmin(lF)])
 
@@ -279,7 +279,7 @@ def task_multiplier_verify(cfg, rng, outdir):
     F_above = prof.F_jet(grid[above])
     F[above] = F_above[0]
     f1[above] = prof.f1_jet(grid[above])[0]
-    lFv[above] = prof.lF(grid[above], F_above)
+    lFv[above] = prof.lf(grid[above], F_above)
     nvals = zeroth_order_n(triple, ing)
     lfv = prof.lf(grid, ing["f"])
     with open(os.path.join(outdir, "profiles.csv"), "w") as fh:
@@ -409,7 +409,7 @@ def task_sos_verify(cfg, rng, outdir):
         pr_e = BlackHoleParams(r_s=params.r_s, a=0.6 * e0 * params.r_s,
                                b=0.6 * e0 * params.r_s)
         mp_e = MpSos(params=pr_e, sos=sos)
-        rep = mu_lower_bound(mp_e, tuple(region), e0, samples=samples, jets=jets)
+        rep = mu_lower_bound(mp_e, e0, samples, jets)
         mu_reports[f"{e0:g}"] = rep
         env[e0] = rep["envelope"]
     metrics["mu"] = mu_reports[f"{eps0:g}"]
@@ -476,10 +476,10 @@ def task_wave_evolve(cfg, rng, outdir):
     hist = evolve(op, v0, np.zeros_like(v0), forcing=forcing)
     if blk.get("snapshots", False):
         times, vs, _ = hist.snapshot_array()
-        with open(os.path.join(outdir, "snapshots.csv"), "w") as fh:
-            fh.write("vtilde," + ",".join(f"r={ri:.6f}" for ri in r[::8]) + "\n")
-            for i, t in enumerate(times):
-                fh.write(f"{t:.10e}," + ",".join(f"{v:.10e}" for v in vs[i][::8]) + "\n")
+        np.savetxt(os.path.join(outdir, "snapshots.csv"),
+                   np.column_stack([times, vs[:, ::8]]), fmt="%.10e", delimiter=",",
+                   header="vtilde," + ",".join(f"r={ri:.6f}" for ri in r[::8]),
+                   comments="")
     erep, nrep = diagnostics(hist)
     export_energy_csv(os.path.join(outdir, "energy.csv"), erep,
                       np.asarray(hist.lateral_times),

@@ -112,24 +112,20 @@ class RadialPotential:
     params: BlackHoleParams
     cq: ConservedQuantities
 
-    def delta(self, x):
-        a2, b2, rs2 = self.params.a**2, self.params.b**2, self.params.r_s**2
-        return (x + a2) * (x + b2) - rs2 * x
-
     def form_A(self, x):
         p, c = self.params, self.cq
         a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
         calE = c.calE(p, x)
-        return (self.delta(x) * (c.E**2 * x
-                                 + (a2 - b2) * (c.Phi**2 / (x + a2) - c.Psi**2 / (x + b2))
-                                 - c.K)
+        return (p.Delta(x) * (c.E**2 * x
+                              + (a2 - b2) * (c.Phi**2 / (x + a2) - c.Psi**2 / (x + b2))
+                              - c.K)
                 + rs2 * (x + a2) * (x + b2) * calE**2)
 
     def form_B(self, x):
         p, c = self.params, self.cq
         a, b, rs2 = p.a, p.b, p.r_s**2
         a2, b2 = a * a, b * b
-        return (self.delta(x) * (c.E**2 * x - c.K)
+        return (p.Delta(x) * (c.E**2 * x - c.K)
                 + (a2 - b2) * (c.Phi**2 * (x + b2) - c.Psi**2 * (x + a2))
                 + rs2 * (c.E**2 * (x + a2) * (x + b2)
                          + 2 * a * c.E * c.Phi * (x + b2)
@@ -225,8 +221,8 @@ class TrappedSphere:
     K_hat: float
 
 
-def trapped_sphere(params: BlackHoleParams, phi_hat: float, psi_hat: float,
-                   eps0: float = 0.3) -> TrappedSphere:
+def trapped_sphere(params: BlackHoleParams, phi_hat: float,
+                   psi_hat: float) -> TrappedSphere:
     """Double root of the radial potential at E = 1: X(x0) = X'(x0) = 0.
 
     The potential is linear in K, X = G(x) - K Delta(x), so the double-root
@@ -234,14 +230,14 @@ def trapped_sphere(params: BlackHoleParams, phi_hat: float, psi_hat: float,
     (tau, Phi, Psi) = (-1, phi_hat, psi_hat): x0 is its trapped root and
     K_hat = G(x0)/Delta(x0), with G the potential at K = 0.
     """
-    params.require_small_spin(eps0)
+    params.require_small_spin(0.3)
     x0 = float(trapped_radius_vec(params, -1.0, phi_hat, psi_hat)[0][0]) ** 2
     if math.isnan(x0):
         raise NoTrappedSphere(
             f"no trapped root for (Phi, Psi) = ({phi_hat}, {psi_hat})")
     pot = RadialPotential(params, ConservedQuantities(E=1.0, Phi=phi_hat,
                                                       Psi=psi_hat, K=0.0))
-    return TrappedSphere(x0=x0, K_hat=pot.form_B(x0) / pot.delta(x0))
+    return TrappedSphere(x0=x0, K_hat=pot.form_B(x0) / params.Delta(x0))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,7 @@ def _rhs(params: BlackHoleParams, tau, Phi, Psi):
         gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = g
         p = inverse_metric_form(g, tau, Xi, Th, Phi, Psi)
         st, ct = math.sin(th), math.cos(th)
-        D = (x + a2) * (x + b2) - rs2 * x
+        D = params.Delta(x)
         rho2 = x + a2 * ct * ct + b2 * st * st
         p_x = (4.0 * (2 * x + a2 + b2 - rs2) * Xi * Xi
                - R_ab(params, x, tau, Phi, Psi) / (D * D) - p) / rho2
@@ -354,7 +350,7 @@ def integrate_geodesic(params: BlackHoleParams, init: PhasePoint,
     pv = hamiltonian(params, x, th, m.tau, Xi, Th, m.Phi, m.Psi)
     Kv = carter_constant(params, th, m.tau, Th, m.Phi, m.Psi)
     pot = RadialPotential(params, cq0)
-    D = pot.delta(x)
+    D = params.Delta(x)
     X4 = 4.0 * pot.form_B(x)
     rho4_xdot2 = 16.0 * D * D * Xi * Xi
     scale = np.maximum(np.maximum(1.0, np.abs(X4)), rho4_xdot2)

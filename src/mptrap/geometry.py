@@ -28,21 +28,6 @@ class ChartPoint:
         return math.sqrt(self.x)
 
 
-@dataclass(frozen=True)
-class GeometryCache:
-    Delta: float
-    rho2: float
-
-
-def geometry_scalars(params: BlackHoleParams, x: float, theta: float) -> GeometryCache:
-    a2, b2, rs2 = params.a**2, params.b**2, params.r_s**2
-    s2 = math.sin(theta) ** 2
-    c2 = math.cos(theta) ** 2
-    Delta = (x + a2) * (x + b2) - rs2 * x
-    rho2 = x + a2 * c2 + b2 * s2
-    return GeometryCache(Delta=Delta, rho2=rho2)
-
-
 def _check_point(params: BlackHoleParams, point: ChartPoint):
     if point.x <= 0:
         raise CoordinateSingularity(f"x = {point.x} <= 0")
@@ -63,8 +48,8 @@ def covariant_metric(params: BlackHoleParams, point: ChartPoint) -> np.ndarray:
     x, th = point.x, point.theta
     s2 = math.sin(th) ** 2
     c2 = math.cos(th) ** 2
-    cache = geometry_scalars(params, x, th)
-    k = rs2 / cache.rho2
+    rho2 = x + a * a * c2 + b * b * s2
+    k = rs2 / rho2
     # null 1-form weights of (dt, dphi, dpsi) in the squared term
     w_t, w_ph, w_ps = 1.0, a * s2, b * c2
     g = np.zeros((5, 5))
@@ -74,8 +59,8 @@ def covariant_metric(params: BlackHoleParams, point: ChartPoint) -> np.ndarray:
     g[3, 3] = (x + a * a) * s2 + k * w_ph * w_ph
     g[4, 4] = (x + b * b) * c2 + k * w_ps * w_ps
     g[3, 4] = g[4, 3] = k * w_ph * w_ps
-    g[1, 1] = cache.rho2 / (4.0 * cache.Delta)
-    g[2, 2] = cache.rho2
+    g[1, 1] = rho2 / (4.0 * params.Delta(x))
+    g[2, 2] = rho2
     return g
 
 
@@ -96,14 +81,14 @@ def contravariant_metric(params: BlackHoleParams, point: ChartPoint) -> np.ndarr
 
 
 def metric_pair(params: BlackHoleParams, point: ChartPoint):
-    """(covariant, contravariant, cache); raises CoordinateSingularity off-domain.
+    """(covariant, contravariant); raises CoordinateSingularity off-domain.
 
     A witness: the inversion tests compare the two matrices; no task calls it."""
     _check_point(params, point)
-    cache = geometry_scalars(params, point.x, point.theta)
-    if cache.Delta <= 0:
-        raise CoordinateSingularity(f"Delta = {cache.Delta} <= 0 at x = {point.x}")
-    return covariant_metric(params, point), contravariant_metric(params, point), cache
+    Delta = params.Delta(point.x)
+    if Delta <= 0:
+        raise CoordinateSingularity(f"Delta = {Delta} <= 0 at x = {point.x}")
+    return covariant_metric(params, point), contravariant_metric(params, point)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +103,7 @@ def inverse_metric_components(params: BlackHoleParams, x: float, theta: float):
     a2, b2 = a * a, b * b
     s2 = np.sin(theta) ** 2
     c2 = np.cos(theta) ** 2
-    D = (x + a2) * (x + b2) - rs2 * x
+    D = params.Delta(x)
     rho2 = x + a2 * c2 + b2 * s2
     gtt = ((a2 - b2) * s2 - (x + a2) * (D + rs2 * (x + b2)) / D) / rho2
     gtph = a * rs2 * (x + b2) / (rho2 * D)

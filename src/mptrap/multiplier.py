@@ -357,36 +357,25 @@ class MultiplierProfile:
         w = jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, d + 2), v1))
         return -0.25 * r ** (-(d + 2)) * w[1]
 
-    def _l_piecewise(self, P, r):
-        out = np.empty_like(r)
-        hz = self._hz_mask(r)
-        if np.any(~hz):
-            out[~hz] = self.u2_weight(P[:, ~hz], r[~hz])
-        if np.any(hz):
-            out[hz] = self._l_hz(r[hz])
-        return out
-
-    def lF(self, r, F):
-        """Third-order weight of the unsaturated profile from its jet F at the
-        radii r (1-d, above the horizon)."""
-        return self._l_piecewise(F, np.asarray(r, dtype=float))
-
-    def lf(self, r, f):
-        """Third-order weight of the saturated profile from its jet f at the
-        radii r (1-d); 0 at and below the horizon."""
+    def lf(self, r, P):
+        """Third-order weight of the profile (f or F) with jet P at the radii
+        r (1-d): the closed form on the horizon zone, 0 at and below the
+        horizon."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         above = r > self.sp.r_s * (1.0 + 1e-13)
-        if np.any(above):
-            out[above] = self._l_piecewise(f[:, above], r[above])
+        hz = above & self._hz_mask(r)
+        rest = above & ~hz
+        if np.any(rest):
+            out[rest] = self.u2_weight(P[:, rest], r[rest])
+        if np.any(hz):
+            out[hz] = self._l_hz(r[hz])
         return out
 
 
 def build_profiles(sp: SchwParams, alpha_cap: float = 4.9, N: float = None,
                    eps: float = 0.012, delta: float = 0.03, delta1: float = 0.005,
-                   eps_match: float = 1e-3, chi_inner: float = 0.05,
-                   chi_outer: float = 0.15,
-                   shape: RedshiftShape = RedshiftShape()) -> MultiplierProfile:
+                   eps_match: float = 1e-3) -> MultiplierProfile:
     """Build and validate the multiplier profile family.
 
     N (mollifier scale) adapts by doubling until |d^k(F - f1)| < eps_match
@@ -400,10 +389,9 @@ def build_profiles(sp: SchwParams, alpha_cap: float = 4.9, N: float = None,
     for _ in range(8):
         prof = MultiplierProfile(sp=sp, alpha_cap=alpha_cap, N=N_val, eps=eps,
                                  delta=delta, delta1=delta1, eps_match=eps_match,
-                                 chi_inner=chi_inner * sp.r_s,
-                                 chi_outer=chi_outer * sp.r_s, shape=shape)
-        rps = sp.r_ps
-        grid = np.linspace(rps - chi_outer * sp.r_s, rps + chi_outer * sp.r_s, 121)
+                                 chi_inner=0.05 * sp.r_s, chi_outer=0.15 * sp.r_s,
+                                 shape=RedshiftShape())
+        grid = np.linspace(sp.r_ps - prof.chi_outer, sp.r_ps + prof.chi_outer, 121)
         diff = prof.F_jet(grid) - prof.f1_jet(grid)
         worst = max(np.max(np.abs(diff[k])) for k in range(3))
         prof.achieved_match = float(worst)

@@ -92,6 +92,11 @@ class BlackHoleParams:
                 f"(r_s, a, b) = ({self.r_s}, {self.a}, {self.b}) has no real horizons"
             )
 
+    def Delta(self, x):
+        """Delta(x) = (x + a^2)(x + b^2) - r_s^2 x, whose largest root is the
+        outer horizon x_+ (vectorized in x)."""
+        return (x + self.a**2) * (x + self.b**2) - self.r_s**2 * x
+
     def require_small_spin(self, eps0: float):
         if max(abs(self.a), abs(self.b)) > eps0 * self.r_s:
             raise ValueError(

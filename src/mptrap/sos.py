@@ -152,7 +152,7 @@ class MpSos:
     params: BlackHoleParams
     sos: SchwSos
 
-    def bracket_fd(self, r, theta, tau, xi, Theta, Phi, Psi, h_rel=1e-5):
+    def bracket_fd(self, r, theta, tau, xi, Theta, Phi, Psi):
         """Richardson finite-difference evaluation of (1/2i){rho^2 p, s~}.
 
         A witness for the closed-form bracket of `mp_bracket_scan` (tests and
@@ -166,10 +166,10 @@ class MpSos:
         def sig(rr):
             return float(self.sos.jets(rr).f_tilde[0]) * (rr - r_t)
 
-        h = h_rel * p.r_s
+        h = 1e-5 * p.r_s
         p_r = richardson_derivative(
             lambda rr: rho2_p(p, rr, theta, tau, xi, Theta, Phi, Psi), r, h)
-        hxi = h_rel
+        hxi = 1e-5
         p_xi = (rho2_p(p, r, theta, tau, xi + hxi, Theta, Phi, Psi)
                 - rho2_p(p, r, theta, tau, xi - hxi, Theta, Phi, Psi)) / (2 * hxi)
         s_r = richardson_derivative(sig, r, h) * xi    # full symbol is sig(r) * xi
@@ -181,14 +181,16 @@ class MpSos:
 # symbol scans over sample arrays
 # ---------------------------------------------------------------------------
 
-def alpha2_vec(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
-    """alpha^2 = r f~ R / (Delta^2 tau^2 (r - r_trap)) at the radii of J;
-    smooth through the simple root (series via the x-derivative of the
-    trapping polynomial)."""
+def alpha_beta2(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
+    """(alpha^2, beta^2) of the half-bracket at the radii of J, for the
+    frequency branch tau with trapped radius r_t.
+
+    alpha^2 = r f~ R / (Delta^2 tau^2 (r - r_trap)) is smooth through the
+    simple root (series via the x-derivative of the trapping polynomial);
+    beta^2 is the xi^2 coefficient."""
     r = J.r
     x = r * r
-    a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
-    Delta = (x + a2) * (x + b2) - rs2 * x
+    Delta = p.Delta(x)
     dr = r - r_t
     far = np.abs(dr) > 3e-4 * p.r_s
     quot = np.empty_like(r)
@@ -202,46 +204,45 @@ def alpha2_vec(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
         R2 = (R_ab_dx(p, x_t + h, tau[near], Phi[near], Psi[near])
               - R_ab_dx(p, x_t - h, tau[near], Phi[near], Psi[near])) / (2 * h)
         quot[near] = (r[near] + r_t[near]) * (R1 + 0.5 * R2 * (x[near] - x_t))
-    return r * J.f_tilde * quot / (Delta**2 * tau**2)
-
-
-def beta2_vec(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
-    """beta^2, the xi^2 coefficient of the half-bracket, at the radii of J."""
-    r = J.r
-    x = r * r
-    a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
-    Delta = (x + a2) * (x + b2) - rs2 * x
+    ft, ftp = J.f_tilde, J.f_tilde_p
+    a2, b2 = p.a**2, p.b**2
     dDelta_r2 = (2 * r * (x + b2) / x + (x + a2) * 2 * r / x
                  - 2 * (x + a2) * (x + b2) / (x * r))
-    ft, ftp = J.f_tilde, J.f_tilde_p
-    return (Delta / x) * (ftp * (r - r_t) + ft) - 0.5 * dDelta_r2 * ft * (r - r_t)
+    beta2 = (Delta / x) * (ftp * dr + ft) - 0.5 * dDelta_r2 * ft * dr
+    return r * ft * quot / (Delta**2 * tau**2), beta2
+
+
+def _branch(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi):
+    """(converged, r_trap, alpha^2, beta^2) of one frequency branch tau; a
+    trapped radius whose Newton solve did not converge is replaced by
+    sqrt(2) r_s so that every output stays finite."""
+    r_t, _ = trapped_radius_vec(p, tau, Phi, Psi)
+    converged = np.isfinite(r_t)
+    r_t = np.where(converged, r_t, p.r_s * math.sqrt(2))
+    return (converged, r_t) + alpha_beta2(p, J, tau, Phi, Psi, r_t)
 
 
 def mp_bracket_scan(mp: MpSos, r, theta, xi, Theta, Phi, Psi, branch):
     """On-shell bracket (1/2i){rho^2 p, s~} in closed form, with the
     positive-coefficient pair: bracket = alpha^2 tau^2 (r - r_trap)^2 +
     beta^2 xi^2.  tau is the larger root where branch is 0, the smaller
-    where it is 1."""
+    where it is 1.  Samples outside "ok" carry finite placeholders."""
     J = mp.sos.jets(r)
     r = J.r
     t1, t2 = tau_roots_vec(mp.params, r, theta, xi, Theta, Phi, Psi)
     tau = np.where(np.asarray(branch) == 0, t1, t2)
     ok = np.isfinite(tau) & (np.abs(tau) > 1e-12)
-    r_t, _ = trapped_radius_vec(mp.params, np.where(ok, tau, 1.0), Phi, Psi)
-    ok &= np.isfinite(r_t)
-    a2 = alpha2_vec(mp.params, J, tau, Phi, Psi, r_t)
-    b2 = beta2_vec(mp.params, J, tau, Phi, Psi, r_t)
+    tau = np.where(ok, tau, 1.0)
+    converged, r_t, a2, b2 = _branch(mp.params, J, tau, Phi, Psi)
+    ok &= converged
     x = r * r
-    pa2, pb2, rs2 = mp.params.a**2, mp.params.b**2, mp.params.r_s**2
-    Delta = (x + pa2) * (x + pb2) - rs2 * x
     Rv = R_ab(mp.params, x, tau, Phi, Psi)
-    val = r * J.f_tilde * Rv * (r - r_t) / Delta**2 + b2 * xi**2
+    val = r * J.f_tilde * Rv * (r - r_t) / mp.params.Delta(x) ** 2 + b2 * xi**2
     return {"ok": ok, "bracket": val, "alpha2": a2, "beta2": b2,
             "tau": tau, "r_trap": r_t}
 
 
-def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi,
-                  h_rel: float = 1e-4):
+def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
     """Relative residual between two evaluations of r^2 q, plus
     (alpha_S^2, beta_S^2, nu), at each symbol point.
 
@@ -265,7 +266,7 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi,
     def r2p(rr, tt):
         return rr**2 * (-tt**2 / sp.A(rr) + sp.A(rr) * xi**2 + lam2 / rr**2)
 
-    h = h_rel * sp.r_s
+    h = 1e-4 * sp.r_s
 
     def ddr(fn):
         return richardson_derivative(fn, r, h)
@@ -285,12 +286,11 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi,
             "alphaS2": a2, "betaS2": b2}
 
 
-def mu_scan(mp: MpSos, r, theta, tau, xi, Theta, Phi, Psi, C_big, eps0,
-            jets: RadialJets = None):
-    """Vectorized eleven-term squares, comparison quadratic, and envelope.
-
-    `jets` is mp.sos.jets(r) when the caller already holds it."""
-    J = mp.sos.jets(r) if jets is None else jets
+def mu_scan(mp: MpSos, J: RadialJets, theta, tau, xi, Theta, Phi, Psi):
+    """The calibration-free part of the eleven-term sum of squares at the
+    radii of J: squares 0-7 ("mu2"), the comparison quadratic, its tail, the
+    beta^2 of both frequency branches and the roots t1 > t2.  Samples outside
+    "ok" carry finite placeholders."""
     r = J.r
     t1, t2 = tau_roots_vec(mp.params, r, theta, xi, Theta, Phi, Psi)
     dt = t1 - t2
@@ -300,36 +300,38 @@ def mu_scan(mp: MpSos, r, theta, tau, xi, Theta, Phi, Psi, C_big, eps0,
     dts = t1s - t2s
     lami = rotation_symbols_vec(theta, Theta, Phi, Psi)
     lam2 = np.sum(lami**2, axis=0)
-    rs2 = mp.params.r_s**2
     nu = J.nu
-    r_t1, _ = trapped_radius_vec(mp.params, t1s, Phi, Psi)
-    r_t2, _ = trapped_radius_vec(mp.params, t2s, Phi, Psi)
-    ok &= np.isfinite(r_t1) & np.isfinite(r_t2)
-    r_t1 = np.where(np.isfinite(r_t1), r_t1, mp.params.r_s * math.sqrt(2))
-    r_t2 = np.where(np.isfinite(r_t2), r_t2, mp.params.r_s * math.sqrt(2))
-    a1sq = alpha2_vec(mp.params, J, t1s, Phi, Psi, r_t1)
-    a2sq = alpha2_vec(mp.params, J, t2s, Phi, Psi, r_t2)
-    b1sq = beta2_vec(mp.params, J, t1s, Phi, Psi, r_t1)
-    b2sq = beta2_vec(mp.params, J, t2s, Phi, Psi, r_t2)
+    conv1, r_t1, a1sq, b1sq = _branch(mp.params, J, t1s, Phi, Psi)
+    conv2, r_t2, a2sq, b2sq = _branch(mp.params, J, t2s, Phi, Psi)
+    ok &= conv1 & conv2
     alpha1 = 2 * np.abs(t1s) / dts * np.sqrt(np.maximum(a1sq, 0.0)) * (r - r_t1)
     alpha2_ = 2 * np.abs(t2s) / dts * np.sqrt(np.maximum(a2sq, 0.0)) * (r - r_t2)
+    rs2 = mp.params.r_s**2
     denom = lam2 + (r**2 - rs2) * xi**2
     minus = alpha1 * (tau - t2s) - alpha2_ * (tau - t1s)
     plus = alpha1 * (tau - t2s) + alpha2_ * (tau - t1s)
-    mu2 = np.zeros((11,) + r.shape)
+    mu2 = np.zeros((8,) + r.shape)
     pos = denom > 0
     mu2[:6, pos] = lami[:, pos] ** 2 / denom[pos] * (nu[pos] / 4.0) * minus[pos] ** 2
     mu2[6, pos] = ((r[pos] ** 2 - rs2) * xi[pos] ** 2 / denom[pos]
                    * (nu[pos] / 4.0) * minus[pos] ** 2)
     mu2[7] = (1 - nu) / 4.0 * plus**2
-    mu2[8] = 0.5 * (b1sq + b2sq - C_big * eps0) * xi**2
-    mu2[9] = (C_big * eps0 - b2sq + b1sq) * (tau - t2s) ** 2 * xi**2 / (2 * dts**2)
-    mu2[10] = (C_big * eps0 - b1sq + b2sq) * (tau - t1s) ** 2 * xi**2 / (2 * dts**2)
     comparison = ((r - r_t2) ** 2 * (tau - t1s) ** 2
                   + (r - r_t1) ** 2 * (tau - t2s) ** 2 + xi**2)
     tail = (tau - t1s) ** 2 + (tau - t2s) ** 2
-    return {"ok": ok, "mu2": mu2, "comparison": comparison,
-            "b1sq": b1sq, "b2sq": b2sq, "tail": tail}
+    return {"ok": ok, "mu2": mu2, "comparison": comparison, "tail": tail,
+            "b1sq": b1sq, "b2sq": b2sq, "t1": t1s, "t2": t2s}
+
+
+def mu_small_squares(scan, tau, xi, C_big, eps0):
+    """Squares 8-10 of the sum of squares, the ones that carry the
+    calibration constant, from a `mu_scan` result; shape (3, n)."""
+    b1sq, b2sq, t1s, t2s = scan["b1sq"], scan["b2sq"], scan["t1"], scan["t2"]
+    dts = t1s - t2s
+    return np.stack([
+        0.5 * (b1sq + b2sq - C_big * eps0) * xi**2,
+        (C_big * eps0 - b2sq + b1sq) * (tau - t2s) ** 2 * xi**2 / (2 * dts**2),
+        (C_big * eps0 - b1sq + b2sq) * (tau - t1s) ** 2 * xi**2 / (2 * dts**2)])
 
 
 def mu_samples(region, rng, n_samples: int):
@@ -343,28 +345,21 @@ def mu_samples(region, rng, n_samples: int):
     return (r, th, *v)
 
 
-def mu_lower_bound(mp: MpSos, region, eps0: float, rng=None,
-                   n_samples: int = 20000, samples=None, jets: RadialJets = None):
-    """Vectorized calibration-band selection and coercivity measurement.
-
-    Draws `n_samples` points of `region` from `rng`, unless the sample set
-    (`mu_samples`) is given; `jets` is mp.sos.jets of its radii, so callers
-    that scan several eps0 on one sample set evaluate the profile once.
+def mu_lower_bound(mp: MpSos, eps0: float, samples, jets: RadialJets):
+    """Calibration-band selection and coercivity measurement on a sample set
+    (`mu_samples`) whose radial jets `jets` the caller holds, so that several
+    eps0 on one sample set evaluate the profile once.  One `mu_scan` per call:
+    only the three small squares depend on the calibration constant.
     """
-    if samples is None:
-        samples = mu_samples(region, rng, n_samples)
     r, th, tau, xi, Th, Ph, Ps = samples
-    if jets is None:
-        jets = mp.sos.jets(r)
-    elif not np.array_equal(jets.r, r):
+    if not np.array_equal(jets.r, r):
         raise ValueError("jets were built on radii other than the sample set's")
-    # first pass with a placeholder constant to read off the beta band
-    pre = mu_scan(mp, r, th, tau, xi, Th, Ph, Ps, 0.0, eps0, jets)
-    ok = pre["ok"]
+    scan = mu_scan(mp, jets, th, tau, xi, Th, Ph, Ps)
+    ok = scan["ok"]
     if not np.any(ok):
         raise LowerBoundViolation("no admissible samples in the region")
-    b_diff = float(np.max(np.abs(pre["b1sq"][ok] - pre["b2sq"][ok])))
-    b_sum = float(np.min((pre["b1sq"] + pre["b2sq"])[ok]))
+    b_diff = float(np.max(np.abs(scan["b1sq"][ok] - scan["b2sq"][ok])))
+    b_sum = float(np.min((scan["b1sq"] + scan["b2sq"])[ok]))
     C_lo, C_hi = b_diff / eps0, b_sum / eps0
     if C_lo >= C_hi:
         raise CBandEmpty(f"band [{C_lo}, {C_hi}] empty; eps0 too large")
@@ -373,16 +368,15 @@ def mu_lower_bound(mp: MpSos, region, eps0: float, rng=None,
     # it stays admissible for all small eps0 and keeps the two small squares
     # scaling linearly in eps0
     C_big = 2.0 * C_lo if 2.0 * C_lo < C_hi else 0.5 * (C_lo + C_hi)
-    out = mu_scan(mp, r, th, tau, xi, Th, Ph, Ps, C_big, eps0, jets)
-    ok = out["ok"] & (out["comparison"] > 1e-14)
-    tot = np.sum(out["mu2"], axis=0)
-    ratio = tot[ok] / out["comparison"][ok]
+    small = mu_small_squares(scan, tau, xi, C_big, eps0)
+    tot = np.sum(np.concatenate([scan["mu2"], small]), axis=0)
+    ok = ok & (scan["comparison"] > 1e-14)
+    ratio = tot[ok] / scan["comparison"][ok]
     i_loc = int(np.argmin(ratio))
     idx = np.nonzero(ok)[0][i_loc]
     kappa = float(ratio[i_loc])
-    tail_ok = ok & (out["tail"] > 1e-14)
-    envelope = float(np.max((out["mu2"][9] + out["mu2"][10])[tail_ok]
-                            / out["tail"][tail_ok]))
+    tail_ok = ok & (scan["tail"] > 1e-14)
+    envelope = float(np.max((small[1] + small[2])[tail_ok] / scan["tail"][tail_ok]))
     if kappa <= 0:
         raise LowerBoundViolation(
             f"kappa = {kappa} at sample {idx}")
@@ -390,5 +384,5 @@ def mu_lower_bound(mp: MpSos, region, eps0: float, rng=None,
             "witness": [float(r[idx]), float(th[idx]), float(tau[idx]),
                         float(xi[idx]), float(Th[idx]), float(Ph[idx]),
                         float(Ps[idx])],
-            "envelope": envelope, "skipped": int(np.sum(~out["ok"])),
+            "envelope": envelope, "skipped": int(np.sum(~scan["ok"])),
             "eps0": float(eps0), "n_samples": int(r.size)}

@@ -75,8 +75,7 @@ def rho2_p(params: BlackHoleParams, r, theta, tau, xi, Theta, Phi, Psi):
     return rho2 * p
 
 
-def R_ab_oracle(params: BlackHoleParams, x, tau, Phi, Psi, theta: float = 0.7,
-                rel_step: float = 1e-4):
+def R_ab_oracle(params: BlackHoleParams, x, tau, Phi, Psi, theta: float = 0.7):
     """Independent reconstruction -Delta^2/(2r) d_r(rho^2 p)|_{xi=0, Theta=0}.
 
     A witness for `R_ab` (tests and perfbench); no task calls it.
@@ -85,7 +84,7 @@ def R_ab_oracle(params: BlackHoleParams, x, tau, Phi, Psi, theta: float = 0.7,
     from the radial part.
     """
     r = math.sqrt(x)
-    h = rel_step * max(r, params.r_s)
+    h = 1e-4 * max(r, params.r_s)
     if r - 2 * h <= 0:
         raise OracleFailure("finite-difference stencil leaves r > 0")
 
@@ -93,17 +92,16 @@ def R_ab_oracle(params: BlackHoleParams, x, tau, Phi, Psi, theta: float = 0.7,
         return rho2_p(params, rr, theta, tau, 0.0, 0.0, Phi, Psi)
 
     deriv = richardson_derivative(f, r, h)
-    a2, b2, rs2 = params.a**2, params.b**2, params.r_s**2
-    Delta = (x + a2) * (x + b2) - rs2 * x
+    Delta = params.Delta(x)
     if Delta == 0:
         raise OracleFailure("Delta = 0 at the requested point")
     return -Delta**2 / (2.0 * r) * deriv
 
 
-def trapped_radius_vec(params: BlackHoleParams, tau, Phi, Psi,
-                       tol: float = 1e-13, max_iter: int = 60):
+def trapped_radius_vec(params: BlackHoleParams, tau, Phi, Psi):
     """Root r of R(r^2, tau, Phi, Psi) near the static photon sphere, by
-    Newton seeded at sqrt(2) r_s; zero-homogeneous in (tau, Phi, Psi).
+    Newton seeded at sqrt(2) r_s and stopped at a step below 1e-13 r_s (at
+    most 60 steps); zero-homogeneous in (tau, Phi, Psi).
 
     Returns (r, Newton iterations) as 1-d arrays (a scalar input gives one
     element); r is NaN where Newton did not converge inside (0.5, 3) r_s.
@@ -115,7 +113,7 @@ def trapped_radius_vec(params: BlackHoleParams, tau, Phi, Psi,
     r = np.full(t.shape, math.sqrt(2.0) * params.r_s)
     active = np.ones(r.shape, dtype=bool)
     iters = np.zeros(r.shape, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(60):
         if not np.any(active):
             break
         x = r[active] ** 2
@@ -125,7 +123,7 @@ def trapped_radius_vec(params: BlackHoleParams, tau, Phi, Psi,
         step = g / dg
         r[active] -= step
         iters[active] += 1
-        done = np.abs(step) < tol * params.r_s
+        done = np.abs(step) < 1e-13 * params.r_s
         idx = np.nonzero(active)[0]
         active[idx[done]] = False
     bad = active | (r < 0.5 * params.r_s) | (r > 3.0 * params.r_s)
@@ -168,13 +166,12 @@ def tau_roots_vec(params: BlackHoleParams, r, theta, xi, Theta, Phi, Psi):
     return t1, t2
 
 
-def measure_cone_constant(params: BlackHoleParams, rng, n_samples: int = 4000,
-                          window=TAU_WINDOW) -> float:
+def measure_cone_constant(params: BlackHoleParams, rng, n_samples: int = 4000) -> float:
     """Measured C with |Phi|, |Psi| <= C |tau_i| over on-shell window samples."""
     rs = params.r_s
     draws = np.empty((6, n_samples))
     for i in range(n_samples):     # one sample at a time: the seed's draw order
-        draws[0, i] = rng.uniform(window[0] * rs, window[1] * rs)
+        draws[0, i] = rng.uniform(TAU_WINDOW[0] * rs, TAU_WINDOW[1] * rs)
         draws[1, i] = rng.uniform(0.3, math.pi / 2 - 0.3)
         draws[2:, i] = rng.standard_normal(4)
     r, theta, xi, Theta, Phi, Psi = draws

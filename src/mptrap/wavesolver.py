@@ -17,7 +17,6 @@ classical four-stage Runge-Kutta in time.
 """
 
 from dataclasses import dataclass, field
-import csv
 import json
 import math
 
@@ -329,11 +328,9 @@ def export_energy_csv(path, erep: EnergyReport, lat_t, lat_d):
     lat_cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (lat_d[1:] + lat_d[:-1]) * np.diff(lat_t))])
     cum_at = np.interp(erep.times, lat_t, lat_cum)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vtilde", "E_slice", "E_lateral_cum"])
-        for i, t in enumerate(erep.times):
-            w.writerow([f"{t:.16e}", f"{erep.E_slice[i]:.16e}", f"{cum_at[i]:.16e}"])
+    np.savetxt(path, np.column_stack([erep.times, erep.E_slice, cum_at]),
+               fmt="%.16e", delimiter=",", newline="\r\n", comments="",
+               header="vtilde,E_slice,E_lateral_cum")
 
 
 def export_norm_json(path, erep: EnergyReport, nrep: NormReport, extra=None):

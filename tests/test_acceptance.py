@@ -51,7 +51,7 @@ def test_criterion_01_metric_inversion(rng):
         hz = horizons(p)
         x = rng.uniform(hz.x_plus + 0.05, 100.0)
         th = rng.uniform(0.05, math.pi / 2 - 0.05)
-        g, gi, _ = metric_pair(p, ChartPoint(0.0, x, th))
+        g, gi = metric_pair(p, ChartPoint(0.0, x, th))
         worst = max(worst, np.abs(g @ gi - np.eye(5)).max())
         count += 1
     dt = time.time() - t0
@@ -178,7 +178,7 @@ def test_criterion_05_energy_form_positivity(sp, profile, chart, triple):
     res2 = check_positivity(triple, n_grid=4000)
     stable = abs(res2["c_star"] - res["c_star"]) <= 0.01 * abs(res["c_star"])
     r_w = np.linspace(1.01, 10.0, 2000)
-    lF_min = float(np.min(profile.lF(r_w, profile.F_jet(r_w))))
+    lF_min = float(np.min(profile.lf(r_w, profile.F_jet(r_w))))
     r_m = np.linspace(1.001, 20.0, 2000)
     Fp_min = float(np.min(profile.F_jet(r_m)[1]))
     nrep = build_redshift(triple)
@@ -268,7 +268,7 @@ def test_criterion_09_sum_of_squares_lower_bound(sos):
     for e0 in (0.0125, 0.025, 0.05):
         p = BlackHoleParams(1.0, 0.6 * e0, 0.6 * e0)
         mp = MpSos(params=p, sos=sos)
-        reports[e0] = mu_lower_bound(mp, region, e0, samples=samples, jets=jets)
+        reports[e0] = mu_lower_bound(mp, e0, samples, jets)
     main = reports[0.05]
     env = [reports[e]["envelope"] for e in (0.0125, 0.025, 0.05)]
     ratios = [env[1] / env[0], env[2] / env[1]]

@@ -41,7 +41,7 @@ def test_naked_singularity_raises():
 def test_tangherlini_limit_components():
     p = BlackHoleParams(1.0, 0.0, 0.0)
     pt = ChartPoint(t=0.0, x=4.0, theta=math.pi / 4)
-    _, gi, _ = metric_pair(p, pt)
+    _, gi = metric_pair(p, pt)
     assert abs(gi[0, 0] + 4.0 / 3.0) < 1e-13
     assert abs(gi[1, 1] - 12.0) < 1e-13
     # mixed components vanish identically
@@ -64,7 +64,7 @@ PINNED_CONTRAVARIANT = {
 def test_pinned_contravariant_sample():
     p = BlackHoleParams(1.0, 0.3, 0.2)
     pt = ChartPoint(t=0.0, x=2.0, theta=math.pi / 3)
-    g, gi, _ = metric_pair(p, pt)
+    g, gi = metric_pair(p, pt)
     for (i, j), val in PINNED_CONTRAVARIANT.items():
         assert abs(gi[i, j] - val) < 1e-13
     # cross-check against direct numerical inversion of the covariant array
@@ -83,7 +83,7 @@ def test_inversion_identity_random(rng):
         hz = horizons(p)
         x = rng.uniform(hz.x_plus * 1.05 + 0.05, 50.0)
         th = rng.uniform(0.1, math.pi / 2 - 0.1)
-        g, gi, _ = metric_pair(p, ChartPoint(0.0, x, th))
+        g, gi = metric_pair(p, ChartPoint(0.0, x, th))
         assert np.abs(g @ gi - np.eye(5)).max() < 1e-12
 
 

@@ -216,6 +216,25 @@ def test_physics_failure_has_witness(tmp_path, task, cfg, check, failed):
     assert failed(rep["witnesses"][0])
 
 
+def test_trapped_departure_can_fail(tmp_path, monkeypatch):
+    """A trapped orbit cut off before it departs ends at "span", which fails
+    trapped_departure: the check accepts only the horizon or escape."""
+    orig = cli.integrate_geodesic
+
+    def short(params, init, affine_span, **kw):
+        if kw.get("n_samples") == 4000:          # the trapped run
+            affine_span = 10.0
+        return orig(params, init, affine_span, **kw)
+
+    monkeypatch.setattr(cli, "integrate_geodesic", short)
+    out = tmp_path / "o"
+    assert main(["geodesic", "--out", str(out)]) == 1
+    with open(out / "report.json") as fh:
+        rep = json.load(fh)
+    assert rep["metrics"]["trapped_departure"] == "span"
+    assert rep["witnesses"] == [{"check": "trapped_departure", "termination": "span"}]
+
+
 def test_task_exception_has_frames(tmp_path, monkeypatch):
     """A task that raises fails with its message, its type and its innermost
     three frames as basename:line:function."""

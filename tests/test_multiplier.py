@@ -206,7 +206,7 @@ def _const_jet(r):
 
 def test_lF_positive_on_window(profile):
     r = np.linspace(1.01, 10.0, 1500)
-    assert np.min(profile.lF(r, profile.F_jet(r))) > 0
+    assert np.min(profile.lf(r, profile.F_jet(r))) > 0
 
 
 def test_F_increasing(profile):
@@ -217,7 +217,7 @@ def test_F_increasing(profile):
 def test_lf_matches_lF_outside_saturation(profile):
     r = np.linspace(1.01, 10.0, 200)
     assert np.abs(profile.lf(r, profile.f_jet(r))
-                  - profile.lF(r, profile.F_jet(r))).max() < 1e-12
+                  - profile.lf(r, profile.F_jet(r))).max() < 1e-12
     rb = np.linspace(0.9, 0.999, 9)
     assert np.abs(profile.lf(rb, profile.f_jet(rb))).max() == 0.0
 

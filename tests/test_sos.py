@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mptrap.params import BlackHoleParams
+import mptrap.sos as sos_mod
 from mptrap.sos import (MpSos, rotation_symbols_vec, lambda2, schw_sos_scan,
-                        mp_bracket_scan, mu_scan, mu_lower_bound, mu_samples)
+                        mp_bracket_scan, mu_scan, mu_small_squares,
+                        mu_lower_bound, mu_samples)
 from mptrap.multiplier import MultiplierProfile
 from mptrap.trapping import R_ab_oracle, R_ab_dx, rho2_p, trapped_radius_vec
 
@@ -155,6 +157,14 @@ def test_mp_scan_consistency(sos, rng):
         assert abs(R0 / slope) < 1e-11
 
 
+def _eleven_squares(mp, r, th, tau, xi, Th, Ph, Ps, C_big, eps0):
+    """mu_scan and mu_small_squares at one calibration, with the eleven
+    squares stacked as mu_lower_bound stacks them."""
+    out = mu_scan(mp, mp.sos.jets(r), th, tau, xi, Th, Ph, Ps)
+    small = mu_small_squares(out, tau, xi, C_big, eps0)
+    return out, np.concatenate([out["mu2"], small])
+
+
 def test_mu_static_limit(sos, bh_static, rng):
     """At zero spin with vanishing smallness bound the two small squares die,
     the xi^2 coefficients coincide, and the eleven squares reconstruct the
@@ -162,9 +172,8 @@ def test_mu_static_limit(sos, bh_static, rng):
     mp0 = MpSos(params=bh_static, sos=sos)
     r, th, tau, xi, Th, Ph, Ps = _draws(rng, 25, lambda: (
         rng.uniform(1.25, 1.65), rng.uniform(0.4, 1.1), rng.standard_normal(5)))
-    out = mu_scan(mp0, r, th, tau, xi, Th, Ph, Ps, 0.0, 0.0)
+    out, mu2 = _eleven_squares(mp0, r, th, tau, xi, Th, Ph, Ps, 0.0, 0.0)
     assert np.all(out["ok"])
-    mu2 = out["mu2"]
     assert np.all(np.abs(out["b1sq"] - out["b2sq"]) < 1e-11)
     assert np.all(mu2[9] < 1e-11) and np.all(mu2[10] < 1e-11)
     # reconstruction of r^2 q at the static limit
@@ -183,20 +192,43 @@ def test_mu_ratio_scale_invariance(sos, rng):
     mp = MpSos(params=p, sos=sos)
     v = rng.standard_normal(5)
     pts = np.column_stack([v, 3.0 * v])           # one point and its triple
-    out = mu_scan(mp, np.full(2, 1.42), np.full(2, 0.9), *pts, 5.0, 0.05)
+    out, mu2 = _eleven_squares(mp, np.full(2, 1.42), np.full(2, 0.9), *pts, 5.0, 0.05)
     assert np.all(out["ok"])
-    ratio1, ratio2 = np.sum(out["mu2"], axis=0) / out["comparison"]
+    ratio1, ratio2 = np.sum(mu2, axis=0) / out["comparison"]
     assert abs(ratio1 - ratio2) < 1e-9 * max(1.0, abs(ratio1))
 
 
 def test_mu_lower_bound_runs(sos):
     p = BlackHoleParams(1.0, 0.03, 0.03)
     mp = MpSos(params=p, sos=sos)
-    rep = mu_lower_bound(mp, (1.35, 1.50, 0.3, math.pi / 2 - 0.3), 0.05,
-                              np.random.default_rng(5), n_samples=4000)
+    samples = mu_samples((1.35, 1.50, 0.3, math.pi / 2 - 0.3),
+                         np.random.default_rng(5), 4000)
+    rep = mu_lower_bound(mp, 0.05, samples, sos.jets(samples[0]))
     assert rep["C_band"][0] < rep["C_big"] < rep["C_band"][1]
     assert rep["kappa"] > 0
     assert rep["envelope"] > 0
+
+
+def test_mu_lower_bound_scans_once_per_eps0(sos, monkeypatch):
+    """The calibration band and the eleven squares come from one mu_scan per
+    eps0; jets built on other radii than the sample set's are refused."""
+    calls = []
+    orig = sos_mod.mu_scan
+
+    def counting(*args):
+        calls.append(args[0].params)
+        return orig(*args)
+
+    monkeypatch.setattr(sos_mod, "mu_scan", counting)
+    samples = mu_samples((1.35, 1.50, 0.3, math.pi / 2 - 0.3),
+                         np.random.default_rng(5), 500)
+    jets = sos.jets(samples[0])
+    for k, e0 in enumerate((0.0125, 0.025, 0.05), 1):
+        mp = MpSos(params=BlackHoleParams(1.0, 0.6 * e0, 0.6 * e0), sos=sos)
+        mu_lower_bound(mp, e0, samples, jets)
+        assert len(calls) == k
+    with pytest.raises(ValueError):
+        mu_lower_bound(mp, 0.05, samples, sos.jets(samples[0] + 1e-3))
 
 
 def test_profile_evaluated_once_per_sample_set(sos, triple, monkeypatch):
@@ -225,7 +257,7 @@ def test_profile_evaluated_once_per_sample_set(sos, triple, monkeypatch):
     samples = mu_samples(region, rng, 500)
     jets = sos.jets(samples[0])
     calls.clear()
-    mu_lower_bound(mp, region, 0.05, samples=samples, jets=jets)
+    mu_lower_bound(mp, 0.05, samples, jets)
     assert calls == []
     triple.ingredients(r)
     assert len(calls) == 1

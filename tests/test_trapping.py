@@ -7,7 +7,8 @@ from mptrap.params import BlackHoleParams
 from mptrap.trapping import (R_ab, R_ab_dx, R_ab_oracle, rho2_p,
                              trapped_radius_vec, tau_roots_vec,
                              measure_cone_constant)
-from mptrap.geodesic import trapped_sphere
+from mptrap.geodesic import (ConservedQuantities, RadialClass,
+                             radial_classification, trapped_sphere)
 
 
 def test_static_reduction():
@@ -106,10 +107,24 @@ def test_trapped_radius_pinned(bh_small):
     assert abs(trapped_radius(bh_small, 1.0, 0.1, -0.05) - math.sqrt(2.0)) <= 0.15
 
 
-def test_trapped_radius_vs_sphere(bh_small):
-    ts = trapped_sphere(bh_small, 0.1, -0.05)
-    r_t = trapped_radius(bh_small, -1.0, 0.1, -0.05)
-    assert abs(r_t - math.sqrt(ts.x0)) < 1e-8
+def test_trapped_sphere_class_boundary(bh_small):
+    """The sphere's K_hat is where the root structure of the radial cubic
+    (np.roots in `radial_classification`, apart from the Newton solve)
+    changes: no turning point just below K_hat, two just above, and these
+    straddle x0.  K_hat itself is not asserted DOUBLE_ROOT: there rounding
+    can turn the double root into a complex pair."""
+    for ph, ps in ((0.1, -0.05), (0.0, 0.0), (0.2, 0.1), (-0.15, 0.05)):
+        ts = trapped_sphere(bh_small, ph, ps)
+
+        def classify(factor):
+            return radial_classification(bh_small, ConservedQuantities(
+                E=1.0, Phi=ph, Psi=ps, K=ts.K_hat * factor))
+
+        assert classify(1 - 1e-6).kind is RadialClass.ESCAPE_ONLY
+        above = classify(1 + 1e-6)
+        assert above.kind is RadialClass.TWO_TURNING_POINTS
+        x1, x2 = above.turning_points
+        assert x1 < ts.x0 < x2
 
 
 def test_root_simplicity(rng):
