@@ -18,7 +18,7 @@ import numpy as np
 
 from .params import SchwParams, ProfileConstructionFailure, DifferentiationError
 from .smooth import (smoothstep, smoothstep_integral, step_jet, rho_saturate,
-                     mollify, plateau_bump, richardson_derivative)
+                     mollifier_table, mollify, plateau_bump, richardson_combine)
 
 # ---------------------------------------------------------------------------
 # order-3 jet arithmetic: a jet is an ndarray of shape (4, ...) holding
@@ -92,8 +92,8 @@ def cap_fn(x, alpha):
 
 
 def cap_pieces(alpha):
-    """cap_fn as the piecewise polynomial smooth.mollify takes: the breaks and
-    the power-basis coefficients of the three pieces."""
+    """cap_fn as the piecewise polynomial smooth.mollifier_table takes: the
+    breaks and the power-basis coefficients of the three pieces."""
     c = np.zeros((3, 6))
     c[:2, 1] = 1.0
     c[1, 3], c[1, 5], c[2, 0] = -2 / (3 * alpha**2), 1 / (5 * alpha**4), 8 * alpha / 15.0
@@ -186,9 +186,14 @@ class MultiplierProfile:
         """Jet of the cap a at x."""
         return cap_fn(x, self.alpha_cap)
 
+    @cached_property
+    def _cap_table(self):
+        """Mollifier table of the cap at this profile's scale N."""
+        return mollifier_table(cap_pieces(self.alpha_cap), self.N)
+
     def a_mollified(self, y):
         """Jet of the mollified cap psi_N * a at y."""
-        return mollify(cap_pieces(self.alpha_cap), y, self.N)
+        return mollify(self._cap_table, y)
 
     def D_m_jet(self, H):
         """Jet in r of (psi_N * a)(H) - a(H) along the jet H."""
@@ -419,13 +424,15 @@ def validate_profile(prof: MultiplierProfile):
         raise ProfileConstructionFailure(
             f"eps = {prof.eps} puts the saturation transition on-grid "
             f"(eps * W = {prof.eps * W_edge} <= -1 at the first float above r_s)")
-    # analytic derivatives must agree with Richardson finite differences
+    # analytic derivatives must agree with Richardson finite differences; the
+    # jets are elementwise, so one call per jet covers the whole stencil
     r_fd = np.array([1.07, 1.3, sp.r_ps * 1.01, 2.2, 6.0]) * rs
     h = 1e-5 * rs
+    stencil = np.concatenate([r_fd, r_fd + h, r_fd - h, r_fd + h / 2, r_fd - h / 2])
     for fn in (prof.F_jet, prof.f_jet, prof.q1_jet, prof.b_jet, prof.gamma_jet):
-        J = fn(r_fd)
-        fd = richardson_derivative(lambda rr: fn(rr)[0], r_fd, h)
-        err = np.abs(J[1] - fd) / np.maximum(1.0, np.abs(fd))
+        J = fn(stencil).reshape(4, 5, r_fd.size)
+        fd = richardson_combine(*J[0, 1:], h)
+        err = np.abs(J[1, 0] - fd) / np.maximum(1.0, np.abs(fd))
         if err.max() > 1e-8:
             raise DifferentiationError(
                 f"{fn.__name__} first derivative off by {err.max():.2e} "

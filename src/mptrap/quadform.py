@@ -301,31 +301,35 @@ def demo_boundary_parameters(triple: MultiplierTriple):
     return C_demo, r_demo
 
 
-def feasible_lateral_radius(triple: MultiplierTriple, C_energy: float):
-    """Largest horizon margin at which the lateral form is positive definite.
+def lateral_bracket(triple: MultiplierTriple, C_energy: float):
+    """Adjacent floats lo < hi in [0.994 r_s, (1 - 4e-12) r_s] with the
+    lateral form's smallest eigenvalue <= 0 at lo and > 0 at hi.
 
     The lateral (d_r u)^2 entry is A(r_e) X(dr)(r_e)/2; with the saturated
-    profile this forces r_e extremely close to r_s.  Bisect on
-    [0.994 r_s, (1 - 4e-12) r_s] until the midpoint rounds to an end, and
-    return a radius safely inside the positive region.
+    profile this forces r_e extremely close to r_s.  Each round evaluates 63
+    interior radii of [lo, hi] in one flux_matrices call; lo moves to the
+    last of them that is not positive and hi to the radius after it, until
+    the two are adjacent floats.
     """
-    sp = triple.sp
-
     def min_eig(re):
-        _, L = flux_matrices(triple, np.asarray([re]), C_energy)
-        return np.linalg.eigvalsh(L[0])[0]
+        _, L = flux_matrices(triple, np.atleast_1d(re), C_energy)
+        return np.linalg.eigvalsh(L)[:, 0]
 
-    lo = 0.994 * sp.r_s
-    hi = (1.0 - 4e-12) * sp.r_s
-    if min_eig(hi) <= 0:
+    lo = 0.994 * triple.sp.r_s
+    hi = (1.0 - 4e-12) * triple.sp.r_s
+    if min_eig(hi)[0] <= 0:
         raise BoundaryFormFailure(
             f"lateral form not positive adjacent to the horizon at C = {C_energy}")
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if min_eig(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    r_feasible = hi + 0.25 * (sp.r_s - hi)
-    return float(r_feasible)
+    while np.nextafter(lo, hi) < hi:
+        x = np.linspace(lo, hi, 65)
+        i = np.flatnonzero(min_eig(x[1:-1]) <= 0)
+        k = i[-1] + 1 if i.size else 0
+        lo, hi = x[k], x[k + 1]
+    return float(lo), float(hi)
+
+
+def feasible_lateral_radius(triple: MultiplierTriple, C_energy: float):
+    """Largest horizon margin at which the lateral form is positive definite:
+    a radius safely inside the positive end of lateral_bracket."""
+    _, hi = lateral_bracket(triple, C_energy)
+    return hi + 0.25 * (triple.sp.r_s - hi)

@@ -9,49 +9,47 @@ of the row before it.
 """
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
 
 def _sigma_derivs(t):
-    """sigma = exp(-1/t) on t > 0 (0 on t <= 0) and derivatives to order 3."""
-    t = np.asarray(t, dtype=float)
-    pos = t > 1e-12
-    ts = np.where(pos, t, 1.0)
-    e = np.where(pos, np.exp(-1.0 / ts), 0.0)
-    s1 = np.where(pos, e / ts**2, 0.0)
-    s2 = np.where(pos, e * (1.0 / ts**4 - 2.0 / ts**3), 0.0)
-    s3 = np.where(pos, e * (1.0 / ts**6 - 6.0 / ts**5 + 6.0 / ts**4), 0.0)
-    return e, s1, s2, s3
+    """sigma = exp(-1/t) and its derivatives to order 3, for t > 0."""
+    e = np.exp(-1.0 / t)
+    return (e, e / t**2, e * (1.0 / t**4 - 2.0 / t**3),
+            e * (1.0 / t**6 - 6.0 / t**5 + 6.0 / t**4))
 
 
 def smoothstep(t):
     """Jet of the symmetric C-infinity step S(t): 0 for t <= 0, 1 for t >= 1.
 
     S = sigma(t) / (sigma(t) + sigma(1-t)); satisfies S(t) + S(1-t) = 1, so
-    its integral over [0,1] is exactly 1/2.
+    its integral over [0,1] is exactly 1/2.  The sigma formulas run only on
+    the transition band 1e-12 < t < 1 - 1e-12, where t and 1 - t are
+    positive and one of them is at least 1/2, so the denominator is
+    positive; elsewhere the rows are exactly (0, 0, 0, 0), or (1, 0, 0, 0)
+    from 1 - 1e-12 on.  The jet has the shape (4,) + t.shape.
     """
     t = np.asarray(t, dtype=float)
-    u, u1, u2, u3 = _sigma_derivs(t)
-    w, w1_, w2_, w3_ = _sigma_derivs(1.0 - t)
+    out = np.zeros((4,) + t.shape)
+    out[0, t >= 1.0 - 1e-12] = 1.0
+    band = (t > 1e-12) & (t < 1.0 - 1e-12)
+    tb = t[band]
+    u, u1, u2, u3 = _sigma_derivs(tb)
+    w, w1_, w2_, w3_ = _sigma_derivs(1.0 - tb)
     w1, w2, w3 = -w1_, w2_, -w3_
     D = u + w
     D1 = u1 + w1
     D2 = u2 + w2
     D3 = u3 + w3
-    lo = t <= 1e-12
-    hi = t >= 1.0 - 1e-12
-    Ds = np.where(D == 0, 1.0, D)
-    S = u / Ds
-    S1 = u1 / Ds - u * D1 / Ds**2
-    S2 = u2 / Ds - 2 * u1 * D1 / Ds**2 - u * D2 / Ds**2 + 2 * u * D1**2 / Ds**3
-    S3 = (u3 / Ds - 3 * u2 * D1 / Ds**2 - 3 * u1 * D2 / Ds**2
-          + 6 * u1 * D1**2 / Ds**3 - u * D3 / Ds**2
-          + 6 * u * D1 * D2 / Ds**3 - 6 * u * D1**3 / Ds**4)
-    edge = lo | hi
-    return np.stack([np.where(hi, 1.0, np.where(lo, 0.0, S)),
-                     np.where(edge, 0.0, S1), np.where(edge, 0.0, S2),
-                     np.where(edge, 0.0, S3)])
+    out[0, band] = u / D
+    out[1, band] = u1 / D - u * D1 / D**2
+    out[2, band] = u2 / D - 2 * u1 * D1 / D**2 - u * D2 / D**2 + 2 * u * D1**2 / D**3
+    out[3, band] = (u3 / D - 3 * u2 * D1 / D**2 - 3 * u1 * D2 / D**2
+                    + 6 * u1 * D1**2 / D**3 - u * D3 / D**2
+                    + 6 * u * D1 * D2 / D**3 - 6 * u * D1**3 / D**4)
+    return out
 
 
 def step_jet(r, r0, w):
@@ -89,12 +87,19 @@ def integrate_gl(f, lo, hi, n: int = 60):
     return half * np.sum(wn * f(mid[..., None] + half[..., None] * xn), axis=-1)
 
 
-def richardson_derivative(f, x, h):
-    """(4 D(h/2) - D(h)) / 3 with D(h) the central difference of f at x:
-    the h^2 error term of D cancels."""
-    d_h = (f(x + h) - f(x - h)) / (2 * h)
-    d_h2 = (f(x + h / 2) - f(x - h / 2)) / h
+def richardson_combine(f_p, f_m, f_p2, f_m2, h):
+    """(4 D(h/2) - D(h)) / 3 from f at x + h, x - h, x + h/2 and x - h/2,
+    with D(h) the central difference of f at x: the h^2 error term of D
+    cancels."""
+    d_h = (f_p - f_m) / (2 * h)
+    d_h2 = (f_p2 - f_m2) / h
     return (4 * d_h2 - d_h) / 3.0
+
+
+def richardson_derivative(f, x, h):
+    """Richardson-extrapolated central difference of f at x (see
+    richardson_combine)."""
+    return richardson_combine(f(x + h), f(x - h), f(x + h / 2), f(x - h / 2), h)
 
 
 def smoothstep_integral(t):
@@ -162,21 +167,24 @@ def _psi_moments(lo, hi, n):
     return np.sum(half[..., None] * wn * mollifier(u) * uk, axis=-1)
 
 
-def mollify(pieces, y, N: float):
-    """Jet of (psi_N * p)(y) = int psi(u) p(y - u/N) du, shape (4,) + y.shape.
+class MollifierTable(NamedTuple):
+    """The y-independent part of psi_N * p, built once by mollifier_table."""
+    N: float
+    edges: np.ndarray    # the breaks, with -inf and inf at the ends
+    dp: np.ndarray       # dp[k, j]: coefficients of the k-th derivative of piece j
+    scale: np.ndarray    # (-1/N)^k / k!
+    mq: np.ndarray       # mq[r, j]: coefficients of the mollified r-th derivative
 
-    pieces = (breaks, coefs): between breaks[j - 1] and breaks[j] (the outer
-    pieces unbounded) p has power-basis coefficients coefs[j], increasing
-    degree.  As p(y - u/N) = sum_k p^(k)(y) (-u/N)^k / k! on a piece, its share
-    is sum_k p^(k)(y) (-1/N)^k m_k / k!, m_k = int psi(u) u^k du over the part
-    of (-1, 1) it covers: all of it for one piece away from the breaks, whose
-    mollified polynomial is formed once; within 1.05/N of a break a
-    sub-interval per piece, with partial moments (odd ones included).
-    """
+
+def mollifier_table(pieces, N: float) -> MollifierTable:
+    """Table of psi_N * p for the piecewise polynomial pieces = (breaks,
+    coefs): between breaks[j - 1] and breaks[j] (the outer pieces unbounded)
+    p has power-basis coefficients coefs[j], increasing degree.
+
+    Holds each piece's derivative coefficients, the moment scale and each
+    piece's mollified polynomial, formed from the full-interval moments."""
     breaks, coefs = pieces
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     n = coefs.shape[1]
-    # dp[k, j]: power-basis coefficients of the k-th derivative of piece j
     dp = [coefs]
     for _ in range(n + 2):
         dp.append(np.pad(dp[-1][:, 1:] * np.arange(1.0, n), ((0, 0), (0, 1))))
@@ -184,12 +192,28 @@ def mollify(pieces, y, N: float):
     scale = (-1.0 / N) ** np.arange(n) / np.cumprod(np.r_[1.0, np.arange(1.0, n)])
     m = scale * _psi_moments(np.array(-1.0), np.array(1.0), n)
     mq = np.stack([np.sum(m[:, None, None] * dp[r:r + n], axis=0) for r in range(4)])
+    return MollifierTable(N, np.r_[-np.inf, breaks, np.inf], dp, scale, mq)
+
+
+def mollify(table: MollifierTable, y):
+    """Jet of (psi_N * p)(y) = int psi(u) p(y - u/N) du, shape (4,) + y.shape,
+    for the piecewise polynomial p and scale N of the table.
+
+    As p(y - u/N) = sum_k p^(k)(y) (-u/N)^k / k! on a piece, its share is
+    sum_k p^(k)(y) (-1/N)^k m_k / k!, m_k = int psi(u) u^k du over the part
+    of (-1, 1) it covers: all of it for one piece away from the breaks, read
+    off the table's mollified polynomial; within 1.05/N of a break a
+    sub-interval per piece, with partial moments (odd ones included).
+    """
+    N, edges, dp, scale, mq = table
+    breaks = edges[1:-1]
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    n = scale.size
     near = np.any(np.abs(y[..., None] - breaks) < 1.05 / N, axis=-1)
     yk = y[near]
     piece = np.searchsorted(breaks, y)
-    edges = np.r_[-np.inf, breaks, np.inf]
     out = np.zeros((4,) + y.shape)
-    for j in range(len(coefs)):
+    for j in range(dp.shape[1]):
         bulk = ~near & (piece == j)
         out[:, bulk] = np.polynomial.polynomial.polyval(y[bulk], mq[:, j].T)
         M = scale[:, None] * _psi_moments(np.clip(N * (yk - edges[j + 1]), -1.0, 1.0),

@@ -1,14 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from mptrap import multiplier
-from mptrap.params import SchwParams, ProfileConstructionFailure
-from mptrap.multiplier import build_profiles, cap_fn, cap_pieces, jet_mul, jet_monomial
+from mptrap.params import SchwParams, ProfileConstructionFailure, DifferentiationError
+from mptrap.multiplier import (build_profiles, validate_profile, cap_fn, cap_pieces,
+                               jet_mul, jet_monomial)
 from mptrap.smooth import (smoothstep, smoothstep_integral, rho_saturate,
-                           plateau_bump, mollifier, mollify, gauss_legendre,
-                           integrate_gl)
+                           plateau_bump, mollifier, mollifier_table, mollify,
+                           gauss_legendre, integrate_gl)
 
 
 # ---------------------------------------------------------------------------
@@ -26,11 +28,32 @@ def test_smoothstep_basics():
     assert abs(smoothstep_integral(np.array([3.0]))[0] - 2.5) < 1e-12
 
 
+@pytest.mark.parametrize("t", [-0.5, 0.0, 1.0, 2.0,
+                               np.array([-3.0, -1e-300, 0.0, 1e-13]),
+                               np.array([1.0 - 1e-13, 1.0, 1.0 + 1e-15, 7.0])])
+def test_smoothstep_outside_band(t):
+    """Outside the transition band the jet is exactly (0, 0, 0, 0) below it
+    and (1, 0, 0, 0) above it, with the input's shape."""
+    S = smoothstep(t)
+    t = np.asarray(t)
+    assert S.shape == (4,) + t.shape
+    assert np.array_equal(S[0], np.where(t >= 0.5, 1.0, 0.0))
+    assert np.array_equal(S[1:], np.zeros((3,) + t.shape))
+
+
+def test_smoothstep_band_is_elementwise():
+    """A point's jet does not depend on the other points of the array: a 2-d
+    mix of band and off-band points equals the points taken one by one."""
+    t = np.array([[-0.2, 0.3, 1e-12, 0.999], [0.5, 1.2, 2e-12, 1.0 - 2e-12]])
+    one_by_one = np.stack([smoothstep(ti) for ti in t.ravel()], axis=1)
+    assert np.array_equal(smoothstep(t), one_by_one.reshape((4,) + t.shape))
+
+
 A_CAP, N_MOLL = 4.9, 512.0
 
 
 def _mollified_cap(y):
-    return mollify(cap_pieces(A_CAP), y, N_MOLL)
+    return mollify(mollifier_table(cap_pieces(A_CAP), N_MOLL), y)
 
 
 def _quadrature_mollify(f, y, N, kinks):
@@ -98,7 +121,7 @@ def test_mollifier_mass_and_smoothing():
     assert abs(mass - 1.0) < 1e-12
     # mollifying a linear function reproduces it away from kinks
     line = (np.array([]), np.array([[1.0, 2.0]]))
-    out = mollify(line, np.array([0.3, -0.2]), 64.0)[0]
+    out = mollify(mollifier_table(line, 64.0), np.array([0.3, -0.2]))[0]
     assert np.abs(out - np.array([1.6, 0.6])).max() < 1e-10
 
 
@@ -112,7 +135,7 @@ def test_mollified_cap_matches_quadrature(N):
     y = np.concatenate([np.linspace(-3.0, -0.2, 9), np.linspace(0.2, A_CAP - 0.2, 17),
                         np.linspace(A_CAP + 0.2, 8.0, 9), edge, A_CAP + edge])
     ref = _quadrature_mollify(lambda s: cap_fn(s, A_CAP), y, N, (0.0, A_CAP))
-    got = mollify(cap_pieces(A_CAP), y, N)
+    got = mollify(mollifier_table(cap_pieces(A_CAP), N), y)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -237,15 +260,57 @@ def test_F_jet_mollifies_once(sp, profile, monkeypatch):
     calls = []
     orig = multiplier.mollify
 
-    def counting(pieces, y, *args, **kwargs):
+    def counting(table, y, *args, **kwargs):
         calls.append(np.size(y))
-        return orig(pieces, y, *args, **kwargs)
+        return orig(table, y, *args, **kwargs)
 
     # the name F_jet looks up: multiplier binds smooth.mollify at import
     monkeypatch.setattr(multiplier, "mollify", counting)
     r = np.linspace(sp.r_ps - profile.chi_outer, sp.r_ps + profile.chi_outer, 41)[1:-1]
     profile.F_jet(r)
     assert calls == [r.size]
+
+
+def test_profile_builds_mollifier_table_once(sp, monkeypatch):
+    """One profile builds its cap's mollifier table once, across its own
+    construction and validation and later F_jet and a_mollified calls: one
+    table per scale N that build_profiles' doubling tries, none after it."""
+    calls = []
+    orig = multiplier.mollifier_table
+
+    def counting(pieces, N):
+        calls.append(N)
+        return orig(pieces, N)
+
+    monkeypatch.setattr(multiplier, "mollifier_table", counting)
+    prof = build_profiles(sp)
+    built = list(calls)
+    r = np.linspace(sp.r_ps - prof.chi_outer, sp.r_ps + prof.chi_outer, 41)
+    for k in range(3):
+        prof.F_jet(r[k:])
+    prof.a_mollified(np.linspace(-1.0, 6.0, 9))
+    assert built == [512.0 * 2**k for k in range(len(built))]
+    assert built[-1] == prof.N
+    assert calls == built
+
+
+@pytest.mark.parametrize("name", ["F_jet", "f_jet", "q1_jet", "b_jet", "gamma_jet"])
+def test_derivative_gate_catches_each_jet(profile, monkeypatch, name):
+    """validate_profile's Richardson check rejects a jet whose first-derivative
+    row is off by a relative 1e-6, for each of the five jets it checks."""
+    orig = getattr(multiplier.MultiplierProfile, name)
+
+    @functools.wraps(orig)
+    def skewed(self, r, *args):
+        J = orig(self, r, *args)
+        J[1] *= 1.0 + 1e-6
+        return J
+
+    # patched on the class: undoing an instance patch would leave a bound
+    # method in the shared profile's __dict__
+    monkeypatch.setattr(multiplier.MultiplierProfile, name, skewed)
+    with pytest.raises(DifferentiationError, match=name):
+        validate_profile(profile)
 
 
 def test_redshift_shape_invariants(sp, profile):

@@ -13,7 +13,7 @@ from mptrap.quadform import (MultiplierTriple, quad_matrix,
                              comparison_weights, check_positivity,
                              build_redshift, boundary_forms, hardy_check,
                              demo_boundary_parameters, zeroth_order_n,
-                             flux_matrices, positivity_grid)
+                             flux_matrices, positivity_grid, lateral_bracket)
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +87,9 @@ def test_ingredients_evaluates_each_jet_once(triple, monkeypatch):
     assert sorted(calls) == ["b_jet", "gamma_jet"]
 
 
-def test_lateral_bisection_stops_at_float_resolution(triple, monkeypatch):
-    """The lateral-radius bisection ends when its midpoint rounds to an end,
-    well before a fixed 80 steps."""
+def test_lateral_search_stops_at_float_resolution(triple, monkeypatch):
+    """The lateral-radius search ends when its bracket's ends are adjacent
+    floats, well before a fixed 80 steps."""
     calls = []
     orig = quadform.flux_matrices
 
@@ -101,6 +101,23 @@ def test_lateral_bisection_stops_at_float_resolution(triple, monkeypatch):
     C_demo, r_demo = demo_boundary_parameters(triple)
     assert len(calls) < 60
     assert r_demo < triple.sp.r_s
+
+
+def test_lateral_bracket_is_a_sign_change(triple):
+    """The lateral form's smallest eigenvalue, taken here one radius at a
+    time, is positive at the bracket's hi and not positive at the float just
+    below it; the demo radius sits a quarter of the way from hi to r_s."""
+    rs = triple.sp.r_s
+    C_demo, r_demo = demo_boundary_parameters(triple)
+    lo, hi = lateral_bracket(triple, C_demo)
+
+    def min_eig(r):
+        return np.linalg.eigvalsh(flux_matrices(triple, np.asarray([r]), C_demo)[1][0])[0]
+
+    assert lo == np.nextafter(hi, 0.0)
+    assert min_eig(hi) > 0
+    assert min_eig(np.nextafter(hi, 0.0)) <= 0
+    assert r_demo == hi + 0.25 * (rs - hi)
 
 
 def test_comparison_weight_degeneracy(sp):
