@@ -446,13 +446,22 @@ def task_sos_verify(cfg, rng, outdir):
     return status, metrics, witnesses
 
 
-def task_wave_evolve(cfg, rng, outdir):
+def _radial_domain(cfg, name):
+    """(sp, r_e, r_max) of the `wave` or `convergence` block, defaults
+    filled in: r_e = 0.9 r_s, r_max = 60 r_s (wave) or 30 r_s."""
     sp = _schw_params(cfg)
+    blk = cfg.get(name, {})
+    r_max = (60.0 if name == "wave" else 30.0) * sp.r_s
+    return sp, float(blk.get("r_e", 0.9 * sp.r_s)), float(blk.get("r_max", r_max))
+
+
+def task_wave_evolve(cfg, rng, outdir):
+    sp, r_e, r_max = _radial_domain(cfg, "wave")
     blk = cfg.get("wave", {})
-    r_e = float(blk.get("r_e", 0.9 * sp.r_s))
-    r_max = float(blk.get("r_max", 60.0 * sp.r_s))
-    dr = float(blk.get("dr", 0.05))
-    n_r = int(blk.get("n_r", int(round((r_max - r_e) / dr)) + 1))
+    if "n_r" in blk:
+        n_r = int(blk["n_r"])
+    else:
+        n_r = int(round((r_max - r_e) / float(blk.get("dr", 0.05)))) + 1
     dom = SolverDomain(r_e=r_e, r_max=r_max, n_r=n_r, l=int(blk.get("l", 0)),
                        T=float(blk.get("T", 50.0)),
                        cfl=float(blk.get("cfl", 0.4)))
@@ -504,10 +513,9 @@ def task_wave_evolve(cfg, rng, outdir):
 
 
 def task_convergence(cfg, rng, outdir):
-    sp = _schw_params(cfg)
+    sp, r_e, r_max = _radial_domain(cfg, "convergence")
     blk = cfg.get("convergence", {})
-    base = SolverDomain(r_e=float(blk.get("r_e", 0.9 * sp.r_s)),
-                        r_max=float(blk.get("r_max", 30.0 * sp.r_s)),
+    base = SolverDomain(r_e=r_e, r_max=r_max,
                         n_r=int(blk.get("n_r", 400)), l=int(blk.get("l", 0)),
                         T=float(blk.get("T", 12.0)))
     chart = ingoing_chart(sp, base.r_e, base.r_max)
@@ -578,8 +586,17 @@ def validate_config(cfg):
             # the sixth-difference dissipation stencil needs 7 grid points
             _check_range(block, name, "n_r", int, 7, "at least 7")
             _check_range(block, name, "T", float, 0.0, "positive", strict=True)
+            _check_range(block, name, "l", int, 0, "at least 0")
+            for key in ("r_e", "r_max"):
+                _check_range(block, name, key, float, 0.0, "positive", strict=True)
+            # the inner boundary lies inside the horizon, the outer one outside
+            sp, r_e, r_max = _radial_domain(cfg, name)
+            if not r_e < sp.r_s < r_max:
+                raise ConfigError(f"{name}: r_e = {r_e!r}, r_max = {r_max!r} must "
+                                  f"satisfy r_e < r_s = {sp.r_s!r} < r_max")
         if name == "wave":
             _check_range(block, name, "cfl", float, 0.0, "positive", strict=True)
+            _check_range(block, name, "dr", float, 0.0, "positive", strict=True)
             for sub, kinds in (("data", ("bump",)), ("forcing", ("none", "bump"))):
                 sub_blk = block.get(sub, {})
                 kind = sub_blk.get("type", kinds[0]) if isinstance(sub_blk, dict) else None

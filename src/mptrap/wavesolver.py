@@ -12,8 +12,9 @@ which is solved for v_tt (g^vv is bounded away from zero: the slices are
 uniformly spacelike).  Method of lines: second-order centered stencils in r
 with one-sided closures at both ends (all characteristics leave through the
 inner boundary, which lies inside the horizon; the outer boundary is
-causally buffered), assembled once into one sparse operator on (v, v_t);
-classical four-stage Runge-Kutta in time.
+causally buffered), assembled once into one banded operator on (v, v_t),
+stored as its 15 diagonals in ascending offset order; classical four-stage
+Runge-Kutta in time, its stages formed in preallocated buffers.
 """
 
 from dataclasses import dataclass, field
@@ -65,36 +66,42 @@ class ModeOperator:
     eig: float            # l(l+2)
     dt: float             # RK4 step
     n_steps: int
-    D1: "sparse.csr_array"
-    L: "sparse.csr_array"   # d/dt of the stacked (v, W), dissipation included
+    D1: "sparse.dia_array"  # d/dr, bands -2..2
+    L: "sparse.dia_array"   # d/dt of the stacked (v, W), dissipation included;
+                            # bands -n-3..-n+3, -3..3 and n, ascending
 
 
 def _stencil(n, scale, centre, first=(), sign=1.0):
-    """scale * (finite-difference stencil) as an n x n CSR matrix.
+    """scale * (finite-difference stencil) as its bands at offsets -3..3, by
+    row: entry [3 + o, i] is the weight of row i on column i + o.
 
     `centre` holds the weights at offsets -k..k, applied on rows k..n-1-k;
     `first` holds row 0's weights on columns 0, 1, ..., which row n-1
     mirrors times `sign`.  Rows covered by neither are zero.
     """
-    from scipy import sparse
+    bands = np.zeros((7, n))
     k = len(centre) // 2
-    rows = np.arange(k, n - k)
-    I, J, V = [], [], []
     for off, w in enumerate(centre, start=-k):
-        if w:
-            I.append(rows)
-            J.append(rows + off)
-            V.append(np.full(rows.size, scale * w))
+        bands[3 + off, k:n - k] = scale * w
     for col, w in enumerate(first):
-        I.append([0, n - 1])
-        J.append([col, n - 1 - col])
-        V.append([scale * w, sign * scale * w])
-    return sparse.csr_array((np.concatenate(V), (np.concatenate(I), np.concatenate(J))),
-                            shape=(n, n))
+        bands[3 + col, 0] = scale * w
+        bands[3 - col, n - 1] = sign * scale * w
+    return bands
+
+
+def _dia(bands, offsets):
+    """dia_array of the square matrix with the given bands, held by row as in
+    _stencil.  Each band is rolled in place to dia_array's layout, where entry
+    (i, i + o) sits at position i + o; what wraps round lands on positions
+    dia_array does not read, and the closure rows hold no entry outside the
+    matrix, so those are zero anyway."""
+    from scipy import sparse
+    for band, off in zip(bands, offsets):
+        band[:] = np.roll(band, off)
+    return sparse.dia_array((bands, offsets), shape=(bands.shape[1],) * 2)
 
 
 def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> ModeOperator:
-    from scipy import sparse
     if sp.d != 1:
         raise AssemblyError("mode solver implemented for the d = 1 (S^3) case")
     r = dom.grid()
@@ -120,18 +127,27 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
     # outflow closures; the operator is O(dr^5) consistent so second-order
     # accuracy is untouched even for sharply peaked data.
     ko = _stencil(n, dom.ko_sigma / (64.0 * dt), (1, -6, 15, -20, 15, -6, 1))
+    # L's bands in ascending offset order: the W-from-v block (-n-3..-n+3),
+    # the v-from-v dissipation over the W-from-W block (-3..3), and the
+    # identity v_t = W (n).  The DIA product adds the bands in stored order
+    # into a zeroed output, so each row sums its entries in column order from
+    # +0, as a CSR product of the same entries does; the padding zeros add
+    # +-0, which leaves a finite sum unchanged.
+    bands = np.zeros((15, 2 * n))
     # W_t = (eig v / r^2 - A v_rr - c1 v_r - 2 B W_r - cross0 W) / gi_vv
-    diag = sparse.diags_array
-    L_Wv = diag(-A / gi_vv) @ D2 + diag(-c1 / gi_vv) @ D1 + diag(eig / r**2 / gi_vv)
-    L_WW = diag(-2.0 * B / gi_vv) @ D1 + diag(-cross0 / gi_vv) + ko
-    L = sparse.block_array([[ko, sparse.eye_array(n)], [L_Wv, L_WW]], format="csr")
-    # block_array returns int64 indices; int32 ones give the same products
-    # in the same order at a cheaper mat-vec
-    L = sparse.csr_array((L.data, L.indices.astype(np.int32),
-                          L.indptr.astype(np.int32)), shape=L.shape)
+    L_Wv = bands[:7, n:]
+    L_Wv[:] = (-A / gi_vv) * D2 + (-c1 / gi_vv) * D1
+    L_Wv[3] += eig / r**2 / gi_vv
+    L_WW = bands[7:14, n:]
+    L_WW[:] = (-2.0 * B / gi_vv) * D1
+    L_WW[3] += -cross0 / gi_vv
+    L_WW += ko
+    bands[7:14, :n] = ko
+    bands[14, :n] = 1.0
+    L = _dia(bands, np.r_[np.arange(-n - 3, -n + 4), np.arange(-3, 4), n])
     return ModeOperator(sp=sp, dom=dom, r=r, gi_vv=gi_vv, B=B, A=A, c1=c1,
                         cross0=cross0, eig=eig, dt=dt, n_steps=n_steps,
-                        D1=D1, L=L)
+                        D1=_dia(D1[1:6], np.arange(-2, 3)), L=L)
 
 
 def spatial_operator(op: ModeOperator, y, forcing=None):
@@ -172,7 +188,10 @@ def evolve(op: ModeOperator, v0, W0, forcing=None) -> History:
     n = op.dom.n_r
     y = np.concatenate([np.asarray(v0, dtype=float), np.asarray(W0, dtype=float)])
     hist = History(op=op)
-    d1_0 = op.D1[[0]].toarray()[0]     # the one-sided v_r at the inner boundary
+    d1_0 = np.zeros(n)      # row 0 of D1, the one-sided v_r at the inner boundary
+    for off, band in zip(op.D1.offsets, op.D1.data):
+        if off >= 0:
+            d1_0[off] = band[off]
 
     def lateral(vv, WW):
         return (float(d1_0 @ vv) ** 2 + WW[0] ** 2
@@ -191,17 +210,36 @@ def evolve(op: ModeOperator, v0, W0, forcing=None) -> History:
     def rhs(tt, yy):
         return spatial_operator(op, yy, None if forcing is None else forcing(tt, op.r))
 
+    # y is updated in place; the later stages' states, |y| and the floor's
+    # mask live in buffers of their own
+    stage = np.empty_like(y)
+    mag = np.empty_like(y)
+    tiny = np.empty(y.shape, dtype=bool)
+
+    def stage_at(h, kk):
+        """y + h kk, formed in the stage buffer."""
+        np.multiply(kk, h, out=stage)
+        return np.add(stage, y, out=stage)
+
     for k in range(op.n_steps):
         t = k * dt
         k1 = rhs(t, y)
-        k2 = rhs(t + dt / 2, y + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, y + dt / 2 * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        mag = np.abs(y)
+        k2 = rhs(t + dt / 2, stage_at(dt / 2, k1))
+        k3 = rhs(t + dt / 2, stage_at(dt / 2, k2))
+        k4 = rhs(t + dt, stage_at(dt, k3))
+        # y += dt/6 (((k1 + 2 k2) + 2 k3) + k4), summed in k1
+        k2 *= 2
+        k1 += k2
+        k3 *= 2
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6
+        y += k1
+        np.abs(y, out=mag)
         if not mag[:n].max() <= 1e100:      # NaN fails the comparison
             raise InstabilityError(f"NaN/overflow at step {k + 1} (t = {t + dt})")
-        y[mag < SUBNORMAL_FLOOR] = 0.0
+        np.less(mag, SUBNORMAL_FLOOR, out=tiny)
+        np.copyto(y, 0.0, where=tiny)
         hist.lateral_times.append(t + dt)
         hist.lateral_density.append(lateral(y[:n], y[n:]))
         if (k + 1) % op.dom.sample_every == 0 or k == op.n_steps - 1:

@@ -143,6 +143,11 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
                  id="wave-forcing-type-ring"),
     ("convergence", "levels", 1),
     ("convergence", "levels", 2),
+    ("wave", "dr", 0),
+    ("wave", "l", -1),
+    ("convergence", "l", -1),
+    ("wave", "r_max", 0.5),
+    ("convergence", "r_max", 0.5),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""

@@ -77,12 +77,14 @@ def test_positivity_matches_pencil_oracle(request, name):
 def test_ingredients_evaluates_each_jet_once(triple, monkeypatch):
     """The 1-form is built from the b and gamma jets ingredients holds."""
     calls = []
-    prof = triple.profile
+    # patched on the class: undoing a patch of the shared profile instance
+    # would leave bound methods in its __dict__, shadowing later class patches
+    cls = type(triple.profile)
     for name in ("b_jet", "gamma_jet"):
-        def counting(r, orig=getattr(prof, name), name=name):
+        def counting(self, r, orig=getattr(cls, name), name=name):
             calls.append(name)
-            return orig(r)
-        monkeypatch.setattr(prof, name, counting)
+            return orig(self, r)
+        monkeypatch.setattr(cls, name, counting)
     triple.ingredients(np.linspace(1.01, 3.0, 7))
     assert sorted(calls) == ["b_jet", "gamma_jet"]
 

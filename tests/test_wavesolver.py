@@ -289,3 +289,56 @@ def test_dyadic_norms_match_masked_trapezoid(sp, wchart):
         assert nrep.dyadic[j]["radial"] == pytest.approx(radial[j], rel=1e-13)
         assert nrep.dyadic[j]["degenerate"] == pytest.approx(degenerate[j], rel=1e-13)
     assert nrep.lower_order_sq == pytest.approx(low, rel=1e-13)
+
+
+def test_banded_product_sums_rows_in_column_order(sp, wchart):
+    """L and D1 keep their bands in ascending offset order, so each product
+    row is the sum of the row's nonzero products in column order from 0.0,
+    which is what a CSR product of the same entries gives, bit for bit."""
+    n = 300
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=n, l=2, T=6.0)
+    op = assemble_mode(sp, wchart, dom)
+    assert np.all(np.diff(op.L.offsets) > 0) and np.all(np.diff(op.D1.offsets) > 0)
+    v0 = gaussian_bump(op.r, 3.0, 0.8)
+    hist = evolve(op, v0, np.zeros_like(v0))
+    evolved = np.concatenate([hist.v[-1], hist.W[-1]])
+    random = np.random.default_rng(7).standard_normal(2 * n)
+
+    def row_sums(M, x):
+        dense = M.toarray()
+        out = np.empty(dense.shape[0])
+        for i, row in enumerate(dense):
+            s = 0.0
+            for j in np.flatnonzero(row):
+                s += float(row[j]) * float(x[j])
+            out[i] = s
+        return out
+
+    for y in (random, evolved):
+        assert (op.L @ y).tobytes() == row_sums(op.L, y).tobytes()
+        assert (op.D1 @ y[:n]).tobytes() == row_sums(op.D1, y[:n]).tobytes()
+
+
+def test_evolve_leaves_inputs_and_snapshots_unaliased(sp, wchart):
+    """The in-place stages touch neither the initial data nor the recorded
+    snapshots, and a repeated run on the same operator repeats exactly."""
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.0, sample_every=3)
+    op = assemble_mode(sp, wchart, dom)
+    v0 = gaussian_bump(op.r, 3.0, 0.8)
+    W0 = 0.5 * gaussian_bump(op.r, 4.0, 1.0)
+    v0_copy, W0_copy = v0.copy(), W0.copy()
+
+    def forcing(t, rr):
+        return math.exp(-((t - 2.0) / 1.0) ** 2) * gaussian_bump(rr, 5.0, 1.0)
+
+    h1 = evolve(op, v0, W0, forcing=forcing)
+    h2 = evolve(op, v0, W0, forcing=forcing)
+    assert np.array_equal(v0, v0_copy) and np.array_equal(W0, W0_copy)
+    for a, b in ((h1.times, h2.times), (h1.v, h2.v), (h1.W, h2.W),
+                 (h1.lateral_density, h2.lateral_density)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    arrays = h1.v + h1.W + h2.v + h2.W + [v0, W0]
+    assert len(h1.v) > 2
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
