@@ -16,36 +16,26 @@ from .smooth import step_jet, integrate_gl
 
 
 def tortoise(sp: SchwParams, r):
-    """r_star(r) with r_star(r_ps) = 0, for r > r_s.
-
-    d = 1 uses the closed-form antiderivative of 1/A; other d integrate
-    1/A numerically (relative tolerance 1e-12).
-    """
+    """r_star(r) = r + (r_s/2) log((r - r_s)/(r + r_s)), shifted so that
+    r_star(r_ps) = 0, for r > r_s."""
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     rv = np.atleast_1d(r)
     if np.any(rv <= sp.r_s):
         raise ValueError("tortoise coordinate defined for r > r_s only")
-    if sp.d == 1:
-        rs = sp.r_s
+    rs = sp.r_s
 
-        def F(rr):
-            return rr + 0.5 * rs * np.log((rr - rs) / (rr + rs))
+    def F(rr):
+        return rr + 0.5 * rs * np.log((rr - rs) / (rr + rs))
 
-        out = F(rv) - F(sp.r_ps)
-    else:
-        from scipy.integrate import quad
-        out = np.empty_like(rv)
-        for i, ri in enumerate(rv):
-            val, _ = quad(lambda s: 1.0 / sp.A(s), sp.r_ps, ri,
-                          epsrel=1e-12, epsabs=1e-14, limit=200)
-            out[i] = val
+    out = F(rv) - F(sp.r_ps)
     return float(out[0]) if scalar else out
 
 
 @dataclass
 class IngoingChart:
-    """Chart data: callables for A, mu', mu'' and the (vtilde, r) block."""
+    """Chart data: callables for mu', mu'' and the (vtilde, r) block; the
+    lapse A and its derivative are sp.A and sp.A1."""
 
     sp: SchwParams
     r_e: float
@@ -61,13 +51,6 @@ class IngoingChart:
         self._mu_anchor = tortoise(self.sp, self.r_match)
         self.validate()
 
-    # -- lapse ------------------------------------------------------------
-    def A(self, r):
-        return self.sp.A(np.asarray(r, dtype=float))
-
-    def A1(self, r):
-        return self.sp.A1(np.asarray(r, dtype=float))
-
     # -- mu profile --------------------------------------------------------
     def _blend(self, r):
         """Jet of the step from 0 at r_blend_lo to 1 at r_match."""
@@ -78,15 +61,15 @@ class IngoingChart:
         r = np.asarray(r, dtype=float)
         s = self._blend(r)[0]
         safe = np.where(r > self.r_blend_lo, r, self.r_match)
-        Ainv = 1.0 / self.A(safe)
+        Ainv = 1.0 / self.sp.A(safe)
         return np.where(r <= self.r_blend_lo, 1.0, s * Ainv + (1.0 - s))
 
     def mu_pp(self, r):
         r = np.asarray(r, dtype=float)
         s, s1 = self._blend(r)[:2]
         safe = np.where(r > self.r_blend_lo, r, self.r_match)
-        A = self.A(safe)
-        A1 = self.A1(safe)
+        A = self.sp.A(safe)
+        A1 = self.sp.A1(safe)
         return np.where(r <= self.r_blend_lo, 0.0,
                         s1 * (1.0 / A - 1.0) + s * (-A1 / A**2))
 
@@ -108,14 +91,14 @@ class IngoingChart:
     def block(self, r):
         """(g_vv, g_vr, g_rr) of the (vtilde, r) block; sphere factor is r^2."""
         r = np.asarray(r, dtype=float)
-        A = self.A(r)
+        A = self.sp.A(r)
         M = self.mu_prime(r)
         return -A, 1.0 - A * M, M * (2.0 - A * M)
 
     def block_inverse(self, r):
         """(g^vv, g^vr, g^rr); exact because the block determinant is -1."""
         r = np.asarray(r, dtype=float)
-        A = self.A(r)
+        A = self.sp.A(r)
         M = self.mu_prime(r)
         return -M * (2.0 - A * M), 1.0 - A * M, A
 
@@ -123,7 +106,7 @@ class IngoingChart:
     def validate(self):
         r = np.linspace(self.r_e, self.r_max, 2048)
         M = self.mu_prime(r)
-        A = self.A(r)
+        A = self.sp.A(r)
         if np.any(M <= 0):
             raise ChartConstructionFailure("mu' <= 0 on grid")
         if np.any(2.0 - A * M <= 0):

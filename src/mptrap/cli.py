@@ -76,8 +76,7 @@ def _bh_params(cfg):
 def _schw_params(cfg):
     block = cfg.get("schw", {})
     try:
-        return SchwParams(r_s=float(block.get("r_s", 1.0)),
-                          d=int(block.get("d", 1)))
+        return SchwParams(r_s=float(block.get("r_s", 1.0)), d=block.get("d", 1))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -120,7 +119,7 @@ def task_geodesic(cfg, rng, outdir):
         "separated_residual": traj.sep_residual,
         "reference_p_drift": ref.p_drift,
     }
-    traj.export_csv(os.path.join(outdir, "trajectory.csv"), params)
+    traj.export_csv(os.path.join(outdir, "trajectory.csv"))
     drift_tol = float(blk.get("drift_tol", 1e-8))
     sep_gate = SEP_RESIDUAL_PER_TOL * tol
     checks = {
@@ -243,7 +242,7 @@ def task_multiplier_verify(cfg, rng, outdir):
     stab = abs(pos2["c_star"] - pos["c_star"]) / abs(pos["c_star"])
     metrics["c_star_grid_stability"] = stab
 
-    hd = hardy_check(sp, chart.r_e)
+    hd = hardy_check(chart.r_e)
     metrics.update(hd)
 
     I_val, parts = integrated_smallness(prof, chart.r_e)
@@ -324,17 +323,16 @@ def task_multiplier_verify(cfg, rng, outdir):
 def integrated_smallness(prof, r_e):
     """Semi-analytic evaluation of the saturation bookkeeping integral.
 
-    integral over {eps r^{d+2} f < -1} of
+    integral over {eps r^3 f < -1} of
         delta + eps |rho''(eps W)| + eps^2 A^{-1} |rho'''(eps W)| dr,
     evaluated by the substitution R = eps W with dR = eps W' dr and
-    W' ~ (d+1) c_d/(r A) in the transition zone (log-dominated), which gives
-    A^{-1} dr = r dR / ((d+1) c_d eps): the curvature terms integrate to
+    W' ~ 2 c_d/(r A) in the transition zone (log-dominated), which gives
+    A^{-1} dr = r dR / (2 c_d eps): the curvature terms integrate to
     moments of |rho''|, |rho'''| regardless of how thin the zone is.
     """
     sp = prof.sp
-    d = sp.d
     # delta-part: measure of the region, which reaches from r_e up to the
-    # radius where eps r^{d+2} F = -1 (exponentially close to r_s)
+    # radius where eps r^3 F = -1 (exponentially close to r_s)
     width = sp.r_s - r_e
     part_delta = prof.delta * width
     R = np.linspace(-3.0, -1.0, 4001)
@@ -345,12 +343,12 @@ def integrated_smallness(prof, r_e):
     rho3m = np.abs(S[2]) / 4.0
     cd = prof.c_d
     # lapse along the transition zone: A ~ exp(h) with
-    # h(R) = (R/eps - r^{d+2} g(r_s)) / c_d  (log-dominated regime)
-    g_rs = sp.r_s ** (d + 2) - sp.r_ps ** (d + 2)
+    # h(R) = (R/eps - r^3 g(r_s)) / c_d  (log-dominated regime)
+    g_rs = sp.r_s ** 3 - sp.r_ps ** 3
     hR = (R / prof.eps - g_rs) / cd
     A_zone = np.exp(np.maximum(hR, -700.0))
-    part_rho2 = (sp.r_s / ((d + 1) * cd)) * float(np.trapezoid(rho2m * A_zone, R))
-    part_rho3 = (prof.eps * sp.r_s / ((d + 1) * cd)) * float(np.trapezoid(rho3m, R))
+    part_rho2 = (sp.r_s / (2 * cd)) * float(np.trapezoid(rho2m * A_zone, R))
+    part_rho3 = (prof.eps * sp.r_s / (2 * cd)) * float(np.trapezoid(rho3m, R))
     return part_delta + part_rho2 + part_rho3, \
         {"delta_part": part_delta, "rho2_part": part_rho2, "rho3_part": part_rho3}
 
@@ -479,9 +477,11 @@ def task_wave_evolve(cfg, rng, outdir):
         fc, fw = float(fblk["center"]), float(fblk["width"])
         famp = float(fblk.get("amplitude", 1.0))
         ft0, fts = float(fblk.get("t_center", 5.0)), float(fblk.get("t_width", 2.0))
+        # evolve passes op.r, which is this task's grid r
+        bump = gaussian_bump(r, fc, fw)
 
         def forcing(t, rr):
-            return famp * math.exp(-((t - ft0) / fts) ** 2) * gaussian_bump(rr, fc, fw)
+            return famp * math.exp(-((t - ft0) / fts) ** 2) * bump
     hist = evolve(op, v0, np.zeros_like(v0), forcing=forcing)
     if blk.get("snapshots", False):
         times, vs, _ = hist.snapshot_array()

@@ -248,6 +248,8 @@ def trapped_sphere(params: BlackHoleParams, phi_hat: float,
 class Trajectory:
     lam: np.ndarray
     states: np.ndarray          # columns: t, x, theta, phi, psi, Xi, Theta
+    p: np.ndarray               # Hamiltonian on each state
+    K: np.ndarray               # Carter constant on each state
     tau: float
     Phi: float
     Psi: float
@@ -256,14 +258,13 @@ class Trajectory:
     K_drift: float = 0.0
     sep_residual: float = 0.0
 
-    def export_csv(self, path, params: BlackHoleParams):
+    def export_csv(self, path):
         t, x, th, ph, ps, Xi, Th = self.states
         r = np.sqrt(x)
-        pres = hamiltonian(params, x, th, self.tau, Xi, Th, self.Phi, self.Psi)
-        K = carter_constant(params, th, self.tau, Th, self.Phi, self.Psi)
         np.savetxt(path, np.column_stack([
             self.lam, t, r, th, ph, ps, np.full_like(r, self.tau), 2 * r * Xi, Th,
-            np.full_like(r, self.Phi), np.full_like(r, self.Psi), pres, K - K[0]]),
+            np.full_like(r, self.Phi), np.full_like(r, self.Psi), self.p,
+            self.K - self.K[0]]),
             fmt="%.16e", delimiter=",", newline="\r\n", comments="",
             header="lambda,t,r,theta,phi,psi,tau,xi,Theta,Phi,Psi,p_residual,K_drift")
 
@@ -357,6 +358,6 @@ def integrate_geodesic(params: BlackHoleParams, init: PhasePoint,
     p_max = float(np.max(np.abs(pv)))
     K_max = float(np.max(np.abs(Kv - cq0.K)))
     sep_max = float(np.max(np.abs(rho4_xdot2 - X4) / scale))
-    return Trajectory(lam=lam, states=states, tau=m.tau, Phi=m.Phi, Psi=m.Psi,
-                      termination=term, p_drift=p_max, K_drift=K_max,
+    return Trajectory(lam=lam, states=states, p=pv, K=Kv, tau=m.tau, Phi=m.Phi,
+                      Psi=m.Psi, termination=term, p_drift=p_max, K_drift=K_max,
                       sep_residual=sep_max)

@@ -156,29 +156,27 @@ class MultiplierProfile:
     # -- elementary pieces ---------------------------------------------------
     @property
     def c_d(self):
-        d = self.sp.d
-        return (d + 2) / (d + 3) * self.sp.r_ps * self.sp.r_s ** (d + 1)
+        return 3 / 4 * self.sp.r_ps * self.sp.r_s ** 2
 
     def A_jet(self, r):
         sp = self.sp
-        J = jet_monomial(r, -(sp.d + 1)) * (-sp.r_s ** (sp.d + 1))
+        J = jet_monomial(r, -2) * (-sp.r_s ** 2)
         J[0] += 1.0
         return J
 
     def g_jet(self, r):
         sp = self.sp
-        J = jet_monomial(r, -(sp.d + 2)) * (-sp.r_ps ** (sp.d + 2))
+        J = jet_monomial(r, -3) * (-sp.r_ps ** 3)
         J[0] += 1.0
         return J
 
     def h_jet(self, r):
         sp = self.sp
-        d = sp.d
-        y = jet_monomial(r, d + 1)
-        y0 = y[0] - sp.r_s ** (d + 1)
+        y = jet_monomial(r, 2)
+        y0 = y[0] - sp.r_s ** 2
         Y = y.copy()
         Y[0] = y0
-        denom = (d + 1) / 2.0 * sp.r_s ** (d + 1)
+        denom = sp.r_s ** 2
         outer = (np.log(Y[0] / denom), 1.0 / Y[0], -1.0 / Y[0] ** 2, 2.0 / Y[0] ** 3)
         return jet_compose(outer, Y)
 
@@ -209,7 +207,7 @@ class MultiplierProfile:
     def f1_jet(self, r):
         H = self.h_jet(r)
         aH = jet_compose(self.a_of(H[0]), H)
-        return self.g_jet(r) + self.c_d * jet_mul(jet_monomial(r, -(self.sp.d + 2)), aH)
+        return self.g_jet(r) + self.c_d * jet_mul(jet_monomial(r, -3), aH)
 
     @cached_property
     def _q2_poly(self):
@@ -218,7 +216,7 @@ class MultiplierProfile:
         return float(Dm[0][0]), float(Dm[1][0]), float(Dm[2][0])
 
     def F_jet(self, r):
-        """f1 plus the matching correction c_d r^{-(d+2)} chi (D_m - Q2).
+        """f1 plus the matching correction c_d r^{-3} chi (D_m - Q2).
 
         The correction is evaluated only where chi is nonzero (inside
         chi_outer of the photon sphere); elsewhere F equals f1."""
@@ -236,31 +234,30 @@ class MultiplierProfile:
             Q2[1] = d1 + d2 * dr
             Q2[2] = d2
             corr = jet_mul(self.chi_jet(ro), Dm - Q2)
-            out[:, on] += self.c_d * jet_mul(jet_monomial(ro, -(self.sp.d + 2)), corr)
+            out[:, on] += self.c_d * jet_mul(jet_monomial(ro, -3), corr)
         return out
 
     def f_jet(self, r):
-        """Saturated profile; equals -2/(eps r^{d+2}) at and below the horizon."""
+        """Saturated profile; equals -2/(eps r^3) at and below the horizon."""
         r = np.asarray(r, dtype=float)
-        d = self.sp.d
         out = np.empty((4,) + r.shape)
         below = r <= self.sp.r_s * (1.0 + 1e-13)
         if np.any(below):
-            out[:, below] = (-2.0 / self.eps) * jet_monomial(r[below], -(d + 2))
+            out[:, below] = (-2.0 / self.eps) * jet_monomial(r[below], -3)
         above = ~below
         if np.any(above):
             ra = r[above]
-            W = jet_mul(jet_monomial(ra, d + 2), self.F_jet(ra))
+            W = jet_mul(jet_monomial(ra, 3), self.F_jet(ra))
             rho = rho_saturate(self.eps * W[0])
             outer = (rho[0] / self.eps, rho[1], rho[2] * self.eps,
                      rho[3] * self.eps**2)
             sat = jet_compose(outer, W)
-            out[:, above] = jet_mul(jet_monomial(ra, -(d + 2)), sat)
+            out[:, above] = jet_mul(jet_monomial(ra, -3), sat)
         return out
 
     # -- horizon zone ------------------------------------------------------
     # On (r_s, r_s(1 + HZ_WIDTH)] the construction reduces exactly to
-    # f = g + c_d r^{-(d+2)} h (identity branches of the cap and saturation,
+    # f = g + c_d r^{-3} h (identity branches of the cap and saturation,
     # matching cutoff zero), for which q1 and the third-order weight have
     # stable closed forms; the generic jet path loses precision there to the
     # cancellation A * h''-type combinations.
@@ -271,35 +268,32 @@ class MultiplierProfile:
 
     def _q1_hz(self, r):
         """Closed-form (q1, q1', q1'') on the horizon zone."""
-        d = self.sp.d
         A, A1, A2 = self.sp.A(r), self.sp.A1(r), self.sp.A2(r)
-        A3 = (d + 1) * (d + 2) * (d + 3) * self.sp.r_s ** (d + 1) / r ** (d + 4)
-        k = 0.5 * (d + 1) * self.c_d
-        q0 = 0.5 * (d + 2) * A / r + k * r ** (-(d + 3))
-        q1 = 0.5 * (d + 2) * (A1 / r - A / r**2) - (d + 3) * k * r ** (-(d + 4))
-        q2 = 0.5 * (d + 2) * (A2 / r - 2 * A1 / r**2 + 2 * A / r**3) \
-            + (d + 3) * (d + 4) * k * r ** (-(d + 5))
-        q3 = 0.5 * (d + 2) * (A3 / r - 3 * A2 / r**2 + 6 * A1 / r**3 - 6 * A / r**4) \
-            - (d + 3) * (d + 4) * (d + 5) * k * r ** (-(d + 6))
+        A3 = 24 * self.sp.r_s ** 2 / r ** 5
+        k = self.c_d
+        q0 = 1.5 * A / r + k * r ** -4
+        q1 = 1.5 * (A1 / r - A / r**2) - 4 * k * r ** -5
+        q2 = 1.5 * (A2 / r - 2 * A1 / r**2 + 2 * A / r**3) \
+            + 20 * k * r ** -6
+        q3 = 1.5 * (A3 / r - 3 * A2 / r**2 + 6 * A1 / r**3 - 6 * A / r**4) \
+            - 120 * k * r ** -7
         return q0, q1, q2, q3
 
     def _l_hz(self, r):
         """Closed-form third-order weight on the horizon zone."""
-        d = self.sp.d
         A, A1 = self.sp.A(r), self.sp.A1(r)
         _, q1, q2, _ = self._q1_hz(r)
-        return -0.5 * (A1 * q1 + A * (q2 + (d + 2) * q1 / r))
+        return -0.5 * (A1 * q1 + A * (q2 + 3 * q1 / r))
 
     # -- scalar companions -----------------------------------------------------
     def q1_jet(self, r, f=None):
-        """q1 = (A/2) r^{-(d+2)} d/dr(r^{d+2} f); jet carries orders 0..2.
+        """q1 = (A/2) r^{-3} d/dr(r^3 f); jet carries orders 0..2.
 
         `f` is the jet f_jet(r) when the caller already holds it."""
-        d = self.sp.d
         r = np.asarray(r, dtype=float)
-        rf = jet_mul(jet_monomial(r, d + 2), self.f_jet(r) if f is None else f)
+        rf = jet_mul(jet_monomial(r, 3), self.f_jet(r) if f is None else f)
         dr_rf = np.stack([rf[1], rf[2], rf[3], np.zeros_like(rf[0])])
-        out = 0.5 * jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, -(d + 2)), dr_rf))
+        out = 0.5 * jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, -3), dr_rf))
         hz = self._hz_mask(r)
         if np.any(hz):
             q0, q1, q2, q3 = self._q1_hz(r[hz])
@@ -317,7 +311,7 @@ class MultiplierProfile:
         rm = 0.5 * (sp.r_s + sp.r_ps)
         lo = rm - 0.08 * sp.r_s
         step = step_jet(r, lo, 0.1 * sp.r_s)
-        core = jet_mul(jet_monomial(r, -(sp.d + 5)),
+        core = jet_mul(jet_monomial(r, -6),
                        jet_mul(jet_var(r) - sp.r_ps * jet_const(1.0, r),
                                jet_var(r) - sp.r_ps * jet_const(1.0, r)))
         return jet_mul(step, core)
@@ -345,22 +339,20 @@ class MultiplierProfile:
     def m_t_jet(self, r, b, gam):
         """Covariant time component of the 1-form (before the delta factor),
         from the jets b = b_jet(r) and gam = gamma_jet(r)."""
-        d = self.sp.d
-        coef = (d + 1) * self.sp.r_s ** (d + 1)
-        return coef * jet_mul(jet_monomial(r, -(d + 2)), jet_mul(b, gam))
+        coef = 2 * self.sp.r_s ** 2
+        return coef * jet_mul(jet_monomial(r, -3), jet_mul(b, gam))
 
     # -- third-order weight ----------------------------------------------------
     def u2_weight(self, P, r):
-        """l(P) = -1/4 r^{-(d+2)} d[A r^{d+2} d{A r^{-(d+2)} d(P r^{d+2})}]
+        """l(P) = -1/4 r^{-3} d[A r^3 d{A r^{-3} d(P r^3)}]
         from the jet P of the profile at r."""
-        d = self.sp.d
         r = np.asarray(r, dtype=float)
-        T1 = jet_mul(jet_monomial(r, d + 2), P)
+        T1 = jet_mul(jet_monomial(r, 3), P)
         u1 = np.stack([T1[1], T1[2], T1[3], np.zeros_like(T1[0])])
-        v = jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, -(d + 2)), u1))
+        v = jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, -3), u1))
         v1 = np.stack([v[1], v[2], np.zeros_like(v[0]), np.zeros_like(v[0])])
-        w = jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, d + 2), v1))
-        return -0.25 * r ** (-(d + 2)) * w[1]
+        w = jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, 3), v1))
+        return -0.25 * r ** -3 * w[1]
 
     def lf(self, r, P):
         """Third-order weight of the profile (f or F) with jet P at the radii
@@ -419,7 +411,7 @@ def validate_profile(prof: MultiplierProfile):
     # representable radius above the horizon the profile is in the identity
     # branch, so the horizon-zone closed forms apply
     r_probe = rs * (1.0 + 4.4e-16)
-    W_edge = r_probe ** (sp.d + 2) * prof.F_jet(np.asarray([r_probe]))[0][0]
+    W_edge = r_probe ** 3 * prof.F_jet(np.asarray([r_probe]))[0][0]
     if prof.eps * W_edge <= -1.0:
         raise ProfileConstructionFailure(
             f"eps = {prof.eps} puts the saturation transition on-grid "

@@ -106,7 +106,9 @@ class BlackHoleParams:
 
 @dataclass(frozen=True)
 class SchwParams:
-    """Static hyperspherical parameters: d = n - 3 (d = 1 is the 4+1 case)."""
+    """Static hyperspherical parameters of the (4+1)-dimensional Tangherlini
+    hole.  d = n - 3 is fixed at 1: the energy form, the multiplier shape and
+    the mode solver are all derived on the 3-sphere."""
 
     r_s: float = 1.0
     d: int = 1
@@ -114,23 +116,23 @@ class SchwParams:
     def __post_init__(self):
         if not self.r_s > 0:
             raise ValueError(f"r_s must be positive, got {self.r_s}")
-        if self.d < 1:
-            raise ValueError("d >= 1 required for the sharp lower-order weight")
+        if self.d != 1:
+            raise ValueError(f"d = {self.d!r}: only d = 1 (the 4+1 case) is implemented")
 
     @property
     def r_ps(self) -> float:
-        """Photon sphere radius ((d+3)/2)^(1/(d+1)) r_s."""
-        return ((self.d + 3) / 2.0) ** (1.0 / (self.d + 1)) * self.r_s
+        """Photon sphere radius sqrt(2) r_s."""
+        return 2.0 ** 0.5 * self.r_s
 
     def A(self, r):
-        """Lapse factor 1 - (r_s/r)^(d+1)."""
-        return 1.0 - (self.r_s / r) ** (self.d + 1)
+        """Lapse factor 1 - (r_s/r)^2."""
+        return 1.0 - (self.r_s / r) ** 2
 
     def A1(self, r):
-        return (self.d + 1) * self.r_s ** (self.d + 1) / r ** (self.d + 2)
+        return 2 * self.r_s ** 2 / r ** 3
 
     def A2(self, r):
-        return -(self.d + 1) * (self.d + 2) * self.r_s ** (self.d + 1) / r ** (self.d + 3)
+        return -6 * self.r_s ** 2 / r ** 4
 
 
 @dataclass(frozen=True)

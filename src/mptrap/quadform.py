@@ -38,10 +38,9 @@ class MultiplierTriple:
         """All pointwise inputs of the quadratic-form coefficients."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         pr, ch = self.profile, self.chart
-        d = self.sp.d
         delta, delta1 = pr.delta, pr.delta1
-        A = ch.A(r)
-        A1 = ch.A1(r)
+        A = ch.sp.A(r)
+        A1 = ch.sp.A1(r)
         M = ch.mu_prime(r)
         M1 = ch.mu_pp(r)
         f = pr.f_jet(r)
@@ -56,11 +55,11 @@ class MultiplierTriple:
         Xv1 = f[1] * (1 - A * M) + f[0] * (-A1 * M - A * M1) \
             + delta * (b[1] * M + b[0] * M1)
         Xr1 = f[1] * A + f[0] * A1 - delta * b[1]
-        # scalar companion  q = q1 - delta (d+2) b /(2r) - delta1 q2
+        # scalar companion  q = q1 - 3 delta b /(2r) - delta1 q2
         br = jet_mul(b, jet_monomial(r, -1.0))
-        q = q1[0] - delta * (d + 2) / 2.0 * br[0] - delta1 * q2[0]
-        qp = q1[1] - delta * (d + 2) / 2.0 * br[1] - delta1 * q2[1]
-        qpp = q1[2] - delta * (d + 2) / 2.0 * br[2] - delta1 * q2[2]
+        q = q1[0] - delta * 3 / 2.0 * br[0] - delta1 * q2[0]
+        qp = q1[1] - delta * 3 / 2.0 * br[1] - delta1 * q2[1]
+        qpp = q1[2] - delta * 3 / 2.0 * br[2] - delta1 * q2[2]
         # 1-form (delta m)
         mv = delta * mt[0]
         mv1 = delta * mt[1]
@@ -118,23 +117,21 @@ def zeroth_order_n(triple: MultiplierTriple, ing):
     """n(r): u^2 coefficient before completing the horizon square, from the
     ingredients triple.ingredients(r)."""
     c = quad_coefficients(ing)
-    d = triple.sp.d
     delta = triple.profile.delta
     rs = triple.sp.r_s
-    sq_gamma2 = delta * (d + 1) * rs ** (d + 1) * ing["b"][0] \
-        * ing["gam"][0] ** 2 / (2.0 * ing["r"] ** (d + 2))
+    sq_gamma2 = delta * 2 * rs ** 2 * ing["b"][0] \
+        * ing["gam"][0] ** 2 / (2.0 * ing["r"] ** 3)
     return c["uu"] - sq_gamma2
 
 
 def comparison_weights(sp: SchwParams, r):
     """Diagonal comparison form of the localized-energy bound."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    d = sp.d
     w_ps = ((r - sp.r_ps) / r) ** 2
     n = len(r)
     W = np.zeros((n, 4, 4))
-    W[:, 0, 0] = r ** (-(d + 3))
-    W[:, 1, 1] = w_ps * r ** (-(d + 3))
+    W[:, 0, 0] = r ** -4
+    W[:, 1, 1] = w_ps * r ** -4
     W[:, 2, 2] = w_ps / r
     W[:, 3, 3] = r ** (-3)
     return W
@@ -266,30 +263,29 @@ def boundary_forms(triple: MultiplierTriple, C_energy: float, r_e: float):
     return report
 
 
-def hardy_check(sp: SchwParams, r_e: float):
-    """Discrete Hardy inequality with measure r^{d+2} dr on [r_e, 400].
+def hardy_check(r_e: float):
+    """Discrete Hardy inequality with measure r^3 dr on [r_e, 400].
 
-    int r^-2 u^2 r^{d+2} dr <= C_H int (u')^2 r^{d+2} dr for test functions
-    decaying at infinity; the classical constant is (2/(d+1))^2.  Returns the
+    int r^-2 u^2 r^3 dr <= C_H int (u')^2 r^3 dr for test functions
+    decaying at infinity; the classical constant is 1.  Returns the
     measured worst ratio over a family of test functions.
     """
     r = np.linspace(r_e, 400.0, 4000)
     dr = r[1] - r[0]
-    d = sp.d
     worst = 0.0
     for p, s in ((1.5, 1.0), (2.0, 2.0), (2.5, 0.5), (3.0, 1.3)):
         u = (1.0 + (r / s)) ** (-p)
         up = np.gradient(u, dr)
-        num = np.trapezoid(u**2 * r**d, r)
-        den = np.trapezoid(up**2 * r ** (d + 2), r)
+        num = np.trapezoid(u**2 * r, r)
+        den = np.trapezoid(up**2 * r ** 3, r)
         worst = max(worst, num / den)
-    return {"hardy_ratio": float(worst), "classical_constant": (2.0 / (d + 1)) ** 2}
+    return {"hardy_ratio": float(worst), "classical_constant": 1.0}
 
 
 def demo_boundary_parameters(triple: MultiplierTriple):
     """(C_demo, r_e_demo) at which both boundary forms are provably positive.
 
-    The saturated profile has |X(dvtilde)| ~ 2(1 + |A| mu')/(eps r^{d+2})
+    The saturated profile has |X(dvtilde)| ~ 2(1 + |A| mu')/(eps r^3)
     near the horizon, so the flux positivity mechanism requires C above that
     size and then a horizon margin with |A(r_e)| |f(r_e)| below delta b(r_e).
     Both are derived from the profile rather than guessed.

@@ -94,13 +94,11 @@ class RadialJets:
 
 @dataclass
 class SchwSos:
-    """Photon-sphere symbol data built on a multiplier profile (d = 1)."""
+    """Photon-sphere symbol data built on a multiplier profile."""
 
     profile: MultiplierProfile
 
     def __post_init__(self):
-        if self.profile.sp.d != 1:
-            raise ValueError("symbol verification implemented for d = 1")
         rps = np.asarray([self.profile.sp.r_ps])
         J = jet_mul(self.profile.A_jet(rps), self.profile.f_jet(rps))
         self._G_ps = [float(J[k][0]) for k in range(4)]

@@ -61,8 +61,8 @@ class ModeOperator:
     gi_vv: np.ndarray     # g^{vv}, the inverse block's vtilde-vtilde entry (negative)
     B: np.ndarray         # g^{vr}
     A: np.ndarray         # g^{rr}
-    c1: np.ndarray        # r^{-(d+2)} (r^{d+2} A)'
-    cross0: np.ndarray    # r^{-(d+2)} (r^{d+2} B)'
+    c1: np.ndarray        # r^{-3} (r^3 A)'
+    cross0: np.ndarray    # r^{-3} (r^3 B)'
     eig: float            # l(l+2)
     dt: float             # RK4 step
     n_steps: int
@@ -102,8 +102,6 @@ def _dia(bands, offsets):
 
 
 def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> ModeOperator:
-    if sp.d != 1:
-        raise AssemblyError("mode solver implemented for the d = 1 (S^3) case")
     r = dom.grid()
     if r[0] < chart.r_e or r[-1] > chart.r_max:
         raise AssemblyError("chart does not cover the solver domain")
@@ -112,7 +110,7 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
         raise AssemblyError("vtilde slices not uniformly spacelike on the grid")
     M = chart.mu_prime(r)
     M1 = chart.mu_pp(r)
-    A1 = chart.A1(r)
+    A1 = sp.A1(r)
     B1 = -(A1 * M + A * M1)
     c1 = A1 + 3.0 * A / r
     cross0 = B1 + 3.0 * B / r

@@ -6,7 +6,7 @@ import pytest
 from mptrap.params import BlackHoleParams, InvalidConstants
 from mptrap.geometry import inverse_metric_components
 from mptrap.geodesic import (Covector, PhasePoint, ConservedQuantities,
-                             RadialPotential, RadialClass, hamiltonian,
+                             RadialPotential, RadialClass, hamiltonian, carter_constant,
                              null_Xi, conserved_from_state,
                              radial_classification, trapped_sphere,
                              integrate_geodesic)
@@ -183,10 +183,18 @@ def test_trajectory_csv(tmp_path, bh_small):
     pp = _null_point(bh_small, 3.0, 1.0, -1.0, 0.2, 0.1, -0.05)
     traj = integrate_geodesic(bh_small, pp, 5.0, tol=1e-10)
     path = tmp_path / "traj.csv"
-    traj.export_csv(path, bh_small)
+    traj.export_csv(path)
     head = path.read_text().splitlines()[0]
     assert head == ("lambda,t,r,theta,phi,psi,tau,xi,Theta,Phi,Psi,"
                     "p_residual,K_drift")
+    # the residual columns are the Hamiltonian and Carter constant on the
+    # exported states
+    t, x, th, ph, ps, Xi, Th = traj.states
+    cols = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(
+        cols[:, 11], hamiltonian(bh_small, x, th, traj.tau, Xi, Th, traj.Phi, traj.Psi))
+    K = carter_constant(bh_small, th, traj.tau, Th, traj.Phi, traj.Psi)
+    assert np.array_equal(cols[:, 12], K - K[0])
 
 
 def test_null_xi_invalid(bh_small):

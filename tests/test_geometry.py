@@ -151,18 +151,11 @@ def test_tortoise_anchor_and_pinned_value(sp):
     assert abs(tortoise(sp, 2.0) - 0.917853880312393) < 1e-14
 
 
-def test_tortoise_quadrature_matches_closed_form():
-    """The generic-d quadrature path against the d = 2 antiderivative of
-    1/A = r^3/(r^3 - 1), anchored at r_ps."""
-    sp2 = SchwParams(1.0, 2)
-
-    def F(r):
-        return (r + math.log(r - 1.0) / 3.0 - math.log(r * r + r + 1.0) / 6.0
-                - math.atan((2.0 * r + 1.0) / math.sqrt(3.0)) / math.sqrt(3.0))
-
-    r = np.array([1.05, 1.5, 2.5, 10.0])
-    exact = np.array([F(ri) - F(sp2.r_ps) for ri in r])
-    assert np.abs(tortoise(sp2, r) - exact).max() < 1e-12
+@pytest.mark.parametrize("d", [2, 3, 1.5])
+def test_schw_params_fix_d_at_one(d):
+    """Only the (4+1)-dimensional hole, d = 1, is implemented."""
+    with pytest.raises(ValueError):
+        SchwParams(1.0, d)
 
 
 def test_chart_far_block(sp, chart):
@@ -183,7 +176,7 @@ def test_chart_far_block(sp, chart):
 def test_chart_invariants(sp, chart):
     r = np.linspace(chart.r_e, 50.0, 3000)
     M = chart.mu_prime(r)
-    A = chart.A(r)
+    A = sp.A(r)
     assert np.all(M > 0)
     assert np.all(2.0 - A * M > 0)
     _, _, g_rr = chart.block(r)

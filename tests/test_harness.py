@@ -148,6 +148,8 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
     ("convergence", "l", -1),
     ("wave", "r_max", 0.5),
     ("convergence", "r_max", 0.5),
+    ("schw", "d", 2),
+    ("schw", "d", 1.5),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""
@@ -158,6 +160,27 @@ def test_config_range_exit_code(tmp_path, block, key, value):
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_forced_wave_builds_bump_once(tmp_path, monkeypatch):
+    """A forced run evaluates the spatial bump twice, once for the data and
+    once for the forcing, not once per RK4 stage."""
+    calls = []
+    orig = cli.gaussian_bump
+
+    def counted(*args, **kw):
+        calls.append(args[1:])
+        return orig(*args, **kw)
+
+    monkeypatch.setattr(cli, "gaussian_bump", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"wave": {
+        "n_r": 200, "T": 2.0,
+        "forcing": {"type": "bump", "center": 4.0, "width": 1.0,
+                    "t_center": 1.0, "t_width": 0.5}}}))
+    assert main(["wave-evolve", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert calls == [(3.0, 0.8, 1.0), (4.0, 1.0)]
 
 
 def _raise_on_constant(token):

@@ -174,8 +174,8 @@ def test_lateral_rr_entry_structure(triple):
         assert abs(L[0][0, 0] - ing["A"][0] * ing["Xr"][0] / 2.0) < 1e-14
 
 
-def test_hardy(sp):
-    rep = hardy_check(sp, 0.95)
+def test_hardy():
+    rep = hardy_check(0.95)
     assert rep["hardy_ratio"] <= rep["classical_constant"] * 1.05
 
 
