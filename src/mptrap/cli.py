@@ -112,12 +112,10 @@ def task_geodesic(cfg, rng, outdir):
                     momentum=Covector(tau=init["tau"], Xi=Xi, Theta=init["Theta"],
                                       Phi=init["Phi"], Psi=init["Psi"]))
     traj = integrate_geodesic(params, pp, span, tol=tol, x_escape=x_escape)
-    ref = integrate_geodesic(params, pp, span, tol=tol / 2.0, x_escape=x_escape)
     metrics = {
         "termination": traj.termination,
         "p_drift": traj.p_drift, "K_drift": traj.K_drift,
         "separated_residual": traj.sep_residual,
-        "reference_p_drift": ref.p_drift,
     }
     traj.export_csv(os.path.join(outdir, "trajectory.csv"))
     drift_tol = float(blk.get("drift_tol", 1e-8))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .params import (BlackHoleParams, CoordinateSingularity, InvalidConstants,
                      NoTrappedSphere, horizons)
+from . import dop853
 from .geometry import inverse_metric_components, inverse_metric_form
 from .trapping import R_ab, trapped_radius_vec
 
@@ -302,8 +303,8 @@ def integrate_geodesic(params: BlackHoleParams, init: PhasePoint,
     Terminates gracefully at the horizon (Delta crossing a small pad) or at
     the escape radius.  Diagnostics: max |p| drift, Carter-constant drift,
     and the separated-equation residual rho^4 xdot^2 - 4 X along the path.
+    Raises RuntimeError if the step size collapses before the span ends.
     """
-    from scipy.integrate import solve_ivp
     hz = horizons(params)
     m = init.momentum
     p0 = hamiltonian(params, init.x, init.theta, m.tau, m.Xi, m.Theta, m.Phi, m.Psi)
@@ -312,37 +313,19 @@ def integrate_geodesic(params: BlackHoleParams, init: PhasePoint,
     if x_escape is None:
         x_escape = max(100.0 * params.r_s**2, 4.0 * init.x)
     x_pad = hz.x_plus * (1 + 1e-6) if hz.x_plus > 0 else 1e-8 * params.r_s**2
-
-    def ev_horizon(lam, y):
-        return y[1] - x_pad
-    ev_horizon.terminal = True
-    ev_horizon.direction = -1
-
-    def ev_escape(lam, y):
-        return y[1] - x_escape
-    ev_escape.terminal = True
-    ev_escape.direction = +1
+    events = ((lambda lam, y: y[1] - x_pad, -1),
+              (lambda lam, y: y[1] - x_escape, +1))
 
     y0 = (init.t, init.x, init.theta, init.phi, init.psi, m.Xi, m.Theta)
-    sol = solve_ivp(_rhs(params, m.tau, m.Phi, m.Psi), (0.0, affine_span), y0,
-                    method="DOP853", rtol=tol, atol=tol,
-                    dense_output=False, events=(ev_horizon, ev_escape),
-                    t_eval=np.linspace(0.0, affine_span, n_samples))
-    if not sol.success and sol.status == 0:
-        raise RuntimeError(f"integration failed: {sol.message}")
+    lam, states, hit = dop853.integrate(
+        _rhs(params, m.tau, m.Phi, m.Psi), y0, affine_span, tol,
+        np.linspace(0.0, affine_span, n_samples), events)
     term = "span"
-    lam = sol.t
-    states = sol.y
-    if sol.status == 1:
-        if len(sol.t_events[0]) > 0:
-            term = "horizon"
-        elif len(sol.t_events[1]) > 0:
-            term = "escaped"
-        # append the event state
-        for k in (0, 1):
-            if len(sol.t_events[k]) > 0:
-                lam = np.append(lam, sol.t_events[k][0])
-                states = np.column_stack([states, sol.y_events[k][0]])
+    if hit is not None:
+        k, lam_k, y_k = hit
+        term = ("horizon", "escaped")[k]
+        lam = np.append(lam, lam_k)
+        states = np.column_stack([states, y_k])
 
     cq0 = conserved_from_state(params, PhasePoint(
         t=init.t, x=init.x, theta=init.theta, phi=init.phi, psi=init.psi,

@@ -98,11 +98,16 @@ def metric_pair(params: BlackHoleParams, point: ChartPoint):
 # ---------------------------------------------------------------------------
 
 def inverse_metric_components(params: BlackHoleParams, x: float, theta: float):
-    """Tuple (gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth)."""
+    """Tuple (gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth).
+
+    A float theta (np.float64 included) takes math.sin/math.cos, which equal
+    np.sin/np.cos there and keep the scalar calls of the geodesic flow in
+    float arithmetic; an array theta takes np.sin/np.cos."""
     a, b, rs2 = params.a, params.b, params.r_s**2
     a2, b2 = a * a, b * b
-    s2 = np.sin(theta) ** 2
-    c2 = np.cos(theta) ** 2
+    trig = math if isinstance(theta, float) else np
+    s2 = trig.sin(theta) ** 2
+    c2 = trig.cos(theta) ** 2
     D = params.Delta(x)
     rho2 = x + a2 * c2 + b2 * s2
     gtt = ((a2 - b2) * s2 - (x + a2) * (D + rs2 * (x + b2)) / D) / rho2

@@ -5,7 +5,8 @@ import pytest
 
 from mptrap.params import BlackHoleParams, SchwParams, NakedSingularity, horizons
 from mptrap.geometry import (ChartPoint, metric_pair, covariant_metric,
-                             contravariant_metric, CoordinateSingularity)
+                             contravariant_metric, inverse_metric_components,
+                             CoordinateSingularity)
 from mptrap.chart import ingoing_chart, tortoise
 from mptrap.geodesic import hamiltonian, _rhs
 from mptrap.smooth import richardson_derivative
@@ -70,6 +71,24 @@ def test_pinned_contravariant_sample():
     # cross-check against direct numerical inversion of the covariant array
     gi_num = np.linalg.inv(g)
     assert np.abs(gi - gi_num).max() < 1e-12
+
+
+def test_inverse_components_float_path_matches_numpy(rng):
+    """A float theta takes math.sin/cos and float arithmetic; every component
+    equals the numpy path's bit for bit (theta as a 0-d array), also within
+    1e-3 of both poles.  The array path squares by multiplication where
+    scalars go through pow, so it agrees to rounding only."""
+    p = BlackHoleParams(1.0, 0.05, 0.03)
+    theta = np.concatenate([np.linspace(1e-6, 1e-3, 50), rng.uniform(0.0, math.pi / 2, 400),
+                            math.pi / 2 - np.linspace(1e-6, 1e-3, 50)])
+    x = rng.uniform(1.5, 60.0, theta.size)
+    arrays = np.array(inverse_metric_components(p, x, theta))
+    for i in range(theta.size):
+        floats = inverse_metric_components(p, float(x[i]), float(theta[i]))
+        assert all(type(c) is float for c in floats)
+        assert list(floats) == list(inverse_metric_components(p, float(x[i]),
+                                                              np.asarray(theta[i])))
+        assert np.allclose(floats, arrays[:, i], rtol=1e-14, atol=0.0)
 
 
 def test_inversion_identity_random(rng):

@@ -97,9 +97,10 @@ def test_console_entry_point(tmp_path):
 
 
 def test_numpy_only_tasks_load_no_scipy(tmp_path):
-    """Importing the CLI, building the set-up objects and running sos-verify
-    and trapped-scan load no scipy module: scipy is imported only inside the
-    functions that call it."""
+    """Importing the CLI, building the set-up objects and running sos-verify,
+    trapped-scan and geodesic load no scipy module: scipy is imported only
+    inside the functions that call it, and the geodesic flow is stepped by the
+    package's own DOP853."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "params": {"r_s": 1.0, "a": 0.05, "b": 0.03},
@@ -116,14 +117,14 @@ build_profiles(sp)
 ingoing_chart(sp, 0.95, 60.0)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main([task, "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r} + "/" + task])
-             for task in ("sos-verify", "trapped-scan")]
+             for task in ("sos-verify", "trapped-scan", "geodesic")]
 print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
     assert out.returncode == 0, out.stderr
     codes, scipy_modules = json.loads(out.stdout)
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     assert scipy_modules == []
 
 
