@@ -35,7 +35,7 @@ from .trapping import (R_ab_dx, trapped_radius_vec, measure_cone_constant,
                        SOS_WINDOW)
 from .multiplier import build_profiles
 from .quadform import (MultiplierTriple, check_positivity, build_redshift,
-                       boundary_forms, hardy_check, demo_boundary_parameters,
+                       boundary_forms, demo_boundary_parameters,
                        zeroth_order_n, positivity_grid)
 from .sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
                   mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
@@ -105,7 +105,7 @@ def task_geodesic(cfg, rng, outdir):
     span = float(blk.get("span", 1000.0))
     init = blk.get("init", {"x": 3.0, "theta": 1.0, "tau": -1.0,
                             "Theta": 0.2, "Phi": 0.1, "Psi": -0.05, "sign": 1})
-    x_escape = blk.get("x_escape", 1e8)
+    x_escape = float(blk.get("x_escape", 1e8))
     Xi = null_Xi(params, init["x"], init["theta"], init["tau"],
                  init["Theta"], init["Phi"], init["Psi"], sign=init.get("sign", 1))
     pp = PhasePoint(t=0.0, x=init["x"], theta=init["theta"], phi=0.0, psi=0.0,
@@ -239,9 +239,6 @@ def task_multiplier_verify(cfg, rng, outdir):
     metrics["c_star_min_r"] = pos["min_r"]
     stab = abs(pos2["c_star"] - pos["c_star"]) / abs(pos["c_star"])
     metrics["c_star_grid_stability"] = stab
-
-    hd = hardy_check(chart.r_e)
-    metrics.update(hd)
 
     I_val, parts = integrated_smallness(prof, chart.r_e)
     metrics["smallness_integral"] = I_val
@@ -600,6 +597,9 @@ def validate_config(cfg):
                 kind = sub_blk.get("type", kinds[0]) if isinstance(sub_blk, dict) else None
                 if kind not in kinds:
                     raise ConfigError(f"{name}.{sub}.type = {kind!r} must be one of {kinds}")
+        if name == "geodesic":
+            for key in ("span", "tol", "x_escape"):
+                _check_range(block, name, key, float, 0.0, "positive", strict=True)
         if name == "convergence":
             # the order fit needs at least two pairwise errors
             _check_range(block, name, "levels", int, 3, "at least 3")
@@ -615,6 +615,13 @@ def validate_config(cfg):
 
 def run(task, cfg, outdir, seed):
     """Dispatch one task (or 'all'); returns the report dict."""
+    if task in ("sos-verify", "all"):
+        # sos-verify builds the profile on `schw` and the bracket and kappa
+        # calibration on `params`: both must be one hole
+        rs_bh, rs_schw = _bh_params(cfg).r_s, _schw_params(cfg).r_s
+        if rs_bh != rs_schw:
+            raise ConfigError(f"params.r_s = {rs_bh!r} and schw.r_s = {rs_schw!r} "
+                              "must be equal for sos-verify")
     os.makedirs(outdir, exist_ok=True)
     t0 = time.time()
     if task == "all":

@@ -137,51 +137,37 @@ class SchwParams:
 
 @dataclass(frozen=True)
 class HorizonData:
-    """Roots of the horizon quadratic (in x = r^2) and the static photon sphere."""
+    """Roots x_minus <= x_plus of the horizon quadratic in x = r^2."""
 
     x_minus: float
     x_plus: float
-    r_ps: float
-    x_ps: float
 
 
 def horizons(params: BlackHoleParams) -> HorizonData:
     """Horizon locations x_pm from Delta(x) = (x+a^2)(x+b^2) - r_s^2 x = 0.
 
-    The quadratic is solved in the numerically stable arrangement and the
-    roots polished with one Newton step each.  r_ps is the static-limit
-    photon sphere sqrt(2) r_s (d = 1 reference value).
+    Delta = x^2 + p x + q with p = a^2 + b^2 - r_s^2, which BlackHoleParams
+    keeps <= 0, so x_plus = (-p + sqrt(p^2 - 4q))/2 adds terms of one sign
+    and x_minus = q/x_plus avoids the cancellation of the other root.  Each
+    root is then polished with two Newton steps.
     """
     rs2 = params.r_s**2
     a2, b2 = params.a**2, params.b**2
-    # Delta = x^2 + (a^2 + b^2 - r_s^2) x + a^2 b^2
     p = a2 + b2 - rs2
     q = a2 * b2
     disc = p * p - 4 * q
     if disc < 0:
         raise NakedSingularity("horizon quadratic has complex roots")
     sq = math.sqrt(disc)
-    # stable: larger-magnitude root first
-    if p <= 0:
-        x_plus = (-p + sq) / 2
-    else:
-        x_plus = -2 * q / (p + sq) if (p + sq) != 0 else 0.0
+    x_plus = (-p + sq) / 2
     x_minus = q / x_plus if x_plus != 0 else (-p - sq) / 2
-
-    def dDelta(x):
-        return 2 * x + p
-
-    for _ in range(2):  # Newton polish
-        for xr in ("plus", "minus"):
-            x0 = x_plus if xr == "plus" else x_minus
-            d = dDelta(x0)
+    roots = []
+    for x in (x_minus, x_plus):
+        for _ in range(2):
+            d = 2 * x + p
             if d != 0:
-                x0 = x0 - (x0 * x0 + p * x0 + q) / d
-                if xr == "plus":
-                    x_plus = x0
-                else:
-                    x_minus = x0
-    if x_minus > x_plus:
-        x_minus, x_plus = x_plus, x_minus
-    r_ps = math.sqrt(2.0) * params.r_s
-    return HorizonData(x_minus=x_minus, x_plus=x_plus, r_ps=r_ps, x_ps=r_ps**2)
+                x = x - (x * x + p * x + q) / d
+        roots.append(x)
+    lo, hi = roots
+    # a tie keeps each root in its slot: x_pm = -0.0, 0.0 when ab = 0, a^2 + b^2 = r_s^2
+    return HorizonData(x_minus=min(lo, hi), x_plus=max(hi, lo))

@@ -41,8 +41,7 @@ class MultiplierTriple:
         delta, delta1 = pr.delta, pr.delta1
         A = ch.sp.A(r)
         A1 = ch.sp.A1(r)
-        M = ch.mu_prime(r)
-        M1 = ch.mu_pp(r)
+        M, M1 = ch.mu_derivs(r)
         f = pr.f_jet(r)
         b = pr.b_jet(r)
         gam = pr.gamma_jet(r)
@@ -261,25 +260,6 @@ def boundary_forms(triple: MultiplierTriple, C_energy: float, r_e: float):
         "C_energy": float(C_energy), "r_e": float(r_e),
     }
     return report
-
-
-def hardy_check(r_e: float):
-    """Discrete Hardy inequality with measure r^3 dr on [r_e, 400].
-
-    int r^-2 u^2 r^3 dr <= C_H int (u')^2 r^3 dr for test functions
-    decaying at infinity; the classical constant is 1.  Returns the
-    measured worst ratio over a family of test functions.
-    """
-    r = np.linspace(r_e, 400.0, 4000)
-    dr = r[1] - r[0]
-    worst = 0.0
-    for p, s in ((1.5, 1.0), (2.0, 2.0), (2.5, 0.5), (3.0, 1.3)):
-        u = (1.0 + (r / s)) ** (-p)
-        up = np.gradient(u, dr)
-        num = np.trapezoid(u**2 * r, r)
-        den = np.trapezoid(up**2 * r ** 3, r)
-        worst = max(worst, num / den)
-    return {"hardy_ratio": float(worst), "classical_constant": 1.0}
 
 
 def demo_boundary_parameters(triple: MultiplierTriple):

@@ -108,8 +108,7 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
     gi_vv, B, A = chart.block_inverse(r)
     if np.any(gi_vv >= 0):
         raise AssemblyError("vtilde slices not uniformly spacelike on the grid")
-    M = chart.mu_prime(r)
-    M1 = chart.mu_pp(r)
+    M, M1 = chart.mu_derivs(r)
     A1 = sp.A1(r)
     B1 = -(A1 * M + A * M1)
     c1 = A1 + 3.0 * A / r

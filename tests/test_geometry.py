@@ -7,7 +7,7 @@ from mptrap.params import BlackHoleParams, SchwParams, NakedSingularity, horizon
 from mptrap.geometry import (ChartPoint, metric_pair, covariant_metric,
                              contravariant_metric, inverse_metric_components,
                              CoordinateSingularity)
-from mptrap.chart import ingoing_chart, tortoise
+from mptrap.chart import ingoing_chart
 from mptrap.geodesic import hamiltonian, _rhs
 from mptrap.smooth import richardson_derivative
 
@@ -16,7 +16,6 @@ def test_horizons_static():
     hz = horizons(BlackHoleParams(1.0, 0.0, 0.0))
     assert hz.x_minus == 0.0
     assert abs(hz.x_plus - 1.0) < 1e-15
-    assert abs(hz.r_ps - math.sqrt(2.0)) < 1e-15
 
 
 def test_horizons_single_spin():
@@ -164,12 +163,6 @@ def test_degeneracies_rejected():
 # ingoing chart
 # ---------------------------------------------------------------------------
 
-def test_tortoise_anchor_and_pinned_value(sp):
-    assert tortoise(sp, sp.r_ps) == 0.0
-    # closed-form antiderivative r + (1/2) ln((r-1)/(r+1)), anchored at r_ps
-    assert abs(tortoise(sp, 2.0) - 0.917853880312393) < 1e-14
-
-
 @pytest.mark.parametrize("d", [2, 3, 1.5])
 def test_schw_params_fix_d_at_one(d):
     """Only the (4+1)-dimensional hole, d = 1, is implemented."""
@@ -178,7 +171,7 @@ def test_schw_params_fix_d_at_one(d):
 
 
 def test_chart_far_block(sp, chart):
-    # beyond the matching radius mu = r_star, so the chart coincides with the
+    # beyond the matching radius mu' = 1/A, so the chart coincides with the
     # static one: block diag(-A, 1/A); equivalently the (v, r) block with
     # v = vtilde + mu is exactly [[-A, 1], [1, 0]]
     r = np.array([1.6, 2.0, 10.0])
@@ -187,17 +180,20 @@ def test_chart_far_block(sp, chart):
     assert np.abs(g_vv + A).max() < 1e-14
     assert np.abs(g_vr).max() < 1e-12
     assert np.abs(g_rr - 1.0 / A).max() < 1e-12
-    M = chart.mu_prime(r)
+    M = chart.mu_derivs(r)[0]
     v_block = (-A, 1.0 - A * M + A * M, 0.0)   # (v, r)-chart components
     assert np.abs(v_block[1] - 1.0).max() < 1e-14
 
 
 def test_chart_invariants(sp, chart):
     r = np.linspace(chart.r_e, 50.0, 3000)
-    M = chart.mu_prime(r)
+    M = chart.mu_derivs(r)[0]
     A = sp.A(r)
     assert np.all(M > 0)
     assert np.all(2.0 - A * M > 0)
+    # mu' <= 1/A = r_star' above the horizon: the pointwise form of mu >= r_star
+    out = r > sp.r_s
+    assert np.all(M[out] <= (1.0 + 1e-14) / A[out])
     _, _, g_rr = chart.block(r)
     assert np.all(g_rr > 0)
     # block determinant is exactly -1
@@ -210,41 +206,25 @@ def test_chart_invariants(sp, chart):
     assert np.abs(g_vr * gi_vv + g_rr * gi_vr).max() < 1e-12
 
 
-def test_mu_dominates_tortoise(sp, chart):
-    r = np.linspace(1.001, 30.0, 500)
-    gap = chart.mu(r) - tortoise(sp, r)
-    assert np.min(gap) > -1e-10
-    far = r > chart.r_match
-    assert np.abs(gap[far]).max() < 1e-10
-
-
-def _simpson(f, a, b, n=20000):
-    """Composite Simpson sum of a vectorized f over [a, b] with n panels."""
-    x = np.linspace(a, b, n + 1)
-    y = f(x)
-    return (b - a) / (3 * n) * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
-
-
-def test_mu_below_match_radius(sp, chart):
-    """Below r_match, mu is r_star(r_match) less the integral of mu': checked
-    against a dense Simpson sum of mu', with continuity onto r_star at
-    r_match and unit slope below r_blend_lo, where mu' = 1."""
-    rm, lo = chart.r_match, chart.r_blend_lo
-    r = np.concatenate([np.linspace(chart.r_e, lo, 4), np.linspace(lo, rm, 6)[1:-1]])
-    simpson = np.array([tortoise(sp, rm) - _simpson(chart.mu_prime, ri, rm) for ri in r])
-    assert np.abs(chart.mu(r) - simpson).max() < 1e-11
-    below = np.array([np.nextafter(rm, 0.0), rm - 1e-6])
-    assert np.abs(chart.mu(below) - tortoise(sp, below)).max() < 1e-12
-    r1, r2 = chart.r_e, 0.5 * (sp.r_s + lo)
-    assert abs((chart.mu(r1) - chart.mu(r2)) - (r1 - r2)) < 1e-13
+def test_mu_pp_is_derivative_of_mu_prime(chart):
+    """mu'' against a Richardson difference of mu', away from r_blend_lo and
+    r_match, where the stencil would straddle two branches of mu'."""
+    r = np.linspace(chart.r_e, 50.0, 4001)
+    keep = (np.abs(r - chart.r_blend_lo) > 0.01) & (np.abs(r - chart.r_match) > 0.01)
+    r = r[keep]
+    M1 = chart.mu_derivs(r)[1]
+    fd = richardson_derivative(lambda x: chart.mu_derivs(x)[0], r, 3e-4)
+    assert np.abs(M1).max() > 10.0           # the blend is sampled
+    assert np.all(np.abs(fd - M1) <= 1e-7 * (1.0 + np.abs(M1)))
 
 
 def test_chart_c1_across_match(sp, chart):
     rm = chart.r_match
     h = 1e-6
     # jumps across the matching radius are bounded by slope * (2h): smooth
-    assert abs(chart.mu_prime(rm + h) - chart.mu_prime(rm - h)) < 1e-4
-    assert abs(chart.mu_pp(rm + h) - chart.mu_pp(rm - h)) < 1e-3
+    (M_hi, M1_hi), (M_lo, M1_lo) = chart.mu_derivs(rm + h), chart.mu_derivs(rm - h)
+    assert abs(M_hi - M_lo) < 1e-4
+    assert abs(M1_hi - M1_lo) < 1e-3
 
 
 def test_horizon_roots_and_positivity(rng):

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import math
@@ -151,16 +152,32 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
     ("convergence", "r_max", 0.5),
     ("schw", "d", 2),
     ("schw", "d", 1.5),
+    ("geodesic", "span", 0),
+    ("geodesic", "tol", -1),
+    ("geodesic", "x_escape", 0),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({block: {key: value}}))
     task = {"wave": "wave-evolve", "mult": "multiplier-verify",
-            "convergence": "convergence"}.get(block, "trapped-scan")
+            "convergence": "convergence", "geodesic": "geodesic"}.get(block, "trapped-scan")
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task,code", [("sos-verify", 2), ("all", 2), ("trapped-scan", 0)])
+def test_params_and_schw_one_hole(tmp_path, task, code):
+    """sos-verify (alone or in `all`) reads both `params` and `schw`, so their
+    r_s (defaults filled in) must agree, or it exits 2 before any task runs;
+    a task that reads one block is unaffected."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"r_s": 2.0, "a": 0.05, "b": 0.03},
+                                "trapped_scan": {"n_samples": 20}}))
+    out = tmp_path / "o"
+    assert main([task, "--config", str(path), "--out", str(out)]) == code
+    assert out.exists() == (code != 2)
 
 
 def test_forced_wave_builds_bump_once(tmp_path, monkeypatch):
@@ -303,4 +320,28 @@ def test_traced_names_resolve():
             missing.append(f"{mod}.{cls}.{meth}")
     for mod in tracer.MODULES:
         importlib.import_module(f"mptrap.{mod}")
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", ["checks.py", "workloads.py"])
+def test_perfbench_imports_resolve(name):
+    """Every name the benchmark's checks and set-up import from mptrap exists,
+    and so does every attribute they read off an imported mptrap module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / name
+    tree = ast.parse(path.read_text())
+    missing, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mptrap":
+            mod = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names
+                        if not hasattr(mod, a.name)]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "mptrap":
+                    aliases[a.asname or a.name] = importlib.import_module(a.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and not hasattr(aliases[node.value.id], node.attr)):
+            missing.append(f"{node.value.id}.{node.attr}")
     assert missing == []

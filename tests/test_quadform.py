@@ -11,7 +11,7 @@ from scipy.linalg import eigh
 from mptrap import quadform
 from mptrap.quadform import (MultiplierTriple, quad_matrix,
                              comparison_weights, check_positivity,
-                             build_redshift, boundary_forms, hardy_check,
+                             build_redshift, boundary_forms,
                              demo_boundary_parameters, zeroth_order_n,
                              flux_matrices, positivity_grid, lateral_bracket)
 
@@ -172,11 +172,6 @@ def test_lateral_rr_entry_structure(triple):
         ing = triple.ingredients(np.asarray([re_]))
         _, L = flux_matrices(triple, np.asarray([re_]), 50.0)
         assert abs(L[0][0, 0] - ing["A"][0] * ing["Xr"][0] / 2.0) < 1e-14
-
-
-def test_hardy():
-    rep = hardy_check(0.95)
-    assert rep["hardy_ratio"] <= rep["classical_constant"] * 1.05
 
 
 def test_n_definition_consistency(sp, triple):
