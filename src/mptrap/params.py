@@ -74,9 +74,10 @@ class InconclusiveConvergence(RuntimeError):
 class BlackHoleParams:
     """Parameters of the (1+4)-dimensional rotating black hole.
 
-    r_s : Schwarzschild radius parameter (mass scale), r_s > 0.
+    r_s : Schwarzschild radius parameter (mass scale), 0 < r_s < inf.
     a, b : the two angular momentum parameters.
-    Real horizons require (r_s^2 - a^2 - b^2)^2 >= 4 a^2 b^2.
+    Real horizons require p <= 0 and p^2 - 4q >= 0 for the coefficients of
+    Delta(x) = x^2 + p x + q (`horizon_quadratic`).
     """
 
     r_s: float = 1.0
@@ -84,13 +85,21 @@ class BlackHoleParams:
     b: float = 0.0
 
     def __post_init__(self):
-        if not self.r_s > 0:
-            raise ValueError(f"r_s must be positive, got {self.r_s}")
-        disc = (self.r_s**2 - self.a**2 - self.b**2) ** 2 - 4 * self.a**2 * self.b**2
-        if disc < 0 or (self.r_s**2 - self.a**2 - self.b**2) < 0:
+        if not 0 < self.r_s < math.inf:
+            raise ValueError(f"r_s must be positive and finite, got {self.r_s}")
+        p, _, disc = self.horizon_quadratic()
+        if not (disc >= 0 and p <= 0):   # a NaN spin fails both
             raise NakedSingularity(
                 f"(r_s, a, b) = ({self.r_s}, {self.a}, {self.b}) has no real horizons"
             )
+
+    def horizon_quadratic(self):
+        """(p, q, p^2 - 4q) for Delta(x) = x^2 + p x + q, p = a^2 + b^2 - r_s^2,
+        q = a^2 b^2: the one rounding of the discriminant that both the
+        admission test above and `horizons` read."""
+        p = self.a**2 + self.b**2 - self.r_s**2
+        q = self.a**2 * self.b**2
+        return p, q, p * p - 4 * q
 
     def Delta(self, x):
         """Delta(x) = (x + a^2)(x + b^2) - r_s^2 x, whose largest root is the
@@ -114,8 +123,8 @@ class SchwParams:
     d: int = 1
 
     def __post_init__(self):
-        if not self.r_s > 0:
-            raise ValueError(f"r_s must be positive, got {self.r_s}")
+        if not 0 < self.r_s < math.inf:
+            raise ValueError(f"r_s must be positive and finite, got {self.r_s}")
         if self.d != 1:
             raise ValueError(f"d = {self.d!r}: only d = 1 (the 4+1 case) is implemented")
 
@@ -146,18 +155,13 @@ class HorizonData:
 def horizons(params: BlackHoleParams) -> HorizonData:
     """Horizon locations x_pm from Delta(x) = (x+a^2)(x+b^2) - r_s^2 x = 0.
 
-    Delta = x^2 + p x + q with p = a^2 + b^2 - r_s^2, which BlackHoleParams
-    keeps <= 0, so x_plus = (-p + sqrt(p^2 - 4q))/2 adds terms of one sign
-    and x_minus = q/x_plus avoids the cancellation of the other root.  Each
-    root is then polished with two Newton steps.
+    Delta = x^2 + p x + q with p = a^2 + b^2 - r_s^2; BlackHoleParams admits
+    only p <= 0 and p^2 - 4q >= 0, read from the same `horizon_quadratic`, so
+    x_plus = (-p + sqrt(p^2 - 4q))/2 adds terms of one sign and
+    x_minus = q/x_plus avoids the cancellation of the other root.  Each root
+    is then polished with two Newton steps.
     """
-    rs2 = params.r_s**2
-    a2, b2 = params.a**2, params.b**2
-    p = a2 + b2 - rs2
-    q = a2 * b2
-    disc = p * p - 4 * q
-    if disc < 0:
-        raise NakedSingularity("horizon quadratic has complex roots")
+    p, q, disc = params.horizon_quadratic()
     sq = math.sqrt(disc)
     x_plus = (-p + sq) / 2
     x_minus = q / x_plus if x_plus != 0 else (-p - sq) / 2

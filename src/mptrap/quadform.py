@@ -145,23 +145,44 @@ def positivity_grid(sp: SchwParams, r_e: float, r_hi: float, n_grid: int):
     return g
 
 
+def _pencil_eigh(M, w):
+    """Eigenvalues and W-orthonormal eigenvectors of the pencil (M, diag(w)),
+    computed as LAPACK dsygvd computes them, one operation at a time.
+
+    The Cholesky factor of diag(w) is L = sqrt(w); dsygs2 reduces the lower
+    triangle of M to L^{-1} M L^{-T} column by column (the diagonal divided by
+    L_k L_k, the column below it scaled by 1/L_k and then divided by L_j);
+    dsyevd, which is numpy's eigh, solves the reduced problem; and the
+    back-substitution multiplies by the reciprocal of L, as OpenBLAS's trsm
+    does.  The results are scipy.linalg.eigh(M, diag(w)) to the bit.
+    """
+    L = np.sqrt(w)
+    A = np.array(M, dtype=float)
+    for k in range(len(L)):
+        # a product, as dsygs2 squares: numpy's ** 2 can differ in the last bit
+        A[k, k] = A[k, k] / (L[k] * L[k])
+        A[k + 1:, k] = A[k + 1:, k] * (1.0 / L[k]) / L[k + 1:]
+    vals, vecs = np.linalg.eigh(A, UPLO="L")
+    return vals, vecs * (1.0 / L)[:, None]
+
+
 def check_positivity(triple: MultiplierTriple, n_grid: int = 2000):
     """Largest c with Q-matrix(r) - c W(r) >= 0 on the grid over [r_e, 50 r_s].
 
     W is diagonal, so the pencil (M, W) has the spectrum of S M S with
-    S = W^{-1/2}: one stacked eigvalsh picks the minimising radius, where one
-    generalized eigh gives c_star and its eigenvector.  Returns dict with
-    c_star, minimizing radius and eigenvector.  c_star > 0 certifies the
-    localized-energy positivity at the shipped parameters.
+    S = W^{-1/2}: one stacked eigvalsh picks the minimising radius, where
+    dsygvd's reduction and back-substitution on numpy's eigh (`_pencil_eigh`)
+    give c_star and its eigenvector.  Returns dict with c_star, minimizing
+    radius and eigenvector.  c_star > 0 certifies the localized-energy
+    positivity at the shipped parameters.
     """
-    from scipy.linalg import eigh
     sp = triple.sp
     grid = positivity_grid(sp, triple.chart.r_e, 50.0 * sp.r_s, n_grid)
     Mm = quad_matrix(triple, grid)
-    W = comparison_weights(sp, grid)
-    S = np.diagonal(W, axis1=1, axis2=2) ** -0.5
+    w = np.diagonal(comparison_weights(sp, grid), axis1=1, axis2=2)
+    S = w ** -0.5
     i = int(np.argmin(np.linalg.eigvalsh(S[:, :, None] * Mm * S[:, None, :])[:, 0]))
-    vals, vecs = eigh(Mm[i], W[i])
+    vals, vecs = _pencil_eigh(Mm[i], w[i])
     return {"c_star": float(vals[0]), "min_r": float(grid[i]),
             "min_eigvec": [float(v) for v in vecs[:, 0]], "grid_points": len(grid)}
 

@@ -38,6 +38,28 @@ def test_naked_singularity_raises():
         BlackHoleParams(1.0, 0.9, 0.9)
 
 
+def test_admitted_near_extremal_params_have_horizons(rng):
+    """Draws within a few ulps of |a| + |b| = r_s, where the discriminant of
+    Delta is rounding noise: every (r_s, a, b) that BlackHoleParams admits has
+    real horizons x_minus <= x_plus, because admission and horizons read one
+    discriminant."""
+    n = 4000
+    r_s = rng.choice([0.5, 1.0, 2.0, 3.7], n)
+    a = rng.uniform(0.0, 1.0, n)
+    b = 1.0 - a + rng.uniform(-2e-16, 2e-16, n)
+    sign = rng.choice([-1.0, 1.0], (2, n))
+    admitted = 0
+    for rs, ai, bi in zip(r_s, sign[0] * a * r_s, sign[1] * b * r_s):
+        try:
+            p = BlackHoleParams(float(rs), float(ai), float(bi))
+        except NakedSingularity:
+            continue
+        hz = horizons(p)
+        assert 0.0 <= hz.x_plus and hz.x_minus <= hz.x_plus
+        admitted += 1
+    assert admitted > n // 4
+
+
 def test_tangherlini_limit_components():
     p = BlackHoleParams(1.0, 0.0, 0.0)
     pt = ChartPoint(t=0.0, x=4.0, theta=math.pi / 4)

@@ -99,14 +99,16 @@ def test_console_entry_point(tmp_path):
 
 def test_numpy_only_tasks_load_no_scipy(tmp_path):
     """Importing the CLI, building the set-up objects and running sos-verify,
-    trapped-scan and geodesic load no scipy module: scipy is imported only
-    inside the functions that call it, and the geodesic flow is stepped by the
-    package's own DOP853."""
+    trapped-scan, geodesic and multiplier-verify load no scipy module: scipy
+    is imported only inside the functions that call it, the geodesic flow is
+    stepped by the package's own DOP853, and the positivity pencil is solved
+    by numpy's eigh inside dsygvd's reduction and back-substitution."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "params": {"r_s": 1.0, "a": 0.05, "b": 0.03},
         "sos": {"n_samples": 50, "n_bracket": 200, "n_mu": 100},
-        "trapped_scan": {"n_samples": 20}}))
+        "trapped_scan": {"n_samples": 20},
+        "multiplier": {"n_grid": 200}}))
     script = f"""
 import contextlib, io, json, sys
 from mptrap import cli
@@ -118,14 +120,14 @@ build_profiles(sp)
 ingoing_chart(sp, 0.95, 60.0)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main([task, "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r} + "/" + task])
-             for task in ("sos-verify", "trapped-scan", "geodesic")]
+             for task in ("sos-verify", "trapped-scan", "geodesic", "multiplier-verify")]
 print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
     assert out.returncode == 0, out.stderr
     codes, scipy_modules = json.loads(out.stdout)
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert scipy_modules == []
 
 
@@ -155,6 +157,9 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
     ("geodesic", "span", 0),
     ("geodesic", "tol", -1),
     ("geodesic", "x_escape", 0),
+    ("params", "a", float("nan")),
+    ("params", "r_s", float("inf")),
+    ("schw", "r_s", float("inf")),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""
@@ -164,6 +169,18 @@ def test_config_range_exit_code(tmp_path, block, key, value):
             "convergence": "convergence", "geodesic": "geodesic"}.get(block, "trapped-scan")
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_near_extremal_params_without_horizons_exit_2(tmp_path):
+    """(r_s, a, b) just past the extremal bound |a| + |b| = r_s, where the
+    discriminant p^2 - 4q of Delta rounds below zero, is a configuration
+    error for geodesic, which solves for the horizons: exit 2, nothing run."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"r_s": 1.0, "a": 0.7971469914312045,
+                                           "b": 0.20285300856879548}}))
+    out = tmp_path / "o"
+    assert main(["geodesic", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
 
 

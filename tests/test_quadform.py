@@ -74,6 +74,22 @@ def test_positivity_matches_pencil_oracle(request, name):
     assert (best[1] == grid[-1]) if name == "triple" else (best[1] < 1.05)
 
 
+@pytest.mark.parametrize("name", ["triple", "triple_no_redshift"])
+def test_pencil_eigh_is_scipy_eigh_to_the_bit(request, name):
+    """On every point of the 500-point positivity grid, the numpy pencil
+    solver returns scipy's generalized eigh eigenvalues and eigenvectors
+    exactly: it repeats LAPACK dsygvd's operations for a diagonal W."""
+    triple = request.getfixturevalue(name)
+    sp = triple.sp
+    grid = positivity_grid(sp, triple.chart.r_e, 50.0 * sp.r_s, 500)
+    M, W = quad_matrix(triple, grid), comparison_weights(sp, grid)
+    for i in range(len(grid)):
+        vals, vecs = quadform._pencil_eigh(M[i], np.diag(W[i]))
+        ref_vals, ref_vecs = eigh(M[i], W[i])
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+
+
 def test_ingredients_evaluates_each_jet_once(triple, monkeypatch):
     """The 1-form is built from the b and gamma jets ingredients holds."""
     calls = []
