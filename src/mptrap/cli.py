@@ -559,6 +559,25 @@ def _check_range(block, name, key, kind, lo, what, strict=False, hi=None):
         raise ConfigError(f"{name}.{key} = {block[key]!r} must be {what}")
 
 
+def _check_geodesic_init(init):
+    """ConfigError unless the initial covector's six values are finite real
+    numbers and sign is +1 or -1: a NaN there makes every step of the flow
+    NaN."""
+    if not isinstance(init, dict):
+        raise ConfigError(f"geodesic.init = {init!r} must be an object")
+    for key in ("x", "theta", "tau", "Theta", "Phi", "Psi"):
+        val = init.get(key)
+        try:
+            ok = not isinstance(val, bool) and math.isfinite(val)
+        except (TypeError, OverflowError):     # not a number, or an int past float
+            ok = False
+        if not ok:
+            raise ConfigError(f"geodesic.init.{key} = {val!r} must be a finite number")
+    sign = init.get("sign", 1)
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise ConfigError(f"geodesic.init.sign = {sign!r} must be 1 or -1")
+
+
 def validate_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -600,6 +619,8 @@ def validate_config(cfg):
         if name == "geodesic":
             for key in ("span", "tol", "x_escape"):
                 _check_range(block, name, key, float, 0.0, "positive", strict=True)
+            if "init" in block:
+                _check_geodesic_init(block["init"])
         if name == "convergence":
             # the order fit needs at least two pairwise errors
             _check_range(block, name, "levels", int, 3, "at least 3")

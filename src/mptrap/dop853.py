@@ -239,11 +239,13 @@ def _initial_step(fun, t0, y0, f0, span, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def _error_norm(K, h, scale):
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+def _error_norm(KT, h, scale):
+    """scipy's error estimate from the stages KT = K.T; np.sqrt(v.dot(v))
+    is what np.linalg.norm computes for a 1-D float array."""
+    err5 = np.dot(KT, E5) / scale
+    err3 = np.dot(KT, E3) / scale
+    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
@@ -300,7 +302,7 @@ def integrate(fun, y0, span, tol, t_eval, events):
     stops the flow.  Returns (t, y, hit): the samples reached, the states as
     an (n, len(t)) array, and None or (event index, event time, event state).
     Raises RuntimeError when the step size falls below ten spacings of the
-    doubles at the current time.
+    doubles at the current time, or is NaN (a NaN right-hand side).
     """
     def f_of(t, y):
         return np.asarray(fun(t, y), dtype=float)
@@ -317,6 +319,10 @@ def integrate(fun, y0, span, tol, t_eval, events):
     h_abs = _initial_step(f_of, t, y, f, t_bound, rtol, atol)
     K_ext = np.empty((N_STAGES_EXTENDED, len(y)))
     K = K_ext[:N_STAGES + 1]
+    KT, KT_B = K.T, K[:-1].T
+    # (stage row, K[:s].T, A[s, :s], C[s]) of stages 1 to 11; fun's tuple is
+    # written into the row, which converts it as np.asarray would
+    stages = [(K[s], K[:s].T, A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
     g = [ev(t, y0) for ev, _ in events]
     i_eval, ts, ys, hit = 0, [], [], None
 
@@ -325,21 +331,20 @@ def integrate(fun, y0, span, tol, t_eval, events):
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:
                 raise RuntimeError(f"step size {float(h_abs)!r} fell below the minimum "
                                    f"{float(min_step)!r} at lambda = {float(t)!r}")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = f
-            for s in range(1, N_STAGES):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = f_of(t + C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
+            for row, KsT, As, Cs in stages:
+                row[:] = fun(t + Cs * h, y + np.dot(KsT, As) * h)
+            y_new = y + h * np.dot(KT_B, B)
             f_new = f_of(t + h, y_new)
             K[-1] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _error_norm(K, h, scale)
+            err = _error_norm(KT, h, scale)
             if err < 1:
                 factor = (MAX_FACTOR if err == 0
                           else min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT))
@@ -354,7 +359,7 @@ def integrate(fun, y0, span, tol, t_eval, events):
         active = [k for k, (_, d) in enumerate(events)
                   if (d > 0 and g[k] <= 0 <= g_new[k]) or (d < 0 and g[k] >= 0 >= g_new[k])]
         if active:
-            sol = _dense_output(f_of, K_ext, t_old, t, y_old, y, f)
+            sol = _dense_output(fun, K_ext, t_old, t, y_old, y, f)
             roots = [_event_root(lambda s, ev=events[k][0]: ev(s, sol(np.array([s]))[:, 0]),
                                  t_old, t) for k in active]
             j = min(range(len(active)), key=roots.__getitem__)
@@ -365,7 +370,7 @@ def integrate(fun, y0, span, tol, t_eval, events):
         i_new = np.searchsorted(t_eval, t, side="right")
         if i_new > i_eval:
             if sol is None:
-                sol = _dense_output(f_of, K_ext, t_old, t, y_old, y, f)
+                sol = _dense_output(fun, K_ext, t_old, t, y_old, y, f)
             ts.append(t_eval[i_eval:i_new])
             ys.append(sol(t_eval[i_eval:i_new]))
             i_eval = i_new

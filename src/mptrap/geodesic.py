@@ -24,7 +24,7 @@ from .params import (BlackHoleParams, CoordinateSingularity, InvalidConstants,
                      NoTrappedSphere, horizons)
 from . import dop853
 from .geometry import inverse_metric_components, inverse_metric_form
-from .trapping import R_ab, trapped_radius_vec
+from .trapping import trapped_radius_vec
 
 
 @dataclass(frozen=True)
@@ -273,22 +273,61 @@ class Trajectory:
 def _rhs(params: BlackHoleParams, tau, Phi, Psi):
     """Hamilton's equations of p/2.  The forces d_x p and d_theta p come from
     the separated form of rho^2 p, with d_x rho^2 = 1 and
-    d_theta rho^2 = 2 (b^2 - a^2) sin cos."""
-    a2, b2, rs2 = params.a**2, params.b**2, params.r_s**2
-    tau2, Phi2, Psi2 = tau * tau, Phi * Phi, Psi * Psi
+    d_theta rho^2 = 2 (b^2 - a^2) sin cos.
+
+    One closure holding the arithmetic of `inverse_metric_components`,
+    `inverse_metric_form`, `R_ab` and `params.Delta`, expression by
+    expression, so that it gives their values to the bit: only whole
+    constant sub-expressions and left-most factors of products are hoisted.
+    Both roundings of the squared spins are kept, the products a*a, b*b of
+    the components and R_ab and the powers a**2, b**2 of Delta and the
+    forces, and so are both forms of rho^2 built from them."""
+    a, b, rs2 = params.a, params.b, params.r_s**2
+    a2, b2 = a * a, b * b                       # components and R_ab
+    pa2, pb2 = params.a**2, params.b**2         # Delta and the forces
+    d2 = a2 - b2
+    # metric-component numerators and prefixes
+    a_rs2, b_rs2, ab_rs2 = a * rs2, b * rs2, -a * b * rs2
+    b2_rs2, a2_rs2 = b2 * rs2, a2 * rs2
+    # R_ab's coefficients, prefixes and constant terms
+    two_rs2, ct0 = 2 * rs2, a2 * b2 * rs2 * rs2
+    ctp0, cts0, cps0 = 2 * a * rs2, 2 * b * rs2, -2 * a * b * rs2
+    # powers of the fibre constants, as `inverse_metric_form` and R_ab take them
+    tau_sq, Phi_sq, Psi_sq = tau**2, Phi**2, Psi**2
+    # the forces' own products
+    Phi2, Psi2 = Phi * Phi, Psi * Psi
+    tau2_d = tau * tau * (pa2 - pb2)
+    pd2 = pb2 - pa2
 
     def rhs(lam, y):
         t, x, th, ph, ps, Xi, Th = y.tolist()
-        g = inverse_metric_components(params, x, th)
-        gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth = g
-        p = inverse_metric_form(g, tau, Xi, Th, Phi, Psi)
         st, ct = math.sin(th), math.cos(th)
-        D = params.Delta(x)
-        rho2 = x + a2 * ct * ct + b2 * st * st
-        p_x = (4.0 * (2 * x + a2 + b2 - rs2) * Xi * Xi
-               - R_ab(params, x, tau, Phi, Psi) / (D * D) - p) / rho2
-        dV = 2.0 * (tau2 * (a2 - b2) * st * ct - Phi2 * ct / st**3 + Psi2 * st / ct**3)
-        p_th = (dV - 2.0 * p * (b2 - a2) * st * ct) / rho2
+        s2, c2 = st**2, ct**2
+        D = (x + pa2) * (x + pb2) - rs2 * x
+        xa, xb = x + a2, x + b2
+        rho2 = x + a2 * c2 + b2 * s2
+        rD = rho2 * D
+        gtt = (d2 * s2 - xa * (D + rs2 * xb) / D) / rho2
+        gtph = a_rs2 * xb / rD
+        gtps = b_rs2 * xa / rD
+        gphph = (1.0 / s2 - (d2 * xb + b2_rs2) / D) / rho2
+        gpsps = (1.0 / c2 + (d2 * xa - a2_rs2) / D) / rho2
+        gphps = ab_rs2 / rD
+        gxx = 4.0 * D / rho2
+        gthth = 1.0 / rho2
+        p = (gtt * tau_sq + 2 * gtph * tau * Phi + 2 * gtps * tau * Psi
+             + gphph * Phi_sq + gpsps * Psi_sq + 2 * gphps * Phi * Psi
+             + gxx * Xi**2 + gthth * Th**2)
+        R = ((xa * xa * xb * xb - two_rs2 * x * xa * xb + ct0) * tau_sq
+             + ctp0 * (xb * xb - b2_rs2) * tau * Phi
+             + cts0 * (xa * xa - a2_rs2) * tau * Psi
+             + (b2 * (xb - rs2) ** 2 - a2 * xb * xb) * Phi_sq
+             + (a2 * (xa - rs2) ** 2 - b2 * xa * xa) * Psi_sq
+             + cps0 * (2 * x + a2 + b2 - rs2) * Phi * Psi)
+        rho2_f = x + pa2 * ct * ct + pb2 * st * st
+        p_x = (4.0 * (2 * x + pa2 + pb2 - rs2) * Xi * Xi - R / (D * D) - p) / rho2_f
+        dV = 2.0 * (tau2_d * st * ct - Phi2 * ct / st**3 + Psi2 * st / ct**3)
+        p_th = (dV - 2.0 * p * pd2 * st * ct) / rho2_f
         return (gtt * tau + gtph * Phi + gtps * Psi, gxx * Xi, gthth * Th,
                 gtph * tau + gphph * Phi + gphps * Psi,
                 gtps * tau + gphps * Phi + gpsps * Psi, -0.5 * p_x, -0.5 * p_th)

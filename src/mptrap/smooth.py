@@ -52,6 +52,21 @@ def smoothstep(t):
     return out
 
 
+def _smoothstep_value(t):
+    """Row 0 of `smoothstep`, operation by operation: the same band masks and
+    u / (u + w) with u = sigma(t), w = sigma(1 - t), without the derivative
+    rows; the shape is t.shape."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    out[t >= 1.0 - 1e-12] = 1.0
+    band = (t > 1e-12) & (t < 1.0 - 1e-12)
+    tb = t[band]
+    u = np.exp(-1.0 / tb)
+    w = np.exp(-1.0 / (1.0 - tb))
+    out[band] = u / (u + w)
+    return out
+
+
 def step_jet(r, r0, w):
     """Jet in r of S((r - r0) / w); a negative width w steps down."""
     S = smoothstep((np.asarray(r, dtype=float) - r0) / w)
@@ -69,8 +84,8 @@ def plateau_bump(r, left0, left1, right0, right1):
     return out
 
 
-# points per block in smoothstep_integral, so that a block's (4, points,
-# nodes) smoothstep jet and its temporaries stay near 1 MB
+# points per block in smoothstep_integral: each (points, nodes) array of a
+# block's node values and their temporaries takes 32 kB
 _BLOCK = 64
 
 
@@ -112,7 +127,7 @@ def smoothstep_integral(t):
 
         def block(tm):
             nodes = 0.5 * tm[:, None] * (xn[None, :] + 1.0)
-            return 0.5 * tm * np.sum(wn[None, :] * smoothstep(nodes)[0], axis=1)
+            return 0.5 * tm * np.sum(wn[None, :] * _smoothstep_value(nodes), axis=1)
 
         tv = t[mask]
         out[mask] = np.concatenate([block(tv[i:i + _BLOCK])

@@ -8,6 +8,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -108,6 +110,26 @@ def test_failed_geodesic_task_fails(monkeypatch, tmp_path):
     assert witness["type"] == "RuntimeError"
     assert "fell below the minimum" in witness["error"]
     assert witness["frames"][-1].startswith("dop853.py:")
+
+
+def test_nan_rhs_raises():
+    """A right-hand side that returns NaN makes the step size NaN, which no
+    comparison stops; the step guard raises instead of looping without end.
+    Run in a subprocess with a timeout, so that a loop fails the test."""
+    script = """
+from mptrap import dop853
+import numpy as np
+try:
+    dop853.integrate(lambda t, y: (float("nan"),) * len(y), [1.0, 2.0], 10.0, 1e-10,
+                     np.linspace(0.0, 10.0, 5), ())
+except RuntimeError as exc:
+    print("RuntimeError:", exc)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60, env={"PATH": "/usr/bin:/bin",
+                                          "PYTHONPATH": ":".join(sys.path)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("RuntimeError: step size nan fell below the minimum")
 
 
 @pytest.mark.parametrize("span,tol", [(0.0, 1e-10), (1.0, -1.0)])

@@ -157,6 +157,9 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
     ("geodesic", "span", 0),
     ("geodesic", "tol", -1),
     ("geodesic", "x_escape", 0),
+    pytest.param("geodesic", "init", {"x": 3.0, "theta": 1.0, "tau": -1.0,
+                                      "Theta": float("nan"), "Phi": 0.1, "Psi": -0.05},
+                 id="geodesic-init-nan"),
     ("params", "a", float("nan")),
     ("params", "r_s", float("inf")),
     ("schw", "r_s", float("inf")),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mptrap import multiplier
+from mptrap import multiplier, smooth
 from mptrap.params import SchwParams, ProfileConstructionFailure, DifferentiationError
 from mptrap.multiplier import (build_profiles, validate_profile, cap_fn, cap_pieces,
                                jet_mul, jet_monomial)
@@ -47,6 +47,24 @@ def test_smoothstep_band_is_elementwise():
     t = np.array([[-0.2, 0.3, 1e-12, 0.999], [0.5, 1.2, 2e-12, 1.0 - 2e-12]])
     one_by_one = np.stack([smoothstep(ti) for ti in t.ravel()], axis=1)
     assert np.array_equal(smoothstep(t), one_by_one.reshape((4,) + t.shape))
+
+
+def test_smoothstep_value_is_row_0():
+    """The value-only step under smoothstep_integral equals row 0 of the jet
+    bit for bit, signed zeros included: at the band edges and their
+    neighbouring doubles, outside [0, 1], across the band and on a 2-d block
+    of Gauss nodes."""
+    edges = [0.0, -0.0, 1e-12, -1e-12, 1.0 - 1e-12, 1.0, 1e-300, -1e-300]
+    t = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                        [-3.0, -1.0, 1.5, 7.0, np.inf, -np.inf, np.nan],
+                        np.linspace(-0.5, 1.5, 20001),
+                        np.random.default_rng(5).uniform(0.0, 1.0, 20000)])
+    xn, _ = gauss_legendre(64)
+    block = 0.5 * np.linspace(0.0, 1.0, 64)[:, None] * (xn + 1.0)
+    for tt in (t, block):
+        value = smooth._smoothstep_value(tt)
+        assert value.shape == tt.shape
+        assert np.array_equal(value.view(np.int64), smoothstep(tt)[0].view(np.int64))
 
 
 A_CAP, N_MOLL = 4.9, 512.0
