@@ -21,28 +21,15 @@ import math
 import os
 import sys
 import time
-import traceback
 
 import numpy as np
 
 from . import __version__
 from .params import BlackHoleParams, SchwParams, NakedSingularity
-from .chart import ingoing_chart
-from .geometry import inverse_metric_components, inverse_metric_form
-from .geodesic import (Covector, PhasePoint, null_Xi, integrate_geodesic,
-                       trapped_sphere)
-from .trapping import (R_ab_dx, trapped_radius_vec, measure_cone_constant,
-                       SOS_WINDOW)
-from .multiplier import build_profiles
-from .quadform import (MultiplierTriple, check_positivity, build_redshift,
-                       boundary_forms, demo_boundary_parameters,
-                       zeroth_order_n, positivity_grid)
-from .sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
-                  mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
-from .wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
-                         gaussian_bump, convergence_study, export_energy_csv,
-                         export_norm_json)
-from .smooth import smoothstep
+
+# Each `mptrap <task>` is its own process, so the task functions import the
+# modules they use on their first call: importing this module loads numpy and
+# `params` only, and a task loads (and compiles) only the modules it runs.
 
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -82,6 +69,7 @@ def _schw_params(cfg):
 
 
 def _profile(cfg):
+    from .multiplier import build_profiles
     sp = _schw_params(cfg)
     m = cfg.get("mult", {})
     return sp, build_profiles(
@@ -99,6 +87,9 @@ def _profile(cfg):
 # ---------------------------------------------------------------------------
 
 def task_geodesic(cfg, rng, outdir):
+    from .geometry import inverse_metric_components, inverse_metric_form
+    from .geodesic import (Covector, PhasePoint, null_Xi, integrate_geodesic,
+                           trapped_sphere)
     params = _bh_params(cfg)
     blk = cfg.get("geodesic", {})
     tol = float(blk.get("tol", 1e-10))
@@ -174,6 +165,7 @@ def task_geodesic(cfg, rng, outdir):
 
 
 def task_trapped_scan(cfg, rng, outdir):
+    from .trapping import R_ab_dx, trapped_radius_vec, measure_cone_constant
     params = _bh_params(cfg)
     blk = cfg.get("trapped_scan", {})
     n = int(blk.get("n_samples", 400))
@@ -210,6 +202,10 @@ def task_trapped_scan(cfg, rng, outdir):
 
 
 def task_multiplier_verify(cfg, rng, outdir):
+    from .chart import ingoing_chart
+    from .quadform import (MultiplierTriple, check_positivity, build_redshift,
+                           boundary_forms, demo_boundary_parameters,
+                           zeroth_order_n, positivity_grid)
     sp, prof = _profile(cfg)
     chart = ingoing_chart(sp, float(cfg.get("r_e", 0.95 * sp.r_s)),
                           float(cfg.get("r_max", 60.0 * sp.r_s)))
@@ -325,6 +321,7 @@ def integrated_smallness(prof, r_e):
     A^{-1} dr = r dR / (2 c_d eps): the curvature terms integrate to
     moments of |rho''|, |rho'''| regardless of how thin the zone is.
     """
+    from .smooth import smoothstep
     sp = prof.sp
     # delta-part: measure of the region, which reaches from r_e up to the
     # radius where eps r^3 F = -1 (exponentially close to r_s)
@@ -349,6 +346,9 @@ def integrated_smallness(prof, r_e):
 
 
 def task_sos_verify(cfg, rng, outdir):
+    from .trapping import SOS_WINDOW
+    from .sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
+                      mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
     sp, prof = _profile(cfg)
     blk = cfg.get("sos", {})
     params = _bh_params(cfg)
@@ -449,6 +449,9 @@ def _radial_domain(cfg, name):
 
 
 def task_wave_evolve(cfg, rng, outdir):
+    from .chart import ingoing_chart
+    from .wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
+                             gaussian_bump, export_energy_csv, export_norm_json)
     sp, r_e, r_max = _radial_domain(cfg, "wave")
     blk = cfg.get("wave", {})
     if "n_r" in blk:
@@ -460,11 +463,10 @@ def task_wave_evolve(cfg, rng, outdir):
                        cfl=float(blk.get("cfl", 0.4)))
     chart = ingoing_chart(sp, r_e, r_max)
     op = assemble_mode(sp, chart, dom)
-    data = blk.get("data", {"type": "bump", "center": 3.0, "width": 0.8,
-                            "amplitude": 1.0})
+    data = {"center": 3.0, "width": 0.8, "amplitude": 1.0, **blk.get("data", {})}
     r = dom.grid()
     v0 = gaussian_bump(r, float(data["center"]), float(data["width"]),
-                       float(data.get("amplitude", 1.0)))
+                       float(data["amplitude"]))
     fblk = blk.get("forcing", {"type": "none"})
     if fblk.get("type", "none") == "none":
         forcing = None
@@ -508,6 +510,8 @@ def task_wave_evolve(cfg, rng, outdir):
 
 
 def task_convergence(cfg, rng, outdir):
+    from .chart import ingoing_chart
+    from .wavesolver import SolverDomain, convergence_study
     sp, r_e, r_max = _radial_domain(cfg, "convergence")
     blk = cfg.get("convergence", {})
     base = SolverDomain(r_e=r_e, r_max=r_max,
@@ -553,7 +557,7 @@ def _check_range(block, name, key, kind, lo, what, strict=False, hi=None):
         return
     try:
         val = kind(block[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):     # OverflowError: an int past float
         raise ConfigError(f"{name}.{key} = {block[key]!r} is not a number")
     if val < lo or (strict and val == lo) or val != val or (hi is not None and val >= hi):
         raise ConfigError(f"{name}.{key} = {block[key]!r} must be {what}")
@@ -576,6 +580,30 @@ def _check_geodesic_init(init):
     sign = init.get("sign", 1)
     if isinstance(sign, bool) or sign not in (1, -1):
         raise ConfigError(f"geodesic.init.sign = {sign!r} must be 1 or -1")
+
+
+def _check_sos(block):
+    """ConfigError unless sos.eps0 is positive and finite and sos.eps0_scan
+    (when given) is a non-empty list of such numbers that holds eps0: the
+    task reports the calibration at eps0 from that scan."""
+    _check_range(block, "sos", "eps0", float, 0.0, "positive and finite",
+                 strict=True, hi=math.inf)
+    if "eps0_scan" not in block:
+        return
+    scan = block["eps0_scan"]
+    if not isinstance(scan, list) or not scan:
+        raise ConfigError(f"sos.eps0_scan = {scan!r} must be a non-empty list")
+    for val in scan:
+        try:
+            ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
+                  and 0.0 < float(val) < math.inf)
+        except OverflowError:                  # an int past float
+            ok = False
+        if not ok:
+            raise ConfigError(f"sos.eps0_scan value {val!r} must be positive and finite")
+    eps0 = float(block.get("eps0", 0.05))
+    if f"{eps0:g}" not in {f"{val:g}" for val in scan}:
+        raise ConfigError(f"sos.eps0_scan = {scan!r} must hold sos.eps0 = {eps0:g}")
 
 
 def validate_config(cfg):
@@ -616,11 +644,24 @@ def validate_config(cfg):
                 kind = sub_blk.get("type", kinds[0]) if isinstance(sub_blk, dict) else None
                 if kind not in kinds:
                     raise ConfigError(f"{name}.{sub}.type = {kind!r} must be one of {kinds}")
+                if kind == "bump":
+                    if sub == "forcing":     # a forcing bump has no default place
+                        for key in ("center", "width"):
+                            if key not in sub_blk:
+                                raise ConfigError(f"{name}.{sub}.{key} is required "
+                                                  "for a bump forcing")
+                    _check_range(sub_blk, f"{name}.{sub}", "width", float, 0.0,
+                                 "positive", strict=True)
         if name == "geodesic":
             for key in ("span", "tol", "x_escape"):
                 _check_range(block, name, key, float, 0.0, "positive", strict=True)
             if "init" in block:
                 _check_geodesic_init(block["init"])
+        if name == "trapped_scan":
+            _check_range(block, name, "cone", float, 0.0, "positive and finite",
+                         strict=True, hi=math.inf)
+        if name == "sos":
+            _check_sos(block)
         if name == "convergence":
             # the order fit needs at least two pairwise errors
             _check_range(block, name, "levels", int, 3, "at least 3")
@@ -667,6 +708,7 @@ def run(task, cfg, outdir, seed):
         except ConfigError:
             raise
         except Exception as exc:
+            import traceback
             # the innermost frames, by file basename so that reports do not
             # depend on where the package is installed
             frames = [f"{os.path.basename(f.filename)}:{f.lineno}:{f.name}"

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mptrap import cli
+from mptrap import cli, geodesic, wavesolver
 from mptrap.cli import main, run, validate_config, ConfigError
 
 
@@ -131,6 +131,40 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
     assert scipy_modules == []
 
 
+def _mptrap_modules_after(tmp_path, task=None, cfg=None):
+    """(exit code, sorted mptrap.* modules) of a fresh interpreter that
+    imports mptrap.cli and then, when task is given, runs it on cfg."""
+    script = "import json, sys\nimport mptrap.cli\ncode = None\n"
+    if task is not None:
+        path = tmp_path / f"{task}.json"
+        path.write_text(json.dumps(cfg))
+        script += (f"code = mptrap.cli.main([{task!r}, '--config', {str(path)!r}, "
+                   f"'--out', {str(tmp_path / task)!r}])\n")
+    script += ("print(json.dumps([code, sorted(m for m in sys.modules "
+               "if m.split('.')[0] == 'mptrap')]))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_loads_only_task_modules(tmp_path):
+    """Importing the CLI loads `params` and nothing else of mptrap, and each
+    task imports only the modules it runs, on its first call."""
+    _, mods = _mptrap_modules_after(tmp_path)
+    assert mods == ["mptrap", "mptrap.cli", "mptrap.params"]
+    code, mods = _mptrap_modules_after(tmp_path, "trapped-scan",
+                                       {"trapped_scan": {"n_samples": 20}})
+    assert code == 0
+    assert not {f"mptrap.{m}" for m in ("geodesic", "dop853", "quadform", "sos",
+                                        "wavesolver")} & set(mods)
+    code, mods = _mptrap_modules_after(tmp_path, "wave-evolve",
+                                       {"wave": {"n_r": 50, "T": 0.5}})
+    assert code == 0
+    assert not {f"mptrap.{m}" for m in ("geodesic", "dop853", "trapping", "sos",
+                                        "quadform", "multiplier")} & set(mods)
+
+
 @pytest.mark.parametrize("block,key,value", [
     ("wave", "n_r", 3),
     ("wave", "T", -1),
@@ -163,16 +197,53 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
     ("params", "a", float("nan")),
     ("params", "r_s", float("inf")),
     ("schw", "r_s", float("inf")),
+    ("trapped_scan", "cone", -1),
+    ("trapped_scan", "cone", 0),
+    ("trapped_scan", "cone", float("inf")),
+    pytest.param("trapped_scan", "cone", 10 ** 400, id="trapped_scan-cone-int-past-float"),
+    ("sos", "eps0", -0.05),
+    ("sos", "eps0", 0),
+    pytest.param("sos", "eps0_scan", [], id="sos-eps0_scan-empty"),
+    pytest.param("sos", "eps0_scan", [0.0125, -0.025, 0.05], id="sos-eps0_scan-negative"),
+    pytest.param("sos", "eps0_scan", [0.0125, 0.025], id="sos-eps0_scan-without-eps0"),
+    pytest.param("sos", "eps0_scan", 0.05, id="sos-eps0_scan-not-a-list"),
+    pytest.param("sos", "eps0_scan", [10 ** 400, 0.05], id="sos-eps0_scan-int-past-float"),
+    pytest.param("wave", "data", {"width": 0}, id="wave-data-width-0"),
+    pytest.param("wave", "forcing", {"type": "bump", "center": 4.0, "width": -1.0},
+                 id="wave-forcing-width-negative"),
+    pytest.param("wave", "forcing", {"type": "bump", "width": 1.0},
+                 id="wave-forcing-bump-no-center"),
+    pytest.param("wave", "forcing", {"type": "bump", "center": 4.0},
+                 id="wave-forcing-bump-no-width"),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({block: {key: value}}))
-    task = {"wave": "wave-evolve", "mult": "multiplier-verify",
+    task = {"wave": "wave-evolve", "mult": "multiplier-verify", "sos": "sos-verify",
             "convergence": "convergence", "geodesic": "geodesic"}.get(block, "trapped-scan")
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data", [{"width": 0.5}, {"center": 3.5},
+                                  {"type": "bump", "amplitude": 2.0}])
+def test_partial_wave_data_takes_defaults(tmp_path, data):
+    """A wave.data block with keys left out takes the defaults (centre 3.0,
+    width 0.8, amplitude 1.0): it runs as the full block does."""
+    full = {"type": "bump", "center": 3.0, "width": 0.8, "amplitude": 1.0, **data}
+    runs = []
+    for tag, blk in (("full", full), ("partial", data)):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps({"wave": {"n_r": 200, "T": 2.0, "data": blk}}))
+        out = tmp_path / tag
+        assert main(["wave-evolve", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "report.json") as fh:
+            metrics = json.load(fh)["metrics"]
+        runs.append((metrics, (out / "energy.csv").read_text(),
+                     (out / "norms.json").read_text()))
+    assert runs[0] == runs[1]
 
 
 def test_near_extremal_params_without_horizons_exit_2(tmp_path):
@@ -204,13 +275,13 @@ def test_forced_wave_builds_bump_once(tmp_path, monkeypatch):
     """A forced run evaluates the spatial bump twice, once for the data and
     once for the forcing, not once per RK4 stage."""
     calls = []
-    orig = cli.gaussian_bump
+    orig = wavesolver.gaussian_bump
 
     def counted(*args, **kw):
         calls.append(args[1:])
         return orig(*args, **kw)
 
-    monkeypatch.setattr(cli, "gaussian_bump", counted)
+    monkeypatch.setattr(wavesolver, "gaussian_bump", counted)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"wave": {
         "n_r": 200, "T": 2.0,
@@ -285,14 +356,14 @@ def test_physics_failure_has_witness(tmp_path, task, cfg, check, failed):
 def test_trapped_departure_can_fail(tmp_path, monkeypatch):
     """A trapped orbit cut off before it departs ends at "span", which fails
     trapped_departure: the check accepts only the horizon or escape."""
-    orig = cli.integrate_geodesic
+    orig = geodesic.integrate_geodesic
 
     def short(params, init, affine_span, **kw):
         if kw.get("n_samples") == 4000:          # the trapped run
             affine_span = 10.0
         return orig(params, init, affine_span, **kw)
 
-    monkeypatch.setattr(cli, "integrate_geodesic", short)
+    monkeypatch.setattr(geodesic, "integrate_geodesic", short)
     out = tmp_path / "o"
     assert main(["geodesic", "--out", str(out)]) == 1
     with open(out / "report.json") as fh:
