@@ -563,6 +563,23 @@ def _check_range(block, name, key, kind, lo, what, strict=False, hi=None):
         raise ConfigError(f"{name}.{key} = {block[key]!r} must be {what}")
 
 
+def _check_bump(block, name, keys):
+    """ConfigError unless the bump's centres (keys ending in `center`) are
+    finite, its widths positive and finite and its amplitude nonzero and
+    finite: a zero width divides by zero, a NaN centre gives a zero or NaN
+    bump and a zero data amplitude a zero initial energy."""
+    for key in keys:
+        if key.endswith("center"):
+            _check_range(block, name, key, float, -math.inf, "finite",
+                         strict=True, hi=math.inf)
+        elif key.endswith("width"):
+            _check_range(block, name, key, float, 0.0, "positive and finite",
+                         strict=True, hi=math.inf)
+        else:       # the amplitude, through its magnitude
+            _check_range(block, name, key, lambda val: abs(float(val)), 0.0,
+                         "nonzero and finite", strict=True, hi=math.inf)
+
+
 def _check_geodesic_init(init):
     """ConfigError unless the initial covector's six values are finite real
     numbers and sign is +1 or -1: a NaN there makes every step of the flow
@@ -645,13 +662,14 @@ def validate_config(cfg):
                 if kind not in kinds:
                     raise ConfigError(f"{name}.{sub}.type = {kind!r} must be one of {kinds}")
                 if kind == "bump":
+                    keys = ("center", "width", "amplitude")
                     if sub == "forcing":     # a forcing bump has no default place
                         for key in ("center", "width"):
                             if key not in sub_blk:
                                 raise ConfigError(f"{name}.{sub}.{key} is required "
                                                   "for a bump forcing")
-                    _check_range(sub_blk, f"{name}.{sub}", "width", float, 0.0,
-                                 "positive", strict=True)
+                        keys += ("t_center", "t_width")
+                    _check_bump(sub_blk, f"{name}.{sub}", keys)
         if name == "geodesic":
             for key in ("span", "tol", "x_escape"):
                 _check_range(block, name, key, float, 0.0, "positive", strict=True)
@@ -665,6 +683,7 @@ def validate_config(cfg):
         if name == "convergence":
             # the order fit needs at least two pairwise errors
             _check_range(block, name, "levels", int, 3, "at least 3")
+            _check_bump(block, name, ("center", "width"))
         if name == "mult":
             _check_range(block, name, "alpha_cap", float, 0.0, "in (0, 5)",
                          strict=True, hi=5.0)

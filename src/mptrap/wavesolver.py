@@ -20,6 +20,8 @@ Runge-Kutta in time, its stages formed in preallocated buffers.
 from dataclasses import dataclass, field
 import json
 import math
+import os
+import pickle
 
 import numpy as np
 
@@ -325,27 +327,76 @@ def diagnostics(hist: History):
     return erep, nrep
 
 
+def _fork(work):
+    """Run work() in a forked child.  Returns collect(), which reads the
+    child's result, reaps the child and returns the result, or None when
+    work raised."""
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child writes nothing but its pickle and leaves through
+        # os._exit, which runs no atexit handler and flushes none of the
+        # parent's stdio buffers; exit status 0 means the pickle is whole
+        code = 1
+        try:
+            os.close(rfd)
+            result = work()
+            with os.fdopen(wfd, "wb") as fh:
+                pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+
+    def collect():
+        try:
+            with os.fdopen(rfd, "rb") as fh:
+                data = fh.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        return pickle.loads(data) if status == 0 else None
+    return collect
+
+
 def convergence_study(sp: SchwParams, chart: IngoingChart, base: SolverDomain,
                       data_center: float, data_width: float, levels: int = 3):
-    """Self-convergence order of the field and of the final slice energy."""
-    runs = []
-    for k in range(levels):
-        dom = SolverDomain(r_e=base.r_e, r_max=base.r_max,
-                           n_r=(base.n_r - 1) * 2**k + 1, l=base.l,
-                           T=base.T, cfl=base.cfl, sample_every=10**9)
+    """Self-convergence order of the field and of the final slice energy.
+
+    A forked child evolves the coarser levels while this process evolves the
+    finest one, which costs about twice as much as the others together (each
+    level doubles the grid points and the steps).  Both run the same
+    arithmetic in copies of one process image, so every number is the serial
+    loop's.  A failing level raises here, in serial order and with its own
+    frames: if the child failed, its levels are rerun in this process before
+    the finest level's exception, if any, is raised."""
+    doms = [SolverDomain(r_e=base.r_e, r_max=base.r_max,
+                         n_r=(base.n_r - 1) * 2**k + 1, l=base.l,
+                         T=base.T, cfl=base.cfl, sample_every=10**9)
+            for k in range(levels)]
+
+    def final(dom):
+        """Final field and slice energy of one level."""
         op = assemble_mode(sp, chart, dom)
         v0 = gaussian_bump(dom.grid(), data_center, data_width)
         hist = evolve(op, v0, np.zeros_like(v0))
-        runs.append((dom, hist))
+        return hist.v[-1], slice_energy(op, hist.v[-1], hist.W[-1])
+
+    collect = _fork(lambda: [final(dom) for dom in doms[:-1]])
+    try:
+        finest = final(doms[-1])
+    except Exception as exc:
+        finest = exc
+    finally:
+        coarse = collect()
+    if coarse is None:
+        coarse = [final(dom) for dom in doms[:-1]]
+    if isinstance(finest, Exception):
+        raise finest
+    finals = coarse + [finest]
     errs_f, errs_e = [], []
     for k in range(levels - 1):
-        dom0, h0 = runs[k]
-        dom1, h1 = runs[k + 1]
-        v0 = h0.v[-1]
-        v1 = h1.v[-1][:: 2]
-        errs_f.append(float(np.sqrt(np.trapezoid((v0 - v1) ** 2, dom0.grid()))))
-        e0 = slice_energy(h0.op, h0.v[-1], h0.W[-1])
-        e1 = slice_energy(h1.op, h1.v[-1], h1.W[-1])
+        (v0, e0), (v1, e1) = finals[k], finals[k + 1]
+        errs_f.append(float(np.sqrt(np.trapezoid((v0 - v1[::2]) ** 2, doms[k].grid()))))
         errs_e.append(abs(e0 - e1))
     orders_f = [math.log2(errs_f[i] / errs_f[i + 1]) for i in range(len(errs_f) - 1)]
     orders_e = [math.log2(errs_e[i] / errs_e[i + 1]) for i in range(len(errs_e) - 1)]

@@ -215,6 +215,19 @@ def test_cli_loads_only_task_modules(tmp_path):
                  id="wave-forcing-bump-no-center"),
     pytest.param("wave", "forcing", {"type": "bump", "center": 4.0},
                  id="wave-forcing-bump-no-width"),
+    ("convergence", "width", 0),
+    ("convergence", "width", -0.8),
+    ("convergence", "center", float("nan")),
+    ("convergence", "center", float("inf")),
+    pytest.param("wave", "forcing", {"type": "bump", "center": 4.0, "width": 1.0,
+                                     "t_width": 0}, id="wave-forcing-t_width-0"),
+    pytest.param("wave", "forcing", {"type": "bump", "center": 4.0, "width": 1.0,
+                                     "t_center": float("nan")},
+                 id="wave-forcing-t_center-nan"),
+    pytest.param("wave", "forcing", {"type": "bump", "center": float("nan"),
+                                     "width": 1.0}, id="wave-forcing-center-nan"),
+    pytest.param("wave", "data", {"center": float("nan")}, id="wave-data-center-nan"),
+    pytest.param("wave", "data", {"amplitude": 0}, id="wave-data-amplitude-0"),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""

@@ -1,10 +1,13 @@
 import math
+import os
+import traceback
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from mptrap import wavesolver
 from mptrap.params import SchwParams, InstabilityError
 from mptrap.chart import ingoing_chart
 from mptrap.wavesolver import (SolverDomain, assemble_mode, spatial_operator,
@@ -342,3 +345,69 @@ def test_evolve_leaves_inputs_and_snapshots_unaliased(sp, wchart):
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+# a small three-level study: n_r 60, 119 and 237
+STUDY_BASE = SolverDomain(r_e=0.9, r_max=30.0, n_r=60, l=0, T=2.0)
+
+
+def small_study(sp, chart):
+    return convergence_study(sp, chart, STUDY_BASE, 3.0, 0.9, levels=3)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_study_equals_inline(sp, wchart, monkeypatch):
+    """The study with its coarse levels in a forked child gives exactly
+    what it gives with them run inline in this process."""
+    forked = small_study(sp, wchart)
+    assert_no_child_left()
+
+    def inline(work):
+        result = work()
+        return lambda: result
+    monkeypatch.setattr(wavesolver, "_fork", inline)
+    assert small_study(sp, wchart) == forked
+    assert len(forked) == 6
+
+
+def test_study_runs_finest_level_here(sp, wchart, monkeypatch, tmp_path):
+    """The finest level is evolved in the calling process and the coarser
+    ones in exactly one other process."""
+    log = tmp_path / "levels.txt"
+    orig = wavesolver.evolve
+
+    def logged_evolve(op, v0, W0, forcing=None):
+        with open(log, "a") as fh:
+            fh.write(f"{op.dom.n_r} {os.getpid()}\n")
+        return orig(op, v0, W0, forcing)
+    monkeypatch.setattr(wavesolver, "evolve", logged_evolve)
+    small_study(sp, wchart)
+    pids = dict(map(int, line.split()) for line in log.read_text().splitlines())
+    assert sorted(pids) == [60, 119, 237]
+    assert pids[237] == os.getpid()
+    assert pids[60] == pids[119] != os.getpid()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [(119,), (237,), (119, 237)],
+                         ids=["coarse", "finest", "both"])
+def test_study_failure_raises_here_in_serial_order(sp, wchart, monkeypatch, failing):
+    """A failing level raises in this process with its own message and
+    innermost frame, and when two fail, the one the serial order reaches
+    first is reported."""
+    orig = wavesolver.evolve
+
+    def failing_evolve(op, v0, W0, forcing=None):
+        if op.dom.n_r in failing:
+            raise InstabilityError(f"n_r {op.dom.n_r} in process {os.getpid()}")
+        return orig(op, v0, W0, forcing)
+    monkeypatch.setattr(wavesolver, "evolve", failing_evolve)
+    with pytest.raises(InstabilityError) as info:
+        small_study(sp, wchart)
+    assert str(info.value) == f"n_r {failing[0]} in process {os.getpid()}"
+    assert traceback.extract_tb(info.value.__traceback__)[-1].name == "failing_evolve"
+    assert_no_child_left()
