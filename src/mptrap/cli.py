@@ -36,6 +36,15 @@ RNG_ALGORITHM = "numpy-PCG64"
 # geodesic gate: the separated residual follows the integrator's accumulated
 # global error, not its per-step tolerance (about 2.6 tol at the defaults)
 SEP_RESIDUAL_PER_TOL = 1e3
+# geodesic gate on the drifts of the Hamiltonian p and the Carter constant K
+DRIFT_TOL = 1e-8
+# the trapped orbit: (Phi, Psi) at E = 1, and its persistence window in t
+TRAPPED_PHI_HAT, TRAPPED_PSI_HAT = 0.1, -0.05
+TRAPPED_WINDOW = 30.0
+# the accepted band of the convergence study's fitted field order
+ORDER_BAND = (1.8, 2.2)
+# the boundary clause as the paper pins it: C and r_e / r_s
+C_PINNED, R_E_PINNED = 100.0, 0.95
 
 
 class ConfigError(ValueError):
@@ -50,36 +59,10 @@ def _verdict(checks):
     return not witnesses, witnesses
 
 
-def _bh_params(cfg):
-    block = cfg.get("params", {})
-    try:
-        return BlackHoleParams(r_s=float(block.get("r_s", 1.0)),
-                               a=float(block.get("a", 0.0)),
-                               b=float(block.get("b", 0.0)))
-    except (NakedSingularity, ValueError) as exc:
-        raise ConfigError(str(exc))
-
-
-def _schw_params(cfg):
-    block = cfg.get("schw", {})
-    try:
-        return SchwParams(r_s=float(block.get("r_s", 1.0)), d=block.get("d", 1))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def _profile(cfg):
     from .multiplier import build_profiles
-    sp = _schw_params(cfg)
-    m = cfg.get("mult", {})
-    return sp, build_profiles(
-        sp,
-        alpha_cap=float(m.get("alpha_cap", 4.9)),
-        N=m.get("N"),
-        eps=float(m.get("eps", 0.012)),
-        delta=float(m.get("delta", 0.03)),
-        delta1=float(m.get("delta1", 0.005)),
-        eps_match=float(m.get("eps_match", 1e-3)))
+    sp = SchwParams(**cfg["schw"])
+    return sp, build_profiles(sp, **cfg["mult"])
 
 
 # ---------------------------------------------------------------------------
@@ -90,39 +73,34 @@ def task_geodesic(cfg, rng, outdir):
     from .geometry import inverse_metric_components, inverse_metric_form
     from .geodesic import (Covector, PhasePoint, null_Xi, integrate_geodesic,
                            trapped_sphere)
-    params = _bh_params(cfg)
-    blk = cfg.get("geodesic", {})
-    tol = float(blk.get("tol", 1e-10))
-    span = float(blk.get("span", 1000.0))
-    init = blk.get("init", {"x": 3.0, "theta": 1.0, "tau": -1.0,
-                            "Theta": 0.2, "Phi": 0.1, "Psi": -0.05, "sign": 1})
-    x_escape = float(blk.get("x_escape", 1e8))
+    params = BlackHoleParams(**cfg["params"])
+    blk = cfg["geodesic"]
+    tol, init = blk["tol"], blk["init"]
     Xi = null_Xi(params, init["x"], init["theta"], init["tau"],
-                 init["Theta"], init["Phi"], init["Psi"], sign=init.get("sign", 1))
+                 init["Theta"], init["Phi"], init["Psi"], sign=init["sign"])
     pp = PhasePoint(t=0.0, x=init["x"], theta=init["theta"], phi=0.0, psi=0.0,
                     momentum=Covector(tau=init["tau"], Xi=Xi, Theta=init["Theta"],
                                       Phi=init["Phi"], Psi=init["Psi"]))
-    traj = integrate_geodesic(params, pp, span, tol=tol, x_escape=x_escape)
+    traj = integrate_geodesic(params, pp, blk["span"], tol=tol, x_escape=blk["x_escape"])
     metrics = {
         "termination": traj.termination,
         "p_drift": traj.p_drift, "K_drift": traj.K_drift,
         "separated_residual": traj.sep_residual,
     }
     traj.export_csv(os.path.join(outdir, "trajectory.csv"))
-    drift_tol = float(blk.get("drift_tol", 1e-8))
     sep_gate = SEP_RESIDUAL_PER_TOL * tol
     checks = {
-        "p_drift": (traj.p_drift < drift_tol,
-                    {"p_drift": traj.p_drift, "bound": drift_tol}),
-        "K_drift": (traj.K_drift < drift_tol,
-                    {"K_drift": traj.K_drift, "bound": drift_tol}),
+        "p_drift": (traj.p_drift < DRIFT_TOL,
+                    {"p_drift": traj.p_drift, "bound": DRIFT_TOL}),
+        "K_drift": (traj.K_drift < DRIFT_TOL,
+                    {"K_drift": traj.K_drift, "bound": DRIFT_TOL}),
         "separated_residual": (traj.sep_residual < sep_gate,
                                {"separated_residual": traj.sep_residual,
                                 "bound": sep_gate}),
     }
 
-    if blk.get("trapped", True):
-        E, Ph, Ps = 1.0, float(blk.get("phi_hat", 0.1)), float(blk.get("psi_hat", -0.05))
+    if blk["trapped"]:
+        E, Ph, Ps = 1.0, TRAPPED_PHI_HAT, TRAPPED_PSI_HAT
         ts = trapped_sphere(params, Ph, Ps)
         th0 = 1.0
         g = inverse_metric_components(params, ts.x0, th0)
@@ -141,7 +119,7 @@ def task_geodesic(cfg, rng, outdir):
         rvals = np.sqrt(trj.states[1])
         r0 = math.sqrt(ts.x0)
         dev = np.abs(rvals - r0)
-        window = float(blk.get("trapped_window", 30.0))
+        window = TRAPPED_WINDOW
         dev_w = float(np.max(dev[tvals <= window])) if np.any(tvals <= window) else math.inf
         dev_50 = float(np.max(dev[tvals <= 50.0])) if np.any(tvals <= 50.0) else math.inf
         sel = (dev > 1e-9) & (dev < 1e-2)
@@ -166,10 +144,8 @@ def task_geodesic(cfg, rng, outdir):
 
 def task_trapped_scan(cfg, rng, outdir):
     from .trapping import R_ab_dx, trapped_radius_vec, measure_cone_constant
-    params = _bh_params(cfg)
-    blk = cfg.get("trapped_scan", {})
-    n = int(blk.get("n_samples", 400))
-    cone = float(blk.get("cone", 0.25))
+    params = BlackHoleParams(**cfg["params"])
+    n, cone = cfg["trapped_scan"]["n_samples"], cfg["trapped_scan"]["cone"]
     taus = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
     Phis = rng.uniform(-cone, cone, n)
     Psis = rng.uniform(-cone, cone, n)
@@ -207,10 +183,8 @@ def task_multiplier_verify(cfg, rng, outdir):
                            boundary_forms, demo_boundary_parameters,
                            zeroth_order_n, positivity_grid)
     sp, prof = _profile(cfg)
-    chart = ingoing_chart(sp, float(cfg.get("r_e", 0.95 * sp.r_s)),
-                          float(cfg.get("r_max", 60.0 * sp.r_s)))
+    chart = ingoing_chart(sp, cfg["r_e"], cfg["r_max"])
     triple = MultiplierTriple(profile=prof, chart=chart)
-    blk = cfg.get("multiplier", {})
     metrics = {"N": prof.N, "eps": prof.eps, "delta": prof.delta,
                "delta1": prof.delta1, "achieved_match": prof.achieved_match}
 
@@ -227,7 +201,7 @@ def task_multiplier_verify(cfg, rng, outdir):
     metrics.update({"n_min": nrep["n_min"], "n_argmin": nrep["n_argmin"],
                     "X_dr_at_rs": nrep["X_dr_at_rs"], "m_dr_at_rs": nrep["m_dr_at_rs"]})
 
-    n_grid = int(blk.get("n_grid", 2000))
+    n_grid = cfg["multiplier"]["n_grid"]
     pos = check_positivity(triple, n_grid=n_grid)
     pos2 = check_positivity(triple, n_grid=2 * n_grid)
     metrics["c_star"] = pos["c_star"]
@@ -240,9 +214,7 @@ def task_multiplier_verify(cfg, rng, outdir):
     metrics["smallness_integral"] = I_val
     metrics["smallness_vs_delta"] = I_val / prof.delta
 
-    C_pinned = float(blk.get("C_energy", 100.0))
-    re_pinned = float(blk.get("r_e_boundary", 0.95 * sp.r_s))
-    bf = boundary_forms(triple, C_pinned, re_pinned)
+    bf = boundary_forms(triple, C_PINNED, R_E_PINNED * sp.r_s)
     metrics["boundary_at_pinned"] = {k: bf[k] for k in
                                 ("kappa", "slice_min_eig", "lateral_min_eig",
                                  "C_energy", "r_e")}
@@ -301,8 +273,8 @@ def task_multiplier_verify(cfg, rng, outdir):
                     "lateral_pd_at_0p95": bf["lateral_min_eig"] > 0}
     metrics["pinned_boundary_targets_met"] = pinned_targets
     metrics["pinned_boundary_note"] = (
-        "boundary-flux positivity at C=100, r_e=0.95 r_s is unattainable for "
-        "the bounded (saturated) multiplier family; see project notes. The "
+        f"boundary-flux positivity at C={C_PINNED:g}, r_e={R_E_PINNED:g} r_s is "
+        "unattainable for the bounded (saturated) multiplier family; see project notes. The "
         "mechanism is verified at the derived feasible parameters instead.")
     if not all(pinned_targets.values()):
         witnesses.append({"check": "pinned_boundary_targets",
@@ -350,10 +322,9 @@ def task_sos_verify(cfg, rng, outdir):
     from .sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
                       mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
     sp, prof = _profile(cfg)
-    blk = cfg.get("sos", {})
-    params = _bh_params(cfg)
-    n = int(blk.get("n_samples", 10000))
-    eps0 = float(blk.get("eps0", 0.05))
+    blk = cfg["sos"]
+    params = BlackHoleParams(**cfg["params"])
+    n, eps0 = blk["n_samples"], blk["eps0"]
     sos = SchwSos(profile=prof)
     rs = sp.r_s
 
@@ -371,7 +342,7 @@ def task_sos_verify(cfg, rng, outdir):
     metrics["lambda_identity_max_err"] = float(np.max(lam_err))
 
     mp = MpSos(params=params, sos=sos)
-    nb = int(blk.get("n_bracket", 100000))
+    nb = blk["n_bracket"]
     rb = rng.uniform(SOS_WINDOW[0] * rs, SOS_WINDOW[1] * rs, nb)
     thb = rng.uniform(0.3, math.pi / 2 - 0.3, nb)
     xib, Thb, Phb, Psb = rng.standard_normal((4, nb))
@@ -390,15 +361,13 @@ def task_sos_verify(cfg, rng, outdir):
         np.savetxt(fh, np.column_stack(cols)[rows], fmt="%.16e", delimiter=",", comments="",
                    header="r,theta,xi,Theta,Phi,Psi,tau,bracket,alpha2,beta2,r_trap")
 
-    region = blk.get("region", [1.35 * rs, 1.50 * rs, 0.3, math.pi / 2 - 0.3])
     # one calibration sample set and its radial jets, shared by every eps0;
     # drawn from a child stream of the run seed (SeedSequence spawn key 0)
-    samples = mu_samples(tuple(region), rng.spawn(1)[0],
-                         int(blk.get("n_mu", 20000)))
+    samples = mu_samples(tuple(blk["region"]), rng.spawn(1)[0], blk["n_mu"])
     jets = sos.jets(samples[0])
     mu_reports = {}
     env = {}
-    for e0 in blk.get("eps0_scan", [eps0 / 4, eps0 / 2, eps0]):
+    for e0 in blk["eps0_scan"]:
         pr_e = BlackHoleParams(r_s=params.r_s, a=0.6 * e0 * params.r_s,
                                b=0.6 * e0 * params.r_s)
         mp_e = MpSos(params=pr_e, sos=sos)
@@ -439,48 +408,31 @@ def task_sos_verify(cfg, rng, outdir):
     return status, metrics, witnesses
 
 
-def _radial_domain(cfg, name):
-    """(sp, r_e, r_max) of the `wave` or `convergence` block, defaults
-    filled in: r_e = 0.9 r_s, r_max = 60 r_s (wave) or 30 r_s."""
-    sp = _schw_params(cfg)
-    blk = cfg.get(name, {})
-    r_max = (60.0 if name == "wave" else 30.0) * sp.r_s
-    return sp, float(blk.get("r_e", 0.9 * sp.r_s)), float(blk.get("r_max", r_max))
-
-
 def task_wave_evolve(cfg, rng, outdir):
     from .chart import ingoing_chart
     from .wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
                              gaussian_bump, export_energy_csv, export_norm_json)
-    sp, r_e, r_max = _radial_domain(cfg, "wave")
-    blk = cfg.get("wave", {})
-    if "n_r" in blk:
-        n_r = int(blk["n_r"])
-    else:
-        n_r = int(round((r_max - r_e) / float(blk.get("dr", 0.05)))) + 1
-    dom = SolverDomain(r_e=r_e, r_max=r_max, n_r=n_r, l=int(blk.get("l", 0)),
-                       T=float(blk.get("T", 50.0)),
-                       cfl=float(blk.get("cfl", 0.4)))
-    chart = ingoing_chart(sp, r_e, r_max)
+    sp = SchwParams(**cfg["schw"])
+    blk = cfg["wave"]
+    dom = SolverDomain(r_e=blk["r_e"], r_max=blk["r_max"], n_r=blk["n_r"], l=blk["l"],
+                       T=blk["T"], cfl=blk["cfl"])
+    chart = ingoing_chart(sp, dom.r_e, dom.r_max)
     op = assemble_mode(sp, chart, dom)
-    data = {"center": 3.0, "width": 0.8, "amplitude": 1.0, **blk.get("data", {})}
+    data = blk["data"]
     r = dom.grid()
-    v0 = gaussian_bump(r, float(data["center"]), float(data["width"]),
-                       float(data["amplitude"]))
-    fblk = blk.get("forcing", {"type": "none"})
-    if fblk.get("type", "none") == "none":
+    v0 = gaussian_bump(r, data["center"], data["width"], data["amplitude"])
+    fblk = blk["forcing"]
+    if fblk["type"] == "none":
         forcing = None
     else:
-        fc, fw = float(fblk["center"]), float(fblk["width"])
-        famp = float(fblk.get("amplitude", 1.0))
-        ft0, fts = float(fblk.get("t_center", 5.0)), float(fblk.get("t_width", 2.0))
+        famp, ft0, fts = fblk["amplitude"], fblk["t_center"], fblk["t_width"]
         # evolve passes op.r, which is this task's grid r
-        bump = gaussian_bump(r, fc, fw)
+        bump = gaussian_bump(r, fblk["center"], fblk["width"])
 
         def forcing(t, rr):
             return famp * math.exp(-((t - ft0) / fts) ** 2) * bump
     hist = evolve(op, v0, np.zeros_like(v0), forcing=forcing)
-    if blk.get("snapshots", False):
+    if blk["snapshots"]:
         times, vs, _ = hist.snapshot_array()
         np.savetxt(os.path.join(outdir, "snapshots.csv"),
                    np.column_stack([times, vs[:, ::8]]), fmt="%.10e", delimiter=",",
@@ -512,17 +464,15 @@ def task_wave_evolve(cfg, rng, outdir):
 def task_convergence(cfg, rng, outdir):
     from .chart import ingoing_chart
     from .wavesolver import SolverDomain, convergence_study
-    sp, r_e, r_max = _radial_domain(cfg, "convergence")
-    blk = cfg.get("convergence", {})
-    base = SolverDomain(r_e=r_e, r_max=r_max,
-                        n_r=int(blk.get("n_r", 400)), l=int(blk.get("l", 0)),
-                        T=float(blk.get("T", 12.0)))
+    sp = SchwParams(**cfg["schw"])
+    blk = cfg["convergence"]
+    base = SolverDomain(r_e=blk["r_e"], r_max=blk["r_max"], n_r=blk["n_r"], l=blk["l"],
+                        T=blk["T"])
     chart = ingoing_chart(sp, base.r_e, base.r_max)
-    res = convergence_study(sp, chart, base, float(blk.get("center", 3.0)),
-                            float(blk.get("width", 0.8)),
-                            levels=int(blk.get("levels", 4)))
+    res = convergence_study(sp, chart, base, blk["center"], blk["width"],
+                            levels=blk["levels"])
     metrics = dict(res)
-    lo, hi = blk.get("order_band", [1.8, 2.2])
+    lo, hi = ORDER_BAND
     fit = res["field_order_fit"]
     # the pairwise orders and the errors show whether the levels were still
     # pre-asymptotic
@@ -542,167 +492,219 @@ TASKS = {
     "convergence": task_convergence,
 }
 
-KNOWN_KEYS = {"task", "seed", "out", "params", "schw", "mult", "r_e", "r_max",
-              "geodesic", "trapped_scan", "multiplier", "sos", "wave",
-              "convergence"}
+# ---------------------------------------------------------------------------
+# configuration
+# ---------------------------------------------------------------------------
+# CONFIG maps each key to (kind, test, default) and each block to its own
+# table.  `kind` converts a JSON value or raises ValueError, `test` is
+# (predicate, text) or None, and a callable default is derived from the
+# filled config after the walk, in table order.  A key whose default is null
+# also takes null, so a filled config validates to itself.
 
-
-SAMPLE_COUNTS = {"n_samples", "n_bracket", "n_mu", "n_grid"}
-
-
-def _check_range(block, name, key, kind, lo, what, strict=False, hi=None):
-    """ConfigError unless block[key] (when present) converts with kind and is
-    >= lo (> lo when strict) and < hi (when given)."""
-    if key not in block:
-        return
+def _number(val):
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError("is not a number")
     try:
-        val = kind(block[key])
-    except (TypeError, ValueError, OverflowError):     # OverflowError: an int past float
-        raise ConfigError(f"{name}.{key} = {block[key]!r} is not a number")
-    if val < lo or (strict and val == lo) or val != val or (hi is not None and val >= hi):
-        raise ConfigError(f"{name}.{key} = {block[key]!r} must be {what}")
+        return float(val)
+    except OverflowError:                  # an int past float
+        raise ValueError("is not a number") from None
 
 
-def _check_bump(block, name, keys):
-    """ConfigError unless the bump's centres (keys ending in `center`) are
-    finite, its widths positive and finite and its amplitude nonzero and
-    finite: a zero width divides by zero, a NaN centre gives a zero or NaN
-    bump and a zero data amplitude a zero initial energy."""
-    for key in keys:
-        if key.endswith("center"):
-            _check_range(block, name, key, float, -math.inf, "finite",
-                         strict=True, hi=math.inf)
-        elif key.endswith("width"):
-            _check_range(block, name, key, float, 0.0, "positive and finite",
-                         strict=True, hi=math.inf)
-        else:       # the amplitude, through its magnitude
-            _check_range(block, name, key, lambda val: abs(float(val)), 0.0,
-                         "nonzero and finite", strict=True, hi=math.inf)
+def _integer(val):
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ValueError("is not an integer")
+    return val
 
 
-def _check_geodesic_init(init):
-    """ConfigError unless the initial covector's six values are finite real
-    numbers and sign is +1 or -1: a NaN there makes every step of the flow
-    NaN."""
-    if not isinstance(init, dict):
-        raise ConfigError(f"geodesic.init = {init!r} must be an object")
-    for key in ("x", "theta", "tau", "Theta", "Phi", "Psi"):
-        val = init.get(key)
+def _numbers(val):
+    if isinstance(val, list):
         try:
-            ok = not isinstance(val, bool) and math.isfinite(val)
-        except (TypeError, OverflowError):     # not a number, or an int past float
-            ok = False
-        if not ok:
-            raise ConfigError(f"geodesic.init.{key} = {val!r} must be a finite number")
-    sign = init.get("sign", 1)
-    if isinstance(sign, bool) or sign not in (1, -1):
-        raise ConfigError(f"geodesic.init.sign = {sign!r} must be 1 or -1")
+            return [_number(v) for v in val]
+        except ValueError:
+            pass
+    raise ValueError("is not a list of numbers")
 
 
-def _check_sos(block):
-    """ConfigError unless sos.eps0 is positive and finite and sos.eps0_scan
-    (when given) is a non-empty list of such numbers that holds eps0: the
-    task reports the calibration at eps0 from that scan."""
-    _check_range(block, "sos", "eps0", float, 0.0, "positive and finite",
-                 strict=True, hi=math.inf)
-    if "eps0_scan" not in block:
-        return
-    scan = block["eps0_scan"]
-    if not isinstance(scan, list) or not scan:
-        raise ConfigError(f"sos.eps0_scan = {scan!r} must be a non-empty list")
-    for val in scan:
-        try:
-            ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
-                  and 0.0 < float(val) < math.inf)
-        except OverflowError:                  # an int past float
-            ok = False
-        if not ok:
-            raise ConfigError(f"sos.eps0_scan value {val!r} must be positive and finite")
-    eps0 = float(block.get("eps0", 0.05))
-    if f"{eps0:g}" not in {f"{val:g}" for val in scan}:
-        raise ConfigError(f"sos.eps0_scan = {scan!r} must hold sos.eps0 = {eps0:g}")
+def _instance(kind, text):
+    def convert(val):
+        if not isinstance(val, kind):
+            raise ValueError(f"is not {text}")
+        return val
+    return convert
+
+
+_flag, _text = _instance(bool, "true or false"), _instance(str, "a string")
+
+
+POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "positive and finite")
+FINITE = (math.isfinite, "finite")
+# a zero data amplitude gives a zero initial energy, a zero forcing one no forcing
+NONZERO_FINITE = (lambda v: v != 0 and math.isfinite(v), "nonzero and finite")
+
+
+def _at_least(n):
+    return lambda v: v >= n, f"at least {n}"
+
+
+def _one_of(*allowed):
+    return lambda v: v in allowed, f"one of {allowed}"
+
+
+def _r_s_times(k):
+    return lambda cfg: k * cfg["schw"]["r_s"]
+
+
+BUMP = {"center": (_number, FINITE, 3.0), "width": (_number, POSITIVE_FINITE, 0.8)}
+CONFIG = {
+    "seed": (_integer, _at_least(0), 0),
+    "out": (_text, None, None),
+    # multiplier-verify's chart
+    "r_e": (_number, POSITIVE_FINITE, _r_s_times(0.95)),
+    "r_max": (_number, POSITIVE_FINITE, _r_s_times(60.0)),
+    "params": {"r_s": (_number, POSITIVE_FINITE, 1.0),
+               "a": (_number, FINITE, 0.0), "b": (_number, FINITE, 0.0)},
+    # only the (4+1)-dimensional hole is implemented
+    "schw": {"r_s": (_number, POSITIVE_FINITE, 1.0), "d": (_integer, _one_of(1), 1)},
+    "mult": {"alpha_cap": (_number, (lambda v: 0 < v < 5, "in (0, 5)"), 4.9),
+             # null selects the adaptive scale
+             "N": (_number, POSITIVE_FINITE, None),
+             "eps": (_number, POSITIVE_FINITE, 0.012),
+             "delta": (_number, POSITIVE_FINITE, 0.03),
+             "delta1": (_number, POSITIVE_FINITE, 0.005),
+             "eps_match": (_number, POSITIVE_FINITE, 1e-3)},
+    "geodesic": {"tol": (_number, POSITIVE_FINITE, 1e-10),
+                 "span": (_number, POSITIVE_FINITE, 1000.0),
+                 "x_escape": (_number, POSITIVE_FINITE, 1e8),
+                 "trapped": (_flag, None, True),
+                 # a NaN here makes every step of the flow NaN
+                 "init": {"x": (_number, FINITE, 3.0), "theta": (_number, FINITE, 1.0),
+                          "tau": (_number, FINITE, -1.0), "Theta": (_number, FINITE, 0.2),
+                          "Phi": (_number, FINITE, 0.1), "Psi": (_number, FINITE, -0.05),
+                          "sign": (_integer, _one_of(1, -1), 1)}},
+    "trapped_scan": {"n_samples": (_integer, _at_least(1), 400),
+                     "cone": (_number, POSITIVE_FINITE, 0.25)},
+    "multiplier": {"n_grid": (_integer, _at_least(1), 2000)},
+    "sos": {"n_samples": (_integer, _at_least(1), 10000),
+            "n_bracket": (_integer, _at_least(1), 100000),
+            "n_mu": (_integer, _at_least(1), 20000),
+            "eps0": (_number, POSITIVE_FINITE, 0.05),
+            "eps0_scan": (_numbers, (lambda v: v and all(0 < e < math.inf for e in v),
+                                     "a non-empty list of positive finite numbers"),
+                          lambda cfg: [cfg["sos"]["eps0"] / 4, cfg["sos"]["eps0"] / 2,
+                                       cfg["sos"]["eps0"]]),
+            # (r_lo, r_hi, theta_lo, theta_hi) of the calibration samples
+            "region": (_numbers, (lambda v: len(v) == 4 and all(map(math.isfinite, v)),
+                                  "four finite numbers"),
+                       lambda cfg: [1.35 * cfg["schw"]["r_s"], 1.50 * cfg["schw"]["r_s"],
+                                    0.3, math.pi / 2 - 0.3])},
+    "wave": {"r_e": (_number, POSITIVE_FINITE, _r_s_times(0.9)),
+             "r_max": (_number, POSITIVE_FINITE, _r_s_times(60.0)),
+             "dr": (_number, POSITIVE_FINITE, 0.05),
+             # the sixth-difference dissipation stencil needs 7 grid points
+             "n_r": (_integer, _at_least(7),
+                     lambda cfg: int(round((cfg["wave"]["r_max"] - cfg["wave"]["r_e"])
+                                           / cfg["wave"]["dr"])) + 1),
+             "l": (_integer, _at_least(0), 0),
+             "T": (_number, POSITIVE_FINITE, 50.0),
+             "cfl": (_number, POSITIVE_FINITE, 0.4),
+             "snapshots": (_flag, None, False),
+             "data": {"type": (_text, _one_of("bump"), "bump"), **BUMP,
+                      "amplitude": (_number, NONZERO_FINITE, 1.0)},
+             # a forcing bump has no default place: center and width are
+             # required when type is bump
+             "forcing": {"type": (_text, _one_of("none", "bump"), "none"),
+                         "center": (_number, FINITE, None),
+                         "width": (_number, POSITIVE_FINITE, None),
+                         "amplitude": (_number, NONZERO_FINITE, 1.0),
+                         "t_center": (_number, FINITE, 5.0),
+                         "t_width": (_number, POSITIVE_FINITE, 2.0)}},
+    "convergence": {"r_e": (_number, POSITIVE_FINITE, _r_s_times(0.9)),
+                    "r_max": (_number, POSITIVE_FINITE, _r_s_times(30.0)),
+                    "n_r": (_integer, _at_least(7), 400),
+                    "T": (_number, POSITIVE_FINITE, 12.0),
+                    # the order fit needs at least two pairwise errors
+                    "levels": (_integer, _at_least(3), 4),
+                    "l": (_integer, _at_least(0), 0),
+                    **BUMP},
+}
+
+
+def _check(name, value, kind, test):
+    """value converted by kind; ConfigError unless it converts and passes test."""
+    try:
+        val = kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name} = {value!r} {exc}") from None
+    if test is not None and not test[0](val):
+        raise ConfigError(f"{name} = {value!r} must be {test[1]}")
+    return val
+
+
+def _fill(table, given, path, derived):
+    """Copy of `given` checked against `table` with the defaults filled in;
+    each derived default is left to the caller in `derived`."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path or 'config'} = {given!r} must be an object")
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown config keys{' in ' + path if path else ''}: {unknown}")
+    out = {}
+    for key, spec in table.items():
+        name = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            out[key] = _fill(spec, given.get(key, {}), name, derived)
+        elif key in given and not (given[key] is None and spec[2] is None):
+            out[key] = _check(name, given[key], *spec[:2])
+        elif callable(spec[2]):
+            derived.append((out, key, name, spec))
+        else:
+            out[key] = spec[2]
+    return out
 
 
 def validate_config(cfg):
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    task = cfg.get("task")
-    if task is not None and task not in list(TASKS) + ["all"]:
-        raise ConfigError(f"unknown task {task!r}")
-    if "params" in cfg:
-        _bh_params(cfg)
-    if "schw" in cfg:
-        _schw_params(cfg)
-    for name, block in cfg.items():
-        if not isinstance(block, dict):
-            continue
-        for key in sorted(SAMPLE_COUNTS & set(block)):
-            _check_range(block, name, key, int, 1, "at least 1")
-        if name in ("wave", "convergence"):
-            # the sixth-difference dissipation stencil needs 7 grid points
-            _check_range(block, name, "n_r", int, 7, "at least 7")
-            _check_range(block, name, "T", float, 0.0, "positive", strict=True)
-            _check_range(block, name, "l", int, 0, "at least 0")
-            for key in ("r_e", "r_max"):
-                _check_range(block, name, key, float, 0.0, "positive", strict=True)
-            # the inner boundary lies inside the horizon, the outer one outside
-            sp, r_e, r_max = _radial_domain(cfg, name)
-            if not r_e < sp.r_s < r_max:
-                raise ConfigError(f"{name}: r_e = {r_e!r}, r_max = {r_max!r} must "
-                                  f"satisfy r_e < r_s = {sp.r_s!r} < r_max")
-        if name == "wave":
-            _check_range(block, name, "cfl", float, 0.0, "positive", strict=True)
-            _check_range(block, name, "dr", float, 0.0, "positive", strict=True)
-            for sub, kinds in (("data", ("bump",)), ("forcing", ("none", "bump"))):
-                sub_blk = block.get(sub, {})
-                kind = sub_blk.get("type", kinds[0]) if isinstance(sub_blk, dict) else None
-                if kind not in kinds:
-                    raise ConfigError(f"{name}.{sub}.type = {kind!r} must be one of {kinds}")
-                if kind == "bump":
-                    keys = ("center", "width", "amplitude")
-                    if sub == "forcing":     # a forcing bump has no default place
-                        for key in ("center", "width"):
-                            if key not in sub_blk:
-                                raise ConfigError(f"{name}.{sub}.{key} is required "
-                                                  "for a bump forcing")
-                        keys += ("t_center", "t_width")
-                    _check_bump(sub_blk, f"{name}.{sub}", keys)
-        if name == "geodesic":
-            for key in ("span", "tol", "x_escape"):
-                _check_range(block, name, key, float, 0.0, "positive", strict=True)
-            if "init" in block:
-                _check_geodesic_init(block["init"])
-        if name == "trapped_scan":
-            _check_range(block, name, "cone", float, 0.0, "positive and finite",
-                         strict=True, hi=math.inf)
-        if name == "sos":
-            _check_sos(block)
-        if name == "convergence":
-            # the order fit needs at least two pairwise errors
-            _check_range(block, name, "levels", int, 3, "at least 3")
-            _check_bump(block, name, ("center", "width"))
-        if name == "mult":
-            _check_range(block, name, "alpha_cap", float, 0.0, "in (0, 5)",
-                         strict=True, hi=5.0)
-            _check_range(block, name, "eps", float, 0.0, "positive", strict=True)
-            _check_range(block, name, "eps_match", float, 0.0, "positive", strict=True)
-            if block.get("N") is not None:      # null selects the adaptive scale
-                _check_range(block, name, "N", float, 0.0, "positive", strict=True)
-    return cfg
+    """A new dict: cfg checked against CONFIG with every default filled in.
+    ConfigError for an unknown key at any depth, a value of the wrong kind or
+    out of range, or a broken rule between keys."""
+    derived = []
+    full = _fill(CONFIG, cfg, "", derived)
+    for block, key, name, (kind, test, default) in derived:
+        block[key] = _check(name, default(full), kind, test)
+    r_s = full["schw"]["r_s"]
+    # the inner boundary lies inside the horizon, the outer one outside
+    for name, blk in (("config", full), ("wave", full["wave"]),
+                      ("convergence", full["convergence"])):
+        if not blk["r_e"] < r_s < blk["r_max"]:
+            raise ConfigError(f"{name}: r_e = {blk['r_e']!r}, r_max = {blk['r_max']!r} "
+                              f"must satisfy r_e < r_s = {r_s!r} < r_max")
+    sos = full["sos"]
+    # the task reports the calibration at eps0 from the scan
+    if f"{sos['eps0']:g}" not in {f"{e:g}" for e in sos["eps0_scan"]}:
+        raise ConfigError(f"sos.eps0_scan = {sos['eps0_scan']!r} must hold "
+                          f"sos.eps0 = {sos['eps0']:g}")
+    forcing = full["wave"]["forcing"]
+    if forcing["type"] == "bump" and None in (forcing["center"], forcing["width"]):
+        raise ConfigError("wave.forcing.center and wave.forcing.width are required "
+                          "for a bump forcing")
+    try:
+        BlackHoleParams(**full["params"])
+    except NakedSingularity as exc:
+        raise ConfigError(str(exc)) from None
+    return full
 
 
 def run(task, cfg, outdir, seed):
-    """Dispatch one task (or 'all'); returns the report dict."""
-    if task in ("sos-verify", "all"):
+    """Validate cfg and seed and dispatch one task (or 'all') on the filled
+    config; returns the report dict, whose config_echo is cfg as given."""
+    full = validate_config(cfg)
+    seed = _check("seed", seed, *CONFIG["seed"][:2])
+    if task in ("sos-verify", "all") and full["params"]["r_s"] != full["schw"]["r_s"]:
         # sos-verify builds the profile on `schw` and the bracket and kappa
         # calibration on `params`: both must be one hole
-        rs_bh, rs_schw = _bh_params(cfg).r_s, _schw_params(cfg).r_s
-        if rs_bh != rs_schw:
-            raise ConfigError(f"params.r_s = {rs_bh!r} and schw.r_s = {rs_schw!r} "
-                              "must be equal for sos-verify")
+        raise ConfigError(f"params.r_s = {full['params']['r_s']!r} and schw.r_s = "
+                          f"{full['schw']['r_s']!r} must be equal for sos-verify")
     os.makedirs(outdir, exist_ok=True)
     t0 = time.time()
     if task == "all":
@@ -721,11 +723,9 @@ def run(task, cfg, outdir, seed):
     else:
         rng = np.random.default_rng(seed)
         try:
-            ok, metrics, witnesses = TASKS[task](cfg, rng, outdir)
+            ok, metrics, witnesses = TASKS[task](full, rng, outdir)
             report = {"task": task, "status": "pass" if ok else "fail",
                       "metrics": metrics, "witnesses": witnesses}
-        except ConfigError:
-            raise
         except Exception as exc:
             import traceback
             # the innermost frames, by file basename so that reports do not
@@ -781,13 +781,9 @@ def main(argv=None):
             print(f"config error: {exc}", file=sys.stderr)
             return 2
     try:
-        cfg = validate_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    outdir = args.out or cfg.get("out") or os.environ.get("MPTRAP_OUT", "mptrap-out")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    try:
+        full = validate_config(cfg)
+        seed = full["seed"] if args.seed is None else args.seed
+        outdir = args.out or full["out"] or os.environ.get("MPTRAP_OUT", "mptrap-out")
         report = run(args.task, cfg, outdir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

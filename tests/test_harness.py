@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib.util
 import json
 import math
@@ -55,11 +56,32 @@ def test_static_scan_r_trapped(tmp_path):
 def test_config_validation():
     with pytest.raises(ConfigError):
         validate_config({"task": "not-a-task"})
+    with pytest.raises(ConfigError):        # `task` is no config key: the CLI names it
+        validate_config({"task": "geodesic"})
     with pytest.raises(ConfigError):
         validate_config({"bogus_key": 1})
     with pytest.raises(ConfigError):
         validate_config({"params": {"r_s": 1.0, "a": 1.2, "b": 0.4}})
     validate_config({"params": {"r_s": 1.0, "a": 0.1, "b": 0.1}})
+    # the walker returns a filled copy and leaves the caller's dict as it was
+    given = {"schw": {"r_s": 2}, "wave": {"dr": 0.1, "data": {"width": 0.5}},
+             "sos": {"eps0": 0.04}, "mult": {"N": None}}
+    before = copy.deepcopy(given)
+    full = validate_config(given)
+    assert given == before
+    assert full["schw"] == {"r_s": 2.0, "d": 1}
+    assert full["wave"]["data"] == {"type": "bump", "center": 3.0, "width": 0.5,
+                                    "amplitude": 1.0}
+    # derived defaults: r_e and r_max in units of schw.r_s, n_r from dr
+    assert (full["wave"]["r_e"], full["wave"]["r_max"]) == (1.8, 120.0)
+    assert full["wave"]["n_r"] == int(round((120.0 - 1.8) / 0.1)) + 1
+    assert (full["r_e"], full["convergence"]["r_max"]) == (0.95 * 2, 60.0)
+    assert full["sos"]["eps0_scan"] == [0.01, 0.02, 0.04]
+    assert full["sos"]["region"] == [2.7, 3.0, 0.3, math.pi / 2 - 0.3]
+    assert full["mult"]["N"] is None and full["wave"]["forcing"]["type"] == "none"
+    assert full["geodesic"]["init"]["sign"] == 1
+    # a filled config is itself valid and fills to itself
+    assert validate_config(full) == full
 
 
 def test_cli_exit_codes(tmp_path):
@@ -228,16 +250,96 @@ def test_cli_loads_only_task_modules(tmp_path):
                                      "width": 1.0}, id="wave-forcing-center-nan"),
     pytest.param("wave", "data", {"center": float("nan")}, id="wave-data-center-nan"),
     pytest.param("wave", "data", {"amplitude": 0}, id="wave-data-amplitude-0"),
+    # unknown keys inside blocks, at any depth
+    ("geodesic", "spann", 3),
+    ("wave", "cfll", 5),
+    pytest.param("wave", "data", {"centre": 3.0}, id="wave-data-centre"),
+    pytest.param("geodesic", "init", {"x": 3.0, "theta": 1.0, "tau": -1.0, "Theta": 0.2,
+                                      "Phi": 0.1, "Psi": -0.05, "X": 1.0},
+                 id="geodesic-init-X"),
+    # keys that are constants now, two of which loosened an acceptance gate
+    ("multiplier", "C_energy", float("nan")),
+    pytest.param("convergence", "order_band", [0.0, 10.0], id="convergence-order_band"),
+    ("geodesic", "drift_tol", 1.0),
+    pytest.param("sos", "region", [1.35, 1.5], id="sos-region-length-2"),
+    ("mult", "delta", 0),
+    ("mult", "delta", -0.03),
+    ("mult", "delta1", 0),
+    ("mult", "delta1", -0.005),
+    ("wave", "snapshots", "yes"),
+    ("geodesic", "trapped", 0),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({block: {key: value}}))
     task = {"wave": "wave-evolve", "mult": "multiplier-verify", "sos": "sos-verify",
-            "convergence": "convergence", "geodesic": "geodesic"}.get(block, "trapped-scan")
+            "convergence": "convergence", "geodesic": "geodesic",
+            "multiplier": "multiplier-verify"}.get(block, "trapped-scan")
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,seed", [
+    ([], -1), ([], "abc"), ([], 1.5), ([], True), (["--seed", "-1"], 0)],
+    ids=["config--1", "config-abc", "config-1.5", "config-true", "argv--1"])
+def test_seed_exit_code(tmp_path, argv, seed):
+    """A seed that is not a non-negative integer, from --seed or from the
+    config, is a configuration error: exit 2, no output directory."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": seed, "trapped_scan": {"n_samples": 20}}))
+    out = tmp_path / "o"
+    assert main(["trapped-scan", "--config", str(path), "--out", str(out), *argv]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given", [{}, {"params": {"a": 0.05},
+                                        "trapped_scan": {"n_samples": 20}}])
+def test_run_fills_table_defaults(tmp_path, monkeypatch, given):
+    """run() takes a raw, partial config, as the benchmark's set-up passes
+    it: the task sees the table's defaults filled in, and the report echoes
+    the config as given."""
+    seen = []
+
+    def task(cfg, rng, outdir):
+        seen.append(cfg)
+        return True, {}, []
+
+    monkeypatch.setitem(cli.TASKS, "trapped-scan", task)
+    before = copy.deepcopy(given)
+    rep = run("trapped-scan", given, str(tmp_path / "o"), seed=3)
+    [full] = seen
+    assert full == validate_config(given)
+    assert full["params"] == {"r_s": 1.0, "a": given.get("params", {}).get("a", 0.0),
+                              "b": 0.0}
+    assert full["trapped_scan"] == {
+        "n_samples": given.get("trapped_scan", {}).get("n_samples", 400), "cone": 0.25}
+    assert (full["seed"], full["out"], full["schw"]) == (0, None, {"r_s": 1.0, "d": 1})
+    assert rep["config_echo"] is given and given == before
+    assert rep["seed"] == 3
+
+
+def _table_keys(table, path="—"):
+    """(block, key) of each key of a config table; "—" is the top level."""
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            yield from _table_keys(spec, key if path == "—" else f"{path}.{key}")
+        else:
+            yield path, key
+
+
+def test_readme_config_table_matches_config():
+    """README's configuration table names every key of cli.CONFIG once, and
+    no key the table lacks."""
+    lines = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| block | key | default | allowed |") + 2
+    readme = []
+    for row in lines[start:]:
+        if not row.startswith("|"):
+            break
+        readme.append(tuple(cell.strip().strip("`") for cell in row.split("|")[1:3]))
+    assert sorted(readme) == sorted(_table_keys(cli.CONFIG))
 
 
 @pytest.mark.parametrize("data", [{"width": 0.5}, {"center": 3.5},
