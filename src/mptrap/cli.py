@@ -25,7 +25,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .params import BlackHoleParams, SchwParams, NakedSingularity
+from .params import (BlackHoleParams, SchwParams, NakedSingularity, MULT_ALPHA_CAP,
+                     MULT_EPS, MULT_DELTA, MULT_DELTA1, MULT_EPS_MATCH, WAVE_CFL)
 
 # Each `mptrap <task>` is its own process, so the task functions import the
 # modules they use on their first call: importing this module loads numpy and
@@ -328,57 +329,68 @@ def task_sos_verify(cfg, rng, outdir):
     sos = SchwSos(profile=prof)
     rs = sp.r_s
 
+    # every draw is made here, in the serial stream order, before the fork
     r = rng.uniform(SOS_WINDOW[0] * rs, SOS_WINDOW[1] * rs, n)
     th = rng.uniform(0.3, math.pi / 2 - 0.3, n)
     tau, xi, Th, Ph, Ps = rng.standard_normal((5, n))
-    out = schw_sos_scan(sos, r, th, tau, xi, Th, Ph, Ps)
-    metrics = {"schw_residual_max": float(out["residual"].max()),
-               "nu_range": [float(out["nu"].min()), float(out["nu"].max())]}
-
-    lam_i = rotation_symbols_vec(th, Th, Ph, Ps, rng.uniform(0, 2 * math.pi, n),
-                                 rng.uniform(0, 2 * math.pi, n))
-    lam_err = np.abs(np.sum(lam_i**2, axis=0)
-                     - lambda2(th, Th, Ph, Ps))
-    metrics["lambda_identity_max_err"] = float(np.max(lam_err))
-
-    mp = MpSos(params=params, sos=sos)
+    phi, psi = rng.uniform(0, 2 * math.pi, n), rng.uniform(0, 2 * math.pi, n)
     nb = blk["n_bracket"]
     rb = rng.uniform(SOS_WINDOW[0] * rs, SOS_WINDOW[1] * rs, nb)
     thb = rng.uniform(0.3, math.pi / 2 - 0.3, nb)
     xib, Thb, Phb, Psb = rng.standard_normal((4, nb))
     brb = rng.integers(0, 2, nb)
-    res = mp_bracket_scan(mp, rb, thb, xib, Thb, Phb, Psb, brb)
-    okb = res["ok"]
-    metrics["bracket_min"] = float(np.min(res["bracket"][okb]))
-    metrics["alpha2_min"] = float(np.min(res["alpha2"][okb]))
-    metrics["beta2_min"] = float(np.min(res["beta2"][okb]))
-    metrics["bracket_samples"] = int(okb.sum())
-    rows = np.arange(0, nb, max(1, nb // 2000))
-    rows = rows[okb[rows]]
-    cols = [rb, thb, xib, Thb, Phb, Psb] + [res[k] for k in ("tau", "bracket", "alpha2",
-                                                              "beta2", "r_trap")]
-    with open(os.path.join(outdir, "bracket_scan.csv"), "w") as fh:
-        np.savetxt(fh, np.column_stack(cols)[rows], fmt="%.16e", delimiter=",", comments="",
-                   header="r,theta,xi,Theta,Phi,Psi,tau,bracket,alpha2,beta2,r_trap")
+    # the calibration samples come from a child stream of the run seed
+    # (SeedSequence spawn key 0)
+    mu_rng = rng.spawn(1)[0]
 
-    # one calibration sample set and its radial jets, shared by every eps0;
-    # drawn from a child stream of the run seed (SeedSequence spawn key 0)
-    samples = mu_samples(tuple(blk["region"]), rng.spawn(1)[0], blk["n_mu"])
-    jets = sos.jets(samples[0])
-    mu_reports = {}
-    env = {}
-    for e0 in blk["eps0_scan"]:
-        pr_e = BlackHoleParams(r_s=params.r_s, a=0.6 * e0 * params.r_s,
-                               b=0.6 * e0 * params.r_s)
-        mp_e = MpSos(params=pr_e, sos=sos)
-        rep = mu_lower_bound(mp_e, e0, samples, jets)
-        mu_reports[f"{e0:g}"] = rep
-        env[e0] = rep["envelope"]
-    metrics["mu"] = mu_reports[f"{eps0:g}"]
-    metrics["envelope_scan"] = {f"{k:g}": v for k, v in env.items()}
-    e_keys = sorted(env)
-    lin = [env[e_keys[i + 1]] / env[e_keys[i]] for i in range(len(e_keys) - 1)]
-    metrics["envelope_doubling_ratios"] = lin
+    def bracket():
+        """The rotating bracket's metrics; writes bracket_scan.csv."""
+        res = mp_bracket_scan(MpSos(params=params, sos=sos), rb, thb, xib, Thb, Phb,
+                              Psb, brb)
+        okb = res["ok"]
+        rows = np.arange(0, nb, max(1, nb // 2000))
+        rows = rows[okb[rows]]
+        cols = [rb, thb, xib, Thb, Phb, Psb] + [res[k] for k in ("tau", "bracket", "alpha2",
+                                                                  "beta2", "r_trap")]
+        with open(os.path.join(outdir, "bracket_scan.csv"), "w") as fh:
+            np.savetxt(fh, np.column_stack(cols)[rows], fmt="%.16e", delimiter=",",
+                       comments="",
+                       header="r,theta,xi,Theta,Phi,Psi,tau,bracket,alpha2,beta2,r_trap")
+        return {"bracket_min": float(np.min(res["bracket"][okb])),
+                "alpha2_min": float(np.min(res["alpha2"][okb])),
+                "beta2_min": float(np.min(res["beta2"][okb])),
+                "bracket_samples": int(okb.sum())}
+
+    def static_and_kappa():
+        """The static identity's, the lambda identity's and the kappa
+        calibration's metrics."""
+        out = schw_sos_scan(sos, r, th, tau, xi, Th, Ph, Ps)
+        lam_err = np.abs(np.sum(rotation_symbols_vec(th, Th, Ph, Ps, phi, psi)**2, axis=0)
+                         - lambda2(th, Th, Ph, Ps))
+        # one calibration sample set and its radial jets, shared by every eps0
+        samples = mu_samples(tuple(blk["region"]), mu_rng, blk["n_mu"])
+        jets = sos.jets(samples[0])
+        mu_reports = {}
+        env = {}
+        for e0 in blk["eps0_scan"]:
+            pr_e = BlackHoleParams(r_s=params.r_s, a=0.6 * e0 * params.r_s,
+                                   b=0.6 * e0 * params.r_s)
+            rep = mu_lower_bound(MpSos(params=pr_e, sos=sos), e0, samples, jets)
+            mu_reports[f"{e0:g}"] = rep
+            env[e0] = rep["envelope"]
+        e_keys = sorted(env)
+        return {"schw_residual_max": float(out["residual"].max()),
+                "nu_range": [float(out["nu"].min()), float(out["nu"].max())],
+                "lambda_identity_max_err": float(np.max(lam_err)),
+                "mu": mu_reports[f"{eps0:g}"],
+                "envelope_scan": {f"{k:g}": v for k, v in env.items()},
+                "envelope_doubling_ratios": [env[e_keys[i + 1]] / env[e_keys[i]]
+                                             for i in range(len(e_keys) - 1)]}
+
+    # the bracket scan runs in a forked child beside the rest
+    from .forked import beside
+    bracket_metrics, metrics = beside(bracket, static_and_kappa)
+    metrics.update(bracket_metrics)
 
     with open(os.path.join(outdir, "sos_report.json"), "w") as fh:
         json.dump({"residual_max": metrics["schw_residual_max"],
@@ -391,7 +403,7 @@ def task_sos_verify(cfg, rng, outdir):
     res_max, lam_err = metrics["schw_residual_max"], metrics["lambda_identity_max_err"]
     nu_lo, nu_hi = metrics["nu_range"]
     br, a2, b2 = metrics["bracket_min"], metrics["alpha2_min"], metrics["beta2_min"]
-    kappa = metrics["mu"]["kappa"]
+    kappa, lin = metrics["mu"]["kappa"], metrics["envelope_doubling_ratios"]
     status, witnesses = _verdict({
         "schw_residual": (res_max <= 1e-8, {"schw_residual_max": res_max, "bound": 1e-8}),
         "nu_positive": (0.0 < nu_lo, {"nu_min": nu_lo, "bound": 0.0}),
@@ -567,13 +579,13 @@ CONFIG = {
                "a": (_number, FINITE, 0.0), "b": (_number, FINITE, 0.0)},
     # only the (4+1)-dimensional hole is implemented
     "schw": {"r_s": (_number, POSITIVE_FINITE, 1.0), "d": (_integer, _one_of(1), 1)},
-    "mult": {"alpha_cap": (_number, (lambda v: 0 < v < 5, "in (0, 5)"), 4.9),
+    "mult": {"alpha_cap": (_number, (lambda v: 0 < v < 5, "in (0, 5)"), MULT_ALPHA_CAP),
              # null selects the adaptive scale
              "N": (_number, POSITIVE_FINITE, None),
-             "eps": (_number, POSITIVE_FINITE, 0.012),
-             "delta": (_number, POSITIVE_FINITE, 0.03),
-             "delta1": (_number, POSITIVE_FINITE, 0.005),
-             "eps_match": (_number, POSITIVE_FINITE, 1e-3)},
+             "eps": (_number, POSITIVE_FINITE, MULT_EPS),
+             "delta": (_number, POSITIVE_FINITE, MULT_DELTA),
+             "delta1": (_number, POSITIVE_FINITE, MULT_DELTA1),
+             "eps_match": (_number, POSITIVE_FINITE, MULT_EPS_MATCH)},
     "geodesic": {"tol": (_number, POSITIVE_FINITE, 1e-10),
                  "span": (_number, POSITIVE_FINITE, 1000.0),
                  "x_escape": (_number, POSITIVE_FINITE, 1e8),
@@ -608,7 +620,7 @@ CONFIG = {
                                            / cfg["wave"]["dr"])) + 1),
              "l": (_integer, _at_least(0), 0),
              "T": (_number, POSITIVE_FINITE, 50.0),
-             "cfl": (_number, POSITIVE_FINITE, 0.4),
+             "cfl": (_number, POSITIVE_FINITE, WAVE_CFL),
              "snapshots": (_flag, None, False),
              "data": {"type": (_text, _one_of("bump"), "bump"), **BUMP,
                       "amplitude": (_number, NONZERO_FINITE, 1.0)},

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .params import SchwParams, ProfileConstructionFailure, DifferentiationError
+from .params import (SchwParams, ProfileConstructionFailure, DifferentiationError,
+                     MULT_ALPHA_CAP, MULT_EPS, MULT_DELTA, MULT_DELTA1, MULT_EPS_MATCH)
 from .smooth import (smoothstep, smoothstep_integral, step_jet, rho_saturate,
                      mollifier_table, mollify, plateau_bump, richardson_combine)
 
@@ -370,9 +371,10 @@ class MultiplierProfile:
         return out
 
 
-def build_profiles(sp: SchwParams, alpha_cap: float = 4.9, N: float = None,
-                   eps: float = 0.012, delta: float = 0.03, delta1: float = 0.005,
-                   eps_match: float = 1e-3) -> MultiplierProfile:
+def build_profiles(sp: SchwParams, alpha_cap: float = MULT_ALPHA_CAP, N: float = None,
+                   eps: float = MULT_EPS, delta: float = MULT_DELTA,
+                   delta1: float = MULT_DELTA1,
+                   eps_match: float = MULT_EPS_MATCH) -> MultiplierProfile:
     """Build and validate the multiplier profile family.
 
     N (mollifier scale) adapts by doubling until |d^k(F - f1)| < eps_match

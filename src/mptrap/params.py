@@ -9,6 +9,16 @@ rotating metric.
 from dataclasses import dataclass
 import math
 
+# Defaults written once, read by the config table (`cli.CONFIG`, keys
+# mult.* and wave.cfl) and by the library signatures
+# (`multiplier.build_profiles`, `wavesolver.SolverDomain`).
+MULT_ALPHA_CAP = 4.9
+MULT_EPS = 0.012
+MULT_DELTA = 0.03
+MULT_DELTA1 = 0.005
+MULT_EPS_MATCH = 1e-3
+WAVE_CFL = 0.4
+
 
 class NakedSingularity(ValueError):
     """Horizon quadratic has complex roots: parameters violate the real-horizon bound."""

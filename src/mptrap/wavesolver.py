@@ -20,12 +20,11 @@ Runge-Kutta in time, its stages formed in preallocated buffers.
 from dataclasses import dataclass, field
 import json
 import math
-import os
-import pickle
 
 import numpy as np
 
-from .params import SchwParams, AssemblyError, InstabilityError, InconclusiveConvergence
+from .params import (SchwParams, AssemblyError, InstabilityError, InconclusiveConvergence,
+                     WAVE_CFL)
 from .chart import IngoingChart
 
 # The stencils spread a precursor ahead of a compactly supported pulse whose
@@ -43,7 +42,7 @@ class SolverDomain:
     n_r: int
     l: int
     T: float
-    cfl: float = 0.4
+    cfl: float = WAVE_CFL
     sample_every: int = 8
     ko_sigma: float = 0.5     # sixth-difference dissipation strength
 
@@ -327,48 +326,15 @@ def diagnostics(hist: History):
     return erep, nrep
 
 
-def _fork(work):
-    """Run work() in a forked child.  Returns collect(), which reads the
-    child's result, reaps the child and returns the result, or None when
-    work raised."""
-    rfd, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # the child writes nothing but its pickle and leaves through
-        # os._exit, which runs no atexit handler and flushes none of the
-        # parent's stdio buffers; exit status 0 means the pickle is whole
-        code = 1
-        try:
-            os.close(rfd)
-            result = work()
-            with os.fdopen(wfd, "wb") as fh:
-                pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-
-    def collect():
-        try:
-            with os.fdopen(rfd, "rb") as fh:
-                data = fh.read()
-        finally:
-            _, status = os.waitpid(pid, 0)
-        return pickle.loads(data) if status == 0 else None
-    return collect
-
-
 def convergence_study(sp: SchwParams, chart: IngoingChart, base: SolverDomain,
                       data_center: float, data_width: float, levels: int = 3):
     """Self-convergence order of the field and of the final slice energy.
 
     A forked child evolves the coarser levels while this process evolves the
     finest one, which costs about twice as much as the others together (each
-    level doubles the grid points and the steps).  Both run the same
-    arithmetic in copies of one process image, so every number is the serial
-    loop's.  A failing level raises here, in serial order and with its own
-    frames: if the child failed, its levels are rerun in this process before
-    the finest level's exception, if any, is raised."""
+    level doubles the grid points and the steps).  Every number is the serial
+    loop's, and a failing level raises here in serial order with its own
+    frames (`forked.beside`)."""
     doms = [SolverDomain(r_e=base.r_e, r_max=base.r_max,
                          n_r=(base.n_r - 1) * 2**k + 1, l=base.l,
                          T=base.T, cfl=base.cfl, sample_every=10**9)
@@ -381,17 +347,9 @@ def convergence_study(sp: SchwParams, chart: IngoingChart, base: SolverDomain,
         hist = evolve(op, v0, np.zeros_like(v0))
         return hist.v[-1], slice_energy(op, hist.v[-1], hist.W[-1])
 
-    collect = _fork(lambda: [final(dom) for dom in doms[:-1]])
-    try:
-        finest = final(doms[-1])
-    except Exception as exc:
-        finest = exc
-    finally:
-        coarse = collect()
-    if coarse is None:
-        coarse = [final(dom) for dom in doms[:-1]]
-    if isinstance(finest, Exception):
-        raise finest
+    from .forked import beside
+    coarse, finest = beside(lambda: [final(dom) for dom in doms[:-1]],
+                            lambda: final(doms[-1]))
     finals = coarse + [finest]
     errs_f, errs_e = [], []
     for k in range(levels - 1):

@@ -172,19 +172,27 @@ def _mptrap_modules_after(tmp_path, task=None, cfg=None):
 
 def test_cli_loads_only_task_modules(tmp_path):
     """Importing the CLI loads `params` and nothing else of mptrap, and each
-    task imports only the modules it runs, on its first call."""
+    task imports only the modules it runs, on its first call; only the tasks
+    that fork load `forked`."""
     _, mods = _mptrap_modules_after(tmp_path)
     assert mods == ["mptrap", "mptrap.cli", "mptrap.params"]
     code, mods = _mptrap_modules_after(tmp_path, "trapped-scan",
                                        {"trapped_scan": {"n_samples": 20}})
     assert code == 0
     assert not {f"mptrap.{m}" for m in ("geodesic", "dop853", "quadform", "sos",
-                                        "wavesolver")} & set(mods)
+                                        "wavesolver", "forked")} & set(mods)
     code, mods = _mptrap_modules_after(tmp_path, "wave-evolve",
                                        {"wave": {"n_r": 50, "T": 0.5}})
     assert code == 0
     assert not {f"mptrap.{m}" for m in ("geodesic", "dop853", "trapping", "sos",
-                                        "quadform", "multiplier")} & set(mods)
+                                        "quadform", "multiplier", "forked")} & set(mods)
+    code, mods = _mptrap_modules_after(tmp_path, "sos-verify",
+                                       {"sos": {"n_samples": 50, "n_bracket": 200,
+                                                "n_mu": 400}})
+    assert code == 0
+    assert "mptrap.forked" in mods
+    assert not {f"mptrap.{m}" for m in ("wavesolver", "geodesic", "dop853",
+                                        "quadform")} & set(mods)
 
 
 @pytest.mark.parametrize("block,key,value", [

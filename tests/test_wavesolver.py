@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from mptrap import wavesolver
+from mptrap import forked, wavesolver
 from mptrap.params import SchwParams, InstabilityError
 from mptrap.chart import ingoing_chart
 from mptrap.wavesolver import (SolverDomain, assemble_mode, spatial_operator,
@@ -363,15 +363,11 @@ def assert_no_child_left():
 def test_forked_study_equals_inline(sp, wchart, monkeypatch):
     """The study with its coarse levels in a forked child gives exactly
     what it gives with them run inline in this process."""
-    forked = small_study(sp, wchart)
+    forked_result = small_study(sp, wchart)
     assert_no_child_left()
-
-    def inline(work):
-        result = work()
-        return lambda: result
-    monkeypatch.setattr(wavesolver, "_fork", inline)
-    assert small_study(sp, wchart) == forked
-    assert len(forked) == 6
+    monkeypatch.setattr(forked, "beside", lambda first, second: (first(), second()))
+    assert small_study(sp, wchart) == forked_result
+    assert len(forked_result) == 6
 
 
 def test_study_runs_finest_level_here(sp, wchart, monkeypatch, tmp_path):
