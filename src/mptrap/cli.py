@@ -25,8 +25,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .params import (BlackHoleParams, SchwParams, NakedSingularity, MULT_ALPHA_CAP,
-                     MULT_EPS, MULT_DELTA, MULT_DELTA1, MULT_EPS_MATCH, WAVE_CFL)
+from .params import (BlackHoleParams, SchwParams, NakedSingularity, CoordinateSingularity,
+                     MULT_ALPHA_CAP, MULT_EPS, MULT_DELTA, MULT_DELTA1, MULT_EPS_MATCH,
+                     WAVE_CFL)
 
 # Each `mptrap <task>` is its own process, so the task functions import the
 # modules they use on their first call: importing this module loads numpy and
@@ -392,14 +393,6 @@ def task_sos_verify(cfg, rng, outdir):
     bracket_metrics, metrics = beside(bracket, static_and_kappa)
     metrics.update(bracket_metrics)
 
-    with open(os.path.join(outdir, "sos_report.json"), "w") as fh:
-        json.dump({"residual_max": metrics["schw_residual_max"],
-                   "nu_range": metrics["nu_range"],
-                   "kappa": metrics["mu"]["kappa"],
-                   "C_big": metrics["mu"]["C_big"], "eps0": eps0,
-                   "witness_points": [metrics["mu"]["witness"]]},
-                  fh, indent=1, sort_keys=True)
-
     res_max, lam_err = metrics["schw_residual_max"], metrics["lambda_identity_max_err"]
     nu_lo, nu_hi = metrics["nu_range"]
     br, a2, b2 = metrics["bracket_min"], metrics["alpha2_min"], metrics["beta2_min"]
@@ -580,8 +573,6 @@ CONFIG = {
     # only the (4+1)-dimensional hole is implemented
     "schw": {"r_s": (_number, POSITIVE_FINITE, 1.0), "d": (_integer, _one_of(1), 1)},
     "mult": {"alpha_cap": (_number, (lambda v: 0 < v < 5, "in (0, 5)"), MULT_ALPHA_CAP),
-             # null selects the adaptive scale
-             "N": (_number, POSITIVE_FINITE, None),
              "eps": (_number, POSITIVE_FINITE, MULT_EPS),
              "delta": (_number, POSITIVE_FINITE, MULT_DELTA),
              "delta1": (_number, POSITIVE_FINITE, MULT_DELTA1),
@@ -707,16 +698,45 @@ def validate_config(cfg):
     return full
 
 
-def run(task, cfg, outdir, seed):
-    """Validate cfg and seed and dispatch one task (or 'all') on the filled
-    config; returns the report dict, whose config_echo is cfg as given."""
-    full = validate_config(cfg)
-    seed = _check("seed", seed, *CONFIG["seed"][:2])
+def _check_task_rules(task, full):
+    """ConfigError for a broken rule between keys that only `task` (or
+    `all`) reads."""
     if task in ("sos-verify", "all") and full["params"]["r_s"] != full["schw"]["r_s"]:
         # sos-verify builds the profile on `schw` and the bracket and kappa
         # calibration on `params`: both must be one hole
         raise ConfigError(f"params.r_s = {full['params']['r_s']!r} and schw.r_s = "
                           f"{full['schw']['r_s']!r} must be equal for sos-verify")
+    if task in ("geodesic", "all"):
+        # the geodesic starts off the poles and outside the horizon
+        from .geometry import ChartPoint, check_point
+        init = full["geodesic"]["init"]
+        try:
+            check_point(BlackHoleParams(**full["params"]),
+                        ChartPoint(t=0.0, x=init["x"], theta=init["theta"]))
+        except CoordinateSingularity as exc:
+            raise ConfigError(f"geodesic.init: {exc}") from None
+    # an initial bump must be nonzero somewhere on its grid; the convergence
+    # levels refine the coarsest grid, so that grid decides
+    from .smooth import gaussian_bump
+    for reader, name, blk, data in (
+            ("wave-evolve", "wave.data", full["wave"], full["wave"]["data"]),
+            ("convergence", "convergence", full["convergence"], full["convergence"])):
+        if task not in (reader, "all"):
+            continue
+        grid = np.linspace(blk["r_e"], blk["r_max"], blk["n_r"])
+        if not np.any(gaussian_bump(grid, data["center"], data["width"],
+                                    data.get("amplitude", 1.0))):
+            raise ConfigError(f"{name}: the bump at center = {data['center']!r} of width "
+                              f"{data['width']!r} is zero on all {blk['n_r']} grid points "
+                              f"in [{blk['r_e']!r}, {blk['r_max']!r}]")
+
+
+def run(task, cfg, outdir, seed):
+    """Validate cfg and seed and dispatch one task (or 'all') on the filled
+    config; returns the report dict, whose config_echo is cfg as given."""
+    full = validate_config(cfg)
+    seed = _check("seed", seed, *CONFIG["seed"][:2])
+    _check_task_rules(task, full)
     os.makedirs(outdir, exist_ok=True)
     t0 = time.time()
     if task == "all":

@@ -23,7 +23,7 @@ import numpy as np
 from .params import (BlackHoleParams, CoordinateSingularity, InvalidConstants,
                      NoTrappedSphere, horizons)
 from . import dop853
-from .geometry import inverse_metric_components, inverse_metric_form
+from .geometry import POLE_TOL, inverse_metric_components, inverse_metric_form
 from .trapping import trapped_radius_vec
 
 
@@ -95,7 +95,7 @@ def carter_constant(params: BlackHoleParams, theta, tau, Theta, Phi, Psi):
 
 def conserved_from_state(params: BlackHoleParams, pp: PhasePoint) -> ConservedQuantities:
     """E = -p_t, angular momenta, and the Carter-type constant."""
-    if abs(math.sin(pp.theta)) < 1e-8 or abs(math.cos(pp.theta)) < 1e-8:
+    if abs(math.sin(pp.theta)) < POLE_TOL or abs(math.cos(pp.theta)) < POLE_TOL:
         raise CoordinateSingularity("theta too close to a pole")
     m = pp.momentum
     K = carter_constant(params, pp.theta, m.tau, m.Theta, m.Phi, m.Psi)

@@ -28,7 +28,7 @@ class ChartPoint:
         return math.sqrt(self.x)
 
 
-def _check_point(params: BlackHoleParams, point: ChartPoint):
+def check_point(params: BlackHoleParams, point: ChartPoint):
     if point.x <= 0:
         raise CoordinateSingularity(f"x = {point.x} <= 0")
     st, ct = math.sin(point.theta), math.cos(point.theta)
@@ -84,7 +84,7 @@ def metric_pair(params: BlackHoleParams, point: ChartPoint):
     """(covariant, contravariant); raises CoordinateSingularity off-domain.
 
     A witness: the inversion tests compare the two matrices; no task calls it."""
-    _check_point(params, point)
+    check_point(params, point)
     Delta = params.Delta(point.x)
     if Delta <= 0:
         raise CoordinateSingularity(f"Delta = {Delta} <= 0 at x = {point.x}")
@@ -98,16 +98,11 @@ def metric_pair(params: BlackHoleParams, point: ChartPoint):
 # ---------------------------------------------------------------------------
 
 def inverse_metric_components(params: BlackHoleParams, x: float, theta: float):
-    """Tuple (gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth).
-
-    A float theta (np.float64 included) takes math.sin/math.cos, which equal
-    np.sin/np.cos there and keep the scalar calls of the geodesic flow in
-    float arithmetic; an array theta takes np.sin/np.cos."""
+    """Tuple (gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth)."""
     a, b, rs2 = params.a, params.b, params.r_s**2
     a2, b2 = a * a, b * b
-    trig = math if isinstance(theta, float) else np
-    s2 = trig.sin(theta) ** 2
-    c2 = trig.cos(theta) ** 2
+    s2 = np.sin(theta) ** 2
+    c2 = np.cos(theta) ** 2
     D = params.Delta(x)
     rho2 = x + a2 * c2 + b2 * s2
     gtt = ((a2 - b2) * s2 - (x + a2) * (D + rs2 * (x + b2)) / D) / rho2

@@ -268,9 +268,8 @@ class MultiplierProfile:
         return (r > self.sp.r_s) & (r <= self.sp.r_s * (1.0 + self.HZ_WIDTH))
 
     def _q1_hz(self, r):
-        """Closed-form (q1, q1', q1'') on the horizon zone."""
-        A, A1, A2 = self.sp.A(r), self.sp.A1(r), self.sp.A2(r)
-        A3 = 24 * self.sp.r_s ** 2 / r ** 5
+        """Closed-form (q1, q1', q1'', q1''') on the horizon zone."""
+        A, A1, A2, A3 = self.A_jet(r)
         k = self.c_d
         q0 = 1.5 * A / r + k * r ** -4
         q1 = 1.5 * (A1 / r - A / r**2) - 4 * k * r ** -5
@@ -279,12 +278,6 @@ class MultiplierProfile:
         q3 = 1.5 * (A3 / r - 3 * A2 / r**2 + 6 * A1 / r**3 - 6 * A / r**4) \
             - 120 * k * r ** -7
         return q0, q1, q2, q3
-
-    def _l_hz(self, r):
-        """Closed-form third-order weight on the horizon zone."""
-        A, A1 = self.sp.A(r), self.sp.A1(r)
-        _, q1, q2, _ = self._q1_hz(r)
-        return -0.5 * (A1 * q1 + A * (q2 + 3 * q1 / r))
 
     # -- scalar companions -----------------------------------------------------
     def q1_jet(self, r, f=None):
@@ -344,62 +337,44 @@ class MultiplierProfile:
         return coef * jet_mul(jet_monomial(r, -3), jet_mul(b, gam))
 
     # -- third-order weight ----------------------------------------------------
-    def u2_weight(self, P, r):
-        """l(P) = -1/4 r^{-3} d[A r^3 d{A r^{-3} d(P r^3)}]
-        from the jet P of the profile at r."""
-        r = np.asarray(r, dtype=float)
-        T1 = jet_mul(jet_monomial(r, 3), P)
-        u1 = np.stack([T1[1], T1[2], T1[3], np.zeros_like(T1[0])])
-        v = jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, -3), u1))
-        v1 = np.stack([v[1], v[2], np.zeros_like(v[0]), np.zeros_like(v[0])])
-        w = jet_mul(self.A_jet(r), jet_mul(jet_monomial(r, 3), v1))
-        return -0.25 * r ** -3 * w[1]
-
     def lf(self, r, P):
-        """Third-order weight of the profile (f or F) with jet P at the radii
-        r (1-d): the closed form on the horizon zone, 0 at and below the
-        horizon."""
+        """Third-order weight l(P) = -1/4 r^{-3} d[A r^3 d{A r^{-3} d(P r^3)}]
+        = -1/2 (A' q1' + A (q1'' + 3 q1'/r)), q1 = q1_jet(r, P), of the
+        profile (f or F) with jet P at the radii r (1-d): q1's closed form on
+        the horizon zone, 0 at and below the horizon."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         above = r > self.sp.r_s * (1.0 + 1e-13)
-        hz = above & self._hz_mask(r)
-        rest = above & ~hz
-        if np.any(rest):
-            out[rest] = self.u2_weight(P[:, rest], r[rest])
-        if np.any(hz):
-            out[hz] = self._l_hz(r[hz])
+        ra = r[above]
+        A, q = self.A_jet(ra), self.q1_jet(ra, P[:, above])
+        out[above] = -0.5 * (A[1] * q[1] + A[0] * (q[2] + 3 * q[1] / ra))
         return out
 
 
-def build_profiles(sp: SchwParams, alpha_cap: float = MULT_ALPHA_CAP, N: float = None,
+def build_profiles(sp: SchwParams, alpha_cap: float = MULT_ALPHA_CAP,
                    eps: float = MULT_EPS, delta: float = MULT_DELTA,
                    delta1: float = MULT_DELTA1,
                    eps_match: float = MULT_EPS_MATCH) -> MultiplierProfile:
     """Build and validate the multiplier profile family.
 
-    N (mollifier scale) adapts by doubling until |d^k(F - f1)| < eps_match
+    The mollifier scale N doubles from 1024 until |d^k(F - f1)| < eps_match
     for k <= 2 on the support of the matching cutoff.
     """
     if alpha_cap >= 5.0:
         raise ValueError("alpha_cap must be strictly below 5")
-    adaptive = N is None
-    N_val = 512.0 if adaptive else float(N)
-    prof = None
-    for _ in range(8):
-        prof = MultiplierProfile(sp=sp, alpha_cap=alpha_cap, N=N_val, eps=eps,
+    for n in range(8):
+        prof = MultiplierProfile(sp=sp, alpha_cap=alpha_cap, N=1024.0 * 2**n, eps=eps,
                                  delta=delta, delta1=delta1, eps_match=eps_match,
                                  chi_inner=0.05 * sp.r_s, chi_outer=0.15 * sp.r_s,
                                  shape=RedshiftShape())
         grid = np.linspace(sp.r_ps - prof.chi_outer, sp.r_ps + prof.chi_outer, 121)
         diff = prof.F_jet(grid) - prof.f1_jet(grid)
-        worst = max(np.max(np.abs(diff[k])) for k in range(3))
-        prof.achieved_match = float(worst)
-        if worst < eps_match or not adaptive:
+        prof.achieved_match = float(max(np.max(np.abs(diff[k])) for k in range(3)))
+        if prof.achieved_match < eps_match:
             break
-        N_val *= 2.0
-    if prof.achieved_match >= eps_match:
+    else:
         raise ProfileConstructionFailure(
-            f"mollifier scale N = {N_val} missed the matching bound: "
+            f"mollifier scale N = {prof.N} missed the matching bound: "
             f"{prof.achieved_match} >= {eps_match}")
     validate_profile(prof)
     return prof

@@ -150,9 +150,6 @@ class SchwParams:
     def A1(self, r):
         return 2 * self.r_s ** 2 / r ** 3
 
-    def A2(self, r):
-        return -6 * self.r_s ** 2 / r ** 4
-
 
 @dataclass(frozen=True)
 class HorizonData:

@@ -5,7 +5,8 @@ transitions with all derivatives vanishing at the junctions.  Each primitive
 makes one evaluation and returns its order-3 jet: an ndarray of shape
 (4, ...) holding (value, d, d2, d3), the layout of the jet arithmetic in
 ``multiplier``.  The test suite checks every row against a finite difference
-of the row before it.
+of the row before it.  The mode solver's initial-data pulse `gaussian_bump`
+returns values only.
 """
 
 import functools
@@ -84,9 +85,14 @@ def plateau_bump(r, left0, left1, right0, right1):
     return out
 
 
-# points per block in smoothstep_integral: each (points, nodes) array of a
-# block's node values and their temporaries takes 32 kB
-_BLOCK = 64
+def gaussian_bump(r, center, width, amplitude=1.0):
+    """Compactly supported C-infinity pulse: amplitude at center, zero from
+    width away on."""
+    s = (np.asarray(r, dtype=float) - center) / width
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    out[inside] = amplitude * np.exp(-1.0 / (1.0 - s[inside] ** 2)) * np.e
+    return out
 
 
 @functools.cache
@@ -122,16 +128,7 @@ def smoothstep_integral(t):
     t = np.asarray(t, dtype=float)
     out = np.where(t >= 1.0, t - 0.5, 0.0)
     mask = (t > 0.0) & (t < 1.0)
-    if np.any(mask):
-        xn, wn = gauss_legendre(64)
-
-        def block(tm):
-            nodes = 0.5 * tm[:, None] * (xn[None, :] + 1.0)
-            return 0.5 * tm * np.sum(wn[None, :] * _smoothstep_value(nodes), axis=1)
-
-        tv = t[mask]
-        out[mask] = np.concatenate([block(tv[i:i + _BLOCK])
-                                    for i in range(0, len(tv), _BLOCK)])
+    out[mask] = integrate_gl(_smoothstep_value, 0.0, t[mask], n=64)
     return out
 
 
@@ -175,11 +172,10 @@ def mollifier(u):
 def _psi_moments(lo, hi, n):
     """int_lo^hi psi(u) u^k du for k < n by one 80-node Gauss-Legendre panel
     per (lo, hi) pair; shape (n,) + lo.shape."""
-    xn, wn = gauss_legendre(80)
-    half = 0.5 * (hi - lo)
-    u = 0.5 * (lo + hi)[..., None] + half[..., None] * xn
-    uk = np.cumprod(np.stack([np.ones_like(u)] + [u] * (n - 1)), axis=0)
-    return np.sum(half[..., None] * wn * mollifier(u) * uk, axis=-1)
+    def moments(u):
+        uk = np.cumprod(np.stack([np.ones_like(u)] + [u] * (n - 1)), axis=0)
+        return mollifier(u) * uk
+    return integrate_gl(moments, lo, hi, n=80)
 
 
 class MollifierTable(NamedTuple):

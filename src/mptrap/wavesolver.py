@@ -26,6 +26,7 @@ import numpy as np
 from .params import (SchwParams, AssemblyError, InstabilityError, InconclusiveConvergence,
                      WAVE_CFL)
 from .chart import IngoingChart
+from .smooth import gaussian_bump
 
 # The stencils spread a precursor ahead of a compactly supported pulse whose
 # tail decays through the subnormal range (below 2.2e-308), where x86
@@ -33,6 +34,8 @@ from .chart import IngoingChart
 # this floor to zero after every step; it is about 1e8 times the smallest
 # normal double, so the stage products of floored entries stay normal.
 SUBNORMAL_FLOOR = 1e-300
+# strength of the sixth-difference dissipation
+KO_SIGMA = 0.5
 
 
 @dataclass
@@ -44,7 +47,6 @@ class SolverDomain:
     T: float
     cfl: float = WAVE_CFL
     sample_every: int = 8
-    ko_sigma: float = 0.5     # sixth-difference dissipation strength
 
     @property
     def dr(self):
@@ -124,7 +126,7 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
     # Sixth-difference Kreiss-Oliger dissipation stabilizes the one-sided
     # outflow closures; the operator is O(dr^5) consistent so second-order
     # accuracy is untouched even for sharply peaked data.
-    ko = _stencil(n, dom.ko_sigma / (64.0 * dt), (1, -6, 15, -20, 15, -6, 1))
+    ko = _stencil(n, KO_SIGMA / (64.0 * dt), (1, -6, 15, -20, 15, -6, 1))
     # L's bands in ascending offset order: the W-from-v block (-n-3..-n+3),
     # the v-from-v dissipation over the W-from-W block (-3..3), and the
     # identity v_t = W (n).  The DIA product adds the bands in stored order
@@ -168,15 +170,6 @@ class History:
 
     def snapshot_array(self):
         return np.asarray(self.times), np.asarray(self.v), np.asarray(self.W)
-
-
-def gaussian_bump(r, center, width, amplitude=1.0):
-    """Compactly supported C-infinity pulse."""
-    s = (np.asarray(r, dtype=float) - center) / width
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    out[inside] = amplitude * np.exp(-1.0 / (1.0 - s[inside] ** 2)) * math.e
-    return out
 
 
 def evolve(op: ModeOperator, v0, W0, forcing=None) -> History:

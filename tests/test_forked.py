@@ -121,7 +121,7 @@ def test_sos_verify_forked_equals_inline(sp, tmp_path, monkeypatch):
     artifacts it writes with the scan run inline."""
     forked_run = sos_artifacts(sp, tmp_path)
     assert_no_child_left()
-    assert sorted(forked_run) == ["bracket_scan.csv", "report.json", "sos_report.json"]
+    assert sorted(forked_run) == ["bracket_scan.csv", "report.json"]
     monkeypatch.setattr(forked, "beside", inline)
     assert sos_artifacts(sp, tmp_path) == forked_run
 

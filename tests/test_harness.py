@@ -65,7 +65,7 @@ def test_config_validation():
     validate_config({"params": {"r_s": 1.0, "a": 0.1, "b": 0.1}})
     # the walker returns a filled copy and leaves the caller's dict as it was
     given = {"schw": {"r_s": 2}, "wave": {"dr": 0.1, "data": {"width": 0.5}},
-             "sos": {"eps0": 0.04}, "mult": {"N": None}}
+             "sos": {"eps0": 0.04}}
     before = copy.deepcopy(given)
     full = validate_config(given)
     assert given == before
@@ -78,7 +78,7 @@ def test_config_validation():
     assert (full["r_e"], full["convergence"]["r_max"]) == (0.95 * 2, 60.0)
     assert full["sos"]["eps0_scan"] == [0.01, 0.02, 0.04]
     assert full["sos"]["region"] == [2.7, 3.0, 0.3, math.pi / 2 - 0.3]
-    assert full["mult"]["N"] is None and full["wave"]["forcing"]["type"] == "none"
+    assert full["wave"]["forcing"]["type"] == "none"
     assert full["geodesic"]["init"]["sign"] == 1
     # a filled config is itself valid and fills to itself
     assert validate_config(full) == full
@@ -201,8 +201,7 @@ def test_cli_loads_only_task_modules(tmp_path):
     ("trapped_scan", "n_samples", 0),
     ("mult", "alpha_cap", 5),
     ("mult", "alpha_cap", 0),
-    ("mult", "N", 0),
-    ("mult", "N", "abc"),
+    pytest.param("mult", "N", 1024, id="mult-N"),
     ("mult", "eps", 0),
     ("mult", "eps_match", -1),
     pytest.param("wave", "data", {"type": "ring", "center": 3.0, "width": 0.8},
@@ -276,11 +275,23 @@ def test_cli_loads_only_task_modules(tmp_path):
     ("mult", "delta1", -0.005),
     ("wave", "snapshots", "yes"),
     ("geodesic", "trapped", 0),
+    # initial bumps that miss their grid (a key of None gives the whole block)
+    pytest.param("wave", None, {"n_r": 200, "T": 1, "data": {"center": 100}},
+                 id="wave-data-off-grid"),
+    pytest.param("convergence", None, {"n_r": 100, "T": 1, "center": 50},
+                 id="convergence-bump-off-grid"),
+    pytest.param("wave", "data", {"center": 3.01, "width": 0.001},
+                 id="wave-data-width-below-dr"),
+    # geodesic starts at a pole or not outside the horizon x_+ = 1
+    pytest.param("geodesic", "init", {"theta": 0}, id="geodesic-init-theta-0"),
+    pytest.param("geodesic", "init", {"theta": math.pi / 2}, id="geodesic-init-theta-pi/2"),
+    pytest.param("geodesic", "init", {"x": 1.0}, id="geodesic-init-x-horizon"),
+    pytest.param("geodesic", "init", {"x": 0.5}, id="geodesic-init-x-inside"),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({block: {key: value}}))
+    path.write_text(json.dumps({block: value if key is None else {key: value}}))
     task = {"wave": "wave-evolve", "mult": "multiplier-verify", "sos": "sos-verify",
             "convergence": "convergence", "geodesic": "geodesic",
             "multiplier": "multiplier-verify"}.get(block, "trapped-scan")
@@ -379,6 +390,22 @@ def test_near_extremal_params_without_horizons_exit_2(tmp_path):
     out = tmp_path / "o"
     assert main(["geodesic", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task,r_s,init,code", [
+    ("geodesic", 2.0, {}, 2), ("all", 2.0, {}, 2), ("geodesic", 1.0, {"theta": -1.0}, 0)])
+def test_geodesic_start_rule(tmp_path, task, r_s, init, code):
+    """The default start x = 3 lies inside the horizon x_+ = 4 of r_s = 2: a
+    configuration error for the tasks that integrate the geodesic (one that
+    does not is unaffected, see test_params_and_schw_one_hole).  theta = -1
+    is off both poles and runs."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"r_s": r_s}, "schw": {"r_s": r_s},
+                                "geodesic": {"init": init, "trapped": False, "span": 20.0},
+                                "trapped_scan": {"n_samples": 20}}))
+    out = tmp_path / "o"
+    assert main([task, "--config", str(path), "--out", str(out)]) == code
+    assert out.exists() == (code != 2)
 
 
 @pytest.mark.parametrize("task,code", [("sos-verify", 2), ("all", 2), ("trapped-scan", 0)])

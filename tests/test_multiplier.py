@@ -235,7 +235,7 @@ def test_third_order_weight_constant_profile(sp, profile):
     """l applied to the constant profile 1: closed form
     -(3/4) r^{-3} [A'^2 r^2 + A A'' r^2 - A^2]; at r = 2 equals 69/512."""
     r = np.array([2.0])
-    val = profile.u2_weight(_const_jet(r), r)[0]
+    val = profile.lf(r, _const_jet(r))[0]
     assert abs(val - 69.0 / 512.0) < 1e-12
 
 
@@ -307,8 +307,7 @@ def test_profile_builds_mollifier_table_once(sp, monkeypatch):
     for k in range(3):
         prof.F_jet(r[k:])
     prof.a_mollified(np.linspace(-1.0, 6.0, 9))
-    assert built == [512.0 * 2**k for k in range(len(built))]
-    assert built[-1] == prof.N
+    assert built == [1024.0] == [prof.N]
     assert calls == built
 
 

@@ -202,8 +202,7 @@ def test_no_boundary_reflection(sp):
 
 
 def test_instability_detected(sp, wchart):
-    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=300, l=0, T=200.0, cfl=5.0,
-                       ko_sigma=0.0)
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=300, l=0, T=200.0, cfl=5.0)
     op = assemble_mode(sp, wchart, dom)
     r = dom.grid()
     v0 = gaussian_bump(r, 3.0, 0.8)
