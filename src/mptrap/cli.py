@@ -145,6 +145,7 @@ def task_geodesic(cfg, rng, outdir):
 
 
 def task_trapped_scan(cfg, rng, outdir):
+    from .csvtable import write_csv
     from .trapping import R_ab_dx, trapped_radius_vec, measure_cone_constant
     params = BlackHoleParams(**cfg["params"])
     n, cone = cfg["trapped_scan"]["n_samples"], cfg["trapped_scan"]["cone"]
@@ -156,9 +157,8 @@ def task_trapped_scan(cfg, rng, outdir):
     dRdr = R_ab_dx(params, r_t[ok] ** 2, taus[ok], Phis[ok], Psis[ok]) * 2 * r_t[ok]
     rows = np.column_stack([np.full(ok.sum(), params.a), np.full(ok.sum(), params.b),
                             taus[ok], Phis[ok], Psis[ok], r_t[ok], dRdr, iters[ok]])
-    with open(os.path.join(outdir, "trapped_scan.csv"), "w") as fh:
-        np.savetxt(fh, rows, fmt="%.16e", delimiter=",", comments="",
-                   header="a,b,tau,Phi,Psi,r_trapped,dR_dr,newton_iters")
+    write_csv(os.path.join(outdir, "trapped_scan.csv"),
+              "a,b,tau,Phi,Psi,r_trapped,dR_dr,newton_iters", rows)
     C_mp = measure_cone_constant(params, rng)
     static = abs(params.a) < 1e-15 and abs(params.b) < 1e-15
     metrics = {
@@ -180,10 +180,11 @@ def task_trapped_scan(cfg, rng, outdir):
 
 
 def task_multiplier_verify(cfg, rng, outdir):
+    from .csvtable import write_csv
     from .chart import ingoing_chart
     from .quadform import (MultiplierTriple, check_positivity, build_redshift,
-                           boundary_forms, demo_boundary_parameters,
-                           zeroth_order_n, positivity_grid)
+                           integrated_smallness, boundary_forms,
+                           demo_boundary_parameters, zeroth_order_n, positivity_grid)
     sp, prof = _profile(cfg)
     chart = ingoing_chart(sp, cfg["r_e"], cfg["r_max"])
     triple = MultiplierTriple(profile=prof, chart=chart)
@@ -246,10 +247,8 @@ def task_multiplier_verify(cfg, rng, outdir):
     lFv[above] = prof.lf(grid[above], F_above)
     nvals = zeroth_order_n(triple, ing)
     lfv = prof.lf(grid, ing["f"])
-    with open(os.path.join(outdir, "profiles.csv"), "w") as fh:
-        np.savetxt(fh, np.column_stack([grid, f, F, f1, q1, q2, b, gam, nvals, lFv, lfv]),
-                   fmt="%.16e", delimiter=",", header="r,f,F,f1,q1,q2,b_red,gamma,n,lF,lf",
-                   comments="")
+    write_csv(os.path.join(outdir, "profiles.csv"), "r,f,F,f1,q1,q2,b_red,gamma,n,lF,lf",
+              np.column_stack([grid, f, F, f1, q1, q2, b, gam, nvals, lFv, lfv]))
     with open(os.path.join(outdir, "positivity.json"), "w") as fh:
         json.dump({"c_star": pos["c_star"], "min_r": pos["min_r"],
                    "min_eigvec": pos["min_eigvec"], "grid": pos["grid_points"],
@@ -285,41 +284,8 @@ def task_multiplier_verify(cfg, rng, outdir):
     return status, metrics, witnesses
 
 
-def integrated_smallness(prof, r_e):
-    """Semi-analytic evaluation of the saturation bookkeeping integral.
-
-    integral over {eps r^3 f < -1} of
-        delta + eps |rho''(eps W)| + eps^2 A^{-1} |rho'''(eps W)| dr,
-    evaluated by the substitution R = eps W with dR = eps W' dr and
-    W' ~ 2 c_d/(r A) in the transition zone (log-dominated), which gives
-    A^{-1} dr = r dR / (2 c_d eps): the curvature terms integrate to
-    moments of |rho''|, |rho'''| regardless of how thin the zone is.
-    """
-    from .smooth import smoothstep
-    sp = prof.sp
-    # delta-part: measure of the region, which reaches from r_e up to the
-    # radius where eps r^3 F = -1 (exponentially close to r_s)
-    width = sp.r_s - r_e
-    part_delta = prof.delta * width
-    R = np.linspace(-3.0, -1.0, 4001)
-    # second and third derivatives of rho on the transition, from
-    # rho' = S((R + 3)/2)
-    S = smoothstep((R + 3.0) / 2.0)
-    rho2m = np.abs(S[1]) / 2.0
-    rho3m = np.abs(S[2]) / 4.0
-    cd = prof.c_d
-    # lapse along the transition zone: A ~ exp(h) with
-    # h(R) = (R/eps - r^3 g(r_s)) / c_d  (log-dominated regime)
-    g_rs = sp.r_s ** 3 - sp.r_ps ** 3
-    hR = (R / prof.eps - g_rs) / cd
-    A_zone = np.exp(np.maximum(hR, -700.0))
-    part_rho2 = (sp.r_s / (2 * cd)) * float(np.trapezoid(rho2m * A_zone, R))
-    part_rho3 = (prof.eps * sp.r_s / (2 * cd)) * float(np.trapezoid(rho3m, R))
-    return part_delta + part_rho2 + part_rho3, \
-        {"delta_part": part_delta, "rho2_part": part_rho2, "rho3_part": part_rho3}
-
-
 def task_sos_verify(cfg, rng, outdir):
+    from .csvtable import write_csv
     from .trapping import SOS_WINDOW
     from .sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
                       mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
@@ -353,10 +319,9 @@ def task_sos_verify(cfg, rng, outdir):
         rows = rows[okb[rows]]
         cols = [rb, thb, xib, Thb, Phb, Psb] + [res[k] for k in ("tau", "bracket", "alpha2",
                                                                   "beta2", "r_trap")]
-        with open(os.path.join(outdir, "bracket_scan.csv"), "w") as fh:
-            np.savetxt(fh, np.column_stack(cols)[rows], fmt="%.16e", delimiter=",",
-                       comments="",
-                       header="r,theta,xi,Theta,Phi,Psi,tau,bracket,alpha2,beta2,r_trap")
+        write_csv(os.path.join(outdir, "bracket_scan.csv"),
+                  "r,theta,xi,Theta,Phi,Psi,tau,bracket,alpha2,beta2,r_trap",
+                  np.column_stack(cols)[rows])
         return {"bracket_min": float(np.min(res["bracket"][okb])),
                 "alpha2_min": float(np.min(res["alpha2"][okb])),
                 "beta2_min": float(np.min(res["beta2"][okb])),
@@ -414,6 +379,7 @@ def task_sos_verify(cfg, rng, outdir):
 
 
 def task_wave_evolve(cfg, rng, outdir):
+    from .csvtable import write_csv
     from .chart import ingoing_chart
     from .wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
                              gaussian_bump, export_energy_csv, export_norm_json)
@@ -439,22 +405,25 @@ def task_wave_evolve(cfg, rng, outdir):
     hist = evolve(op, v0, np.zeros_like(v0), forcing=forcing)
     if blk["snapshots"]:
         times, vs, _ = hist.snapshot_array()
-        np.savetxt(os.path.join(outdir, "snapshots.csv"),
-                   np.column_stack([times, vs[:, ::8]]), fmt="%.10e", delimiter=",",
-                   header="vtilde," + ",".join(f"r={ri:.6f}" for ri in r[::8]),
-                   comments="")
+        write_csv(os.path.join(outdir, "snapshots.csv"),
+                  "vtilde," + ",".join(f"r={ri:.6f}" for ri in r[::8]),
+                  np.column_stack([times, vs[:, ::8]]), fmt="%.10e")
     erep, nrep = diagnostics(hist)
     export_energy_csv(os.path.join(outdir, "energy.csv"), erep,
                       np.asarray(hist.lateral_times),
                       np.asarray(hist.lateral_density))
     export_norm_json(os.path.join(outdir, "norms.json"), erep, nrep,
                      extra={"l": dom.l, "n_r": dom.n_r, "T": dom.T})
+    # a bump that is nonzero on the grid can still carry an energy that
+    # underflows to 0: then there is no ratio to report
+    E0_positive = erep.E_initial > 0
     metrics = {"E_initial": erep.E_initial, "sup_E": erep.sup_E,
                "E_lateral": erep.E_lateral,
-               "C_obs": erep.sup_E / erep.E_initial,
+               "C_obs": erep.sup_E / erep.E_initial if E0_positive else None,
                "lateral_min_integrand": erep.lateral_min_integrand,
                "LE1_sq": nrep.LE1_sq, "l": dom.l, "n_r": dom.n_r}
     status, witnesses = _verdict({
+        "E_initial_positive": (E0_positive, {"E_initial": erep.E_initial, "bound": 0.0}),
         "LE1_finite": (math.isfinite(nrep.LE1_sq), {"LE1_sq": nrep.LE1_sq}),
         "lateral_flux_nonnegative": (
             erep.lateral_min_integrand >= 0,

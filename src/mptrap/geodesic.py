@@ -23,6 +23,7 @@ import numpy as np
 from .params import (BlackHoleParams, CoordinateSingularity, InvalidConstants,
                      NoTrappedSphere, horizons)
 from . import dop853
+from .csvtable import write_csv
 from .geometry import POLE_TOL, inverse_metric_components, inverse_metric_form
 from .trapping import trapped_radius_vec
 
@@ -262,12 +263,12 @@ class Trajectory:
     def export_csv(self, path):
         t, x, th, ph, ps, Xi, Th = self.states
         r = np.sqrt(x)
-        np.savetxt(path, np.column_stack([
-            self.lam, t, r, th, ph, ps, np.full_like(r, self.tau), 2 * r * Xi, Th,
-            np.full_like(r, self.Phi), np.full_like(r, self.Psi), self.p,
-            self.K - self.K[0]]),
-            fmt="%.16e", delimiter=",", newline="\r\n", comments="",
-            header="lambda,t,r,theta,phi,psi,tau,xi,Theta,Phi,Psi,p_residual,K_drift")
+        write_csv(path, "lambda,t,r,theta,phi,psi,tau,xi,Theta,Phi,Psi,p_residual,K_drift",
+                  np.column_stack([
+                      self.lam, t, r, th, ph, ps, np.full_like(r, self.tau), 2 * r * Xi,
+                      Th, np.full_like(r, self.Phi), np.full_like(r, self.Psi), self.p,
+                      self.K - self.K[0]]),
+                  newline="\r\n")
 
 
 def _rhs(params: BlackHoleParams, tau, Phi, Psi):

@@ -10,9 +10,8 @@ derivatives up to third order, assembled with a small order-3 Taylor
 arithmetic and cross-checked against finite differences in the tests.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-import math
 
 import numpy as np
 
@@ -77,19 +76,23 @@ def jet_compose(outer, H):
 def cap_fn(x, alpha):
     """Jet of the piecewise profile: x below 0; x - 2x^3/(3 a^2) + x^5/(5 a^4)
     on [0, a]; constant 8a/15 above.  C^2 at 0, C-infinity elsewhere; third
-    derivative jumps at 0 (one-sided value taken from the middle branch)."""
+    derivative jumps at 0 (one-sided value taken from the middle branch).
+    Each branch is evaluated on its own points only."""
     x = np.asarray(x, dtype=float)
     a2, a4 = alpha**2, alpha**4
-    mid = (x > 0) & (x < alpha)
-    lo = x <= 0
-    middle = (x - 2 * x**3 / (3 * a2) + x**5 / (5 * a4),
-              (1 - x**2 / a2) ** 2,
-              -4 * x / a2 * (1 - x**2 / a2),
-              -4 / a2 * (1 - 3 * x**2 / a2))
-    below = (x, 1.0, 0.0, 0.0)
-    above = (8 * alpha / 15.0, 0.0, 0.0, 0.0)
-    return np.stack([np.where(lo, b, np.where(mid, m, a))
-                     for b, m, a in zip(below, middle, above)])
+    xf = np.atleast_1d(x)
+    mid = (xf > 0) & (xf < alpha)
+    lo = xf <= 0
+    out = np.zeros((4,) + xf.shape)
+    out[0] = 8 * alpha / 15.0
+    out[0, lo] = xf[lo]
+    out[1, lo] = 1.0
+    xm = xf[mid]
+    out[:, mid] = (xm - 2 * xm**3 / (3 * a2) + xm**5 / (5 * a4),
+                   (1 - xm**2 / a2) ** 2,
+                   -4 * xm / a2 * (1 - xm**2 / a2),
+                   -4 / a2 * (1 - 3 * xm**2 / a2))
+    return out.reshape((4,) + x.shape)
 
 
 def cap_pieces(alpha):
@@ -138,9 +141,12 @@ class RedshiftShape:
     gamma_fall_w0: float = 0.03
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiplierProfile:
-    """Radial profiles of the multiplier with derivatives to third order."""
+    """Radial profiles of the multiplier with derivatives to third order.
+
+    Frozen, like `SchwParams`: the scans, the triple and the sos bundles
+    share one instance, so none of them may change it."""
 
     sp: SchwParams
     alpha_cap: float
@@ -152,7 +158,6 @@ class MultiplierProfile:
     chi_inner: float
     chi_outer: float
     shape: RedshiftShape
-    achieved_match: float = field(default=math.nan)
 
     # -- elementary pieces ---------------------------------------------------
     @property
@@ -194,10 +199,10 @@ class MultiplierProfile:
         """Jet of the mollified cap psi_N * a at y."""
         return mollify(self._cap_table, y)
 
-    def D_m_jet(self, H):
-        """Jet in r of (psi_N * a)(H) - a(H) along the jet H."""
-        return (jet_compose(self.a_mollified(H[0]), H)
-                - jet_compose(self.a_of(H[0]), H))
+    def D_m_jet(self, H, aH):
+        """Jet in r of (psi_N * a)(H) - a(H) along the jet H, given a(H) as
+        the jet aH."""
+        return jet_compose(self.a_mollified(H[0]), H) - aH
 
     def chi_jet(self, r):
         rps = self.sp.r_ps
@@ -206,14 +211,27 @@ class MultiplierProfile:
 
     # -- f1, F, f -------------------------------------------------------------
     def f1_jet(self, r):
+        return self._f1_parts(r)[0]
+
+    def _f1_parts(self, r):
+        """(f1, h, a(h)): the jet of f1 and the two it is built from, which
+        F_jet reuses for its correction."""
         H = self.h_jet(r)
         aH = jet_compose(self.a_of(H[0]), H)
-        return self.g_jet(r) + self.c_d * jet_mul(jet_monomial(r, -3), aH)
+        return self.g_jet(r) + self.c_d * jet_mul(jet_monomial(r, -3), aH), H, aH
+
+    @cached_property
+    def achieved_match(self):
+        """max |d^k(F - f1)|, k <= 2, on 121 points over r_ps +- chi_outer."""
+        grid = np.linspace(self.sp.r_ps - self.chi_outer, self.sp.r_ps + self.chi_outer, 121)
+        diff = self.F_jet(grid) - self.f1_jet(grid)
+        return float(max(np.max(np.abs(diff[k])) for k in range(3)))
 
     @cached_property
     def _q2_poly(self):
         """Second-order matching polynomial at the photon sphere."""
-        Dm = self.D_m_jet(self.h_jet(np.asarray([self.sp.r_ps])))
+        _, H, aH = self._f1_parts(np.asarray([self.sp.r_ps]))
+        Dm = self.D_m_jet(H, aH)
         return float(Dm[0][0]), float(Dm[1][0]), float(Dm[2][0])
 
     def F_jet(self, r):
@@ -222,12 +240,12 @@ class MultiplierProfile:
         The correction is evaluated only where chi is nonzero (inside
         chi_outer of the photon sphere); elsewhere F equals f1."""
         r = np.asarray(r, dtype=float)
-        out = self.f1_jet(r)
+        out, H, aH = self._f1_parts(r)
         rps = self.sp.r_ps
         on = (r > rps - self.chi_outer) & (r < rps + self.chi_outer)
         if np.any(on):
             ro = r[on]
-            Dm = self.D_m_jet(self.h_jet(ro))
+            Dm = self.D_m_jet(H[:, on], aH[:, on])
             d0, d1, d2 = self._q2_poly
             dr = ro - rps
             Q2 = np.zeros((4,) + ro.shape)
@@ -367,9 +385,6 @@ def build_profiles(sp: SchwParams, alpha_cap: float = MULT_ALPHA_CAP,
                                  delta=delta, delta1=delta1, eps_match=eps_match,
                                  chi_inner=0.05 * sp.r_s, chi_outer=0.15 * sp.r_s,
                                  shape=RedshiftShape())
-        grid = np.linspace(sp.r_ps - prof.chi_outer, sp.r_ps + prof.chi_outer, 121)
-        diff = prof.F_jet(grid) - prof.f1_jet(grid)
-        prof.achieved_match = float(max(np.max(np.abs(diff[k])) for k in range(3)))
         if prof.achieved_match < eps_match:
             break
     else:

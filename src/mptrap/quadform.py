@@ -21,6 +21,7 @@ import numpy as np
 from .params import SchwParams, RedshiftBudgetFailure, BoundaryFormFailure
 from .chart import IngoingChart
 from .multiplier import MultiplierProfile, jet_mul, jet_monomial
+from .smooth import smoothstep
 
 
 @dataclass
@@ -213,6 +214,41 @@ def build_redshift(triple: MultiplierTriple):
     if not report["m_dr_at_rs"] > 0:
         raise RedshiftBudgetFailure("<m, dr>(r_s) must be positive")
     return report
+
+
+def integrated_smallness(prof: MultiplierProfile, r_e: float):
+    """Semi-analytic evaluation of the saturation bookkeeping integral.
+
+    integral over {eps r^3 f < -1} of
+        delta + eps |rho''(eps W)| + eps^2 A^{-1} |rho'''(eps W)| dr,
+    evaluated by the substitution R = eps W with dR = eps W' dr.  The
+    substitution is derived, not measured: W is log-dominated in the
+    transition zone, W' ~ 2 c_d/(r A), which gives
+    A^{-1} dr = r dR / (2 c_d eps), so the curvature terms integrate to
+    moments of |rho''|, |rho'''| regardless of how thin the zone is.
+    Returns the integral and its three parts.
+    """
+    sp = prof.sp
+    # delta-part: measure of the region, which reaches from r_e up to the
+    # radius where eps r^3 F = -1 (exponentially close to r_s)
+    width = sp.r_s - r_e
+    part_delta = prof.delta * width
+    R = np.linspace(-3.0, -1.0, 4001)
+    # second and third derivatives of rho on the transition, from
+    # rho' = S((R + 3)/2)
+    S = smoothstep((R + 3.0) / 2.0)
+    rho2m = np.abs(S[1]) / 2.0
+    rho3m = np.abs(S[2]) / 4.0
+    cd = prof.c_d
+    # lapse along the transition zone: A ~ exp(h) with
+    # h(R) = (R/eps - r^3 g(r_s)) / c_d  (log-dominated regime)
+    g_rs = sp.r_s ** 3 - sp.r_ps ** 3
+    hR = (R / prof.eps - g_rs) / cd
+    A_zone = np.exp(np.maximum(hR, -700.0))
+    part_rho2 = (sp.r_s / (2 * cd)) * float(np.trapezoid(rho2m * A_zone, R))
+    part_rho3 = (prof.eps * sp.r_s / (2 * cd)) * float(np.trapezoid(rho3m, R))
+    return part_delta + part_rho2 + part_rho3, \
+        {"delta_part": part_delta, "rho2_part": part_rho2, "rho3_part": part_rho3}
 
 
 # ---------------------------------------------------------------------------

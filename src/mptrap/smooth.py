@@ -227,6 +227,8 @@ def mollify(table: MollifierTable, y):
     for j in range(dp.shape[1]):
         bulk = ~near & (piece == j)
         out[:, bulk] = np.polynomial.polynomial.polyval(y[bulk], mq[:, j].T)
+        if not yk.size:
+            continue
         M = scale[:, None] * _psi_moments(np.clip(N * (yk - edges[j + 1]), -1.0, 1.0),
                                           np.clip(N * (yk - edges[j]), -1.0, 1.0), n)
         D = np.polynomial.polynomial.polyval(yk, dp[:, j].T)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .params import BlackHoleParams, CBandEmpty, LowerBoundViolation
 from .multiplier import MultiplierProfile, jet_mul
-from .smooth import richardson_derivative
+from .smooth import richardson_combine, richardson_derivative
 from .trapping import R_ab, R_ab_dx, rho2_p, tau_roots_vec, trapped_radius_vec
 
 
@@ -72,19 +72,27 @@ def lambda2(theta, Theta, Phi, Psi):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RadialJets:
-    """The radial coefficients of the photon-sphere pair on one radius array.
+class FTilde:
+    """f~ = G / (r - r_ps), G = A f_m, and f~' on one radius array, from a
+    single `f_jet` evaluation (`SchwSos.ftilde`).  The bracket scans read
+    nothing else of the profile."""
+
+    r: np.ndarray
+    f: np.ndarray          # jet of the saturated profile f_m
+    G: np.ndarray          # jet of G = A f_m
+    f_tilde: np.ndarray    # f~, series through the root
+    f_tilde_p: np.ndarray  # f~'
+
+
+@dataclass(frozen=True)
+class RadialJets(FTilde):
+    """All radial coefficients of the photon-sphere pair on one radius array.
 
     Built by `SchwSos.jets` from a single `f_jet` evaluation; the scans read
     their coefficients from here instead of re-evaluating the profile.
     """
 
-    r: np.ndarray
     A: np.ndarray          # A(r)
-    f: np.ndarray          # jet of the saturated profile f_m
-    G: np.ndarray          # jet of G = A f_m
-    f_tilde: np.ndarray    # f~ = G / (r - r_ps), series through the root
-    f_tilde_p: np.ndarray  # f~'
     q1: np.ndarray         # jet of q1, from the same f jet
     q_tilde: np.ndarray
     nu: np.ndarray
@@ -103,15 +111,9 @@ class SchwSos:
         J = jet_mul(self.profile.A_jet(rps), self.profile.f_jet(rps))
         self._G_ps = [float(J[k][0]) for k in range(4)]
 
-    def jets(self, r) -> RadialJets:
-        """All radial coefficients at r from one evaluation of the profile.
-
-        f~ = G/(r - r_ps) with its series through the root;
-        q~ = q_sos - (1/2) div X1 + G/r with the companion scalar
-        q_sos = q1 - delta1 q2, which equals
-        f_m (r - r_ps)(r + r_ps)/r^3 - delta1 q2 in closed form;
-        nu from -g^tt r^2 q~ = nu alpha_S^2.
-        """
+    def ftilde(self, r) -> FTilde:
+        """f~ = G/(r - r_ps) and f~' at r, with their series through the
+        root within 3e-4 r_s of r_ps."""
         pr = self.profile
         sp = pr.sp
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -129,6 +131,20 @@ class SchwSos:
             dn = d[near]
             ft[near] = G1 + G2 * dn / 2.0 + G3 * dn**2 / 6.0
             ftp[near] = G2 / 2.0 + G3 * dn / 3.0
+        return FTilde(r=r, f=f, G=G, f_tilde=ft, f_tilde_p=ftp)
+
+    def jets(self, r) -> RadialJets:
+        """All radial coefficients at r from one evaluation of the profile:
+        `ftilde`'s, plus
+        q~ = q_sos - (1/2) div X1 + G/r with the companion scalar
+        q_sos = q1 - delta1 q2, which equals
+        f_m (r - r_ps)(r + r_ps)/r^3 - delta1 q2 in closed form;
+        nu from -g^tt r^2 q~ = nu alpha_S^2.
+        """
+        pr = self.profile
+        sp = pr.sp
+        t = self.ftilde(r)
+        r, f, G = t.r, t.f, t.G
         q1 = pr.q1_jet(r, f)
         q_sos = q1 - pr.delta1 * pr.q2_jet(r)
         q_tilde = q_sos[0] - 0.5 * G[1] - G[0] / (2.0 * r)
@@ -137,8 +153,8 @@ class SchwSos:
         A = sp.A(r)
         with np.errstate(divide="ignore", invalid="ignore"):
             nu = r**2 * q_tilde / (A * alphaS2)    # 0/0 at r = r_ps exactly
-        return RadialJets(r=r, A=A, f=f, G=G, f_tilde=ft, f_tilde_p=ftp, q1=q1,
-                          q_tilde=q_tilde, nu=nu, alphaS2=alphaS2, betaS2=betaS2)
+        return RadialJets(**vars(t), A=A, q1=q1, q_tilde=q_tilde, nu=nu,
+                          alphaS2=alphaS2, betaS2=betaS2)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +178,7 @@ class MpSos:
         r_t = float(trapped_radius_vec(p, tau, Phi, Psi)[0][0])
 
         def sig(rr):
-            return float(self.sos.jets(rr).f_tilde[0]) * (rr - r_t)
+            return float(self.sos.ftilde(rr).f_tilde[0]) * (rr - r_t)
 
         h = 1e-5 * p.r_s
         p_r = richardson_derivative(
@@ -179,7 +195,7 @@ class MpSos:
 # symbol scans over sample arrays
 # ---------------------------------------------------------------------------
 
-def alpha_beta2(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
+def alpha_beta2(p: BlackHoleParams, J: FTilde, tau, Phi, Psi, r_t):
     """(alpha^2, beta^2) of the half-bracket at the radii of J, for the
     frequency branch tau with trapped radius r_t.
 
@@ -210,7 +226,7 @@ def alpha_beta2(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi, r_t):
     return r * ft * quot / (Delta**2 * tau**2), beta2
 
 
-def _branch(p: BlackHoleParams, J: RadialJets, tau, Phi, Psi):
+def _branch(p: BlackHoleParams, J: FTilde, tau, Phi, Psi):
     """(converged, r_trap, alpha^2, beta^2) of one frequency branch tau; a
     trapped radius whose Newton solve did not converge is replaced by
     sqrt(2) r_s so that every output stays finite."""
@@ -225,7 +241,7 @@ def mp_bracket_scan(mp: MpSos, r, theta, xi, Theta, Phi, Psi, branch):
     positive-coefficient pair: bracket = alpha^2 tau^2 (r - r_trap)^2 +
     beta^2 xi^2.  tau is the larger root where branch is 0, the smaller
     where it is 1.  Samples outside "ok" carry finite placeholders."""
-    J = mp.sos.jets(r)
+    J = mp.sos.ftilde(r)
     r = J.r
     t1, t2 = tau_roots_vec(mp.params, r, theta, xi, Theta, Phi, Psi)
     tau = np.where(np.asarray(branch) == 0, t1, t2)
@@ -248,8 +264,8 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
     plus q~ r^2 p_S.  Route (ii): (1-nu) alpha_S^2 tau^2 + beta_S^2 xi^2
     + nu alpha_S^2 A r^-2 (sum lambda_i^2 + (r^2 - r_s^2) xi^2).
     Route (ii) reads the coefficients at r from one RadialJets; route (i)
-    differentiates f~ on four shifted radius sets, each its own evaluation
-    of the profile.
+    differentiates f~ on four shifted radius sets, all in one `ftilde`
+    evaluation of the profile.
     """
     sp = sos.profile.sp
     J = sos.jets(r)
@@ -257,9 +273,6 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
     lami = rotation_symbols_vec(theta, Theta, Phi, Psi)
     lam2 = np.sum(lami**2, axis=0)
     a2, b2, nu, qt, A = J.alphaS2, J.betaS2, J.nu, J.q_tilde, J.A
-
-    def sigma(rr):
-        return sos.jets(rr).f_tilde * (rr - sp.r_ps)
 
     def r2p(rr, tt):
         return rr**2 * (-tt**2 / sp.A(rr) + sp.A(rr) * xi**2 + lam2 / rr**2)
@@ -269,7 +282,11 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
     def ddr(fn):
         return richardson_derivative(fn, r, h)
 
-    s_r = ddr(sigma) * xi
+    # sigma = f~ (r - r_ps) on richardson_derivative's four shifted radius
+    # sets, stacked into one `ftilde` evaluation
+    shifted = r + np.array([h, -h, h / 2, -h / 2])[:, None]
+    sigma = sos.ftilde(shifted).f_tilde * (shifted - sp.r_ps)
+    s_r = richardson_combine(*sigma, h) * xi
     s_xi = J.f_tilde * (r - sp.r_ps)
     p_xi = 2 * r**2 * A * xi
     br0 = 0.5 * (p_xi * s_r - ddr(lambda rr: r2p(rr, 0.0)) * s_xi)

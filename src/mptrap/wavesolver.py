@@ -26,6 +26,7 @@ import numpy as np
 from .params import (SchwParams, AssemblyError, InstabilityError, InconclusiveConvergence,
                      WAVE_CFL)
 from .chart import IngoingChart
+from .csvtable import write_csv
 from .smooth import gaussian_bump
 
 # The stencils spread a precursor ahead of a compactly supported pulse whose
@@ -365,9 +366,8 @@ def export_energy_csv(path, erep: EnergyReport, lat_t, lat_d):
     lat_cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (lat_d[1:] + lat_d[:-1]) * np.diff(lat_t))])
     cum_at = np.interp(erep.times, lat_t, lat_cum)
-    np.savetxt(path, np.column_stack([erep.times, erep.E_slice, cum_at]),
-               fmt="%.16e", delimiter=",", newline="\r\n", comments="",
-               header="vtilde,E_slice,E_lateral_cum")
+    write_csv(path, "vtilde,E_slice,E_lateral_cum",
+              np.column_stack([erep.times, erep.E_slice, cum_at]), newline="\r\n")
 
 
 def export_norm_json(path, erep: EnergyReport, nrep: NormReport, extra=None):

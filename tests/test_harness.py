@@ -482,6 +482,12 @@ def test_kappa_witness_follows_seed(tmp_path):
     # an unstable time step fails the energy bound
     ("wave-evolve", {"wave": {"cfl": 5, "T": 10}}, "energy_bounded",
      lambda w: w["sup_E"] > w["bound"]),
+    # a bump that is nonzero on its grid only far out in its tail carries an
+    # initial energy that underflows to 0
+    ("wave-evolve", {"wave": {"n_r": 200, "T": 1,
+                              "data": {"center": 3.969769246231156, "width": 0.1}}},
+     "E_initial_positive", lambda w: w == {"check": "E_initial_positive",
+                                          "E_initial": 0.0, "bound": 0.0}),
     # a coarse, short run fits a field order outside the band; the witness
     # carries the errors it fitted and their pairwise orders
     ("convergence", {"convergence": {"n_r": 300, "T": 8}}, "field_order",
@@ -490,7 +496,7 @@ def test_kappa_witness_follows_seed(tmp_path):
      and len(w["field_errors"]) == 3
      and w["field_orders"] == pytest.approx(
          [math.log2(a / b) for a, b in zip(w["field_errors"], w["field_errors"][1:])])),
-], ids=["wave-evolve", "convergence"])
+], ids=["wave-evolve", "wave-evolve-underflow", "convergence"])
 def test_physics_failure_has_witness(tmp_path, task, cfg, check, failed):
     """A failed check exits 1 and names itself and the values it compared."""
     path = tmp_path / "cfg.json"
@@ -586,3 +592,23 @@ def test_perfbench_imports_resolve(name):
                 and not hasattr(aliases[node.value.id], node.attr)):
             missing.append(f"{node.value.id}.{node.attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("fmt", ["%.16e", "%.10e"])
+def test_write_csv_is_savetxt(tmp_path, fmt, newline):
+    """write_csv writes the bytes np.savetxt writes, special values included."""
+    from mptrap.csvtable import write_csv
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-300, 300, (7, 4))
+    table[0] = [math.nan, math.inf, -math.inf, -0.0]
+    table[1] = [5e-324, -2.2250738585072014e-309, 0.0, 1.0]
+    header = "a,b,c,d"
+    write_csv(tmp_path / "ours.csv", header, table, fmt, newline)
+    np.savetxt(tmp_path / "ref.csv", table, fmt=fmt, delimiter=",", newline=newline,
+               header=header, comments="")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_csv(tmp_path / "ours.csv", header, table[:0], fmt, newline)
+    np.savetxt(tmp_path / "ref.csv", table[:0], fmt=fmt, delimiter=",", newline=newline,
+               header=header, comments="")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

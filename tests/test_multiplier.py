@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -349,6 +350,15 @@ def test_redshift_shape_invariants(sp, profile):
 def test_alpha_cap_limit(sp):
     with pytest.raises(ValueError):
         build_profiles(sp, alpha_cap=5.0)
+
+
+def test_built_profile_is_frozen(profile):
+    """A profile shared by its readers cannot be changed by one of them."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.eps = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.achieved_match = 0.0
+    assert 0 < profile.achieved_match < profile.eps_match
 
 
 def test_eps_resolvability_guard(sp):

@@ -11,7 +11,7 @@ from scipy.linalg import eigh
 from mptrap import quadform
 from mptrap.quadform import (MultiplierTriple, quad_matrix,
                              comparison_weights, check_positivity,
-                             build_redshift, boundary_forms,
+                             build_redshift, integrated_smallness, boundary_forms,
                              demo_boundary_parameters, zeroth_order_n,
                              flux_matrices, positivity_grid, lateral_bracket)
 
@@ -203,7 +203,6 @@ def test_n_definition_consistency(sp, triple):
 def test_integrated_smallness(profile, chart):
     """Saturation bookkeeping: the curvature-error integral over the
     saturated region is well below the horizon-component weight."""
-    from mptrap.cli import integrated_smallness
     I_val, parts = integrated_smallness(profile, chart.r_e)
     assert I_val < profile.delta / 2.0
     assert parts["rho3_part"] > 0          # the genuine eps-order term

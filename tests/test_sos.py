@@ -261,3 +261,21 @@ def test_profile_evaluated_once_per_sample_set(sos, triple, monkeypatch):
     assert calls == []
     triple.ingredients(r)
     assert len(calls) == 1
+
+
+def test_ftilde_is_jets_f_tilde_to_the_bit(sos, sp):
+    """The bracket scans' f~ and f~' are those of the full radial bundle,
+    bit for bit, on both sides of the series switch at 3e-4 r_s from r_ps;
+    and a stack of radius sets (`schw_sos_scan`'s four shifted ones) gives
+    each set's own values."""
+    off = np.array([-2e-3, -3.0001e-4, -3e-4, -2.9999e-4, -1e-7, 0.0,
+                    1e-7, 2.9999e-4, 3e-4, 3.0001e-4, 2e-3]) * sp.r_s
+    r = np.concatenate([sp.r_ps + off, [1.2, 1.5, 1.7]])
+    t, J = sos.ftilde(r), sos.jets(r)
+    assert np.array_equal(t.f_tilde, J.f_tilde)
+    assert np.array_equal(t.f_tilde_p, J.f_tilde_p)
+    assert np.array_equal(t.r, J.r)
+    h = 1e-4 * sp.r_s
+    stacked = sos.ftilde(r + np.array([h, -h, h / 2, -h / 2])[:, None])
+    for k, shift in enumerate([h, -h, h / 2, -h / 2]):
+        assert np.array_equal(stacked.f_tilde[k], sos.ftilde(r + shift).f_tilde)
