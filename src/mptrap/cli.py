@@ -382,7 +382,8 @@ def task_wave_evolve(cfg, rng, outdir):
     from .csvtable import write_csv
     from .chart import ingoing_chart
     from .wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
-                             gaussian_bump, export_energy_csv, export_norm_json)
+                             SliceDiagnostics, gaussian_bump, export_energy_csv,
+                             export_norm_json)
     sp = SchwParams(**cfg["schw"])
     blk = cfg["wave"]
     dom = SolverDomain(r_e=blk["r_e"], r_max=blk["r_max"], n_r=blk["n_r"], l=blk["l"],
@@ -402,13 +403,21 @@ def task_wave_evolve(cfg, rng, outdir):
 
         def forcing(t, rr):
             return famp * math.exp(-((t - ft0) / fts) ** 2) * bump
-    hist = evolve(op, v0, np.zeros_like(v0), forcing=forcing)
+    # each sampled slice is folded into the diagnostics as it comes; only the
+    # snapshot rows, if asked for, are kept
+    acc = SliceDiagnostics(op)
+    rows = []
+
+    def acc_and_rows(t, v, W):
+        acc(t, v, W)
+        rows.append(v[::8].copy())
+    hist = evolve(op, v0, np.zeros_like(v0), forcing=forcing,
+                  observe=acc_and_rows if blk["snapshots"] else acc)
     if blk["snapshots"]:
-        times, vs, _ = hist.snapshot_array()
         write_csv(os.path.join(outdir, "snapshots.csv"),
                   "vtilde," + ",".join(f"r={ri:.6f}" for ri in r[::8]),
-                  np.column_stack([times, vs[:, ::8]]), fmt="%.10e")
-    erep, nrep = diagnostics(hist)
+                  np.column_stack([acc.times, rows]), fmt="%.10e")
+    erep, nrep = diagnostics(hist, acc)
     export_energy_csv(os.path.join(outdir, "energy.csv"), erep,
                       np.asarray(hist.lateral_times),
                       np.asarray(hist.lateral_density))

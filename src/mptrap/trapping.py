@@ -169,11 +169,16 @@ def tau_roots_vec(params: BlackHoleParams, r, theta, xi, Theta, Phi, Psi):
 def measure_cone_constant(params: BlackHoleParams, rng, n_samples: int = 4000) -> float:
     """Measured C with |Phi|, |Psi| <= C |tau_i| over on-shell window samples."""
     rs = params.r_s
+    # one sample at a time, in the seed's draw order; rng.uniform(lo, hi) is
+    # lo + (hi - lo) * rng.random(), bit for bit, at about half the cost
+    r_lo, r_hi = TAU_WINDOW[0] * rs, TAU_WINDOW[1] * rs
+    th_lo, th_hi = 0.3, math.pi / 2 - 0.3
+    r_span, th_span = r_hi - r_lo, th_hi - th_lo
     draws = np.empty((6, n_samples))
-    for i in range(n_samples):     # one sample at a time: the seed's draw order
-        draws[0, i] = rng.uniform(TAU_WINDOW[0] * rs, TAU_WINDOW[1] * rs)
-        draws[1, i] = rng.uniform(0.3, math.pi / 2 - 0.3)
-        draws[2:, i] = rng.standard_normal(4)
+    for sample in draws.T:
+        sample[0] = r_lo + r_span * rng.random()
+        sample[1] = th_lo + th_span * rng.random()
+        sample[2:] = rng.standard_normal(4)
     r, theta, xi, Theta, Phi, Psi = draws
     worst = 0.0
     for taui in tau_roots_vec(params, r, theta, xi, Theta, Phi, Psi):

@@ -169,17 +169,29 @@ class History:
     lateral_density: list = field(default_factory=list)   # per accepted step
     lateral_times: list = field(default_factory=list)
 
-    def snapshot_array(self):
-        return np.asarray(self.times), np.asarray(self.v), np.asarray(self.W)
+    def record(self, t, v, W):
+        """evolve's default observer: store a copy of the sampled slice."""
+        snap = np.concatenate([v, W])     # v and W are views of one copy
+        n = len(v)
+        self.times.append(t)
+        self.v.append(snap[:n])
+        self.W.append(snap[n:])
 
 
-def evolve(op: ModeOperator, v0, W0, forcing=None) -> History:
+def evolve(op: ModeOperator, v0, W0, forcing=None, observe=None) -> History:
     """Classical RK4 evolution of the stacked state (v, W) with per-step
-    lateral-flux sampling."""
+    lateral-flux sampling.
+
+    The state is sampled at t = 0, every `sample_every` steps and after the
+    last step: `observe(t, v, W)` is called there with views of the live
+    state, which the next step overwrites.  Without an observer the samples
+    are stored in the returned History (`History.record`)."""
     dt = op.dt
     n = op.dom.n_r
     y = np.concatenate([np.asarray(v0, dtype=float), np.asarray(W0, dtype=float)])
     hist = History(op=op)
+    if observe is None:
+        observe = hist.record
     d1_0 = np.zeros(n)      # row 0 of D1, the one-sided v_r at the inner boundary
     for off, band in zip(op.D1.offsets, op.D1.data):
         if off >= 0:
@@ -189,13 +201,7 @@ def evolve(op: ModeOperator, v0, W0, forcing=None) -> History:
         return (float(d1_0 @ vv) ** 2 + WW[0] ** 2
                 + op.eig * vv[0] ** 2 / op.r[0] ** 2) * op.r[0] ** 3
 
-    def record(t, yy):
-        snap = yy.copy()      # v and W are views of one copy
-        hist.times.append(t)
-        hist.v.append(snap[:n])
-        hist.W.append(snap[n:])
-
-    record(0.0, y)
+    observe(0.0, y[:n], y[n:])
     hist.lateral_times.append(0.0)
     hist.lateral_density.append(lateral(y[:n], y[n:]))
 
@@ -235,7 +241,7 @@ def evolve(op: ModeOperator, v0, W0, forcing=None) -> History:
         hist.lateral_times.append(t + dt)
         hist.lateral_density.append(lateral(y[:n], y[n:]))
         if (k + 1) % op.dom.sample_every == 0 or k == op.n_steps - 1:
-            record(t + dt, y)
+            observe(t + dt, y[:n], y[n:])
     return hist
 
 
@@ -269,55 +275,80 @@ def slice_energy(op: ModeOperator, v, W, v_r=None):
     return float(np.trapezoid(dens, op.r))
 
 
-def diagnostics(hist: History):
-    """Energy and localized-energy reports from a stored history."""
-    op = hist.op
-    times = np.asarray(hist.times)
+class SliceDiagnostics:
+    """The energy and localized-energy sums, fed one sampled slice at a time:
+    an observer for `evolve`.  Each slice leaves only its energy, its
+    per-annulus radial and degenerate products and its lower-order term;
+    `finish` weights them over the sample times."""
 
-    # localized-energy norm: sup over dyadic annuli with the photon-sphere
-    # weight on the temporal and angular pieces only.  Row k of quad_r holds
-    # the trapezoid weights of annulus k on the grid, times r^3.
-    r = op.r
-    w_ps = ((r - op.sp.r_ps) / r) ** 2
-    j_lo = int(math.floor(math.log2(max(r[0], 1e-12))))
-    j_hi = int(math.ceil(math.log2(r[-1])))
-    annuli, rows = [], []
-    for j in range(j_lo, j_hi + 1):
-        idx = np.flatnonzero((r >= 2.0 ** (j - 1)) & (r < 2.0**j))
-        if idx.size:
-            half = 0.5 * np.diff(r[idx])
-            row = np.zeros_like(r)
-            row[idx[:-1]] += half
-            row[idx[1:]] += half
-            annuli.append(j)
-            rows.append(row * r**3)
-    quad_r = np.array(rows)
-    quad_deg = quad_r * w_ps
-    acc_r = np.zeros(len(annuli))
-    acc_deg = np.zeros(len(annuli))
-    low = 0.0
-    E = np.empty(len(times))
-    # time integration by trapezoid over the sampled slices
-    wt = np.gradient(times)
-    for i, (v, W) in enumerate(zip(hist.v, hist.W)):
+    def __init__(self, op: ModeOperator):
+        # localized-energy norm: sup over dyadic annuli with the photon-sphere
+        # weight on the temporal and angular pieces only.  Row k of quad_r
+        # holds the trapezoid weights of annulus k on the grid, times r^3.
+        r = op.r
+        w_ps = ((r - op.sp.r_ps) / r) ** 2
+        j_lo = int(math.floor(math.log2(max(r[0], 1e-12))))
+        j_hi = int(math.ceil(math.log2(r[-1])))
+        self.annuli, rows = [], []
+        for j in range(j_lo, j_hi + 1):
+            idx = np.flatnonzero((r >= 2.0 ** (j - 1)) & (r < 2.0**j))
+            if idx.size:
+                half = 0.5 * np.diff(r[idx])
+                row = np.zeros_like(r)
+                row[idx[:-1]] += half
+                row[idx[1:]] += half
+                self.annuli.append(j)
+                rows.append(row * r**3)
+        self.op = op
+        self.quad_r = np.array(rows)
+        self.quad_deg = self.quad_r * w_ps
+        self.times, self.E, self.radial, self.degenerate, self.low = [], [], [], [], []
+
+    def __call__(self, t, v, W):
+        op, r = self.op, self.op.r
         v_r = op.D1 @ v
-        E[i] = slice_energy(op, v, W, v_r)
-        acc_r += wt[i] * (quad_r @ v_r**2)
-        acc_deg += wt[i] * (quad_deg @ (W**2 + op.eig * v**2 / r**2))
-        low += wt[i] * np.trapezoid(v**2, r)
-    dud = {j: {"radial": 2.0 ** (-j) * float(acc_r[k]),
-               "degenerate": 2.0 ** (-j) * float(acc_deg[k])}
-           for k, j in enumerate(annuli)}
-    best_r = max(d["radial"] for d in dud.values())
-    best_deg = max(d["degenerate"] for d in dud.values())
-    nrep = NormReport(LE1_sq=best_r + best_deg + low, dyadic=dud,
-                      lower_order_sq=low)
-    lat_d = np.asarray(hist.lateral_density)
-    erep = EnergyReport(times=times, E_slice=E, E_initial=float(E[0]),
-                        E_lateral=float(np.trapezoid(lat_d, hist.lateral_times)),
-                        sup_E=float(np.max(E)),
-                        lateral_min_integrand=float(np.min(lat_d)))
-    return erep, nrep
+        self.times.append(t)
+        self.E.append(slice_energy(op, v, W, v_r))
+        self.radial.append(self.quad_r @ v_r**2)
+        self.degenerate.append(self.quad_deg @ (W**2 + op.eig * v**2 / r**2))
+        self.low.append(np.trapezoid(v**2, r))
+
+    def finish(self, lateral_times, lateral_density):
+        """Energy and norm reports: the slices' sums, trapezoid-weighted in
+        time over the samples, and the lateral flux of the per-step density."""
+        times = np.asarray(self.times)
+        E = np.asarray(self.E)
+        acc_r = np.zeros(len(self.annuli))
+        acc_deg = np.zeros(len(self.annuli))
+        low = 0.0
+        wt = np.gradient(times)
+        for w, p_r, p_deg, p_low in zip(wt, self.radial, self.degenerate, self.low):
+            acc_r += w * p_r
+            acc_deg += w * p_deg
+            low += w * p_low
+        dud = {j: {"radial": 2.0 ** (-j) * float(acc_r[k]),
+                   "degenerate": 2.0 ** (-j) * float(acc_deg[k])}
+               for k, j in enumerate(self.annuli)}
+        best_r = max(d["radial"] for d in dud.values())
+        best_deg = max(d["degenerate"] for d in dud.values())
+        nrep = NormReport(LE1_sq=best_r + best_deg + low, dyadic=dud,
+                          lower_order_sq=low)
+        lat_d = np.asarray(lateral_density)
+        erep = EnergyReport(times=times, E_slice=E, E_initial=float(E[0]),
+                            E_lateral=float(np.trapezoid(lat_d, lateral_times)),
+                            sup_E=float(np.max(E)),
+                            lateral_min_integrand=float(np.min(lat_d)))
+        return erep, nrep
+
+
+def diagnostics(hist: History, acc: SliceDiagnostics = None):
+    """Energy and localized-energy reports of a run: from the slices that
+    `acc` took in as evolve's observer, or else from hist's stored ones."""
+    if acc is None:
+        acc = SliceDiagnostics(hist.op)
+        for t, v, W in zip(hist.times, hist.v, hist.W):
+            acc(t, v, W)
+    return acc.finish(hist.lateral_times, hist.lateral_density)
 
 
 def convergence_study(sp: SchwParams, chart: IngoingChart, base: SolverDomain,
@@ -331,15 +362,19 @@ def convergence_study(sp: SchwParams, chart: IngoingChart, base: SolverDomain,
     frames (`forked.beside`)."""
     doms = [SolverDomain(r_e=base.r_e, r_max=base.r_max,
                          n_r=(base.n_r - 1) * 2**k + 1, l=base.l,
-                         T=base.T, cfl=base.cfl, sample_every=10**9)
+                         T=base.T, cfl=base.cfl)
             for k in range(levels)]
 
     def final(dom):
         """Final field and slice energy of one level."""
         op = assemble_mode(sp, chart, dom)
         v0 = gaussian_bump(dom.grid(), data_center, data_width)
-        hist = evolve(op, v0, np.zeros_like(v0))
-        return hist.v[-1], slice_energy(op, hist.v[-1], hist.W[-1])
+        v, W = np.empty_like(v0), np.empty_like(v0)
+
+        def keep(t, vv, WW):      # the last sample is the final state
+            v[:], W[:] = vv, WW
+        evolve(op, v0, np.zeros_like(v0), observe=keep)
+        return v, slice_energy(op, v, W)
 
     from .forked import beside
     coarse, finest = beside(lambda: [final(dom) for dom in doms[:-1]],

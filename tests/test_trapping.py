@@ -192,3 +192,31 @@ def test_tau_roots_vec(bh_small, rng):
 def test_cone_constant(bh_small, rng):
     C = measure_cone_constant(bh_small, rng, n_samples=500)
     assert 0.5 < C < 50.0
+
+
+@pytest.mark.parametrize("seed", [7, 2024])
+def test_cone_constant_draws_match_per_sample_uniform(monkeypatch, seed):
+    """The cone-constant samples are, bit for bit, the per-sample
+    rng.uniform / rng.standard_normal(4) stream, and the generator ends in
+    the same state."""
+    import mptrap.trapping as trapping
+    params = BlackHoleParams(2.0, 0.1, 0.06)
+    n = 700
+    ref_rng = np.random.default_rng(seed)
+    ref = np.empty((6, n))
+    for i in range(n):
+        ref[0, i] = ref_rng.uniform(1.1 * 2.0, 1.8 * 2.0)
+        ref[1, i] = ref_rng.uniform(0.3, math.pi / 2 - 0.3)
+        ref[2:, i] = ref_rng.standard_normal(4)
+    seen = []
+
+    def spy(p, *columns):
+        seen.append(columns)
+        return tau_roots_vec(p, *columns)
+    monkeypatch.setattr(trapping, "tau_roots_vec", spy)
+    rng = np.random.default_rng(seed)
+    C = measure_cone_constant(params, rng, n_samples=n)
+    (columns,) = seen
+    assert np.asarray(columns).tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert 0.0 < C < math.inf

@@ -12,7 +12,8 @@ from mptrap.params import SchwParams, InstabilityError
 from mptrap.chart import ingoing_chart
 from mptrap.wavesolver import (SolverDomain, assemble_mode, spatial_operator,
                                evolve, diagnostics, gaussian_bump,
-                               convergence_study, slice_energy, History)
+                               convergence_study, slice_energy, History,
+                               SliceDiagnostics)
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +294,95 @@ def test_dyadic_norms_match_masked_trapezoid(sp, wchart):
     assert nrep.lower_order_sq == pytest.approx(low, rel=1e-13)
 
 
+@pytest.mark.parametrize("sample_every", [1, 3, 8])
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+def test_streamed_diagnostics_equal_stored(sp, wchart, forced, sample_every):
+    """Diagnostics folded in slice by slice through evolve's observer equal,
+    bit for bit, those read back from a stored history, and the observer is
+    called at exactly the sample times the history records."""
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.1,
+                       sample_every=sample_every)
+    op = assemble_mode(sp, wchart, dom)
+    assert sample_every == 1 or op.n_steps % sample_every != 0
+    v0 = gaussian_bump(op.r, 3.0, 0.8)
+
+    def forcing(t, rr):
+        return math.exp(-((t - 2.0) / 1.0) ** 2) * gaussian_bump(rr, 5.0, 1.0)
+
+    f = forcing if forced else None
+    stored = evolve(op, v0, np.zeros_like(v0), forcing=f)
+    acc = SliceDiagnostics(op)
+    streamed = evolve(op, v0, np.zeros_like(v0), forcing=f, observe=acc)
+    assert streamed.times == [] and streamed.v == [] and streamed.W == []
+    assert np.asarray(acc.times).tobytes() == np.asarray(stored.times).tobytes()
+    assert len(stored.times) == op.n_steps // sample_every + 1 + (op.n_steps % sample_every > 0)
+    (e1, n1), (e2, n2) = diagnostics(stored), diagnostics(streamed, acc)
+    assert e1.E_slice.tobytes() == e2.E_slice.tobytes()
+    for key in ("E_initial", "E_lateral", "sup_E", "lateral_min_integrand"):
+        assert getattr(e1, key) == getattr(e2, key)
+    assert np.float64(n1.LE1_sq).tobytes() == np.float64(n2.LE1_sq).tobytes()
+    assert np.float64(n1.lower_order_sq).tobytes() == np.float64(n2.lower_order_sq).tobytes()
+    assert list(n1.dyadic) == list(n2.dyadic)
+    for j, parts in n1.dyadic.items():
+        for key, value in parts.items():
+            assert np.float64(value).tobytes() == np.float64(n2.dyadic[j][key]).tobytes()
+
+
+# the benchmark's wave-evolve size
+WAVE_BENCH = {"r_e": 0.9, "r_max": 60.0, "n_r": 1200, "l": 0, "T": 40.0,
+              "data": {"type": "bump", "center": 3.0, "width": 0.8}}
+
+
+def test_wave_evolve_keeps_no_slice_history(tmp_path):
+    """wave-evolve folds its samples into the diagnostics as they come: its
+    traced peak stays well under the 4.9 MB that 255 stored copies of (v, W)
+    at n_r 1200 take alone (the stored-history task peaked at 5.9 MB, the
+    streamed one at 1.05 MB)."""
+    import tracemalloc
+    from mptrap import chart, csvtable, smooth  # noqa: F401  (imports untraced)
+    from mptrap.cli import run
+    from scipy import sparse  # noqa: F401
+    tracemalloc.start()
+    try:
+        rep = run("wave-evolve", {"schw": {"r_s": 1.0, "d": 1}, "wave": WAVE_BENCH},
+                  str(tmp_path), seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["status"] == "pass"
+    assert peak < 2.5e6
+
+
+def test_snapshots_csv_equals_stored_history_rows(tmp_path, monkeypatch):
+    """With wave.snapshots set, snapshots.csv holds, byte for byte, the rows
+    v[::8] of every sample of a stored history of the same run."""
+    from mptrap.cli import run
+    from mptrap.csvtable import write_csv
+    orig = wavesolver.evolve
+    stored = []
+
+    def evolve_and_store(op, v0, W0, forcing=None, observe=None):
+        stored.append(orig(op, v0, W0, forcing))
+        return orig(op, v0, W0, forcing, observe)
+    monkeypatch.setattr(wavesolver, "evolve", evolve_and_store)
+    cfg = {"schw": {"r_s": 1.0, "d": 1},
+           "wave": {"r_e": 0.9, "r_max": 30.0, "n_r": 300, "l": 1, "T": 8.0,
+                    "data": {"type": "bump", "center": 3.0, "width": 0.8},
+                    "forcing": {"type": "bump", "center": 4.0, "width": 1.0,
+                                "amplitude": 0.3},
+                    "snapshots": True}}
+    rep = run("wave-evolve", cfg, str(tmp_path / "run"), seed=0)
+    assert rep["status"] == "pass"
+    (hist,) = stored
+    r = hist.op.r
+    write_csv(str(tmp_path / "expected.csv"),
+              "vtilde," + ",".join(f"r={ri:.6f}" for ri in r[::8]),
+              np.column_stack([hist.times, np.asarray(hist.v)[:, ::8]]), fmt="%.10e")
+    got = (tmp_path / "run" / "snapshots.csv").read_bytes()
+    assert got == (tmp_path / "expected.csv").read_bytes()
+    assert got.count(b"\n") == len(hist.times) + 1
+
+
 def test_banded_product_sums_rows_in_column_order(sp, wchart):
     """L and D1 keep their bands in ascending offset order, so each product
     row is the sum of the row's nonzero products in column order from 0.0,
@@ -375,10 +465,10 @@ def test_study_runs_finest_level_here(sp, wchart, monkeypatch, tmp_path):
     log = tmp_path / "levels.txt"
     orig = wavesolver.evolve
 
-    def logged_evolve(op, v0, W0, forcing=None):
+    def logged_evolve(op, v0, W0, forcing=None, observe=None):
         with open(log, "a") as fh:
             fh.write(f"{op.dom.n_r} {os.getpid()}\n")
-        return orig(op, v0, W0, forcing)
+        return orig(op, v0, W0, forcing, observe)
     monkeypatch.setattr(wavesolver, "evolve", logged_evolve)
     small_study(sp, wchart)
     pids = dict(map(int, line.split()) for line in log.read_text().splitlines())
@@ -396,10 +486,10 @@ def test_study_failure_raises_here_in_serial_order(sp, wchart, monkeypatch, fail
     first is reported."""
     orig = wavesolver.evolve
 
-    def failing_evolve(op, v0, W0, forcing=None):
+    def failing_evolve(op, v0, W0, forcing=None, observe=None):
         if op.dom.n_r in failing:
             raise InstabilityError(f"n_r {op.dom.n_r} in process {os.getpid()}")
-        return orig(op, v0, W0, forcing)
+        return orig(op, v0, W0, forcing, observe)
     monkeypatch.setattr(wavesolver, "evolve", failing_evolve)
     with pytest.raises(InstabilityError) as info:
         small_study(sp, wchart)
