@@ -141,9 +141,9 @@ def positivity_grid(sp: SchwParams, r_e: float, r_hi: float, n_grid: int):
     """Grid avoiding the exact photon sphere, refined toward the horizon."""
     base = np.linspace(r_e, r_hi, n_grid)
     extra = sp.r_s + np.geomspace(1e-9, 0.2, 101) * sp.r_s
-    g = np.unique(np.concatenate([base, extra]))
-    g = g[np.abs(g - sp.r_ps) > 1e-7 * sp.r_s]
-    return g
+    # sorted with adjacent repeats dropped: np.unique would import numpy.ma
+    g = np.sort(np.concatenate([base, extra]))
+    return g[np.append(True, g[1:] != g[:-1]) & (np.abs(g - sp.r_ps) > 1e-7 * sp.r_s)]
 
 
 def _pencil_eigh(M, w):

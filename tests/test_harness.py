@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from mptrap import cli, geodesic, wavesolver
+from mptrap import cli, geodesic, quadform, wavesolver
 from mptrap.cli import main, run, validate_config, ConfigError
+from mptrap.params import BoundaryFormFailure
 
 
 def _strip_volatile(report):
@@ -154,8 +155,9 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 
 
 def _mptrap_modules_after(tmp_path, task=None, cfg=None):
-    """(exit code, sorted mptrap.* modules) of a fresh interpreter that
-    imports mptrap.cli and then, when task is given, runs it on cfg."""
+    """(exit code, sorted mptrap.* modules, plus numpy.ma when loaded) of a
+    fresh interpreter that imports mptrap.cli and then, when task is given,
+    runs it on cfg."""
     script = "import json, sys\nimport mptrap.cli\ncode = None\n"
     if task is not None:
         path = tmp_path / f"{task}.json"
@@ -163,7 +165,7 @@ def _mptrap_modules_after(tmp_path, task=None, cfg=None):
         script += (f"code = mptrap.cli.main([{task!r}, '--config', {str(path)!r}, "
                    f"'--out', {str(tmp_path / task)!r}])\n")
     script += ("print(json.dumps([code, sorted(m for m in sys.modules "
-               "if m.split('.')[0] == 'mptrap')]))")
+               "if m.split('.')[0] == 'mptrap' or m == 'numpy.ma')]))")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
     assert out.returncode == 0, out.stderr
@@ -173,9 +175,14 @@ def _mptrap_modules_after(tmp_path, task=None, cfg=None):
 def test_cli_loads_only_task_modules(tmp_path):
     """Importing the CLI loads `params` and nothing else of mptrap, and each
     task imports only the modules it runs, on its first call; only the tasks
-    that fork load `forked`."""
+    that fork load `forked`.  multiplier-verify does not load numpy.ma, which
+    np.unique would import."""
     _, mods = _mptrap_modules_after(tmp_path)
     assert mods == ["mptrap", "mptrap.cli", "mptrap.params"]
+    code, mods = _mptrap_modules_after(tmp_path, "multiplier-verify",
+                                       {"multiplier": {"n_grid": 200}})
+    assert code == 0
+    assert "numpy.ma" not in mods
     code, mods = _mptrap_modules_after(tmp_path, "trapped-scan",
                                        {"trapped_scan": {"n_samples": 20}})
     assert code == 0
@@ -323,7 +330,7 @@ def test_run_fills_table_defaults(tmp_path, monkeypatch, given):
 
     def task(cfg, rng, outdir):
         seen.append(cfg)
-        return True, {}, []
+        return {}
 
     monkeypatch.setitem(cli.TASKS, "trapped-scan", task)
     before = copy.deepcopy(given)
@@ -548,6 +555,125 @@ def test_task_exception_has_frames(tmp_path, monkeypatch):
         ["cli.py", "run"], ["test_harness.py", "task"],
         ["test_harness.py", "innermost"]]
     assert all(f.split(":")[1].isdigit() for f in w["frames"])
+
+
+SMALL = {"wave": {"n_r": 50, "T": 0.5}, "trapped_scan": {"n_samples": 20},
+         "sos": {"n_samples": 50, "n_bracket": 200, "n_mu": 400},
+         "multiplier": {"n_grid": 200},
+         "convergence": {"n_r": 100, "T": 2.0, "levels": 3}}
+
+# the keys of each CHECKS row's witness besides "check": the values it
+# compared and its bound or band
+WITNESS_KEYS = {
+    "geodesic": {"p_drift": {"p_drift", "bound"}, "K_drift": {"K_drift", "bound"},
+                 "separated_residual": {"separated_residual", "bound"},
+                 "trapped_persistence": {"trapped_deviation_window", "trapped_window",
+                                         "bound"},
+                 "trapped_departure": {"termination"}},
+    "trapped-scan": {"all_converged": {"n_converged", "n_samples"},
+                     "static_photon_sphere": {"static_deviation", "bound"}},
+    "multiplier-verify": {"F_prime_positive": {"F_prime_min", "bound"},
+                          "lF_positive": {"lF_min", "bound"},
+                          "n_positive": {"n_min", "bound"},
+                          "c_star_positive": {"c_star", "bound"},
+                          "c_star_grid_stability": {"c_star_grid_stability", "bound"},
+                          "smallness": {"smallness_integral", "bound"},
+                          "boundary_feasible": {"slice_min_eig", "lateral_min_eig", "bound"},
+                          "pinned_boundary_targets": {"kappa", "lateral_min_eig"}},
+    "sos-verify": {"schw_residual": {"schw_residual_max", "bound"},
+                   "nu_positive": {"nu_min", "bound"}, "nu_below_one": {"nu_max", "bound"},
+                   "lambda_identity": {"lambda_identity_max_err", "bound"},
+                   "bracket_nonnegative": {"bracket_min", "bound"},
+                   "alpha2_positive": {"alpha2_min", "bound"},
+                   "beta2_positive": {"beta2_min", "bound"},
+                   "kappa_positive": {"kappa", "bound"},
+                   "envelope_doubling": {"envelope_doubling_ratios", "band"}},
+    "wave-evolve": {"E_initial_positive": {"E_initial", "bound"}, "LE1_finite": {"LE1_sq"},
+                    "lateral_flux_nonnegative": {"lateral_min_integrand"},
+                    "energy_bounded": {"sup_E", "E_initial", "bound"}},
+    "convergence": {"field_order": {"field_order_fit", "field_orders", "field_errors",
+                                    "band"}},
+}
+
+
+def test_checks_table_shape():
+    """The table holds the 28 verdict checks plus the informational
+    pinned_boundary_targets; exactly three rows cannot fail, and each of
+    those, and only those, gives its reason."""
+    assert {t: set(rows) for t, rows in cli.CHECKS.items()} == \
+        {t: set(keys) for t, keys in WITNESS_KEYS.items()}
+    labels = [(name, row.label) for rows in cli.CHECKS.values() for name, row in rows.items()]
+    assert len(labels) == 29
+    assert [n for n, label in labels if label == cli.INFORMATIONAL] == \
+        ["pinned_boundary_targets"]
+    assert sorted(n for n, label in labels if label == cli.BY_CONSTRUCTION) == \
+        ["c_star_grid_stability", "kappa_positive", "lateral_flux_nonnegative"]
+    for rows in cli.CHECKS.values():
+        for row in rows.values():
+            assert row.label in (cli.GATE, cli.INFORMATIONAL, cli.BY_CONSTRUCTION)
+            assert bool(row.reason and row.reason.strip()) == (row.label == cli.BY_CONSTRUCTION)
+
+
+@pytest.mark.parametrize("task,cfg,skipped", [
+    ("geodesic", {}, []),
+    ("geodesic", {"geodesic": {"trapped": False}},
+     ["trapped_persistence", "trapped_departure"]),
+    ("trapped-scan", SMALL, []),
+    ("trapped-scan", {**SMALL, "params": {"a": 0.05}}, ["static_photon_sphere"]),
+    ("multiplier-verify", SMALL, []),
+    ("sos-verify", SMALL, []),
+    ("wave-evolve", SMALL, []),
+    ("convergence", SMALL, []),
+], ids=["geodesic", "geodesic-untrapped", "trapped-scan", "trapped-scan-rotating",
+        "multiplier-verify", "sos-verify", "wave-evolve", "convergence"])
+def test_every_check_is_a_table_row(tmp_path, monkeypatch, task, cfg, skipped):
+    """With every CHECKS row's comparison forced to fail, the witnesses are
+    exactly the task's rows, less those whose metric the run does not
+    produce, in table order; each names its check, the values it compared
+    and the row's bound or band, and so no check is decided anywhere else."""
+    rows = cli.CHECKS[task]
+    monkeypatch.setitem(cli.CHECKS, task, {name: row._replace(test=lambda *a: False)
+                                           for name, row in rows.items()})
+    rep = run(task, cfg, str(tmp_path), seed=3)
+    assert rep["status"] == "fail"
+    assert [w["check"] for w in rep["witnesses"]] == [n for n in rows if n not in skipped]
+    full = validate_config(cfg)
+    for w in rep["witnesses"]:
+        row = rows[w["check"]]
+        assert set(w) - {"check"} == WITNESS_KEYS[task][w["check"]]
+        bound = row.bound(rep["metrics"], full) if callable(row.bound) else row.bound
+        assert w.get("bound", w.get("band")) == bound
+
+
+def test_infeasible_boundary_fails_its_check(tmp_path, monkeypatch):
+    """A BoundaryFormFailure from the feasible-parameter search fails
+    boundary_feasible with its message and type; the rest still runs."""
+    def infeasible(triple):
+        raise BoundaryFormFailure("lateral form not positive")
+
+    monkeypatch.setattr(quadform, "demo_boundary_parameters", infeasible)
+    rep = run("multiplier-verify", SMALL, str(tmp_path), seed=0)
+    error = {"error": "lateral form not positive", "type": "BoundaryFormFailure"}
+    assert rep["status"] == "fail"
+    assert rep["metrics"]["boundary_feasible"] == error
+    assert rep["witnesses"] == [
+        {"check": "boundary_feasible", **error},
+        {"check": "pinned_boundary_targets",
+         **{k: rep["metrics"]["boundary_at_pinned"][k] for k in ("kappa", "lateral_min_eig")}}]
+
+
+def test_boundary_search_bug_is_a_task_error(tmp_path, monkeypatch):
+    """Any other exception from the feasible-parameter search is a bug, not
+    an infeasible boundary: it fails the task with its type and frames."""
+    def broken(triple):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(quadform, "demo_boundary_parameters", broken)
+    rep = run("multiplier-verify", SMALL, str(tmp_path), seed=0)
+    [w] = rep["witnesses"]
+    assert (rep["status"], rep["metrics"], w["error"], w["type"]) == \
+        ("fail", {}, "bug", "TypeError")
+    assert w["frames"][-1].split(":")[::2] == ["test_harness.py", "broken"]
 
 
 def test_traced_names_resolve():
