@@ -321,9 +321,8 @@ def task_wave_evolve(cfg, rng, outdir):
         write_csv(os.path.join(outdir, "snapshots.csv"),
                   "vtilde," + ",".join(f"r={ri:.6f}" for ri in r[::8]),
                   np.column_stack([acc.times, rows]), fmt="%.10e")
-    erep, nrep = diagnostics(hist, acc)
-    export_energy_csv(os.path.join(outdir, "energy.csv"), erep,
-                      np.asarray(hist.lateral_times), np.asarray(hist.lateral_density))
+    erep, nrep = diagnostics(acc, hist)
+    export_energy_csv(os.path.join(outdir, "energy.csv"), erep, hist)
     export_norm_json(os.path.join(outdir, "norms.json"), erep, nrep,
                      extra={"l": dom.l, "n_r": dom.n_r, "T": dom.T})
     # a bump that is nonzero on the grid can still carry an energy that

@@ -162,36 +162,24 @@ def spatial_operator(op: ModeOperator, y, forcing=None):
 
 @dataclass
 class History:
-    op: ModeOperator
-    times: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    W: list = field(default_factory=list)
-    lateral_density: list = field(default_factory=list)   # per accepted step
+    """The horizon-flux density that evolve records at t = 0 and after every
+    accepted step."""
+    lateral_density: list = field(default_factory=list)
     lateral_times: list = field(default_factory=list)
 
-    def record(self, t, v, W):
-        """evolve's default observer: store a copy of the sampled slice."""
-        snap = np.concatenate([v, W])     # v and W are views of one copy
-        n = len(v)
-        self.times.append(t)
-        self.v.append(snap[:n])
-        self.W.append(snap[n:])
 
-
-def evolve(op: ModeOperator, v0, W0, forcing=None, observe=None) -> History:
+def evolve(op: ModeOperator, v0, W0, forcing=None, *, observe) -> History:
     """Classical RK4 evolution of the stacked state (v, W) with per-step
     lateral-flux sampling.
 
     The state is sampled at t = 0, every `sample_every` steps and after the
     last step: `observe(t, v, W)` is called there with views of the live
-    state, which the next step overwrites.  Without an observer the samples
-    are stored in the returned History (`History.record`)."""
+    state, which the next step overwrites, so an observer that keeps a slice
+    copies it."""
     dt = op.dt
     n = op.dom.n_r
     y = np.concatenate([np.asarray(v0, dtype=float), np.asarray(W0, dtype=float)])
-    hist = History(op=op)
-    if observe is None:
-        observe = hist.record
+    hist = History()
     d1_0 = np.zeros(n)      # row 0 of D1, the one-sided v_r at the inner boundary
     for off, band in zip(op.D1.offsets, op.D1.data):
         if off >= 0:
@@ -279,7 +267,7 @@ class SliceDiagnostics:
     """The energy and localized-energy sums, fed one sampled slice at a time:
     an observer for `evolve`.  Each slice leaves only its energy, its
     per-annulus radial and degenerate products and its lower-order term;
-    `finish` weights them over the sample times."""
+    `diagnostics` weights them over the sample times."""
 
     def __init__(self, op: ModeOperator):
         # localized-energy norm: sup over dyadic annuli with the photon-sphere
@@ -313,42 +301,34 @@ class SliceDiagnostics:
         self.degenerate.append(self.quad_deg @ (W**2 + op.eig * v**2 / r**2))
         self.low.append(np.trapezoid(v**2, r))
 
-    def finish(self, lateral_times, lateral_density):
-        """Energy and norm reports: the slices' sums, trapezoid-weighted in
-        time over the samples, and the lateral flux of the per-step density."""
-        times = np.asarray(self.times)
-        E = np.asarray(self.E)
-        acc_r = np.zeros(len(self.annuli))
-        acc_deg = np.zeros(len(self.annuli))
-        low = 0.0
-        wt = np.gradient(times)
-        for w, p_r, p_deg, p_low in zip(wt, self.radial, self.degenerate, self.low):
-            acc_r += w * p_r
-            acc_deg += w * p_deg
-            low += w * p_low
-        dud = {j: {"radial": 2.0 ** (-j) * float(acc_r[k]),
-                   "degenerate": 2.0 ** (-j) * float(acc_deg[k])}
-               for k, j in enumerate(self.annuli)}
-        best_r = max(d["radial"] for d in dud.values())
-        best_deg = max(d["degenerate"] for d in dud.values())
-        nrep = NormReport(LE1_sq=best_r + best_deg + low, dyadic=dud,
-                          lower_order_sq=low)
-        lat_d = np.asarray(lateral_density)
-        erep = EnergyReport(times=times, E_slice=E, E_initial=float(E[0]),
-                            E_lateral=float(np.trapezoid(lat_d, lateral_times)),
-                            sup_E=float(np.max(E)),
-                            lateral_min_integrand=float(np.min(lat_d)))
-        return erep, nrep
 
-
-def diagnostics(hist: History, acc: SliceDiagnostics = None):
-    """Energy and localized-energy reports of a run: from the slices that
-    `acc` took in as evolve's observer, or else from hist's stored ones."""
-    if acc is None:
-        acc = SliceDiagnostics(hist.op)
-        for t, v, W in zip(hist.times, hist.v, hist.W):
-            acc(t, v, W)
-    return acc.finish(hist.lateral_times, hist.lateral_density)
+def diagnostics(acc: SliceDiagnostics, hist: History):
+    """Energy and norm reports of a run: the slices that `acc` took in as
+    evolve's observer, trapezoid-weighted in time over the samples, and the
+    lateral flux of hist's per-step density."""
+    times = np.asarray(acc.times)
+    E = np.asarray(acc.E)
+    acc_r = np.zeros(len(acc.annuli))
+    acc_deg = np.zeros(len(acc.annuli))
+    low = 0.0
+    wt = np.gradient(times)
+    for w, p_r, p_deg, p_low in zip(wt, acc.radial, acc.degenerate, acc.low):
+        acc_r += w * p_r
+        acc_deg += w * p_deg
+        low += w * p_low
+    dud = {j: {"radial": 2.0 ** (-j) * float(acc_r[k]),
+               "degenerate": 2.0 ** (-j) * float(acc_deg[k])}
+           for k, j in enumerate(acc.annuli)}
+    best_r = max(d["radial"] for d in dud.values())
+    best_deg = max(d["degenerate"] for d in dud.values())
+    nrep = NormReport(LE1_sq=best_r + best_deg + low, dyadic=dud,
+                      lower_order_sq=low)
+    lat_d = np.asarray(hist.lateral_density)
+    erep = EnergyReport(times=times, E_slice=E, E_initial=float(E[0]),
+                        E_lateral=float(np.trapezoid(lat_d, hist.lateral_times)),
+                        sup_E=float(np.max(E)),
+                        lateral_min_integrand=float(np.min(lat_d)))
+    return erep, nrep
 
 
 def convergence_study(sp: SchwParams, chart: IngoingChart, base: SolverDomain,
@@ -397,7 +377,8 @@ def convergence_study(sp: SchwParams, chart: IngoingChart, base: SolverDomain,
             "field_order_fit": fit_f, "energy_order_fit": fit_e}
 
 
-def export_energy_csv(path, erep: EnergyReport, lat_t, lat_d):
+def export_energy_csv(path, erep: EnergyReport, hist: History):
+    lat_t, lat_d = np.asarray(hist.lateral_times), np.asarray(hist.lateral_density)
     lat_cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (lat_d[1:] + lat_d[:-1]) * np.diff(lat_t))])
     cum_at = np.interp(erep.times, lat_t, lat_cum)
@@ -405,15 +386,14 @@ def export_energy_csv(path, erep: EnergyReport, lat_t, lat_d):
               np.column_stack([erep.times, erep.E_slice, cum_at]), newline="\r\n")
 
 
-def export_norm_json(path, erep: EnergyReport, nrep: NormReport, extra=None):
+def export_norm_json(path, erep: EnergyReport, nrep: NormReport, extra):
     payload = {
         "E_initial": erep.E_initial, "sup_E": erep.sup_E,
         "E_lateral": erep.E_lateral,
         "lateral_min_integrand": erep.lateral_min_integrand,
         "LE1_sq": nrep.LE1_sq, "lower_order_sq": nrep.lower_order_sq,
         "dyadic": {str(k): v for k, v in nrep.dyadic.items()},
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)

@@ -6,6 +6,7 @@ from mptrap.multiplier import build_profiles
 from mptrap.chart import ingoing_chart
 from mptrap.quadform import MultiplierTriple
 from mptrap.sos import SchwSos
+from mptrap.wavesolver import SliceDiagnostics, diagnostics
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,31 @@ def bh_static():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260808)
+
+
+class Recording:
+    """An evolve observer that stores a copy of every sampled slice, so a
+    test reads the samples back after the run, independently of the
+    streamed diagnostics."""
+
+    def __init__(self):
+        self.times, self.v, self.W = [], [], []
+
+    def __call__(self, t, v, W):
+        self.times.append(t)
+        self.v.append(v.copy())
+        self.W.append(W.copy())
+
+    def diagnostics(self, op, hist):
+        """The run's energy and norm reports, from the stored copies
+        replayed in order into a fresh SliceDiagnostics."""
+        acc = SliceDiagnostics(op)
+        for t, v, W in zip(self.times, self.v, self.W):
+            acc(t, v, W)
+        return diagnostics(acc, hist)
+
+
+@pytest.fixture()
+def recording():
+    """Recording, to be called once per evolve run."""
+    return Recording

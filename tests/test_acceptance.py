@@ -26,8 +26,8 @@ from mptrap.quadform import check_positivity, boundary_forms
 from mptrap.sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
                         mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
 from mptrap.chart import ingoing_chart
-from mptrap.wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
-                               gaussian_bump, convergence_study)
+from mptrap.wavesolver import (SolverDomain, assemble_mode, evolve, gaussian_bump,
+                               convergence_study)
 
 
 def _report(num, ok, detail):
@@ -281,7 +281,7 @@ def test_criterion_09_sum_of_squares_lower_bound(sos):
                           f"{ratios[0]:.3f}, {ratios[1]:.3f} in {dt:.1f}s")
 
 
-def test_criterion_10_energy_boundedness_shadow(sp):
+def test_criterion_10_energy_boundedness_shadow(sp, recording):
     t0 = time.time()
     chart = ingoing_chart(sp, 0.9, 80.0)
     C_obs = {}
@@ -294,8 +294,9 @@ def test_criterion_10_energy_boundedness_shadow(sp):
             op = assemble_mode(sp, chart, dom)
             r = dom.grid()
             v0 = gaussian_bump(r, 3.0, 0.8)
-            hist = evolve(op, v0, np.zeros_like(v0))
-            erep, nrep = diagnostics(hist)
+            rec = recording()
+            hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
+            erep, nrep = rec.diagnostics(op, hist)
             vals.append(erep.sup_E / erep.E_initial)
             lat_ok = lat_ok and erep.lateral_min_integrand >= 0
             le_ok = le_ok and math.isfinite(nrep.LE1_sq) and nrep.LE1_sq > 0

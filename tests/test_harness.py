@@ -676,9 +676,10 @@ def test_boundary_search_bug_is_a_task_error(tmp_path, monkeypatch):
     assert w["frames"][-1].split(":")[::2] == ["test_harness.py", "broken"]
 
 
-def test_traced_names_resolve():
+def test_traced_names_resolve(sp):
     """Every function and method the benchmark tracer wraps exists in mptrap,
-    so a deletion that would break the traced benchmark fails here."""
+    and the tracer's step counter reads a real evolve run's steps, so a
+    deletion that would break the traced benchmark fails here."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -694,6 +695,13 @@ def test_traced_names_resolve():
     for mod in tracer.MODULES:
         importlib.import_module(f"mptrap.{mod}")
     assert missing == []
+    from mptrap.chart import ingoing_chart
+    dom = wavesolver.SolverDomain(r_e=0.9, r_max=30.0, n_r=60, l=0, T=2.0)
+    op = wavesolver.assemble_mode(sp, ingoing_chart(sp, 0.9, 30.0), dom)
+    args = (op, wavesolver.gaussian_bump(op.r, 3.0, 0.8), np.zeros(dom.n_r))
+    hist = wavesolver.evolve(*args, observe=lambda t, v, W: None)
+    [steps] = [c for mod, name, c in tracer.FUNCTIONS if (mod, name) == ("wavesolver", "evolve")]
+    assert steps(args, hist, None) == {"steps": op.n_steps}
 
 
 @pytest.mark.parametrize("name", ["checks.py", "workloads.py"])

@@ -12,8 +12,7 @@ from mptrap.params import SchwParams, InstabilityError
 from mptrap.chart import ingoing_chart
 from mptrap.wavesolver import (SolverDomain, assemble_mode, spatial_operator,
                                evolve, diagnostics, gaussian_bump,
-                               convergence_study, slice_energy, History,
-                               SliceDiagnostics)
+                               convergence_study, slice_energy, SliceDiagnostics)
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +25,12 @@ def split_rhs(op, v, W):
     return np.split(spatial_operator(op, np.concatenate([v, W])), 2)
 
 
-def test_zero_data_stays_zero(sp, wchart):
+def test_zero_data_stays_zero(sp, wchart, recording):
     dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=300, l=0, T=5.0)
     op = assemble_mode(sp, wchart, dom)
-    hist = evolve(op, np.zeros(300), np.zeros(300))
-    assert np.abs(hist.v[-1]).max() == 0.0
+    rec = recording()
+    evolve(op, np.zeros(300), np.zeros(300), observe=rec)
+    assert np.abs(rec.v[-1]).max() == 0.0
 
 
 def test_constant_annihilated(sp, wchart):
@@ -139,20 +139,21 @@ def test_manufactured_energy_quadrature(sp, wchart):
     assert abs(E_disc - E_exact) < 30.0 * op.dom.dr**2 * E_exact
 
 
-def test_energy_bounded_and_lateral_nonnegative(sp, wchart):
+def test_energy_bounded_and_lateral_nonnegative(sp, wchart, recording):
     dom = SolverDomain(r_e=0.9, r_max=60.0, n_r=900, l=1, T=40.0)
     op = assemble_mode(sp, wchart, dom)
     r = dom.grid()
     v0 = gaussian_bump(r, 3.0, 0.8)
-    hist = evolve(op, v0, np.zeros_like(v0))
-    erep, nrep = diagnostics(hist)
+    rec = recording()
+    hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
+    erep, nrep = rec.diagnostics(op, hist)
     assert erep.sup_E <= erep.E_initial * (1.0 + 1e-12)
     assert erep.lateral_min_integrand >= 0.0
     assert math.isfinite(nrep.LE1_sq) and nrep.LE1_sq > 0
     assert erep.E_lateral > 0
 
 
-def test_photon_sphere_pulse_degenerate_weight(sp, wchart):
+def test_photon_sphere_pulse_degenerate_weight(sp, wchart, recording):
     """Data centered on the photon sphere: the degenerate part of the norm in
     the annulus containing r_ps is suppressed relative to the neighbors'
     scale because of the vanishing weight."""
@@ -160,27 +161,29 @@ def test_photon_sphere_pulse_degenerate_weight(sp, wchart):
     op = assemble_mode(sp, wchart, dom)
     r = dom.grid()
     v0 = gaussian_bump(r, sp.r_ps, 0.4)
-    hist = evolve(op, v0, np.zeros_like(v0))
-    _, nrep = diagnostics(hist)
+    rec = recording()
+    hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
+    _, nrep = rec.diagnostics(op, hist)
     # the j=1 annulus [1,2] contains the photon sphere; its degenerate weight
     # must be far below the radial (nondegenerate) content of the same run
     assert nrep.dyadic[1]["degenerate"] < 0.2 * nrep.dyadic[1]["radial"]
 
 
-def test_hardy_on_evolved_field(sp, wchart):
+def test_hardy_on_evolved_field(sp, wchart, recording):
     dom = SolverDomain(r_e=0.9, r_max=60.0, n_r=900, l=0, T=20.0)
     op = assemble_mode(sp, wchart, dom)
     r = dom.grid()
     v0 = gaussian_bump(r, 3.0, 0.8)
-    hist = evolve(op, v0, np.zeros_like(v0))
-    v = hist.v[-1]
+    rec = recording()
+    evolve(op, v0, np.zeros_like(v0), observe=rec)
+    v = rec.v[-1]
     num = np.trapezoid(v**2, r)                    # |r^{-3/2} u|^2 r^3 dr
     vr = np.gradient(v, dom.dr)
     den = np.trapezoid(vr**2 * r**3, r)
     assert num <= 10.0 * den
 
 
-def test_no_boundary_reflection(sp):
+def test_no_boundary_reflection(sp, recording):
     """Moving the outer boundary out changes causally protected diagnostics
     at the round-off-accumulation level only."""
     charts = {}
@@ -193,8 +196,9 @@ def test_no_boundary_reflection(sp):
         op = assemble_mode(sp, ch, dom)
         r = dom.grid()
         v0 = gaussian_bump(r, 3.0, 0.8)
-        hist = evolve(op, v0, np.zeros_like(v0))
-        erep, _ = diagnostics(hist)
+        rec = recording()
+        hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
+        erep, _ = rec.diagnostics(op, hist)
         series[r_max] = erep
     e1, e2 = series[40.0], series[60.0]
     n = min(len(e1.E_slice), len(e2.E_slice))
@@ -208,7 +212,7 @@ def test_instability_detected(sp, wchart):
     r = dom.grid()
     v0 = gaussian_bump(r, 3.0, 0.8)
     with pytest.raises(InstabilityError):
-        evolve(op, v0, np.zeros_like(v0))
+        evolve(op, v0, np.zeros_like(v0), observe=lambda t, v, W: None)
 
 
 def test_convergence_smoke(sp, wchart):
@@ -218,19 +222,20 @@ def test_convergence_smoke(sp, wchart):
     assert 1.5 < res["field_order_fit"] < 3.5
 
 
-def test_no_subnormal_state(sp, wchart):
+def test_no_subnormal_state(sp, wchart, recording):
     """The precursor tail of an evolved bump never leaves subnormal entries
     in the state."""
     dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=600, l=0, T=10.0, sample_every=1)
     op = assemble_mode(sp, wchart, dom)
     v0 = gaussian_bump(dom.grid(), 3.0, 0.8)
-    hist = evolve(op, v0, np.zeros_like(v0))
-    mag = np.abs(np.concatenate([hist.v, hist.W], axis=1))
+    rec = recording()
+    evolve(op, v0, np.zeros_like(v0), observe=rec)
+    mag = np.abs(np.concatenate([rec.v, rec.W], axis=1))
     assert not np.any((mag > 0) & (mag < np.finfo(float).tiny))
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
-def test_evolve_matches_reference_rk4(sp, wchart, forced):
+def test_evolve_matches_reference_rk4(sp, wchart, recording, forced):
     """evolve agrees with the classical RK4 tableau applied out of place on
     top of spatial_operator."""
     dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.0, sample_every=5)
@@ -241,7 +246,8 @@ def test_evolve_matches_reference_rk4(sp, wchart, forced):
         return math.exp(-((t - 2.0) / 1.0) ** 2) * gaussian_bump(rr, 5.0, 1.0)
 
     f = forcing if forced else None
-    hist = evolve(op, v0, np.zeros_like(v0), forcing=f)
+    rec = recording()
+    hist = evolve(op, v0, np.zeros_like(v0), forcing=f, observe=rec)
     a = [[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]]
     b = [1 / 6, 1 / 3, 1 / 3, 1 / 6]
     c = [0.0, 0.5, 0.5, 1.0]
@@ -257,25 +263,26 @@ def test_evolve_matches_reference_rk4(sp, wchart, forced):
         y = y + op.dt * sum(bi * ki for bi, ki in zip(b, ks))
         states.append(y)
     assert len(hist.lateral_times) == op.n_steps + 1
-    for t, v, W in zip(hist.times, hist.v, hist.W):
+    for t, v, W in zip(rec.times, rec.v, rec.W):
         ref = states[round(t / op.dt)]
         got = np.concatenate([v, W])
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_dyadic_norms_match_masked_trapezoid(sp, wchart):
+def test_dyadic_norms_match_masked_trapezoid(sp, wchart, recording):
     """The dyadic LE pieces and the lower-order term agree with the
     annulus-by-annulus masked trapezoid rule."""
     dom = SolverDomain(r_e=0.9, r_max=60.0, n_r=500, l=2, T=10.0)
     op = assemble_mode(sp, wchart, dom)
     r = op.r
     v0 = gaussian_bump(r, 3.0, 0.8)
-    hist = evolve(op, v0, np.zeros_like(v0))
-    _, nrep = diagnostics(hist)
+    rec = recording()
+    hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
+    _, nrep = rec.diagnostics(op, hist)
     w_ps = ((r - sp.r_ps) / r) ** 2
-    wt = np.gradient(np.asarray(hist.times))
+    wt = np.gradient(np.asarray(rec.times))
     radial, degenerate, low = {}, {}, 0.0
-    for i, (v, W) in enumerate(zip(hist.v, hist.W)):
+    for i, (v, W) in enumerate(zip(rec.v, rec.W)):
         v_r = op.D1 @ v
         for j in range(-1, 7):
             sel = (r >= 2.0 ** (j - 1)) & (r < 2.0**j)
@@ -296,10 +303,11 @@ def test_dyadic_norms_match_masked_trapezoid(sp, wchart):
 
 @pytest.mark.parametrize("sample_every", [1, 3, 8])
 @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
-def test_streamed_diagnostics_equal_stored(sp, wchart, forced, sample_every):
-    """Diagnostics folded in slice by slice through evolve's observer equal,
-    bit for bit, those read back from a stored history, and the observer is
-    called at exactly the sample times the history records."""
+def test_streamed_diagnostics_equal_stored(sp, wchart, recording, forced, sample_every):
+    """Diagnostics folded in from the live views that evolve's observer is
+    handed equal, bit for bit, those of the same slices stored as copies and
+    replayed into a fresh SliceDiagnostics, and the observer is called at
+    exactly the sample times."""
     dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.1,
                        sample_every=sample_every)
     op = assemble_mode(sp, wchart, dom)
@@ -309,14 +317,16 @@ def test_streamed_diagnostics_equal_stored(sp, wchart, forced, sample_every):
     def forcing(t, rr):
         return math.exp(-((t - 2.0) / 1.0) ** 2) * gaussian_bump(rr, 5.0, 1.0)
 
-    f = forcing if forced else None
-    stored = evolve(op, v0, np.zeros_like(v0), forcing=f)
-    acc = SliceDiagnostics(op)
-    streamed = evolve(op, v0, np.zeros_like(v0), forcing=f, observe=acc)
-    assert streamed.times == [] and streamed.v == [] and streamed.W == []
-    assert np.asarray(acc.times).tobytes() == np.asarray(stored.times).tobytes()
-    assert len(stored.times) == op.n_steps // sample_every + 1 + (op.n_steps % sample_every > 0)
-    (e1, n1), (e2, n2) = diagnostics(stored), diagnostics(streamed, acc)
+    rec, acc = recording(), SliceDiagnostics(op)
+
+    def store_and_stream(t, v, W):
+        rec(t, v, W)
+        acc(t, v, W)
+    hist = evolve(op, v0, np.zeros_like(v0), forcing=forcing if forced else None,
+                  observe=store_and_stream)
+    assert np.asarray(acc.times).tobytes() == np.asarray(rec.times).tobytes()
+    assert len(rec.times) == op.n_steps // sample_every + 1 + (op.n_steps % sample_every > 0)
+    (e1, n1), (e2, n2) = rec.diagnostics(op, hist), diagnostics(acc, hist)
     assert e1.E_slice.tobytes() == e2.E_slice.tobytes()
     for key in ("E_initial", "E_lateral", "sup_E", "lateral_min_integrand"):
         assert getattr(e1, key) == getattr(e2, key)
@@ -334,10 +344,10 @@ WAVE_BENCH = {"r_e": 0.9, "r_max": 60.0, "n_r": 1200, "l": 0, "T": 40.0,
 
 
 def test_wave_evolve_keeps_no_slice_history(tmp_path):
-    """wave-evolve folds its samples into the diagnostics as they come: its
-    traced peak stays well under the 4.9 MB that 255 stored copies of (v, W)
-    at n_r 1200 take alone (the stored-history task peaked at 5.9 MB, the
-    streamed one at 1.05 MB)."""
+    """wave-evolve folds each sample into the diagnostics as it comes and
+    keeps no copy of it: its traced peak stays well under the 4.9 MB that
+    255 copies of (v, W) at n_r 1200 take alone (a task that kept them
+    peaked at 5.9 MB, the streamed one peaks at 1.05 MB)."""
     import tracemalloc
     from mptrap import chart, csvtable, smooth  # noqa: F401  (imports untraced)
     from mptrap.cli import run
@@ -353,17 +363,23 @@ def test_wave_evolve_keeps_no_slice_history(tmp_path):
     assert peak < 2.5e6
 
 
-def test_snapshots_csv_equals_stored_history_rows(tmp_path, monkeypatch):
+def test_snapshots_csv_equals_stored_history_rows(tmp_path, monkeypatch, recording):
     """With wave.snapshots set, snapshots.csv holds, byte for byte, the rows
-    v[::8] of every sample of a stored history of the same run."""
+    v[::8] of every sample of the run, stored as copies beside the task's
+    own observer."""
     from mptrap.cli import run
     from mptrap.csvtable import write_csv
     orig = wavesolver.evolve
     stored = []
 
-    def evolve_and_store(op, v0, W0, forcing=None, observe=None):
-        stored.append(orig(op, v0, W0, forcing))
-        return orig(op, v0, W0, forcing, observe)
+    def evolve_and_store(op, v0, W0, forcing=None, *, observe):
+        rec = recording()
+        stored.append((op, rec))
+
+        def store_and_observe(t, v, W):
+            rec(t, v, W)
+            observe(t, v, W)
+        return orig(op, v0, W0, forcing, observe=store_and_observe)
     monkeypatch.setattr(wavesolver, "evolve", evolve_and_store)
     cfg = {"schw": {"r_s": 1.0, "d": 1},
            "wave": {"r_e": 0.9, "r_max": 30.0, "n_r": 300, "l": 1, "T": 8.0,
@@ -373,17 +389,16 @@ def test_snapshots_csv_equals_stored_history_rows(tmp_path, monkeypatch):
                     "snapshots": True}}
     rep = run("wave-evolve", cfg, str(tmp_path / "run"), seed=0)
     assert rep["status"] == "pass"
-    (hist,) = stored
-    r = hist.op.r
+    ((op, rec),) = stored
     write_csv(str(tmp_path / "expected.csv"),
-              "vtilde," + ",".join(f"r={ri:.6f}" for ri in r[::8]),
-              np.column_stack([hist.times, np.asarray(hist.v)[:, ::8]]), fmt="%.10e")
+              "vtilde," + ",".join(f"r={ri:.6f}" for ri in op.r[::8]),
+              np.column_stack([rec.times, np.asarray(rec.v)[:, ::8]]), fmt="%.10e")
     got = (tmp_path / "run" / "snapshots.csv").read_bytes()
     assert got == (tmp_path / "expected.csv").read_bytes()
-    assert got.count(b"\n") == len(hist.times) + 1
+    assert got.count(b"\n") == len(rec.times) + 1
 
 
-def test_banded_product_sums_rows_in_column_order(sp, wchart):
+def test_banded_product_sums_rows_in_column_order(sp, wchart, recording):
     """L and D1 keep their bands in ascending offset order, so each product
     row is the sum of the row's nonzero products in column order from 0.0,
     which is what a CSR product of the same entries gives, bit for bit."""
@@ -392,8 +407,9 @@ def test_banded_product_sums_rows_in_column_order(sp, wchart):
     op = assemble_mode(sp, wchart, dom)
     assert np.all(np.diff(op.L.offsets) > 0) and np.all(np.diff(op.D1.offsets) > 0)
     v0 = gaussian_bump(op.r, 3.0, 0.8)
-    hist = evolve(op, v0, np.zeros_like(v0))
-    evolved = np.concatenate([hist.v[-1], hist.W[-1]])
+    rec = recording()
+    evolve(op, v0, np.zeros_like(v0), observe=rec)
+    evolved = np.concatenate([rec.v[-1], rec.W[-1]])
     random = np.random.default_rng(7).standard_normal(2 * n)
 
     def row_sums(M, x):
@@ -411,9 +427,10 @@ def test_banded_product_sums_rows_in_column_order(sp, wchart):
         assert (op.D1 @ y[:n]).tobytes() == row_sums(op.D1, y[:n]).tobytes()
 
 
-def test_evolve_leaves_inputs_and_snapshots_unaliased(sp, wchart):
-    """The in-place stages touch neither the initial data nor the recorded
-    snapshots, and a repeated run on the same operator repeats exactly."""
+def test_evolve_leaves_inputs_and_snapshots_unaliased(sp, wchart, recording):
+    """The in-place stages touch neither the initial data nor the snapshots
+    a recording observer copied, and a repeated run on the same operator
+    repeats exactly."""
     dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.0, sample_every=3)
     op = assemble_mode(sp, wchart, dom)
     v0 = gaussian_bump(op.r, 3.0, 0.8)
@@ -423,14 +440,15 @@ def test_evolve_leaves_inputs_and_snapshots_unaliased(sp, wchart):
     def forcing(t, rr):
         return math.exp(-((t - 2.0) / 1.0) ** 2) * gaussian_bump(rr, 5.0, 1.0)
 
-    h1 = evolve(op, v0, W0, forcing=forcing)
-    h2 = evolve(op, v0, W0, forcing=forcing)
+    r1, r2 = recording(), recording()
+    h1 = evolve(op, v0, W0, forcing=forcing, observe=r1)
+    h2 = evolve(op, v0, W0, forcing=forcing, observe=r2)
     assert np.array_equal(v0, v0_copy) and np.array_equal(W0, W0_copy)
-    for a, b in ((h1.times, h2.times), (h1.v, h2.v), (h1.W, h2.W),
+    for a, b in ((r1.times, r2.times), (r1.v, r2.v), (r1.W, r2.W),
                  (h1.lateral_density, h2.lateral_density)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    arrays = h1.v + h1.W + h2.v + h2.W + [v0, W0]
-    assert len(h1.v) > 2
+    arrays = r1.v + r1.W + r2.v + r2.W + [v0, W0]
+    assert len(r1.v) > 2
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -465,10 +483,10 @@ def test_study_runs_finest_level_here(sp, wchart, monkeypatch, tmp_path):
     log = tmp_path / "levels.txt"
     orig = wavesolver.evolve
 
-    def logged_evolve(op, v0, W0, forcing=None, observe=None):
+    def logged_evolve(op, v0, W0, forcing=None, *, observe):
         with open(log, "a") as fh:
             fh.write(f"{op.dom.n_r} {os.getpid()}\n")
-        return orig(op, v0, W0, forcing, observe)
+        return orig(op, v0, W0, forcing, observe=observe)
     monkeypatch.setattr(wavesolver, "evolve", logged_evolve)
     small_study(sp, wchart)
     pids = dict(map(int, line.split()) for line in log.read_text().splitlines())
@@ -486,10 +504,10 @@ def test_study_failure_raises_here_in_serial_order(sp, wchart, monkeypatch, fail
     first is reported."""
     orig = wavesolver.evolve
 
-    def failing_evolve(op, v0, W0, forcing=None, observe=None):
+    def failing_evolve(op, v0, W0, forcing=None, *, observe):
         if op.dom.n_r in failing:
             raise InstabilityError(f"n_r {op.dom.n_r} in process {os.getpid()}")
-        return orig(op, v0, W0, forcing, observe)
+        return orig(op, v0, W0, forcing, observe=observe)
     monkeypatch.setattr(wavesolver, "evolve", failing_evolve)
     with pytest.raises(InstabilityError) as info:
         small_study(sp, wchart)
