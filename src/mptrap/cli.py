@@ -129,12 +129,15 @@ def task_trapped_scan(cfg, rng, outdir):
     write_csv(os.path.join(outdir, "trapped_scan.csv"),
               "a,b,tau,Phi,Psi,r_trapped,dR_dr,newton_iters", rows)
     C_mp = measure_cone_constant(params, rng)
-    metrics = {"n_converged": int(ok.sum()), "n_samples": n,
-               "r_trapped_min": float(np.min(r_t[ok])), "r_trapped_max": float(np.max(r_t[ok])),
-               "dR_dr_abs_min": float(np.min(np.abs(dRdr))), "C_mp": C_mp}
-    if abs(params.a) < 1e-15 and abs(params.b) < 1e-15:        # the static limit
-        metrics["static_deviation"] = float(np.max(np.abs(r_t[ok] - math.sqrt(2.0)
-                                                          * params.r_s)))
+    # with no converged sample the extremes are null and all_converged fails
+    metrics = {"n_converged": int(ok.sum()), "n_samples": n, "r_trapped_min": None,
+               "r_trapped_max": None, "dR_dr_abs_min": None, "C_mp": C_mp}
+    if ok.any():
+        metrics.update(r_trapped_min=float(np.min(r_t[ok])), r_trapped_max=float(np.max(r_t[ok])),
+                       dR_dr_abs_min=float(np.min(np.abs(dRdr))))
+        if abs(params.a) < 1e-15 and abs(params.b) < 1e-15:        # the static limit
+            metrics["static_deviation"] = float(np.max(np.abs(r_t[ok] - math.sqrt(2.0)
+                                                              * params.r_s)))
     return metrics
 
 
@@ -287,8 +290,7 @@ def task_wave_evolve(cfg, rng, outdir):
     from .csvtable import write_csv
     from .chart import ingoing_chart
     from .wavesolver import (SolverDomain, assemble_mode, evolve, diagnostics,
-                             SliceDiagnostics, gaussian_bump, export_energy_csv,
-                             export_norm_json)
+                             SliceDiagnostics, gaussian_bump, export_energy_csv)
     sp = SchwParams(**cfg["schw"])
     blk = cfg["wave"]
     dom = SolverDomain(**{k: blk[k] for k in ("r_e", "r_max", "n_r", "l", "T", "cfl")})
@@ -321,16 +323,18 @@ def task_wave_evolve(cfg, rng, outdir):
         write_csv(os.path.join(outdir, "snapshots.csv"),
                   "vtilde," + ",".join(f"r={ri:.6f}" for ri in r[::8]),
                   np.column_stack([acc.times, rows]), fmt="%.10e")
-    erep, nrep = diagnostics(acc, hist)
-    export_energy_csv(os.path.join(outdir, "energy.csv"), erep, hist)
-    export_norm_json(os.path.join(outdir, "norms.json"), erep, nrep,
-                     extra={"l": dom.l, "n_r": dom.n_r, "T": dom.T})
+    report = diagnostics(acc, hist)
+    export_energy_csv(os.path.join(outdir, "energy.csv"), acc, hist)
+    with open(os.path.join(outdir, "norms.json"), "w") as fh:
+        json.dump({**report, "l": dom.l, "n_r": dom.n_r, "T": dom.T}, fh,
+                  indent=1, sort_keys=True)
+    E0, sup_E = report["E_initial"], report["sup_E"]
     # a bump that is nonzero on the grid can still carry an energy that
     # underflows to 0: then there is no ratio to report
-    return {"E_initial": erep.E_initial, "sup_E": erep.sup_E, "E_lateral": erep.E_lateral,
-            "C_obs": erep.sup_E / erep.E_initial if erep.E_initial > 0 else None,
-            "lateral_min_integrand": erep.lateral_min_integrand,
-            "LE1_sq": nrep.LE1_sq, "l": dom.l, "n_r": dom.n_r}
+    return {"E_initial": E0, "sup_E": sup_E, "E_lateral": report["E_lateral"],
+            "C_obs": sup_E / E0 if E0 > 0 else None,
+            "lateral_min_integrand": report["lateral_min_integrand"],
+            "LE1_sq": report["LE1_sq"], "l": dom.l, "n_r": dom.n_r}
 
 
 def task_convergence(cfg, rng, outdir):

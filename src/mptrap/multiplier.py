@@ -399,32 +399,41 @@ def validate_profile(prof: MultiplierProfile):
     """Grid checks of the inequality constraints the construction must meet."""
     sp = prof.sp
     rs, rps = sp.r_s, sp.r_ps
+    # the radii checked below: the first float above r_s, a finite-difference
+    # stencil and two grids.  The jets are elementwise, so each is evaluated
+    # once on all the radii it is checked on.
+    r_probe = rs * (1.0 + 4.4e-16)
+    r_fd = np.array([1.07, 1.3, sp.r_ps * 1.01, 2.2, 6.0]) * rs
+    h = 1e-5 * rs
+    stencil = np.concatenate([r_fd, r_fd + h, r_fd - h, r_fd + h / 2, r_fd - h / 2])
+    n_st = stencil.size
+    r = np.sort(np.concatenate([np.linspace(rs * 1.001, 20 * rs, 1500),
+                                rps + np.linspace(-0.2, 0.2, 301) * rs]))
+    rg = np.linspace(0.8 * rs, 1.6 * rs, 2001)
+    F_probe, F_st, F = np.split(prof.F_jet(np.concatenate([[r_probe], stencil, r])),
+                                [1, 1 + n_st], axis=1)
+    B_st, B = np.split(prof.b_jet(np.concatenate([stencil, rg])), [n_st], axis=1)
+    G_st, G, G_rs = np.split(prof.gamma_jet(np.concatenate([stencil, rg, [rs]])),
+                             [n_st, n_st + rg.size], axis=1)
+    f_st = prof.f_jet(stencil)
     # saturation transition must sit below grid resolution: on every
     # representable radius above the horizon the profile is in the identity
     # branch, so the horizon-zone closed forms apply
-    r_probe = rs * (1.0 + 4.4e-16)
-    W_edge = r_probe ** 3 * prof.F_jet(np.asarray([r_probe]))[0][0]
+    W_edge = r_probe ** 3 * F_probe[0][0]
     if prof.eps * W_edge <= -1.0:
         raise ProfileConstructionFailure(
             f"eps = {prof.eps} puts the saturation transition on-grid "
             f"(eps * W = {prof.eps * W_edge} <= -1 at the first float above r_s)")
-    # analytic derivatives must agree with Richardson finite differences; the
-    # jets are elementwise, so one call per jet covers the whole stencil
-    r_fd = np.array([1.07, 1.3, sp.r_ps * 1.01, 2.2, 6.0]) * rs
-    h = 1e-5 * rs
-    stencil = np.concatenate([r_fd, r_fd + h, r_fd - h, r_fd + h / 2, r_fd - h / 2])
-    for fn in (prof.F_jet, prof.f_jet, prof.q1_jet, prof.b_jet, prof.gamma_jet):
-        J = fn(stencil).reshape(4, 5, r_fd.size)
+    # analytic derivatives must agree with Richardson finite differences
+    for name, J in (("F_jet", F_st), ("f_jet", f_st), ("q1_jet", prof.q1_jet(stencil, f_st)),
+                    ("b_jet", B_st), ("gamma_jet", G_st)):
+        J = J.reshape(4, 5, r_fd.size)
         fd = richardson_combine(*J[0, 1:], h)
         err = np.abs(J[1, 0] - fd) / np.maximum(1.0, np.abs(fd))
         if err.max() > 1e-8:
             raise DifferentiationError(
-                f"{fn.__name__} first derivative off by {err.max():.2e} "
+                f"{name} first derivative off by {err.max():.2e} "
                 f"at r = {r_fd[np.argmax(err)]}")
-    r = np.concatenate([np.linspace(rs * 1.001, 20 * rs, 1500),
-                        rps + np.linspace(-0.2, 0.2, 301) * rs])
-    r = np.sort(r)
-    F = prof.F_jet(r)
     if np.any(F[1] <= 0):
         bad = r[F[1] <= 0]
         raise ProfileConstructionFailure(f"F' <= 0 at r = {bad[:3]}")
@@ -441,17 +450,14 @@ def validate_profile(prof: MultiplierProfile):
     if np.any(a3 > 1e-10):
         raise ProfileConstructionFailure("mollified third derivative positive on cutoff support")
     # gamma constraints
-    rg = np.linspace(0.8 * rs, 1.6 * rs, 2001)
-    G = prof.gamma_jet(rg)
     if np.any(G[0] < -1e-12) or np.any(G[0] > 1.0):
         raise ProfileConstructionFailure("gamma outside [0, 1]")
     if np.any(G[1] <= -1.0):
         raise ProfileConstructionFailure("gamma slope at or below -1")
     if np.any(G[0][rg >= rps] > 1e-12):
         raise ProfileConstructionFailure("gamma support reaches the photon sphere")
-    if prof.gamma_jet(np.asarray([rs]))[0][0] <= 0:
+    if G_rs[0][0] <= 0:
         raise ProfileConstructionFailure("gamma(r_s) must be positive")
-    B = prof.b_jet(rg)
     if np.any(B[0] < -1e-12):
         raise ProfileConstructionFailure("b negative")
     support_end = rs * (1 + prof.shape.b_hi + prof.shape.b_w0)

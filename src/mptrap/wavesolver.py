@@ -18,7 +18,6 @@ Runge-Kutta in time, its stages formed in preallocated buffers.
 """
 
 from dataclasses import dataclass, field
-import json
 import math
 
 import numpy as np
@@ -37,6 +36,8 @@ from .smooth import gaussian_bump
 SUBNORMAL_FLOOR = 1e-300
 # strength of the sixth-difference dissipation
 KO_SIGMA = 0.5
+# evolve hands its observer the state every SAMPLE_EVERY steps
+SAMPLE_EVERY = 8
 
 
 @dataclass
@@ -47,7 +48,6 @@ class SolverDomain:
     l: int
     T: float
     cfl: float = WAVE_CFL
-    sample_every: int = 8
 
     @property
     def dr(self):
@@ -63,10 +63,6 @@ class ModeOperator:
     dom: SolverDomain
     r: np.ndarray
     gi_vv: np.ndarray     # g^{vv}, the inverse block's vtilde-vtilde entry (negative)
-    B: np.ndarray         # g^{vr}
-    A: np.ndarray         # g^{rr}
-    c1: np.ndarray        # r^{-3} (r^3 A)'
-    cross0: np.ndarray    # r^{-3} (r^3 B)'
     eig: float            # l(l+2)
     dt: float             # RK4 step
     n_steps: int
@@ -115,6 +111,7 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
     M, M1 = chart.mu_derivs(r)
     A1 = sp.A1(r)
     B1 = -(A1 * M + A * M1)
+    # c1 = r^{-3} (r^3 A)' and cross0 = r^{-3} (r^3 B)', for A = g^{rr} and B = g^{vr}
     c1 = A1 + 3.0 * A / r
     cross0 = B1 + 3.0 * B / r
     eig = float(dom.l * (dom.l + 2))
@@ -146,8 +143,7 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
     bands[7:14, :n] = ko
     bands[14, :n] = 1.0
     L = _dia(bands, np.r_[np.arange(-n - 3, -n + 4), np.arange(-3, 4), n])
-    return ModeOperator(sp=sp, dom=dom, r=r, gi_vv=gi_vv, B=B, A=A, c1=c1,
-                        cross0=cross0, eig=eig, dt=dt, n_steps=n_steps,
+    return ModeOperator(sp=sp, dom=dom, r=r, gi_vv=gi_vv, eig=eig, dt=dt, n_steps=n_steps,
                         D1=_dia(D1[1:6], np.arange(-2, 3)), L=L)
 
 
@@ -172,7 +168,7 @@ def evolve(op: ModeOperator, v0, W0, forcing=None, *, observe) -> History:
     """Classical RK4 evolution of the stacked state (v, W) with per-step
     lateral-flux sampling.
 
-    The state is sampled at t = 0, every `sample_every` steps and after the
+    The state is sampled at t = 0, every SAMPLE_EVERY steps and after the
     last step: `observe(t, v, W)` is called there with views of the live
     state, which the next step overwrites, so an observer that keeps a slice
     copies it."""
@@ -228,7 +224,7 @@ def evolve(op: ModeOperator, v0, W0, forcing=None, *, observe) -> History:
         np.copyto(y, 0.0, where=tiny)
         hist.lateral_times.append(t + dt)
         hist.lateral_density.append(lateral(y[:n], y[n:]))
-        if (k + 1) % op.dom.sample_every == 0 or k == op.n_steps - 1:
+        if (k + 1) % SAMPLE_EVERY == 0 or k == op.n_steps - 1:
             observe(t + dt, y[:n], y[n:])
     return hist
 
@@ -236,23 +232,6 @@ def evolve(op: ModeOperator, v0, W0, forcing=None, *, observe) -> History:
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EnergyReport:
-    times: np.ndarray
-    E_slice: np.ndarray
-    E_initial: float
-    E_lateral: float
-    sup_E: float
-    lateral_min_integrand: float
-
-
-@dataclass
-class NormReport:
-    LE1_sq: float
-    dyadic: dict
-    lower_order_sq: float
-
 
 def slice_energy(op: ModeOperator, v, W, v_r=None):
     """Energy of one slice; `v_r` is op.D1 @ v when the caller already
@@ -303,32 +282,27 @@ class SliceDiagnostics:
 
 
 def diagnostics(acc: SliceDiagnostics, hist: History):
-    """Energy and norm reports of a run: the slices that `acc` took in as
-    evolve's observer, trapezoid-weighted in time over the samples, and the
-    lateral flux of hist's per-step density."""
-    times = np.asarray(acc.times)
-    E = np.asarray(acc.E)
+    """The run's report, the payload of norms.json: the slices that `acc`
+    took in as evolve's observer, trapezoid-weighted in time over the
+    samples, and the lateral flux of hist's per-step density."""
     acc_r = np.zeros(len(acc.annuli))
     acc_deg = np.zeros(len(acc.annuli))
     low = 0.0
-    wt = np.gradient(times)
-    for w, p_r, p_deg, p_low in zip(wt, acc.radial, acc.degenerate, acc.low):
+    for w, p_r, p_deg, p_low in zip(np.gradient(acc.times), acc.radial, acc.degenerate,
+                                    acc.low):
         acc_r += w * p_r
         acc_deg += w * p_deg
         low += w * p_low
-    dud = {j: {"radial": 2.0 ** (-j) * float(acc_r[k]),
-               "degenerate": 2.0 ** (-j) * float(acc_deg[k])}
-           for k, j in enumerate(acc.annuli)}
-    best_r = max(d["radial"] for d in dud.values())
-    best_deg = max(d["degenerate"] for d in dud.values())
-    nrep = NormReport(LE1_sq=best_r + best_deg + low, dyadic=dud,
-                      lower_order_sq=low)
+    dyadic = {str(j): {"radial": 2.0 ** (-j) * float(acc_r[k]),
+                       "degenerate": 2.0 ** (-j) * float(acc_deg[k])}
+              for k, j in enumerate(acc.annuli)}
     lat_d = np.asarray(hist.lateral_density)
-    erep = EnergyReport(times=times, E_slice=E, E_initial=float(E[0]),
-                        E_lateral=float(np.trapezoid(lat_d, hist.lateral_times)),
-                        sup_E=float(np.max(E)),
-                        lateral_min_integrand=float(np.min(lat_d)))
-    return erep, nrep
+    return {"E_initial": float(acc.E[0]), "sup_E": float(np.max(acc.E)),
+            "E_lateral": float(np.trapezoid(lat_d, hist.lateral_times)),
+            "lateral_min_integrand": float(np.min(lat_d)),
+            "LE1_sq": (max(d["radial"] for d in dyadic.values())
+                       + max(d["degenerate"] for d in dyadic.values()) + low),
+            "lower_order_sq": low, "dyadic": dyadic}
 
 
 def convergence_study(sp: SchwParams, chart: IngoingChart, base: SolverDomain,
@@ -377,23 +351,12 @@ def convergence_study(sp: SchwParams, chart: IngoingChart, base: SolverDomain,
             "field_order_fit": fit_f, "energy_order_fit": fit_e}
 
 
-def export_energy_csv(path, erep: EnergyReport, hist: History):
+def export_energy_csv(path, acc: SliceDiagnostics, hist: History):
+    """The sampled slices' energies beside the lateral flux accumulated up to
+    each sample time."""
     lat_t, lat_d = np.asarray(hist.lateral_times), np.asarray(hist.lateral_density)
     lat_cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (lat_d[1:] + lat_d[:-1]) * np.diff(lat_t))])
-    cum_at = np.interp(erep.times, lat_t, lat_cum)
     write_csv(path, "vtilde,E_slice,E_lateral_cum",
-              np.column_stack([erep.times, erep.E_slice, cum_at]), newline="\r\n")
-
-
-def export_norm_json(path, erep: EnergyReport, nrep: NormReport, extra):
-    payload = {
-        "E_initial": erep.E_initial, "sup_E": erep.sup_E,
-        "E_lateral": erep.E_lateral,
-        "lateral_min_integrand": erep.lateral_min_integrand,
-        "LE1_sq": nrep.LE1_sq, "lower_order_sq": nrep.lower_order_sq,
-        "dyadic": {str(k): v for k, v in nrep.dyadic.items()},
-        **extra,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+              np.column_stack([acc.times, acc.E, np.interp(acc.times, lat_t, lat_cum)]),
+              newline="\r\n")

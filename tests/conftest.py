@@ -62,13 +62,16 @@ class Recording:
         self.v.append(v.copy())
         self.W.append(W.copy())
 
-    def diagnostics(self, op, hist):
-        """The run's energy and norm reports, from the stored copies
-        replayed in order into a fresh SliceDiagnostics."""
+    def replay(self, op):
+        """A fresh SliceDiagnostics fed the stored copies in order."""
         acc = SliceDiagnostics(op)
         for t, v, W in zip(self.times, self.v, self.W):
             acc(t, v, W)
-        return diagnostics(acc, hist)
+        return acc
+
+    def diagnostics(self, op, hist):
+        """The run's report, from the stored copies replayed."""
+        return diagnostics(self.replay(op), hist)
 
 
 @pytest.fixture()

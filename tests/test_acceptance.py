@@ -296,10 +296,10 @@ def test_criterion_10_energy_boundedness_shadow(sp, recording):
             v0 = gaussian_bump(r, 3.0, 0.8)
             rec = recording()
             hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
-            erep, nrep = rec.diagnostics(op, hist)
-            vals.append(erep.sup_E / erep.E_initial)
-            lat_ok = lat_ok and erep.lateral_min_integrand >= 0
-            le_ok = le_ok and math.isfinite(nrep.LE1_sq) and nrep.LE1_sq > 0
+            rep = rec.diagnostics(op, hist)
+            vals.append(rep["sup_E"] / rep["E_initial"])
+            lat_ok = lat_ok and rep["lateral_min_integrand"] >= 0
+            le_ok = le_ok and math.isfinite(rep["LE1_sq"]) and rep["LE1_sq"] > 0
         C_obs[l] = vals
     stable = all(abs(v[1] - v[0]) <= 0.05 * v[0] for v in C_obs.values())
     base = SolverDomain(r_e=0.9, r_max=30.0, n_r=400, l=0, T=12.0)

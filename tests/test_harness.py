@@ -503,7 +503,12 @@ def test_kappa_witness_follows_seed(tmp_path):
      and len(w["field_errors"]) == 3
      and w["field_orders"] == pytest.approx(
          [math.log2(a / b) for a, b in zip(w["field_errors"], w["field_errors"][1:])])),
-], ids=["wave-evolve", "wave-evolve-underflow", "convergence"])
+    # the one sample drawn on this rotating hole does not converge: the
+    # witness carries the counts, and the extremes are null
+    ("trapped-scan", {"seed": 46, "params": {"a": 0.3, "b": 0.2},
+                      "trapped_scan": {"n_samples": 1, "cone": 3.0}}, "all_converged",
+     lambda w: w == {"check": "all_converged", "n_converged": 0, "n_samples": 1}),
+], ids=["wave-evolve", "wave-evolve-underflow", "convergence", "trapped-scan-none-converged"])
 def test_physics_failure_has_witness(tmp_path, task, cfg, check, failed):
     """A failed check exits 1 and names itself and the values it compared."""
     path = tmp_path / "cfg.json"
@@ -514,6 +519,40 @@ def test_physics_failure_has_witness(tmp_path, task, cfg, check, failed):
         rep = json.load(fh)
     assert [w["check"] for w in rep["witnesses"]] == [check]
     assert failed(rep["witnesses"][0])
+
+
+def test_trapped_scan_without_convergence_reports_null(tmp_path):
+    """With no converged sample the scan's extremes are null and its table
+    has no rows."""
+    rep = run("trapped-scan", {"params": {"a": 0.3, "b": 0.2},
+                               "trapped_scan": {"n_samples": 1, "cone": 3.0}},
+              str(tmp_path), seed=72)
+    assert rep["status"] == "fail"
+    m = rep["metrics"]
+    assert (m["n_converged"], m["r_trapped_min"], m["r_trapped_max"], m["dR_dr_abs_min"]) \
+        == (0, None, None, None)
+    assert (tmp_path / "trapped_scan.csv").read_text() == \
+        "a,b,tau,Phi,Psi,r_trapped,dR_dr,newton_iters\n"
+
+
+@pytest.mark.parametrize("task, cfg, failure", [
+    # a cap this close to 5 with this delta1 leaves n(r) negative near r_s
+    ("multiplier-verify", {"mult": {"alpha_cap": 4.9, "delta1": 0.5}},
+     "RedshiftBudgetFailure"),
+    # a spin bound this large empties the calibration band of C
+    ("sos-verify", {"sos": {"eps0": 0.7, "n_samples": 200, "n_bracket": 200, "n_mu": 500}},
+     "CBandEmpty"),
+], ids=["RedshiftBudgetFailure", "CBandEmpty"])
+def test_failure_class_has_witness(tmp_path, task, cfg, failure):
+    """A failure class raised by a task exits 1 with one witness that names
+    its type and message."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main([task, "--config", str(path), "--out", str(out)]) == 1
+    with open(out / "report.json") as fh:
+        [w] = json.load(fh)["witnesses"]
+    assert w["type"] == failure and w["error"]
 
 
 def test_trapped_departure_can_fail(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import traceback
@@ -18,6 +19,16 @@ from mptrap.wavesolver import (SolverDomain, assemble_mode, spatial_operator,
 @pytest.fixture(scope="module")
 def wchart(sp):
     return ingoing_chart(sp, 0.9, 90.0)
+
+
+def coefficients(sp, chart, r):
+    """(A, B, c1, cross0) of the mode equation at r, from the chart and the
+    lapse: g^{rr}, g^{vr}, r^{-3} (r^3 A)' and r^{-3} (r^3 B)', with
+    B' = -(A' mu' + A mu'') since B = 1 - A mu'."""
+    _, B, A = chart.block_inverse(r)
+    M, M1 = chart.mu_derivs(r)
+    A1 = sp.A1(r)
+    return A, B, A1 + 3.0 * A / r, -(A1 * M + A * M1) + 3.0 * B / r
 
 
 def split_rhs(op, v, W):
@@ -44,12 +55,13 @@ def test_far_field_flat_operator(sp, wchart):
     dom = SolverDomain(r_e=0.9, r_max=80.0, n_r=400, l=1, T=1.0)
     op = assemble_mode(sp, wchart, dom)
     i = np.argmin(np.abs(op.r - 70.0))
+    A, B, c1, cross0 = coefficients(sp, wchart, op.r)
     # g^vv -> -1, cross -> 0, radial part -> d_rr + (3/r) d_r
     assert abs(op.gi_vv[i] + 1.0) < 5e-4
-    assert abs(op.B[i]) < 1e-12
-    assert abs(op.A[i] - 1.0) < 3e-4
-    assert abs(op.c1[i] - 3.0 / op.r[i]) < 1e-3
-    assert abs(op.cross0[i]) < 1e-12
+    assert abs(B[i]) < 1e-12
+    assert abs(A[i] - 1.0) < 3e-4
+    assert abs(c1[i] - 3.0 / op.r[i]) < 1e-3
+    assert abs(cross0[i]) < 1e-12
 
 
 def test_stencil_second_order(sp, wchart):
@@ -65,8 +77,9 @@ def test_stencil_second_order(sp, wchart):
         _, vtt = split_rhs(op, v, W)
         v1 = np.cos(r) / r - np.sin(r) / r**2
         v2 = -np.sin(r) / r - 2 * np.cos(r) / r**2 + 2 * np.sin(r) / r**3
-        exact = (op.eig * v / r**2 - op.A * v2
-                 - (op.c1) * v1) / op.gi_vv
+        A, _, c1, _ = coefficients(sp, wchart, r)
+        exact = (op.eig * v / r**2 - A * v2
+                 - c1 * v1) / op.gi_vv
         interior = slice(4, -4)
         errs.append(np.abs((vtt - exact)[interior]).max())
     order = math.log2(errs[0] / errs[1])
@@ -89,6 +102,7 @@ def test_operator_exact_on_quadratics(sp, wchart, n_r, l, c):
     p1 = (c[1] + 2 * c[2] * s) / half
     p2 = 2 * c[2] / half**2
     zero = np.zeros_like(r)
+    A, B, c1, cross0 = coefficients(sp, wchart, r)
 
     def close(got, exp):
         scale = max(np.abs(exp).max(), np.abs(p).max())
@@ -96,10 +110,10 @@ def test_operator_exact_on_quadratics(sp, wchart, n_r, l, c):
 
     dv, dW = split_rhs(op, p, zero)
     assert close(dv, zero)
-    assert close(dW, (op.eig * p / r**2 - op.A * p2 - op.c1 * p1) / op.gi_vv)
+    assert close(dW, (op.eig * p / r**2 - A * p2 - c1 * p1) / op.gi_vv)
     dv, dW = split_rhs(op, zero, p)
     assert close(dv, p)
-    assert close(dW, (-2 * op.B * p1 - op.cross0 * p) / op.gi_vv)
+    assert close(dW, (-2 * B * p1 - cross0 * p) / op.gi_vv)
 
 
 def test_manufactured_energy_quadrature(sp, wchart):
@@ -146,11 +160,11 @@ def test_energy_bounded_and_lateral_nonnegative(sp, wchart, recording):
     v0 = gaussian_bump(r, 3.0, 0.8)
     rec = recording()
     hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
-    erep, nrep = rec.diagnostics(op, hist)
-    assert erep.sup_E <= erep.E_initial * (1.0 + 1e-12)
-    assert erep.lateral_min_integrand >= 0.0
-    assert math.isfinite(nrep.LE1_sq) and nrep.LE1_sq > 0
-    assert erep.E_lateral > 0
+    rep = rec.diagnostics(op, hist)
+    assert rep["sup_E"] <= rep["E_initial"] * (1.0 + 1e-12)
+    assert rep["lateral_min_integrand"] >= 0.0
+    assert math.isfinite(rep["LE1_sq"]) and rep["LE1_sq"] > 0
+    assert rep["E_lateral"] > 0
 
 
 def test_photon_sphere_pulse_degenerate_weight(sp, wchart, recording):
@@ -163,10 +177,10 @@ def test_photon_sphere_pulse_degenerate_weight(sp, wchart, recording):
     v0 = gaussian_bump(r, sp.r_ps, 0.4)
     rec = recording()
     hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
-    _, nrep = rec.diagnostics(op, hist)
+    annulus = rec.diagnostics(op, hist)["dyadic"]["1"]
     # the j=1 annulus [1,2] contains the photon sphere; its degenerate weight
     # must be far below the radial (nondegenerate) content of the same run
-    assert nrep.dyadic[1]["degenerate"] < 0.2 * nrep.dyadic[1]["radial"]
+    assert annulus["degenerate"] < 0.2 * annulus["radial"]
 
 
 def test_hardy_on_evolved_field(sp, wchart, recording):
@@ -183,26 +197,24 @@ def test_hardy_on_evolved_field(sp, wchart, recording):
     assert num <= 10.0 * den
 
 
-def test_no_boundary_reflection(sp, recording):
+def test_no_boundary_reflection(sp, recording, monkeypatch):
     """Moving the outer boundary out changes causally protected diagnostics
     at the round-off-accumulation level only."""
-    charts = {}
+    monkeypatch.setattr(wavesolver, "SAMPLE_EVERY", 50)
     series = {}
     for r_max in (40.0, 60.0):
         ch = ingoing_chart(sp, 0.9, r_max + 5.0)
         n_r = int(round((r_max - 0.9) / 0.05)) + 1
-        dom = SolverDomain(r_e=0.9, r_max=r_max, n_r=n_r, l=0, T=12.0,
-                           sample_every=50)
+        dom = SolverDomain(r_e=0.9, r_max=r_max, n_r=n_r, l=0, T=12.0)
         op = assemble_mode(sp, ch, dom)
         r = dom.grid()
         v0 = gaussian_bump(r, 3.0, 0.8)
         rec = recording()
-        hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
-        erep, _ = rec.diagnostics(op, hist)
-        series[r_max] = erep
+        evolve(op, v0, np.zeros_like(v0), observe=rec)
+        series[r_max] = np.asarray(rec.replay(op).E)
     e1, e2 = series[40.0], series[60.0]
-    n = min(len(e1.E_slice), len(e2.E_slice))
-    rel = np.abs(e1.E_slice[:n] - e2.E_slice[:n]) / e1.E_initial
+    n = min(len(e1), len(e2))
+    rel = np.abs(e1[:n] - e2[:n]) / e1[0]
     assert rel.max() < 1e-6
 
 
@@ -222,10 +234,11 @@ def test_convergence_smoke(sp, wchart):
     assert 1.5 < res["field_order_fit"] < 3.5
 
 
-def test_no_subnormal_state(sp, wchart, recording):
+def test_no_subnormal_state(sp, wchart, recording, monkeypatch):
     """The precursor tail of an evolved bump never leaves subnormal entries
     in the state."""
-    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=600, l=0, T=10.0, sample_every=1)
+    monkeypatch.setattr(wavesolver, "SAMPLE_EVERY", 1)
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=600, l=0, T=10.0)
     op = assemble_mode(sp, wchart, dom)
     v0 = gaussian_bump(dom.grid(), 3.0, 0.8)
     rec = recording()
@@ -235,10 +248,11 @@ def test_no_subnormal_state(sp, wchart, recording):
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
-def test_evolve_matches_reference_rk4(sp, wchart, recording, forced):
+def test_evolve_matches_reference_rk4(sp, wchart, recording, monkeypatch, forced):
     """evolve agrees with the classical RK4 tableau applied out of place on
     top of spatial_operator."""
-    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.0, sample_every=5)
+    monkeypatch.setattr(wavesolver, "SAMPLE_EVERY", 5)
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.0)
     op = assemble_mode(sp, wchart, dom)
     v0 = gaussian_bump(dom.grid(), 3.0, 0.8)
 
@@ -278,7 +292,7 @@ def test_dyadic_norms_match_masked_trapezoid(sp, wchart, recording):
     v0 = gaussian_bump(r, 3.0, 0.8)
     rec = recording()
     hist = evolve(op, v0, np.zeros_like(v0), observe=rec)
-    _, nrep = rec.diagnostics(op, hist)
+    rep = rec.diagnostics(op, hist)
     w_ps = ((r - sp.r_ps) / r) ** 2
     wt = np.gradient(np.asarray(rec.times))
     radial, degenerate, low = {}, {}, 0.0
@@ -294,22 +308,23 @@ def test_dyadic_norms_match_masked_trapezoid(sp, wchart, recording):
                 w_ps[sel] * (W[sel] ** 2 + op.eig * v[sel] ** 2 / r[sel] ** 2)
                 * r[sel] ** 3, r[sel])
         low += wt[i] * np.trapezoid(v**2, r)
-    assert sorted(nrep.dyadic) == sorted(radial)
+    assert sorted(rep["dyadic"]) == sorted(map(str, radial))
     for j in radial:
-        assert nrep.dyadic[j]["radial"] == pytest.approx(radial[j], rel=1e-13)
-        assert nrep.dyadic[j]["degenerate"] == pytest.approx(degenerate[j], rel=1e-13)
-    assert nrep.lower_order_sq == pytest.approx(low, rel=1e-13)
+        assert rep["dyadic"][str(j)]["radial"] == pytest.approx(radial[j], rel=1e-13)
+        assert rep["dyadic"][str(j)]["degenerate"] == pytest.approx(degenerate[j], rel=1e-13)
+    assert rep["lower_order_sq"] == pytest.approx(low, rel=1e-13)
 
 
 @pytest.mark.parametrize("sample_every", [1, 3, 8])
 @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
-def test_streamed_diagnostics_equal_stored(sp, wchart, recording, forced, sample_every):
+def test_streamed_diagnostics_equal_stored(sp, wchart, recording, monkeypatch, forced,
+                                          sample_every):
     """Diagnostics folded in from the live views that evolve's observer is
     handed equal, bit for bit, those of the same slices stored as copies and
     replayed into a fresh SliceDiagnostics, and the observer is called at
     exactly the sample times."""
-    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.1,
-                       sample_every=sample_every)
+    monkeypatch.setattr(wavesolver, "SAMPLE_EVERY", sample_every)
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.1)
     op = assemble_mode(sp, wchart, dom)
     assert sample_every == 1 or op.n_steps % sample_every != 0
     v0 = gaussian_bump(op.r, 3.0, 0.8)
@@ -326,16 +341,17 @@ def test_streamed_diagnostics_equal_stored(sp, wchart, recording, forced, sample
                   observe=store_and_stream)
     assert np.asarray(acc.times).tobytes() == np.asarray(rec.times).tobytes()
     assert len(rec.times) == op.n_steps // sample_every + 1 + (op.n_steps % sample_every > 0)
-    (e1, n1), (e2, n2) = rec.diagnostics(op, hist), diagnostics(acc, hist)
-    assert e1.E_slice.tobytes() == e2.E_slice.tobytes()
-    for key in ("E_initial", "E_lateral", "sup_E", "lateral_min_integrand"):
-        assert getattr(e1, key) == getattr(e2, key)
-    assert np.float64(n1.LE1_sq).tobytes() == np.float64(n2.LE1_sq).tobytes()
-    assert np.float64(n1.lower_order_sq).tobytes() == np.float64(n2.lower_order_sq).tobytes()
-    assert list(n1.dyadic) == list(n2.dyadic)
-    for j, parts in n1.dyadic.items():
+    replayed = rec.replay(op)
+    assert np.asarray(replayed.E).tobytes() == np.asarray(acc.E).tobytes()
+    d1, d2 = diagnostics(replayed, hist), diagnostics(acc, hist)
+    assert list(d1) == list(d2)
+    for key in ("E_initial", "E_lateral", "sup_E", "lateral_min_integrand", "LE1_sq",
+                "lower_order_sq"):
+        assert np.float64(d1[key]).tobytes() == np.float64(d2[key]).tobytes()
+    assert list(d1["dyadic"]) == list(d2["dyadic"])
+    for j, parts in d1["dyadic"].items():
         for key, value in parts.items():
-            assert np.float64(value).tobytes() == np.float64(n2.dyadic[j][key]).tobytes()
+            assert np.float64(value).tobytes() == np.float64(d2["dyadic"][j][key]).tobytes()
 
 
 # the benchmark's wave-evolve size
@@ -398,6 +414,29 @@ def test_snapshots_csv_equals_stored_history_rows(tmp_path, monkeypatch, recordi
     assert got.count(b"\n") == len(rec.times) + 1
 
 
+def test_norms_json_is_the_diagnostics_report(tmp_path, monkeypatch):
+    """norms.json holds the report that diagnostics returns, dyadic keys as
+    strings, with the run's l, n_r and T added; the task's metrics are the
+    report's numbers."""
+    from mptrap.cli import run
+    orig = wavesolver.diagnostics
+    reports = []
+
+    def kept(acc, hist):
+        reports.append(orig(acc, hist))
+        return reports[-1]
+    monkeypatch.setattr(wavesolver, "diagnostics", kept)
+    rep = run("wave-evolve", {"wave": {"n_r": 200, "l": 1, "T": 4.0}}, str(tmp_path), seed=0)
+    [report] = reports
+    assert sorted(report) == ["E_initial", "E_lateral", "LE1_sq", "dyadic",
+                              "lateral_min_integrand", "lower_order_sq", "sup_E"]
+    assert all(isinstance(j, str) for j in report["dyadic"])
+    with open(tmp_path / "norms.json") as fh:
+        assert json.load(fh) == {**report, "l": 1, "n_r": 200, "T": 4.0}
+    for key in ("E_initial", "sup_E", "E_lateral", "lateral_min_integrand", "LE1_sq"):
+        assert rep["metrics"][key] == report[key]
+
+
 def test_banded_product_sums_rows_in_column_order(sp, wchart, recording):
     """L and D1 keep their bands in ascending offset order, so each product
     row is the sum of the row's nonzero products in column order from 0.0,
@@ -427,11 +466,12 @@ def test_banded_product_sums_rows_in_column_order(sp, wchart, recording):
         assert (op.D1 @ y[:n]).tobytes() == row_sums(op.D1, y[:n]).tobytes()
 
 
-def test_evolve_leaves_inputs_and_snapshots_unaliased(sp, wchart, recording):
+def test_evolve_leaves_inputs_and_snapshots_unaliased(sp, wchart, recording, monkeypatch):
     """The in-place stages touch neither the initial data nor the snapshots
     a recording observer copied, and a repeated run on the same operator
     repeats exactly."""
-    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.0, sample_every=3)
+    monkeypatch.setattr(wavesolver, "SAMPLE_EVERY", 3)
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=200, l=1, T=4.0)
     op = assemble_mode(sp, wchart, dom)
     v0 = gaussian_bump(op.r, 3.0, 0.8)
     W0 = 0.5 * gaussian_bump(op.r, 4.0, 1.0)
