@@ -38,8 +38,8 @@ import numpy as np
 
 from . import __version__
 from .params import (BlackHoleParams, SchwParams, NakedSingularity, CoordinateSingularity,
-                     BoundaryFormFailure, MULT_ALPHA_CAP, MULT_EPS, MULT_DELTA, MULT_DELTA1,
-                     MULT_EPS_MATCH, WAVE_CFL)
+                     InvalidConstants, BoundaryFormFailure, MULT_ALPHA_CAP, MULT_EPS,
+                     MULT_DELTA, MULT_DELTA1, MULT_EPS_MATCH, WAVE_CFL)
 
 # Each `mptrap <task>` is its own process, so the task functions import the
 # modules they use on their first call: importing this module loads numpy and
@@ -188,14 +188,14 @@ def task_multiplier_verify(cfg, rng, outdir):
     grid = positivity_grid(sp, chart.r_e, 10 * sp.r_s, 600)
     ing = triple.ingredients(grid)
     f, q1, q2, b, gam = (ing[k][0] for k in ("f", "q1", "q2", "b", "gam"))
+    lf = prof.lf(grid, ing["f"])
+    # above the horizon cut f is F, so the F columns are f's, NaN below it
     F, f1, lFv = np.full((3, grid.size), np.nan)
-    above = grid > sp.r_s * (1 + 1e-12)
-    F_above = prof.F_jet(grid[above])
-    F[above], f1[above] = F_above[0], prof.f1_jet(grid[above])[0]
-    lFv[above] = prof.lf(grid[above], F_above)
+    above = prof.above_horizon(grid)
+    F[above], f1[above], lFv[above] = f[above], prof.f1_jet(grid[above])[0], lf[above]
     write_csv(os.path.join(outdir, "profiles.csv"), "r,f,F,f1,q1,q2,b_red,gamma,n,lF,lf",
               np.column_stack([grid, f, F, f1, q1, q2, b, gam, zeroth_order_n(triple, ing),
-                               lFv, prof.lf(grid, ing["f"])]))
+                               lFv, lf]))
     with open(os.path.join(outdir, "positivity.json"), "w") as fh:
         json.dump({"c_star": pos["c_star"], "min_r": pos["min_r"],
                    "min_eigvec": pos["min_eigvec"], "grid": pos["grid_points"],
@@ -690,13 +690,17 @@ def _check_task_rules(task, full):
         raise ConfigError(f"params.r_s = {full['params']['r_s']!r} and schw.r_s = "
                           f"{full['schw']['r_s']!r} must be equal for sos-verify")
     if task in ("geodesic", "all"):
-        # the geodesic starts off the poles and outside the horizon
+        # the geodesic starts off the poles, outside the horizon and on a
+        # real null covector
         from .geometry import ChartPoint, check_point
+        from .geodesic import null_Xi
         init = full["geodesic"]["init"]
+        params = BlackHoleParams(**full["params"])
         try:
-            check_point(BlackHoleParams(**full["params"]),
-                        ChartPoint(t=0.0, x=init["x"], theta=init["theta"]))
-        except CoordinateSingularity as exc:
+            check_point(params, ChartPoint(t=0.0, x=init["x"], theta=init["theta"]))
+            null_Xi(params, init["x"], init["theta"], init["tau"], init["Theta"],
+                    init["Phi"], init["Psi"])
+        except (CoordinateSingularity, InvalidConstants) as exc:
             raise ConfigError(f"geodesic.init: {exc}") from None
     # an initial bump must be nonzero somewhere on its grid; the convergence
     # levels refine the coarsest grid, so that grid decides

@@ -17,8 +17,8 @@ import numpy as np
 
 from .params import (SchwParams, ProfileConstructionFailure, DifferentiationError,
                      MULT_ALPHA_CAP, MULT_EPS, MULT_DELTA, MULT_DELTA1, MULT_EPS_MATCH)
-from .smooth import (smoothstep, smoothstep_integral, step_jet, rho_saturate,
-                     mollifier_table, mollify, plateau_bump, richardson_combine)
+from .smooth import (smoothstep, smoothstep_integral, step_jet, mollifier_table,
+                     mollify, plateau_bump, richardson_combine)
 
 # ---------------------------------------------------------------------------
 # order-3 jet arithmetic: a jet is an ndarray of shape (4, ...) holding
@@ -256,22 +256,24 @@ class MultiplierProfile:
             out[:, on] += self.c_d * jet_mul(jet_monomial(ro, -3), corr)
         return out
 
+    def above_horizon(self, r):
+        """The horizon cut: True where r > r_s (1 + 1e-13)."""
+        return r > self.sp.r_s * (1.0 + 1e-13)
+
     def f_jet(self, r):
-        """Saturated profile; equals -2/(eps r^3) at and below the horizon."""
+        """Saturated profile: F above the horizon cut, -2/(eps r^3) at and
+        below it.  The saturation r^{-3} rho(eps r^3 F) / eps is the identity
+        where eps r^3 F > -1, which validate_profile requires down to the
+        first float above r_s: the transition layer is sub-grid, and
+        quadform.integrated_smallness accounts for it."""
         r = np.asarray(r, dtype=float)
         out = np.empty((4,) + r.shape)
-        below = r <= self.sp.r_s * (1.0 + 1e-13)
+        above = self.above_horizon(r)
+        below = ~above
         if np.any(below):
             out[:, below] = (-2.0 / self.eps) * jet_monomial(r[below], -3)
-        above = ~below
         if np.any(above):
-            ra = r[above]
-            W = jet_mul(jet_monomial(ra, 3), self.F_jet(ra))
-            rho = rho_saturate(self.eps * W[0])
-            outer = (rho[0] / self.eps, rho[1], rho[2] * self.eps,
-                     rho[3] * self.eps**2)
-            sat = jet_compose(outer, W)
-            out[:, above] = jet_mul(jet_monomial(ra, -3), sat)
+            out[:, above] = self.F_jet(r[above])
         return out
 
     # -- horizon zone ------------------------------------------------------
@@ -362,7 +364,7 @@ class MultiplierProfile:
         the horizon zone, 0 at and below the horizon."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
-        above = r > self.sp.r_s * (1.0 + 1e-13)
+        above = self.above_horizon(r)
         ra = r[above]
         A, q = self.A_jet(ra), self.q1_jet(ra, P[:, above])
         out[above] = -0.5 * (A[1] * q[1] + A[0] * (q[2] + 3 * q[1] / ra))
@@ -403,27 +405,32 @@ def validate_profile(prof: MultiplierProfile):
     # stencil and two grids.  The jets are elementwise, so each is evaluated
     # once on all the radii it is checked on.
     r_probe = rs * (1.0 + 4.4e-16)
-    r_fd = np.array([1.07, 1.3, sp.r_ps * 1.01, 2.2, 6.0]) * rs
+    r_fd = np.array([1.07, 1.3, 1.01 * 2.0 ** 0.5, 2.2, 6.0]) * rs
     h = 1e-5 * rs
     stencil = np.concatenate([r_fd, r_fd + h, r_fd - h, r_fd + h / 2, r_fd - h / 2])
     n_st = stencil.size
     r = np.sort(np.concatenate([np.linspace(rs * 1.001, 20 * rs, 1500),
                                 rps + np.linspace(-0.2, 0.2, 301) * rs]))
     rg = np.linspace(0.8 * rs, 1.6 * rs, 2001)
-    F_probe, F_st, F = np.split(prof.F_jet(np.concatenate([[r_probe], stencil, r])),
-                                [1, 1 + n_st], axis=1)
+    r_F = np.concatenate([[r_probe], stencil, r])
+    F_all = prof.F_jet(r_F)
+    F_st, F = np.split(F_all[:, 1:], [n_st], axis=1)
     B_st, B = np.split(prof.b_jet(np.concatenate([stencil, rg])), [n_st], axis=1)
     G_st, G, G_rs = np.split(prof.gamma_jet(np.concatenate([stencil, rg, [rs]])),
                              [n_st, n_st + rg.size], axis=1)
     f_st = prof.f_jet(stencil)
-    # saturation transition must sit below grid resolution: on every
-    # representable radius above the horizon the profile is in the identity
-    # branch, so the horizon-zone closed forms apply
-    W_edge = r_probe ** 3 * F_probe[0][0]
-    if prof.eps * W_edge <= -1.0:
+    # saturation transition must sit below grid resolution: eps r^3 F > -1
+    # at the first float above r_s and on every radius F is evaluated on
+    # here, so f_jet's identity branch and the horizon-zone closed forms apply
+    eps_W = prof.eps * r_F ** 3 * F_all[0]
+    if eps_W[0] <= -1.0:
         raise ProfileConstructionFailure(
             f"eps = {prof.eps} puts the saturation transition on-grid "
-            f"(eps * W = {prof.eps * W_edge} <= -1 at the first float above r_s)")
+            f"(eps * W = {eps_W[0]} <= -1 at the first float above r_s)")
+    if np.any(eps_W <= -1.0):
+        raise ProfileConstructionFailure(
+            f"eps = {prof.eps} puts the saturation transition on-grid "
+            f"(eps * W <= -1 at r = {r_F[eps_W <= -1.0][:3]})")
     # analytic derivatives must agree with Richardson finite differences
     for name, J in (("F_jet", F_st), ("f_jet", f_st), ("q1_jet", prof.q1_jet(stencil, f_st)),
                     ("b_jet", B_st), ("gamma_jet", G_st)):

@@ -1,4 +1,4 @@
-"""Smooth step, bump, saturation and mollifier primitives.
+"""Smooth step, bump and mollifier primitives.
 
 Everything is built from sigma(t) = exp(-1/t) (t > 0), giving C-infinity
 transitions with all derivatives vanishing at the junctions.  Each primitive
@@ -129,26 +129,6 @@ def smoothstep_integral(t):
     out = np.where(t >= 1.0, t - 0.5, 0.0)
     mask = (t > 0.0) & (t < 1.0)
     out[mask] = integrate_gl(_smoothstep_value, 0.0, t[mask], n=64)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# saturation function rho: identity above -1, constant -2 below -3, smooth and
-# increasing in between.  rho' = S((R+3)/2), which integrates to exactly 1
-# over the transition by the symmetry of S.
-# ---------------------------------------------------------------------------
-
-def rho_saturate(R):
-    R = np.asarray(R, dtype=float)
-    S = smoothstep((R + 3.0) / 2.0)
-    ident = R >= -1.0
-    mid = (R > -3.0) & (R < -1.0)
-    out = np.empty((4,) + R.shape)
-    out[0] = np.where(ident, R, -2.0)
-    out[0, mid] = -2.0 + 2.0 * smoothstep_integral((R[mid] + 3.0) / 2.0)
-    out[1] = np.where(ident, 1.0, S[0])
-    out[2] = np.where(ident, 0.0, S[1] / 2.0)
-    out[3] = np.where(ident, 0.0, S[2] / 4.0)
     return out
 
 

@@ -294,6 +294,9 @@ def test_cli_loads_only_task_modules(tmp_path):
     pytest.param("geodesic", "init", {"theta": math.pi / 2}, id="geodesic-init-theta-pi/2"),
     pytest.param("geodesic", "init", {"x": 1.0}, id="geodesic-init-x-horizon"),
     pytest.param("geodesic", "init", {"x": 0.5}, id="geodesic-init-x-inside"),
+    # a start on which no real covector solves the null constraint
+    pytest.param("geodesic", "init", {"tau": -0.1, "Theta": 10.0, "Phi": 0.0, "Psi": 0.0},
+                 id="geodesic-init-no-null-Xi"),
 ])
 def test_config_range_exit_code(tmp_path, block, key, value):
     """Out-of-range values are configuration errors: exit 2, nothing run."""
@@ -542,7 +545,9 @@ def test_trapped_scan_without_convergence_reports_null(tmp_path):
     # a spin bound this large empties the calibration band of C
     ("sos-verify", {"sos": {"eps0": 0.7, "n_samples": 200, "n_bracket": 200, "n_mu": 500}},
      "CBandEmpty"),
-], ids=["RedshiftBudgetFailure", "CBandEmpty"])
+    # the default eps puts the saturation transition on-grid off r_s = 1
+    ("multiplier-verify", {"schw": {"r_s": 2.0}}, "ProfileConstructionFailure"),
+], ids=["RedshiftBudgetFailure", "CBandEmpty", "ProfileConstructionFailure"])
 def test_failure_class_has_witness(tmp_path, task, cfg, failure):
     """A failure class raised by a task exits 1 with one witness that names
     its type and message."""
