@@ -423,14 +423,11 @@ def validate_profile(prof: MultiplierProfile):
     # at the first float above r_s and on every radius F is evaluated on
     # here, so f_jet's identity branch and the horizon-zone closed forms apply
     eps_W = prof.eps * r_F ** 3 * F_all[0]
-    if eps_W[0] <= -1.0:
+    bad = eps_W <= -1.0
+    if bad.any():
         raise ProfileConstructionFailure(
             f"eps = {prof.eps} puts the saturation transition on-grid "
-            f"(eps * W = {eps_W[0]} <= -1 at the first float above r_s)")
-    if np.any(eps_W <= -1.0):
-        raise ProfileConstructionFailure(
-            f"eps = {prof.eps} puts the saturation transition on-grid "
-            f"(eps * W <= -1 at r = {r_F[eps_W <= -1.0][:3]})")
+            f"(eps * W = {eps_W[bad][:3]} <= -1 at r = {r_F[bad][:3]})")
     # analytic derivatives must agree with Richardson finite differences
     for name, J in (("F_jet", F_st), ("f_jet", f_st), ("q1_jet", prof.q1_jet(stencil, f_st)),
                     ("b_jet", B_st), ("gamma_jet", G_st)):

@@ -216,9 +216,10 @@ def test_saturation_identities(sp, profile):
         assert np.array_equal(f, prof.F_jet(r))
         assert np.all(prof.eps * r**3 * f[0] > -1.0)
         fb = prof.f_jet(rb)
+        assert np.abs(fb[0] + 2.0 / (prof.eps * rb ** 3)).max() < 1e-12
         for k, c in enumerate((1.0, -3.0, 12.0, -60.0)):
-            assert np.abs(fb[k] + 2.0 * c / (prof.eps * rb ** (3 + k))).max() \
-                < 1e-12 * np.abs(fb[k]).max()
+            ref = -2.0 * c / (prof.eps * rb ** (3 + k))
+            assert np.all(np.abs(fb[k] - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_third_order_weight_constant_profile(sp, profile):
