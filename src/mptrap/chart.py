@@ -27,10 +27,10 @@ class IngoingChart:
     r_blend_lo: float = field(init=False)
 
     def __post_init__(self):
-        if not (0 < self.r_e < self.sp.r_s < self.r_max):
-            raise ValueError("need 0 < r_e < r_s < r_max")
-        self.r_match = 0.5 * (self.sp.r_s + self.sp.r_ps)
-        self.r_blend_lo = self.sp.r_s + 0.35 * (self.r_match - self.sp.r_s)
+        if not (0 < self.r_e < 1.0 < self.r_max):
+            raise ValueError("need 0 < r_e < 1 < r_max")
+        self.r_match = 0.5 * (1.0 + self.sp.r_ps)
+        self.r_blend_lo = 1.0 + 0.35 * (self.r_match - 1.0)
         self.validate()
 
     def mu_derivs(self, r):

@@ -52,7 +52,7 @@ DRIFT_TOL = 1e-8
 # the trapped orbit: (Phi, Psi) at E = 1, and its persistence window in t
 TRAPPED_PHI_HAT, TRAPPED_PSI_HAT = 0.1, -0.05
 TRAPPED_WINDOW = 30.0
-# the boundary clause as the paper pins it: C and r_e / r_s
+# the boundary clause as the paper pins it: C and r_e
 C_PINNED, R_E_PINNED = 100.0, 0.95
 
 
@@ -94,10 +94,10 @@ def task_geodesic(cfg, rng, outdir):
         Th0 = math.sqrt(-inverse_metric_form(g, -1.0, 0.0, 0.0, Ph, Ps) / g[7])
         ppt = PhasePoint(t=0.0, x=ts.x0, theta=1.0, phi=0.0, psi=0.0,
                          momentum=Covector(tau=-1.0, Xi=0.0, Theta=Th0, Phi=Ph, Psi=Ps))
-        # The unstable photon-sphere mode grows at lambda ~ 0.71/r_s in
+        # The unstable photon-sphere mode grows at lambda ~ 0.71 in
         # coordinate time, so double-precision seeds (>= 1e-16) depart the
-        # 1e-3 tube by t ~ 42 r_s at best; the persistence window asserted
-        # here is derived from the measured rate, and the literal 50 r_s
+        # 1e-3 tube by t ~ 42 at best; the persistence window asserted
+        # here is derived from the measured rate, and the literal t = 50
         # window is reported as a flag.
         trj = integrate_geodesic(params, ppt, 200.0, tol=1e-12, n_samples=4000)
         tvals = trj.states[0]
@@ -108,7 +108,7 @@ def task_geodesic(cfg, rng, outdir):
         lam = float(np.polyfit(tvals[sel], np.log(dev[sel]), 1)[0]) if sel.sum() > 10 else math.nan
         metrics.update({"trapped_x0": ts.x0, "trapped_deviation_window": dev_w,
                         "trapped_window": TRAPPED_WINDOW, "trapped_deviation_t50": dev_50,
-                        "literal_t50_met": bool(dev_50 < 1e-3 * params.r_s),
+                        "literal_t50_met": bool(dev_50 < 1e-3),
                         "instability_rate": lam, "trapped_departure": trj.termination})
     return metrics
 
@@ -136,8 +136,7 @@ def task_trapped_scan(cfg, rng, outdir):
         metrics.update(r_trapped_min=float(np.min(r_t[ok])), r_trapped_max=float(np.max(r_t[ok])),
                        dR_dr_abs_min=float(np.min(np.abs(dRdr))))
         if abs(params.a) < 1e-15 and abs(params.b) < 1e-15:        # the static limit
-            metrics["static_deviation"] = float(np.max(np.abs(r_t[ok] - math.sqrt(2.0)
-                                                              * params.r_s)))
+            metrics["static_deviation"] = float(np.max(np.abs(r_t[ok] - math.sqrt(2.0))))
     return metrics
 
 
@@ -154,9 +153,9 @@ def task_multiplier_verify(cfg, rng, outdir):
                "delta1": prof.delta1, "achieved_match": prof.achieved_match}
 
     # profile inequalities on the verification windows
-    r_mono = np.linspace(sp.r_s + 1e-3 * sp.r_s, 20 * sp.r_s, 2000)
+    r_mono = np.linspace(1.0 + 1e-3, 20.0, 2000)
     metrics["F_prime_min"] = float(np.min(prof.F_jet(r_mono)[1]))
-    r_lw = np.linspace(sp.r_s + 0.01 * sp.r_s, 10 * sp.r_s, 2000)
+    r_lw = np.linspace(1.0 + 0.01, 10.0, 2000)
     lF = prof.lf(r_lw, prof.F_jet(r_lw))
     metrics["lF_min"] = float(np.min(lF))
     metrics["lF_argmin"] = float(r_lw[np.argmin(lF)])
@@ -174,7 +173,7 @@ def task_multiplier_verify(cfg, rng, outdir):
                     "smallness_integral": I_val, "smallness_vs_delta": I_val / prof.delta})
 
     keys = ("kappa", "slice_min_eig", "lateral_min_eig", "C_energy", "r_e")
-    bf = boundary_forms(triple, C_PINNED, R_E_PINNED * sp.r_s)
+    bf = boundary_forms(triple, C_PINNED, R_E_PINNED)
     metrics["boundary_at_pinned"] = {k: bf[k] for k in keys}
     try:
         C_demo, r_demo = demo_boundary_parameters(triple)
@@ -185,7 +184,7 @@ def task_multiplier_verify(cfg, rng, outdir):
         metrics["boundary_feasible"] = {k: bd[k] for k in keys}
 
     # profile table artifact
-    grid = positivity_grid(sp, chart.r_e, 10 * sp.r_s, 600)
+    grid = positivity_grid(sp, chart.r_e, 10.0, 600)
     ing = triple.ingredients(grid)
     f, q1, q2, b, gam = (ing[k][0] for k in ("f", "q1", "q2", "b", "gam"))
     lf = prof.lf(grid, ing["f"])
@@ -218,20 +217,19 @@ def task_sos_verify(cfg, rng, outdir):
     from .trapping import SOS_WINDOW
     from .sos import (SchwSos, MpSos, schw_sos_scan, mp_bracket_scan,
                       mu_lower_bound, mu_samples, rotation_symbols_vec, lambda2)
-    sp, prof = _profile(cfg)
+    _, prof = _profile(cfg)
     blk = cfg["sos"]
     params = BlackHoleParams(**cfg["params"])
     n, eps0 = blk["n_samples"], blk["eps0"]
     sos = SchwSos(profile=prof)
-    rs = sp.r_s
 
     # every draw is made here, in the serial stream order, before the fork
-    r = rng.uniform(SOS_WINDOW[0] * rs, SOS_WINDOW[1] * rs, n)
+    r = rng.uniform(*SOS_WINDOW, n)
     th = rng.uniform(0.3, math.pi / 2 - 0.3, n)
     tau, xi, Th, Ph, Ps = rng.standard_normal((5, n))
     phi, psi = rng.uniform(0, 2 * math.pi, n), rng.uniform(0, 2 * math.pi, n)
     nb = blk["n_bracket"]
-    rb = rng.uniform(SOS_WINDOW[0] * rs, SOS_WINDOW[1] * rs, nb)
+    rb = rng.uniform(*SOS_WINDOW, nb)
     thb = rng.uniform(0.3, math.pi / 2 - 0.3, nb)
     xib, Thb, Phb, Psb = rng.standard_normal((4, nb))
     brb = rng.integers(0, 2, nb)
@@ -265,8 +263,7 @@ def task_sos_verify(cfg, rng, outdir):
         jets = sos.jets(samples[0])
         mu_reports, env = {}, {}
         for e0 in blk["eps0_scan"]:
-            pr_e = BlackHoleParams(r_s=params.r_s, a=0.6 * e0 * params.r_s,
-                                   b=0.6 * e0 * params.r_s)
+            pr_e = BlackHoleParams(a=0.6 * e0, b=0.6 * e0)
             rep = mu_lower_bound(MpSos(params=pr_e, sos=sos), e0, samples, jets)
             mu_reports[f"{e0:g}"] = rep
             env[e0] = rep["envelope"]
@@ -385,8 +382,7 @@ CHECKS = {
         "separated_residual": Check(lt, ("separated_residual",),
                                     lambda m, cfg: 1e3 * cfg["geodesic"]["tol"]),
         # the trapped orbit's rows, when geodesic.trapped is set
-        "trapped_persistence": Check(lt, ("trapped_deviation_window",),
-                                     lambda m, cfg: 1e-3 * cfg["params"]["r_s"],
+        "trapped_persistence": Check(lt, ("trapped_deviation_window",), 1e-3,
                                      ("trapped_deviation_window", "trapped_window")),
         "trapped_departure": Check(lambda end: end in ("horizon", "escaped"),
                                    (("termination", "trapped_departure"),)),
@@ -540,21 +536,18 @@ def _one_of(*allowed):
     return lambda v: v in allowed, f"one of {allowed}"
 
 
-def _r_s_times(k):
-    return lambda cfg: k * cfg["schw"]["r_s"]
-
-
 BUMP = {"center": (_number, FINITE, 3.0), "width": (_number, POSITIVE_FINITE, 0.8)}
 CONFIG = {
     "seed": (_integer, _at_least(0), 0),
     "out": (_text, None, None),
     # multiplier-verify's chart
-    "r_e": (_number, POSITIVE_FINITE, _r_s_times(0.95)),
-    "r_max": (_number, POSITIVE_FINITE, _r_s_times(60.0)),
-    "params": {"r_s": (_number, POSITIVE_FINITE, 1.0),
+    "r_e": (_number, POSITIVE_FINITE, 0.95),
+    "r_max": (_number, POSITIVE_FINITE, 60.0),
+    # lengths are in units of r_s, so r_s is 1
+    "params": {"r_s": (_number, _one_of(1.0), 1.0),
                "a": (_number, FINITE, 0.0), "b": (_number, FINITE, 0.0)},
     # only the (4+1)-dimensional hole is implemented
-    "schw": {"r_s": (_number, POSITIVE_FINITE, 1.0), "d": (_integer, _one_of(1), 1)},
+    "schw": {"r_s": (_number, _one_of(1.0), 1.0), "d": (_integer, _one_of(1), 1)},
     "mult": {"alpha_cap": (_number, (lambda v: 0 < v < 5, "in (0, 5)"), MULT_ALPHA_CAP),
              "eps": (_number, POSITIVE_FINITE, MULT_EPS),
              "delta": (_number, POSITIVE_FINITE, MULT_DELTA),
@@ -583,10 +576,9 @@ CONFIG = {
             # (r_lo, r_hi, theta_lo, theta_hi) of the calibration samples
             "region": (_numbers, (lambda v: len(v) == 4 and all(map(math.isfinite, v)),
                                   "four finite numbers"),
-                       lambda cfg: [1.35 * cfg["schw"]["r_s"], 1.50 * cfg["schw"]["r_s"],
-                                    0.3, math.pi / 2 - 0.3])},
-    "wave": {"r_e": (_number, POSITIVE_FINITE, _r_s_times(0.9)),
-             "r_max": (_number, POSITIVE_FINITE, _r_s_times(60.0)),
+                       [1.35, 1.50, 0.3, math.pi / 2 - 0.3])},
+    "wave": {"r_e": (_number, POSITIVE_FINITE, 0.9),
+             "r_max": (_number, POSITIVE_FINITE, 60.0),
              "dr": (_number, POSITIVE_FINITE, 0.05),
              # the sixth-difference dissipation stencil needs 7 grid points
              "n_r": (_integer, _at_least(7),
@@ -606,8 +598,8 @@ CONFIG = {
                          "amplitude": (_number, NONZERO_FINITE, 1.0),
                          "t_center": (_number, FINITE, 5.0),
                          "t_width": (_number, POSITIVE_FINITE, 2.0)}},
-    "convergence": {"r_e": (_number, POSITIVE_FINITE, _r_s_times(0.9)),
-                    "r_max": (_number, POSITIVE_FINITE, _r_s_times(30.0)),
+    "convergence": {"r_e": (_number, POSITIVE_FINITE, 0.9),
+                    "r_max": (_number, POSITIVE_FINITE, 30.0),
                     "n_r": (_integer, _at_least(7), 400),
                     "T": (_number, POSITIVE_FINITE, 12.0),
                     # the order fit needs at least two pairwise errors
@@ -658,13 +650,12 @@ def validate_config(cfg):
     full = _fill(CONFIG, cfg, "", derived)
     for block, key, name, (kind, test, default) in derived:
         block[key] = _check(name, default(full), kind, test)
-    r_s = full["schw"]["r_s"]
-    # the inner boundary lies inside the horizon, the outer one outside
+    # the inner boundary lies inside the horizon r = 1, the outer one outside
     for name, blk in (("config", full), ("wave", full["wave"]),
                       ("convergence", full["convergence"])):
-        if not blk["r_e"] < r_s < blk["r_max"]:
+        if not blk["r_e"] < 1.0 < blk["r_max"]:
             raise ConfigError(f"{name}: r_e = {blk['r_e']!r}, r_max = {blk['r_max']!r} "
-                              f"must satisfy r_e < r_s = {r_s!r} < r_max")
+                              f"must satisfy r_e < 1 < r_max")
     sos = full["sos"]
     # the task reports the calibration at eps0 from the scan
     if f"{sos['eps0']:g}" not in {f"{e:g}" for e in sos["eps0_scan"]}:
@@ -684,18 +675,17 @@ def validate_config(cfg):
 def _check_task_rules(task, full):
     """ConfigError for a broken rule between keys that only `task` (or
     `all`) reads."""
-    if task in ("sos-verify", "all") and full["params"]["r_s"] != full["schw"]["r_s"]:
-        # sos-verify builds the profile on `schw` and the bracket and kappa
-        # calibration on `params`: both must be one hole
-        raise ConfigError(f"params.r_s = {full['params']['r_s']!r} and schw.r_s = "
-                          f"{full['schw']['r_s']!r} must be equal for sos-verify")
     if task in ("geodesic", "all"):
         # the geodesic starts off the poles, outside the horizon and on a
-        # real null covector
+        # real null covector; the trapped orbit needs small spins
         from .geometry import ChartPoint, check_point
-        from .geodesic import null_Xi
+        from .geodesic import null_Xi, TRAPPED_SPIN_MAX
         init = full["geodesic"]["init"]
         params = BlackHoleParams(**full["params"])
+        spin = max(abs(params.a), abs(params.b))
+        if full["geodesic"]["trapped"] and spin > TRAPPED_SPIN_MAX:
+            raise ConfigError(f"max(|params.a|, |params.b|) = {spin!r} must be at most "
+                              f"{TRAPPED_SPIN_MAX} when geodesic.trapped is true")
         try:
             check_point(params, ChartPoint(t=0.0, x=init["x"], theta=init["theta"]))
             null_Xi(params, init["x"], init["theta"], init["tau"], init["Theta"],

@@ -116,38 +116,38 @@ class RadialPotential:
 
     def form_A(self, x):
         p, c = self.params, self.cq
-        a2, b2, rs2 = p.a**2, p.b**2, p.r_s**2
+        a2, b2 = p.a**2, p.b**2
         calE = c.calE(p, x)
         return (p.Delta(x) * (c.E**2 * x
                               + (a2 - b2) * (c.Phi**2 / (x + a2) - c.Psi**2 / (x + b2))
                               - c.K)
-                + rs2 * (x + a2) * (x + b2) * calE**2)
+                + (x + a2) * (x + b2) * calE**2)
 
     def form_B(self, x):
         p, c = self.params, self.cq
-        a, b, rs2 = p.a, p.b, p.r_s**2
+        a, b = p.a, p.b
         a2, b2 = a * a, b * b
         return (p.Delta(x) * (c.E**2 * x - c.K)
                 + (a2 - b2) * (c.Phi**2 * (x + b2) - c.Psi**2 * (x + a2))
-                + rs2 * (c.E**2 * (x + a2) * (x + b2)
-                         + 2 * a * c.E * c.Phi * (x + b2)
-                         + 2 * b * c.E * c.Psi * (x + a2)
-                         + (b * c.Phi + a * c.Psi) ** 2))
+                + (c.E**2 * (x + a2) * (x + b2)
+                   + 2 * a * c.E * c.Phi * (x + b2)
+                   + 2 * b * c.E * c.Psi * (x + a2)
+                   + (b * c.Phi + a * c.Psi) ** 2))
 
     def coefficients(self):
         """(c3, c2, c1, c0) of the cubic in x; c3 = E^2."""
         p, c = self.params, self.cq
-        a, b, rs2 = p.a, p.b, p.r_s**2
+        a, b = p.a, p.b
         a2, b2 = a * a, b * b
         E, Ph, Ps, K = c.E, c.Phi, c.Psi, c.K
         c3 = E**2
         c2 = E**2 * (a2 + b2) - K
-        c1 = (E**2 * a2 * b2 - K * (a2 + b2 - rs2)
+        c1 = (E**2 * a2 * b2 - K * (a2 + b2 - 1.0)
               + (a2 - b2) * (Ph**2 - Ps**2)
-              + rs2 * (E**2 * (a2 + b2) + 2 * a * E * Ph + 2 * b * E * Ps))
+              + (E**2 * (a2 + b2) + 2 * a * E * Ph + 2 * b * E * Ps))
         c0 = (-K * a2 * b2 + (a2 - b2) * (Ph**2 * b2 - Ps**2 * a2)
-              + rs2 * (E**2 * a2 * b2 + 2 * a * E * Ph * b2 + 2 * b * E * Ps * a2
-                       + (b * Ph + a * Ps) ** 2))
+              + (E**2 * a2 * b2 + 2 * a * E * Ph * b2 + 2 * b * E * Ps * a2
+                 + (b * Ph + a * Ps) ** 2))
         return c3, c2, c1, c0
 
     def derivative(self, x):
@@ -212,9 +212,13 @@ def radial_classification(params: BlackHoleParams,
         # single root beyond the horizon can only be (numerically) a double root
         return RadialClassification(RadialClass.DOUBLE_ROOT, (beyond[0],), boundary)
     x1, x2 = beyond[0], beyond[-1]
-    if abs(x2 - x1) < DOUBLE_ROOT_TOL * params.r_s**2:
+    if abs(x2 - x1) < DOUBLE_ROOT_TOL:
         return RadialClassification(RadialClass.DOUBLE_ROOT, (0.5 * (x1 + x2),), boundary)
     return RadialClassification(RadialClass.TWO_TURNING_POINTS, (x1, x2), boundary)
+
+
+# largest spin max(|a|, |b|) at which `trapped_sphere` solves for the orbit
+TRAPPED_SPIN_MAX = 0.3
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,7 @@ def trapped_sphere(params: BlackHoleParams, phi_hat: float,
     (tau, Phi, Psi) = (-1, phi_hat, psi_hat): x0 is its trapped root and
     K_hat = G(x0)/Delta(x0), with G the potential at K = 0.
     """
-    params.require_small_spin(0.3)
+    params.require_small_spin(TRAPPED_SPIN_MAX)
     x0 = float(trapped_radius_vec(params, -1.0, phi_hat, psi_hat)[0][0]) ** 2
     if math.isnan(x0):
         raise NoTrappedSphere(
@@ -283,16 +287,13 @@ def _rhs(params: BlackHoleParams, tau, Phi, Psi):
     Both roundings of the squared spins are kept, the products a*a, b*b of
     the components and R_ab and the powers a**2, b**2 of Delta and the
     forces, and so are both forms of rho^2 built from them."""
-    a, b, rs2 = params.a, params.b, params.r_s**2
+    a, b = params.a, params.b
     a2, b2 = a * a, b * b                       # components and R_ab
     pa2, pb2 = params.a**2, params.b**2         # Delta and the forces
     d2 = a2 - b2
-    # metric-component numerators and prefixes
-    a_rs2, b_rs2, ab_rs2 = a * rs2, b * rs2, -a * b * rs2
-    b2_rs2, a2_rs2 = b2 * rs2, a2 * rs2
-    # R_ab's coefficients, prefixes and constant terms
-    two_rs2, ct0 = 2 * rs2, a2 * b2 * rs2 * rs2
-    ctp0, cts0, cps0 = 2 * a * rs2, 2 * b * rs2, -2 * a * b * rs2
+    mab = -a * b                                # g^{phi psi}'s numerator
+    # R_ab's prefixes and constant term
+    ct0, ctp0, cts0, cps0 = a2 * b2, 2 * a, 2 * b, -2 * a * b
     # powers of the fibre constants, as `inverse_metric_form` and R_ab take them
     tau_sq, Phi_sq, Psi_sq = tau**2, Phi**2, Psi**2
     # the forces' own products
@@ -304,29 +305,29 @@ def _rhs(params: BlackHoleParams, tau, Phi, Psi):
         t, x, th, ph, ps, Xi, Th = y.tolist()
         st, ct = math.sin(th), math.cos(th)
         s2, c2 = st**2, ct**2
-        D = (x + pa2) * (x + pb2) - rs2 * x
+        D = (x + pa2) * (x + pb2) - x
         xa, xb = x + a2, x + b2
         rho2 = x + a2 * c2 + b2 * s2
         rD = rho2 * D
-        gtt = (d2 * s2 - xa * (D + rs2 * xb) / D) / rho2
-        gtph = a_rs2 * xb / rD
-        gtps = b_rs2 * xa / rD
-        gphph = (1.0 / s2 - (d2 * xb + b2_rs2) / D) / rho2
-        gpsps = (1.0 / c2 + (d2 * xa - a2_rs2) / D) / rho2
-        gphps = ab_rs2 / rD
+        gtt = (d2 * s2 - xa * (D + xb) / D) / rho2
+        gtph = a * xb / rD
+        gtps = b * xa / rD
+        gphph = (1.0 / s2 - (d2 * xb + b2) / D) / rho2
+        gpsps = (1.0 / c2 + (d2 * xa - a2) / D) / rho2
+        gphps = mab / rD
         gxx = 4.0 * D / rho2
         gthth = 1.0 / rho2
         p = (gtt * tau_sq + 2 * gtph * tau * Phi + 2 * gtps * tau * Psi
              + gphph * Phi_sq + gpsps * Psi_sq + 2 * gphps * Phi * Psi
              + gxx * Xi**2 + gthth * Th**2)
-        R = ((xa * xa * xb * xb - two_rs2 * x * xa * xb + ct0) * tau_sq
-             + ctp0 * (xb * xb - b2_rs2) * tau * Phi
-             + cts0 * (xa * xa - a2_rs2) * tau * Psi
-             + (b2 * (xb - rs2) ** 2 - a2 * xb * xb) * Phi_sq
-             + (a2 * (xa - rs2) ** 2 - b2 * xa * xa) * Psi_sq
-             + cps0 * (2 * x + a2 + b2 - rs2) * Phi * Psi)
+        R = ((xa * xa * xb * xb - 2 * x * xa * xb + ct0) * tau_sq
+             + ctp0 * (xb * xb - b2) * tau * Phi
+             + cts0 * (xa * xa - a2) * tau * Psi
+             + (b2 * (xb - 1.0) ** 2 - a2 * xb * xb) * Phi_sq
+             + (a2 * (xa - 1.0) ** 2 - b2 * xa * xa) * Psi_sq
+             + cps0 * (2 * x + a2 + b2 - 1.0) * Phi * Psi)
         rho2_f = x + pa2 * ct * ct + pb2 * st * st
-        p_x = (4.0 * (2 * x + pa2 + pb2 - rs2) * Xi * Xi - R / (D * D) - p) / rho2_f
+        p_x = (4.0 * (2 * x + pa2 + pb2 - 1.0) * Xi * Xi - R / (D * D) - p) / rho2_f
         dV = 2.0 * (tau2_d * st * ct - Phi2 * ct / st**3 + Psi2 * st / ct**3)
         p_th = (dV - 2.0 * p * pd2 * st * ct) / rho2_f
         return (gtt * tau + gtph * Phi + gtps * Psi, gxx * Xi, gthth * Th,
@@ -351,8 +352,8 @@ def integrate_geodesic(params: BlackHoleParams, init: PhasePoint,
     if abs(p0) > 1e-10 * max(1.0, m.tau**2):
         raise InvalidConstants(f"initial data not null: p = {p0}")
     if x_escape is None:
-        x_escape = max(100.0 * params.r_s**2, 4.0 * init.x)
-    x_pad = hz.x_plus * (1 + 1e-6) if hz.x_plus > 0 else 1e-8 * params.r_s**2
+        x_escape = max(100.0, 4.0 * init.x)
+    x_pad = hz.x_plus * (1 + 1e-6) if hz.x_plus > 0 else 1e-8
     events = ((lambda lam, y: y[1] - x_pad, -1),
               (lambda lam, y: y[1] - x_escape, +1))
 

@@ -44,12 +44,12 @@ def covariant_metric(params: BlackHoleParams, point: ChartPoint) -> np.ndarray:
 
     A witness: no task reads it.  Its numerical inverse checks the closed-form
     contravariant components (criterion 1 and the perfbench checks)."""
-    a, b, rs2 = params.a, params.b, params.r_s**2
+    a, b = params.a, params.b
     x, th = point.x, point.theta
     s2 = math.sin(th) ** 2
     c2 = math.cos(th) ** 2
     rho2 = x + a * a * c2 + b * b * s2
-    k = rs2 / rho2
+    k = 1.0 / rho2
     # null 1-form weights of (dt, dphi, dpsi) in the squared term
     w_t, w_ph, w_ps = 1.0, a * s2, b * c2
     g = np.zeros((5, 5))
@@ -99,18 +99,18 @@ def metric_pair(params: BlackHoleParams, point: ChartPoint):
 
 def inverse_metric_components(params: BlackHoleParams, x: float, theta: float):
     """Tuple (gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth)."""
-    a, b, rs2 = params.a, params.b, params.r_s**2
+    a, b = params.a, params.b
     a2, b2 = a * a, b * b
     s2 = np.sin(theta) ** 2
     c2 = np.cos(theta) ** 2
     D = params.Delta(x)
     rho2 = x + a2 * c2 + b2 * s2
-    gtt = ((a2 - b2) * s2 - (x + a2) * (D + rs2 * (x + b2)) / D) / rho2
-    gtph = a * rs2 * (x + b2) / (rho2 * D)
-    gtps = b * rs2 * (x + a2) / (rho2 * D)
-    gphph = (1.0 / s2 - ((a2 - b2) * (x + b2) + b2 * rs2) / D) / rho2
-    gpsps = (1.0 / c2 + ((a2 - b2) * (x + a2) - a2 * rs2) / D) / rho2
-    gphps = -a * b * rs2 / (rho2 * D)
+    gtt = ((a2 - b2) * s2 - (x + a2) * (D + (x + b2)) / D) / rho2
+    gtph = a * (x + b2) / (rho2 * D)
+    gtps = b * (x + a2) / (rho2 * D)
+    gphph = (1.0 / s2 - ((a2 - b2) * (x + b2) + b2) / D) / rho2
+    gpsps = (1.0 / c2 + ((a2 - b2) * (x + a2) - a2) / D) / rho2
+    gphps = -a * b / (rho2 * D)
     gxx = 4.0 * D / rho2
     gthth = 1.0 / rho2
     return gtt, gtph, gtps, gphph, gpsps, gphps, gxx, gthth

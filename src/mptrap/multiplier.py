@@ -121,8 +121,8 @@ def ramp_jet(r, lo, hi, slope, w0):
 
 
 # ---------------------------------------------------------------------------
-# shape parameters of the horizon component (offsets relative to r_s in units
-# of r_s).  The slopes and widths were fixed by a small deterministic search
+# shape parameters of the horizon component (offsets relative to the horizon
+# r = 1).  The slopes and widths were fixed by a small deterministic search
 # during development; every construction revalidates them on the grid.
 # ---------------------------------------------------------------------------
 
@@ -162,11 +162,10 @@ class MultiplierProfile:
     # -- elementary pieces ---------------------------------------------------
     @property
     def c_d(self):
-        return 3 / 4 * self.sp.r_ps * self.sp.r_s ** 2
+        return 3 / 4 * self.sp.r_ps
 
     def A_jet(self, r):
-        sp = self.sp
-        J = jet_monomial(r, -2) * (-sp.r_s ** 2)
+        J = -jet_monomial(r, -2)
         J[0] += 1.0
         return J
 
@@ -177,13 +176,11 @@ class MultiplierProfile:
         return J
 
     def h_jet(self, r):
-        sp = self.sp
         y = jet_monomial(r, 2)
-        y0 = y[0] - sp.r_s ** 2
+        y0 = y[0] - 1.0
         Y = y.copy()
         Y[0] = y0
-        denom = sp.r_s ** 2
-        outer = (np.log(Y[0] / denom), 1.0 / Y[0], -1.0 / Y[0] ** 2, 2.0 / Y[0] ** 3)
+        outer = (np.log(Y[0]), 1.0 / Y[0], -1.0 / Y[0] ** 2, 2.0 / Y[0] ** 3)
         return jet_compose(outer, Y)
 
     def a_of(self, x):
@@ -257,14 +254,14 @@ class MultiplierProfile:
         return out
 
     def above_horizon(self, r):
-        """The horizon cut: True where r > r_s (1 + 1e-13)."""
-        return r > self.sp.r_s * (1.0 + 1e-13)
+        """The horizon cut: True where r > 1 + 1e-13."""
+        return r > 1.0 + 1e-13
 
     def f_jet(self, r):
         """Saturated profile: F above the horizon cut, -2/(eps r^3) at and
         below it.  The saturation r^{-3} rho(eps r^3 F) / eps is the identity
         where eps r^3 F > -1, which validate_profile requires down to the
-        first float above r_s: the transition layer is sub-grid, and
+        first float above the horizon: the transition layer is sub-grid, and
         quadform.integrated_smallness accounts for it."""
         r = np.asarray(r, dtype=float)
         out = np.empty((4,) + r.shape)
@@ -277,7 +274,7 @@ class MultiplierProfile:
         return out
 
     # -- horizon zone ------------------------------------------------------
-    # On (r_s, r_s(1 + HZ_WIDTH)] the construction reduces exactly to
+    # On (1, 1 + HZ_WIDTH] the construction reduces exactly to
     # f = g + c_d r^{-3} h (identity branches of the cap and saturation,
     # matching cutoff zero), for which q1 and the third-order weight have
     # stable closed forms; the generic jet path loses precision there to the
@@ -285,7 +282,7 @@ class MultiplierProfile:
     HZ_WIDTH = 1e-4
 
     def _hz_mask(self, r):
-        return (r > self.sp.r_s) & (r <= self.sp.r_s * (1.0 + self.HZ_WIDTH))
+        return (r > 1.0) & (r <= 1.0 + self.HZ_WIDTH)
 
     def _q1_hz(self, r):
         """Closed-form (q1, q1', q1'', q1''') on the horizon zone."""
@@ -315,16 +312,16 @@ class MultiplierProfile:
         return out
 
     def q2_jet(self, r):
-        """Temporal-control weight switching on across (r_s + r_ps)/2.
+        """Temporal-control weight switching on across (1 + r_ps)/2.
 
         The transition is centered on the midpoint radius and completes just
         past it, so the weight is strictly positive on the photon-sphere
         verification window."""
         sp = self.sp
         r = np.asarray(r, dtype=float)
-        rm = 0.5 * (sp.r_s + sp.r_ps)
-        lo = rm - 0.08 * sp.r_s
-        step = step_jet(r, lo, 0.1 * sp.r_s)
+        rm = 0.5 * (1.0 + sp.r_ps)
+        lo = rm - 0.08
+        step = step_jet(r, lo, 0.1)
         core = jet_mul(jet_monomial(r, -6),
                        jet_mul(jet_var(r) - sp.r_ps * jet_const(1.0, r),
                                jet_var(r) - sp.r_ps * jet_const(1.0, r)))
@@ -332,29 +329,25 @@ class MultiplierProfile:
 
     def b_jet(self, r):
         """Decreasing bump: 1 at and below the horizon, 0 beyond the support."""
-        sp, sh = self.sp, self.shape
-        rs = sp.r_s
+        sh = self.shape
         slope = 1.0 / (sh.b_hi - sh.b_lo)
         return jet_const(1.0, np.asarray(r, dtype=float)) - ramp_jet(
-            r, rs * (1 + sh.b_lo), rs * (1 + sh.b_hi), slope / rs, sh.b_w0 * rs)
+            r, 1 + sh.b_lo, 1 + sh.b_hi, slope, sh.b_w0)
 
     def gamma_jet(self, r):
-        sp, sh = self.sp, self.shape
-        rs = sp.r_s
-        rise = ramp_jet(r, rs * (1 + sh.gamma_rise_lo), rs * (1 + sh.gamma_rise_hi),
-                        sh.gamma_rise_slope / rs, sh.gamma_rise_w0 * rs)
+        sh = self.shape
+        rise = ramp_jet(r, 1 + sh.gamma_rise_lo, 1 + sh.gamma_rise_hi,
+                        sh.gamma_rise_slope, sh.gamma_rise_w0)
         peak = sh.gamma_base + sh.gamma_rise_slope * (sh.gamma_rise_hi - sh.gamma_rise_lo)
         fall_width = peak / sh.gamma_fall_slope
-        fall = ramp_jet(r, rs * (1 + sh.gamma_fall_lo),
-                        rs * (1 + sh.gamma_fall_lo + fall_width),
-                        sh.gamma_fall_slope / rs, sh.gamma_fall_w0 * rs)
+        fall = ramp_jet(r, 1 + sh.gamma_fall_lo, 1 + sh.gamma_fall_lo + fall_width,
+                        sh.gamma_fall_slope, sh.gamma_fall_w0)
         return jet_const(sh.gamma_base, np.asarray(r, dtype=float)) + rise - fall
 
     def m_t_jet(self, r, b, gam):
         """Covariant time component of the 1-form (before the delta factor),
         from the jets b = b_jet(r) and gam = gamma_jet(r)."""
-        coef = 2 * self.sp.r_s ** 2
-        return coef * jet_mul(jet_monomial(r, -3), jet_mul(b, gam))
+        return 2 * jet_mul(jet_monomial(r, -3), jet_mul(b, gam))
 
     # -- third-order weight ----------------------------------------------------
     def lf(self, r, P):
@@ -385,7 +378,7 @@ def build_profiles(sp: SchwParams, alpha_cap: float = MULT_ALPHA_CAP,
     for n in range(8):
         prof = MultiplierProfile(sp=sp, alpha_cap=alpha_cap, N=1024.0 * 2**n, eps=eps,
                                  delta=delta, delta1=delta1, eps_match=eps_match,
-                                 chi_inner=0.05 * sp.r_s, chi_outer=0.15 * sp.r_s,
+                                 chi_inner=0.05, chi_outer=0.15,
                                  shape=RedshiftShape())
         if prof.achieved_match < eps_match:
             break
@@ -399,28 +392,27 @@ def build_profiles(sp: SchwParams, alpha_cap: float = MULT_ALPHA_CAP,
 
 def validate_profile(prof: MultiplierProfile):
     """Grid checks of the inequality constraints the construction must meet."""
-    sp = prof.sp
-    rs, rps = sp.r_s, sp.r_ps
-    # the radii checked below: the first float above r_s, a finite-difference
+    rps = prof.sp.r_ps
+    # the radii checked below: the first float above r = 1, a finite-difference
     # stencil and two grids.  The jets are elementwise, so each is evaluated
     # once on all the radii it is checked on.
-    r_probe = rs * (1.0 + 4.4e-16)
-    r_fd = np.array([1.07, 1.3, 1.01 * 2.0 ** 0.5, 2.2, 6.0]) * rs
-    h = 1e-5 * rs
+    r_probe = 1.0 + 4.4e-16
+    r_fd = np.array([1.07, 1.3, 1.01 * 2.0 ** 0.5, 2.2, 6.0])
+    h = 1e-5
     stencil = np.concatenate([r_fd, r_fd + h, r_fd - h, r_fd + h / 2, r_fd - h / 2])
     n_st = stencil.size
-    r = np.sort(np.concatenate([np.linspace(rs * 1.001, 20 * rs, 1500),
-                                rps + np.linspace(-0.2, 0.2, 301) * rs]))
-    rg = np.linspace(0.8 * rs, 1.6 * rs, 2001)
+    r = np.sort(np.concatenate([np.linspace(1.001, 20.0, 1500),
+                                rps + np.linspace(-0.2, 0.2, 301)]))
+    rg = np.linspace(0.8, 1.6, 2001)
     r_F = np.concatenate([[r_probe], stencil, r])
     F_all = prof.F_jet(r_F)
     F_st, F = np.split(F_all[:, 1:], [n_st], axis=1)
     B_st, B = np.split(prof.b_jet(np.concatenate([stencil, rg])), [n_st], axis=1)
-    G_st, G, G_rs = np.split(prof.gamma_jet(np.concatenate([stencil, rg, [rs]])),
+    G_st, G, G_rs = np.split(prof.gamma_jet(np.concatenate([stencil, rg, [1.0]])),
                              [n_st, n_st + rg.size], axis=1)
     f_st = prof.f_jet(stencil)
     # saturation transition must sit below grid resolution: eps r^3 F > -1
-    # at the first float above r_s and on every radius F is evaluated on
+    # at the first float above r = 1 and on every radius F is evaluated on
     # here, so f_jet's identity branch and the horizon-zone closed forms apply
     eps_W = prof.eps * r_F ** 3 * F_all[0]
     bad = eps_W <= -1.0
@@ -461,13 +453,13 @@ def validate_profile(prof: MultiplierProfile):
     if np.any(G[0][rg >= rps] > 1e-12):
         raise ProfileConstructionFailure("gamma support reaches the photon sphere")
     if G_rs[0][0] <= 0:
-        raise ProfileConstructionFailure("gamma(r_s) must be positive")
+        raise ProfileConstructionFailure("gamma(1) must be positive")
     if np.any(B[0] < -1e-12):
         raise ProfileConstructionFailure("b negative")
-    support_end = rs * (1 + prof.shape.b_hi + prof.shape.b_w0)
-    if support_end > rs * (1 + 3 * rps / rs) / 4 + 1e-12:
-        raise ProfileConstructionFailure("b support exceeds (r_s + 3 r_ps)/4")
-    sel = (rg >= rs) & (rg <= support_end)
+    support_end = 1 + prof.shape.b_hi + prof.shape.b_w0
+    if support_end > (1 + 3 * rps) / 4 + 1e-12:
+        raise ProfileConstructionFailure("b support exceeds (1 + 3 r_ps)/4")
+    sel = (rg >= 1.0) & (rg <= support_end)
     if np.any(B[1][sel] > 1e-10):
         raise ProfileConstructionFailure("b not decreasing beyond the horizon")
     hi = rg > support_end + 1e-9

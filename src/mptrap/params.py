@@ -1,9 +1,10 @@
 """Black hole parameter types, horizon data, and shared exceptions.
 
-Conventions: geometric units, the Schwarzschild radius parameter r_s sets the
-length scale.  The rotating five-dimensional solution carries two angular
-momentum parameters (a, b); x = r^2 is the preferred radial variable for the
-rotating metric.
+Conventions: geometric units with the Schwarzschild radius parameter r_s = 1
+as the unit of length.  Both families are covariant under r -> lam r,
+t -> lam t, (a, b) -> lam (a, b), so the unit loses no generality.  The
+rotating five-dimensional solution carries two angular momentum parameters
+(a, b); x = r^2 is the preferred radial variable for the rotating metric.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,11 @@ MULT_DELTA = 0.03
 MULT_DELTA1 = 0.005
 MULT_EPS_MATCH = 1e-3
 WAVE_CFL = 0.4
+
+
+def _require_unit_r_s(r_s):
+    if r_s != 1:
+        raise ValueError(f"r_s = {r_s!r}: lengths are in units of r_s, so r_s is 1.0")
 
 
 class NakedSingularity(ValueError):
@@ -84,7 +90,7 @@ class InconclusiveConvergence(RuntimeError):
 class BlackHoleParams:
     """Parameters of the (1+4)-dimensional rotating black hole.
 
-    r_s : Schwarzschild radius parameter (mass scale), 0 < r_s < inf.
+    r_s : Schwarzschild radius parameter, the unit of length; only 1.0.
     a, b : the two angular momentum parameters.
     Real horizons require p <= 0 and p^2 - 4q >= 0 for the coefficients of
     Delta(x) = x^2 + p x + q (`horizon_quadratic`).
@@ -95,32 +101,29 @@ class BlackHoleParams:
     b: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.r_s < math.inf:
-            raise ValueError(f"r_s must be positive and finite, got {self.r_s}")
+        _require_unit_r_s(self.r_s)
         p, _, disc = self.horizon_quadratic()
         if not (disc >= 0 and p <= 0):   # a NaN spin fails both
             raise NakedSingularity(
-                f"(r_s, a, b) = ({self.r_s}, {self.a}, {self.b}) has no real horizons"
+                f"(a, b) = ({self.a}, {self.b}) has no real horizons"
             )
 
     def horizon_quadratic(self):
-        """(p, q, p^2 - 4q) for Delta(x) = x^2 + p x + q, p = a^2 + b^2 - r_s^2,
+        """(p, q, p^2 - 4q) for Delta(x) = x^2 + p x + q, p = a^2 + b^2 - 1,
         q = a^2 b^2: the one rounding of the discriminant that both the
         admission test above and `horizons` read."""
-        p = self.a**2 + self.b**2 - self.r_s**2
+        p = self.a**2 + self.b**2 - 1.0
         q = self.a**2 * self.b**2
         return p, q, p * p - 4 * q
 
     def Delta(self, x):
-        """Delta(x) = (x + a^2)(x + b^2) - r_s^2 x, whose largest root is the
+        """Delta(x) = (x + a^2)(x + b^2) - x, whose largest root is the
         outer horizon x_+ (vectorized in x)."""
-        return (x + self.a**2) * (x + self.b**2) - self.r_s**2 * x
+        return (x + self.a**2) * (x + self.b**2) - x
 
     def require_small_spin(self, eps0: float):
-        if max(abs(self.a), abs(self.b)) > eps0 * self.r_s:
-            raise ValueError(
-                f"max(|a|,|b|) = {max(abs(self.a), abs(self.b))} exceeds eps0*r_s = {eps0 * self.r_s}"
-            )
+        if max(abs(self.a), abs(self.b)) > eps0:
+            raise ValueError(f"max(|a|,|b|) = {max(abs(self.a), abs(self.b))} exceeds eps0 = {eps0}")
 
 
 @dataclass(frozen=True)
@@ -133,22 +136,21 @@ class SchwParams:
     d: int = 1
 
     def __post_init__(self):
-        if not 0 < self.r_s < math.inf:
-            raise ValueError(f"r_s must be positive and finite, got {self.r_s}")
+        _require_unit_r_s(self.r_s)
         if self.d != 1:
             raise ValueError(f"d = {self.d!r}: only d = 1 (the 4+1 case) is implemented")
 
     @property
     def r_ps(self) -> float:
-        """Photon sphere radius sqrt(2) r_s."""
-        return 2.0 ** 0.5 * self.r_s
+        """Photon sphere radius sqrt(2)."""
+        return 2.0 ** 0.5
 
     def A(self, r):
-        """Lapse factor 1 - (r_s/r)^2."""
-        return 1.0 - (self.r_s / r) ** 2
+        """Lapse factor 1 - (1/r)^2."""
+        return 1.0 - (1.0 / r) ** 2
 
     def A1(self, r):
-        return 2 * self.r_s ** 2 / r ** 3
+        return 2 / r ** 3
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,9 @@ class HorizonData:
 
 
 def horizons(params: BlackHoleParams) -> HorizonData:
-    """Horizon locations x_pm from Delta(x) = (x+a^2)(x+b^2) - r_s^2 x = 0.
+    """Horizon locations x_pm from Delta(x) = (x+a^2)(x+b^2) - x = 0.
 
-    Delta = x^2 + p x + q with p = a^2 + b^2 - r_s^2; BlackHoleParams admits
+    Delta = x^2 + p x + q with p = a^2 + b^2 - 1; BlackHoleParams admits
     only p <= 0 and p^2 - 4q >= 0, read from the same `horizon_quadratic`, so
     x_plus = (-p + sqrt(p^2 - 4q))/2 adds terms of one sign and
     x_minus = q/x_plus avoids the cancellation of the other root.  Each root
@@ -180,5 +182,5 @@ def horizons(params: BlackHoleParams) -> HorizonData:
                 x = x - (x * x + p * x + q) / d
         roots.append(x)
     lo, hi = roots
-    # a tie keeps each root in its slot: x_pm = -0.0, 0.0 when ab = 0, a^2 + b^2 = r_s^2
+    # a tie keeps each root in its slot: x_pm = -0.0, 0.0 when ab = 0, a^2 + b^2 = 1
     return HorizonData(x_minus=min(lo, hi), x_plus=max(hi, lo))

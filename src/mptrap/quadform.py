@@ -118,8 +118,7 @@ def zeroth_order_n(triple: MultiplierTriple, ing):
     ingredients triple.ingredients(r)."""
     c = quad_coefficients(ing)
     delta = triple.profile.delta
-    rs = triple.sp.r_s
-    sq_gamma2 = delta * 2 * rs ** 2 * ing["b"][0] \
+    sq_gamma2 = delta * 2 * ing["b"][0] \
         * ing["gam"][0] ** 2 / (2.0 * ing["r"] ** 3)
     return c["uu"] - sq_gamma2
 
@@ -140,10 +139,10 @@ def comparison_weights(sp: SchwParams, r):
 def positivity_grid(sp: SchwParams, r_e: float, r_hi: float, n_grid: int):
     """Grid avoiding the exact photon sphere, refined toward the horizon."""
     base = np.linspace(r_e, r_hi, n_grid)
-    extra = sp.r_s + np.geomspace(1e-9, 0.2, 101) * sp.r_s
+    extra = 1.0 + np.geomspace(1e-9, 0.2, 101)
     # sorted with adjacent repeats dropped: np.unique would import numpy.ma
     g = np.sort(np.concatenate([base, extra]))
-    return g[np.append(True, g[1:] != g[:-1]) & (np.abs(g - sp.r_ps) > 1e-7 * sp.r_s)]
+    return g[np.append(True, g[1:] != g[:-1]) & (np.abs(g - sp.r_ps) > 1e-7)]
 
 
 def _pencil_eigh(M, w):
@@ -168,7 +167,7 @@ def _pencil_eigh(M, w):
 
 
 def check_positivity(triple: MultiplierTriple, n_grid: int = 2000):
-    """Largest c with Q-matrix(r) - c W(r) >= 0 on the grid over [r_e, 50 r_s].
+    """Largest c with Q-matrix(r) - c W(r) >= 0 on the grid over [r_e, 50].
 
     W is diagonal, so the pencil (M, W) has the spectrum of S M S with
     S = W^{-1/2}: one stacked eigvalsh picks the minimising radius, where
@@ -178,7 +177,7 @@ def check_positivity(triple: MultiplierTriple, n_grid: int = 2000):
     positivity at the shipped parameters.
     """
     sp = triple.sp
-    grid = positivity_grid(sp, triple.chart.r_e, 50.0 * sp.r_s, n_grid)
+    grid = positivity_grid(sp, triple.chart.r_e, 50.0, n_grid)
     Mm = quad_matrix(triple, grid)
     w = np.diagonal(comparison_weights(sp, grid), axis1=1, axis2=2)
     S = w ** -0.5
@@ -190,14 +189,13 @@ def check_positivity(triple: MultiplierTriple, n_grid: int = 2000):
 
 def build_redshift(triple: MultiplierTriple):
     """Verify the horizon-component budget: n(r) > 0 on the sampled grid
-    over [r_e, 10 r_s].
+    over [r_e, 10].
 
     Returns the report.  The profile shape was fixed by a
     deterministic search during development; if the budget fails here the
     offending radius is reported so the caller can retune the shape.
     """
-    sp = triple.sp
-    grid = positivity_grid(sp, triple.chart.r_e, 10.0 * sp.r_s, 2000)
+    grid = positivity_grid(triple.sp, triple.chart.r_e, 10.0, 2000)
     n_vals = zeroth_order_n(triple, triple.ingredients(grid))
     i_min = int(np.argmin(n_vals))
     report = {"n_min": float(n_vals[i_min]), "n_argmin": float(grid[i_min]),
@@ -206,13 +204,13 @@ def build_redshift(triple: MultiplierTriple):
         raise RedshiftBudgetFailure(
             f"n(r) = {n_vals[i_min]} <= 0 at r = {grid[i_min]}")
     # boundary values required by the energy identity
-    ing = triple.ingredients(np.asarray([sp.r_s]))
+    ing = triple.ingredients(np.asarray([1.0]))
     report["X_dr_at_rs"] = float(ing["Xr"][0])
     report["m_dr_at_rs"] = float(ing["mv"][0])
     if not report["X_dr_at_rs"] < 0:
-        raise RedshiftBudgetFailure("X(dr)(r_s) must be negative")
+        raise RedshiftBudgetFailure("X(dr) at the horizon must be negative")
     if not report["m_dr_at_rs"] > 0:
-        raise RedshiftBudgetFailure("<m, dr>(r_s) must be positive")
+        raise RedshiftBudgetFailure("<m, dr> at the horizon must be positive")
     return report
 
 
@@ -228,10 +226,9 @@ def integrated_smallness(prof: MultiplierProfile, r_e: float):
     moments of |rho''|, |rho'''| regardless of how thin the zone is.
     Returns the integral and its three parts.
     """
-    sp = prof.sp
     # delta-part: measure of the region, which reaches from r_e up to the
-    # radius where eps r^3 F = -1 (exponentially close to r_s)
-    width = sp.r_s - r_e
+    # radius where eps r^3 F = -1 (exponentially close to the horizon r = 1)
+    width = 1.0 - r_e
     part_delta = prof.delta * width
     R = np.linspace(-3.0, -1.0, 4001)
     # second and third derivatives of rho on the transition, from
@@ -241,12 +238,12 @@ def integrated_smallness(prof: MultiplierProfile, r_e: float):
     rho3m = np.abs(S[2]) / 4.0
     cd = prof.c_d
     # lapse along the transition zone: A ~ exp(h) with
-    # h(R) = (R/eps - r^3 g(r_s)) / c_d  (log-dominated regime)
-    g_rs = sp.r_s ** 3 - sp.r_ps ** 3
+    # h(R) = (R/eps - r^3 g(1)) / c_d  (log-dominated regime)
+    g_rs = 1.0 - prof.sp.r_ps ** 3
     hR = (R / prof.eps - g_rs) / cd
     A_zone = np.exp(np.maximum(hR, -700.0))
-    part_rho2 = (sp.r_s / (2 * cd)) * float(np.trapezoid(rho2m * A_zone, R))
-    part_rho3 = (prof.eps * sp.r_s / (2 * cd)) * float(np.trapezoid(rho3m, R))
+    part_rho2 = (1.0 / (2 * cd)) * float(np.trapezoid(rho2m * A_zone, R))
+    part_rho3 = (prof.eps / (2 * cd)) * float(np.trapezoid(rho3m, R))
     return part_delta + part_rho2 + part_rho3, \
         {"delta_part": part_delta, "rho2_part": part_rho2, "rho3_part": part_rho3}
 
@@ -297,11 +294,10 @@ def boundary_forms(triple: MultiplierTriple, C_energy: float, r_e: float):
     """Slice-form equivalence constants and lateral-form spectrum at r_e.
 
     The slice form is compared two-sided against the nondegenerate energy
-    density diag(1,1,1) on the derivative block over [r_e, 30 r_s];
+    density diag(1,1,1) on the derivative block over [r_e, 30];
     kappa = sqrt(c_hi/c_lo).  The lateral form is the full 4x4 at r = r_e.
     """
-    sp = triple.sp
-    grid = positivity_grid(sp, r_e, 30.0 * sp.r_s, 1200)
+    grid = positivity_grid(triple.sp, r_e, 30.0, 1200)
     S, _ = flux_matrices(triple, grid, C_energy)
     vals = np.linalg.eigvalsh(S[:, :3, :3])
     i_min = int(np.argmin(vals[:, 0]))
@@ -327,19 +323,18 @@ def demo_boundary_parameters(triple: MultiplierTriple):
     size and then a horizon margin with |A(r_e)| |f(r_e)| below delta b(r_e).
     Both are derived from the profile rather than guessed.
     """
-    sp = triple.sp
-    ing = triple.ingredients(np.asarray([sp.r_s * 0.999]))
+    ing = triple.ingredients(np.asarray([0.999]))
     C_demo = 2.0 * abs(float(ing["Xv"][0]))
     r_demo = feasible_lateral_radius(triple, C_demo)
     return C_demo, r_demo
 
 
 def lateral_bracket(triple: MultiplierTriple, C_energy: float):
-    """Adjacent floats lo < hi in [0.994 r_s, (1 - 4e-12) r_s] with the
+    """Adjacent floats lo < hi in [0.994, 1 - 4e-12] with the
     lateral form's smallest eigenvalue <= 0 at lo and > 0 at hi.
 
     The lateral (d_r u)^2 entry is A(r_e) X(dr)(r_e)/2; with the saturated
-    profile this forces r_e extremely close to r_s.  Each round evaluates 63
+    profile this forces r_e extremely close to the horizon r = 1.  Each round evaluates 63
     interior radii of [lo, hi] in one flux_matrices call; lo moves to the
     last of them that is not positive and hi to the radius after it, until
     the two are adjacent floats.
@@ -348,8 +343,8 @@ def lateral_bracket(triple: MultiplierTriple, C_energy: float):
         _, L = flux_matrices(triple, np.atleast_1d(re), C_energy)
         return np.linalg.eigvalsh(L)[:, 0]
 
-    lo = 0.994 * triple.sp.r_s
-    hi = (1.0 - 4e-12) * triple.sp.r_s
+    lo = 0.994
+    hi = 1.0 - 4e-12
     if min_eig(hi)[0] <= 0:
         raise BoundaryFormFailure(
             f"lateral form not positive adjacent to the horizon at C = {C_energy}")
@@ -365,4 +360,4 @@ def feasible_lateral_radius(triple: MultiplierTriple, C_energy: float):
     """Largest horizon margin at which the lateral form is positive definite:
     a radius safely inside the positive end of lateral_bracket."""
     _, hi = lateral_bracket(triple, C_energy)
-    return hi + 0.25 * (triple.sp.r_s - hi)
+    return hi + 0.25 * (1.0 - hi)

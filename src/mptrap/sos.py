@@ -7,10 +7,11 @@ energy quadratic form factorizes as
     r^2 q = alpha_S^2 tau^2 + beta_S^2 xi^2 + q~ (r^2 p)
 
 where everything is expressible through G = A f_m without divisions:
-alpha_S^2 = r^3 (r + r_ps) G (r - r_ps) / (r^2 - r_s^2)^2 and
-beta_S^2 = (r^2 - r_s^2) G' - r G.  The interpolation fraction nu is defined
-by -g^tt r^2 q~ = nu alpha_S^2 and satisfies 0 < nu < 1 strictly thanks to
-the small temporal-control weight in the companion scalar.
+alpha_S^2 = r^3 (r + r_ps) G (r - r_ps) / (r^2 - 1)^2 and
+beta_S^2 = (r^2 - 1) G' - r G, with lengths in units of r_s.  The
+interpolation fraction nu is defined by -g^tt r^2 q~ = nu alpha_S^2 and
+satisfies 0 < nu < 1 strictly thanks to the small temporal-control weight in
+the companion scalar.
 
 Rotating side: the bracket of rho^2 p with the frequency-shifted symbol
 i f~(r)(r - r_trap(tau, Phi, Psi)) xi is, on the characteristic set,
@@ -113,7 +114,7 @@ class SchwSos:
 
     def ftilde(self, r) -> FTilde:
         """f~ = G/(r - r_ps) and f~' at r, with their series through the
-        root within 3e-4 r_s of r_ps."""
+        root within 3e-4 of r_ps."""
         pr = self.profile
         sp = pr.sp
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -122,7 +123,7 @@ class SchwSos:
         d = r - sp.r_ps
         ft = np.empty_like(r)
         ftp = np.empty_like(r)
-        far = np.abs(d) > 3e-4 * sp.r_s
+        far = np.abs(d) > 3e-4
         ft[far] = G[0][far] / d[far]
         ftp[far] = (G[1][far] * d[far] - G[0][far]) / d[far] ** 2
         near = ~far
@@ -148,8 +149,8 @@ class SchwSos:
         q1 = pr.q1_jet(r, f)
         q_sos = q1 - pr.delta1 * pr.q2_jet(r)
         q_tilde = q_sos[0] - 0.5 * G[1] - G[0] / (2.0 * r)
-        alphaS2 = r**3 * (r + sp.r_ps) * G[0] * (r - sp.r_ps) / (r**2 - sp.r_s**2) ** 2
-        betaS2 = (r**2 - sp.r_s**2) * G[1] - r * G[0]
+        alphaS2 = r**3 * (r + sp.r_ps) * G[0] * (r - sp.r_ps) / (r**2 - 1.0) ** 2
+        betaS2 = (r**2 - 1.0) * G[1] - r * G[0]
         A = sp.A(r)
         with np.errstate(divide="ignore", invalid="ignore"):
             nu = r**2 * q_tilde / (A * alphaS2)    # 0/0 at r = r_ps exactly
@@ -180,7 +181,7 @@ class MpSos:
         def sig(rr):
             return float(self.sos.ftilde(rr).f_tilde[0]) * (rr - r_t)
 
-        h = 1e-5 * p.r_s
+        h = 1e-5
         p_r = richardson_derivative(
             lambda rr: rho2_p(p, rr, theta, tau, xi, Theta, Phi, Psi), r, h)
         hxi = 1e-5
@@ -206,7 +207,7 @@ def alpha_beta2(p: BlackHoleParams, J: FTilde, tau, Phi, Psi, r_t):
     x = r * r
     Delta = p.Delta(x)
     dr = r - r_t
-    far = np.abs(dr) > 3e-4 * p.r_s
+    far = np.abs(dr) > 3e-4
     quot = np.empty_like(r)
     if np.any(far):
         quot[far] = R_ab(p, x[far], tau[far], Phi[far], Psi[far]) / dr[far]
@@ -229,10 +230,10 @@ def alpha_beta2(p: BlackHoleParams, J: FTilde, tau, Phi, Psi, r_t):
 def _branch(p: BlackHoleParams, J: FTilde, tau, Phi, Psi):
     """(converged, r_trap, alpha^2, beta^2) of one frequency branch tau; a
     trapped radius whose Newton solve did not converge is replaced by
-    sqrt(2) r_s so that every output stays finite."""
+    sqrt(2) so that every output stays finite."""
     r_t, _ = trapped_radius_vec(p, tau, Phi, Psi)
     converged = np.isfinite(r_t)
-    r_t = np.where(converged, r_t, p.r_s * math.sqrt(2))
+    r_t = np.where(converged, r_t, math.sqrt(2))
     return (converged, r_t) + alpha_beta2(p, J, tau, Phi, Psi, r_t)
 
 
@@ -262,7 +263,7 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
 
     Route (i): the bracket (1/2i){r^2 p_S, X_sym} by Richardson differences
     plus q~ r^2 p_S.  Route (ii): (1-nu) alpha_S^2 tau^2 + beta_S^2 xi^2
-    + nu alpha_S^2 A r^-2 (sum lambda_i^2 + (r^2 - r_s^2) xi^2).
+    + nu alpha_S^2 A r^-2 (sum lambda_i^2 + (r^2 - 1) xi^2).
     Route (ii) reads the coefficients at r from one RadialJets; route (i)
     differentiates f~ on four shifted radius sets, all in one `ftilde`
     evaluation of the profile.
@@ -277,7 +278,7 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
     def r2p(rr, tt):
         return rr**2 * (-tt**2 / sp.A(rr) + sp.A(rr) * xi**2 + lam2 / rr**2)
 
-    h = 1e-4 * sp.r_s
+    h = 1e-4
 
     def ddr(fn):
         return richardson_derivative(fn, r, h)
@@ -294,7 +295,7 @@ def schw_sos_scan(sos: SchwSos, r, theta, tau, xi, Theta, Phi, Psi):
     route_i = br0 + (br1 - br0) * tau**2 \
         + qt * (-r**2 * tau**2 / A + r**2 * A * xi**2 + lam2)
     route_ii = ((1 - nu) * a2 * tau**2 + b2 * xi**2
-                + nu * a2 * A / r**2 * (lam2 + (r**2 - sp.r_s**2) * xi**2))
+                + nu * a2 * A / r**2 * (lam2 + (r**2 - 1.0) * xi**2))
     scale = np.maximum.reduce([np.abs(route_i), np.abs(route_ii),
                                np.abs(a2 * tau**2) + np.abs(b2 * xi**2)]) + 1e-300
     return {"residual": np.abs(route_i - route_ii) / scale, "nu": nu,
@@ -321,14 +322,13 @@ def mu_scan(mp: MpSos, J: RadialJets, theta, tau, xi, Theta, Phi, Psi):
     ok &= conv1 & conv2
     alpha1 = 2 * np.abs(t1s) / dts * np.sqrt(np.maximum(a1sq, 0.0)) * (r - r_t1)
     alpha2_ = 2 * np.abs(t2s) / dts * np.sqrt(np.maximum(a2sq, 0.0)) * (r - r_t2)
-    rs2 = mp.params.r_s**2
-    denom = lam2 + (r**2 - rs2) * xi**2
+    denom = lam2 + (r**2 - 1.0) * xi**2
     minus = alpha1 * (tau - t2s) - alpha2_ * (tau - t1s)
     plus = alpha1 * (tau - t2s) + alpha2_ * (tau - t1s)
     mu2 = np.zeros((8,) + r.shape)
     pos = denom > 0
     mu2[:6, pos] = lami[:, pos] ** 2 / denom[pos] * (nu[pos] / 4.0) * minus[pos] ** 2
-    mu2[6, pos] = ((r[pos] ** 2 - rs2) * xi[pos] ** 2 / denom[pos]
+    mu2[6, pos] = ((r[pos] ** 2 - 1.0) * xi[pos] ** 2 / denom[pos]
                    * (nu[pos] / 4.0) * minus[pos] ** 2)
     mu2[7] = (1 - nu) / 4.0 * plus**2
     comparison = ((r - r_t2) ** 2 * (tau - t1s) ** 2

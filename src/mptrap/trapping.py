@@ -6,15 +6,15 @@ radial part of the separated Hamiltonian: writing rho^2 p = U(x) +
 U = N(x)/Delta with N cubic, R = N Delta' - N' Delta is an exact quartic in
 x; its coefficients in the quadratic fiber monomials are
 
-    tau^2   : (x+a^2)^2 (x+b^2)^2 - 2 r_s^2 x (x+a^2)(x+b^2) + a^2 b^2 r_s^4
-    tau*Phi : 2 a r_s^2 [ (x+b^2)^2 - b^2 r_s^2 ]
-    tau*Psi : 2 b r_s^2 [ (x+a^2)^2 - a^2 r_s^2 ]
-    Phi^2   : b^2 (x+b^2-r_s^2)^2 - a^2 (x+b^2)^2
-    Psi^2   : a^2 (x+a^2-r_s^2)^2 - b^2 (x+a^2)^2
-    Phi*Psi : -2 a b r_s^2 (2x + a^2 + b^2 - r_s^2)
+    tau^2   : (x+a^2)^2 (x+b^2)^2 - 2 x (x+a^2)(x+b^2) + a^2 b^2
+    tau*Phi : 2 a [ (x+b^2)^2 - b^2 ]
+    tau*Psi : 2 b [ (x+a^2)^2 - a^2 ]
+    Phi^2   : b^2 (x+b^2-1)^2 - a^2 (x+b^2)^2
+    Psi^2   : a^2 (x+a^2-1)^2 - b^2 (x+a^2)^2
+    Phi*Psi : -2 a b (2x + a^2 + b^2 - 1)
 
-At a = b = 0 this reduces to tau^2 x^3 (x - 2 r_s^2) whose positive root is
-the photon sphere x = 2 r_s^2.  The finite-difference oracle below
+(lengths in units of r_s).  At a = b = 0 this reduces to tau^2 x^3 (x - 2)
+whose positive root is the photon sphere x = 2.  The finite-difference oracle below
 reconstructs R independently from the assembled Hamiltonian.
 """
 
@@ -26,23 +26,22 @@ from .params import BlackHoleParams, OracleFailure
 from .geometry import inverse_metric_components, inverse_metric_form
 from .smooth import richardson_derivative
 
-TAU_WINDOW = (1.1, 1.8)     # r/r_s window for the frequency factorization
-SOS_WINDOW = (1.2, 1.7)     # r/r_s window for the sum-of-squares checks
+TAU_WINDOW = (1.1, 1.8)     # r window for the frequency factorization
+SOS_WINDOW = (1.2, 1.7)     # r window for the sum-of-squares checks
 
 
 def R_ab(params: BlackHoleParams, x, tau, Phi, Psi):
     """Exact quartic trapping polynomial (vectorized in any argument)."""
     a, b = params.a, params.b
-    rs2 = params.r_s**2
     a2, b2 = a * a, b * b
     xa = x + a2
     xb = x + b2
-    ct = xa * xa * xb * xb - 2 * rs2 * x * xa * xb + a2 * b2 * rs2 * rs2
-    ctp = 2 * a * rs2 * (xb * xb - b2 * rs2)
-    cts = 2 * b * rs2 * (xa * xa - a2 * rs2)
-    cpp = b2 * (xb - rs2) ** 2 - a2 * xb * xb
-    css = a2 * (xa - rs2) ** 2 - b2 * xa * xa
-    cps = -2 * a * b * rs2 * (2 * x + a2 + b2 - rs2)
+    ct = xa * xa * xb * xb - 2 * x * xa * xb + a2 * b2
+    ctp = 2 * a * (xb * xb - b2)
+    cts = 2 * b * (xa * xa - a2)
+    cpp = b2 * (xb - 1.0) ** 2 - a2 * xb * xb
+    css = a2 * (xa - 1.0) ** 2 - b2 * xa * xa
+    cps = -2 * a * b * (2 * x + a2 + b2 - 1.0)
     return (ct * tau**2 + ctp * tau * Phi + cts * tau * Psi
             + cpp * Phi**2 + css * Psi**2 + cps * Phi * Psi)
 
@@ -50,16 +49,15 @@ def R_ab(params: BlackHoleParams, x, tau, Phi, Psi):
 def R_ab_dx(params: BlackHoleParams, x, tau, Phi, Psi):
     """d/dx of the trapping polynomial."""
     a, b = params.a, params.b
-    rs2 = params.r_s**2
     a2, b2 = a * a, b * b
     xa = x + a2
     xb = x + b2
-    dct = 2 * xa * xb * (xa + xb) - 2 * rs2 * (xa * xb + x * (xa + xb))
-    dctp = 2 * a * rs2 * 2 * xb
-    dcts = 2 * b * rs2 * 2 * xa
-    dcpp = 2 * b2 * (xb - rs2) - 2 * a2 * xb
-    dcss = 2 * a2 * (xa - rs2) - 2 * b2 * xa
-    dcps = -4 * a * b * rs2
+    dct = 2 * xa * xb * (xa + xb) - 2 * (xa * xb + x * (xa + xb))
+    dctp = 2 * a * 2 * xb
+    dcts = 2 * b * 2 * xa
+    dcpp = 2 * b2 * (xb - 1.0) - 2 * a2 * xb
+    dcss = 2 * a2 * (xa - 1.0) - 2 * b2 * xa
+    dcps = -4 * a * b
     return (dct * tau**2 + dctp * tau * Phi + dcts * tau * Psi
             + dcpp * Phi**2 + dcss * Psi**2 + dcps * Phi * Psi)
 
@@ -84,7 +82,7 @@ def R_ab_oracle(params: BlackHoleParams, x, tau, Phi, Psi, theta: float = 0.7):
     from the radial part.
     """
     r = math.sqrt(x)
-    h = 1e-4 * max(r, params.r_s)
+    h = 1e-4 * max(r, 1.0)
     if r - 2 * h <= 0:
         raise OracleFailure("finite-difference stencil leaves r > 0")
 
@@ -100,17 +98,17 @@ def R_ab_oracle(params: BlackHoleParams, x, tau, Phi, Psi, theta: float = 0.7):
 
 def trapped_radius_vec(params: BlackHoleParams, tau, Phi, Psi):
     """Root r of R(r^2, tau, Phi, Psi) near the static photon sphere, by
-    Newton seeded at sqrt(2) r_s and stopped at a step below 1e-13 r_s (at
+    Newton seeded at sqrt(2) and stopped at a step below 1e-13 (at
     most 60 steps); zero-homogeneous in (tau, Phi, Psi).
 
     Returns (r, Newton iterations) as 1-d arrays (a scalar input gives one
-    element); r is NaN where Newton did not converge inside (0.5, 3) r_s.
+    element); r is NaN where Newton did not converge inside (0.5, 3).
     """
     tau, Phi, Psi = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (tau, Phi, Psi)))
     s = 1.0 / np.abs(tau)
     t, P1, P2 = tau * s, Phi * s, Psi * s
-    r = np.full(t.shape, math.sqrt(2.0) * params.r_s)
+    r = np.full(t.shape, math.sqrt(2.0))
     active = np.ones(r.shape, dtype=bool)
     iters = np.zeros(r.shape, dtype=int)
     for _ in range(60):
@@ -123,10 +121,10 @@ def trapped_radius_vec(params: BlackHoleParams, tau, Phi, Psi):
         step = g / dg
         r[active] -= step
         iters[active] += 1
-        done = np.abs(step) < 1e-13 * params.r_s
+        done = np.abs(step) < 1e-13
         idx = np.nonzero(active)[0]
         active[idx[done]] = False
-    bad = active | (r < 0.5 * params.r_s) | (r > 3.0 * params.r_s)
+    bad = active | (r < 0.5) | (r > 3.0)
     r = np.where(bad, np.nan, r)
     return r, iters
 
@@ -168,10 +166,9 @@ def tau_roots_vec(params: BlackHoleParams, r, theta, xi, Theta, Phi, Psi):
 
 def measure_cone_constant(params: BlackHoleParams, rng, n_samples: int = 4000) -> float:
     """Measured C with |Phi|, |Psi| <= C |tau_i| over on-shell window samples."""
-    rs = params.r_s
     # one sample at a time, in the seed's draw order; rng.uniform(lo, hi) is
     # lo + (hi - lo) * rng.random(), bit for bit, at about half the cost
-    r_lo, r_hi = TAU_WINDOW[0] * rs, TAU_WINDOW[1] * rs
+    r_lo, r_hi = TAU_WINDOW
     th_lo, th_hi = 0.3, math.pi / 2 - 0.3
     r_span, th_span = r_hi - r_lo, th_hi - th_lo
     draws = np.empty((6, n_samples))

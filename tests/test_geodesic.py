@@ -208,7 +208,7 @@ def _rhs_composed(params, tau, Phi, Psi):
     """Hamilton's equations of p/2 composed from the metric functions:
     `inverse_metric_components`, `inverse_metric_form`, `R_ab` and
     `params.Delta`, each called as written."""
-    a2, b2, rs2 = params.a**2, params.b**2, params.r_s**2
+    a2, b2 = params.a**2, params.b**2
     tau2, Phi2, Psi2 = tau * tau, Phi * Phi, Psi * Psi
 
     def rhs(lam, y):
@@ -219,7 +219,7 @@ def _rhs_composed(params, tau, Phi, Psi):
         st, ct = math.sin(th), math.cos(th)
         D = params.Delta(x)
         rho2 = x + a2 * ct * ct + b2 * st * st
-        p_x = (4.0 * (2 * x + a2 + b2 - rs2) * Xi * Xi
+        p_x = (4.0 * (2 * x + a2 + b2 - 1.0) * Xi * Xi
                - R_ab(params, x, tau, Phi, Psi) / (D * D) - p) / rho2
         dV = 2.0 * (tau2 * (a2 - b2) * st * ct - Phi2 * ct / st**3 + Psi2 * st / ct**3)
         p_th = (dV - 2.0 * p * (b2 - a2) * st * ct) / rho2
@@ -229,7 +229,8 @@ def _rhs_composed(params, tau, Phi, Psi):
     return rhs
 
 
-@pytest.mark.parametrize("r_s", [1.0, 1.7])
+# r_s = 1 is the unit of length and the one value BlackHoleParams admits
+@pytest.mark.parametrize("r_s", [1.0])
 # the last pair has a**2 != a*a and b**2 != b*b (libm pow against the product)
 @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.05, 0.03), (0.1, -0.08), (0.3, 0.2),
                                  (0.24632406204900867, 0.02764700943397072)])
@@ -237,8 +238,7 @@ def test_rhs_equals_metric_composition(r_s, a, b):
     """The fused right-hand side of the flow equals, bit for bit, the same
     equations composed from the metric functions, on 2,000 random states per
     hole: x from just outside the horizon to 1e3, a third of the angles
-    within 1e-3 of each pole theta = 0 and theta = pi/2.  r_s = 1.7 keeps
-    the products by r_s^2 inexact, so a regrouping of one shows."""
+    within 1e-3 of each pole theta = 0 and theta = pi/2."""
     params = BlackHoleParams(r_s, a, b)
     rng = np.random.default_rng(20260)
     n = 2000

@@ -65,20 +65,20 @@ def test_config_validation():
         validate_config({"params": {"r_s": 1.0, "a": 1.2, "b": 0.4}})
     validate_config({"params": {"r_s": 1.0, "a": 0.1, "b": 0.1}})
     # the walker returns a filled copy and leaves the caller's dict as it was
-    given = {"schw": {"r_s": 2}, "wave": {"dr": 0.1, "data": {"width": 0.5}},
+    given = {"schw": {"r_s": 1}, "wave": {"dr": 0.1, "data": {"width": 0.5}},
              "sos": {"eps0": 0.04}}
     before = copy.deepcopy(given)
     full = validate_config(given)
     assert given == before
-    assert full["schw"] == {"r_s": 2.0, "d": 1}
+    assert full["schw"] == {"r_s": 1.0, "d": 1}
     assert full["wave"]["data"] == {"type": "bump", "center": 3.0, "width": 0.5,
                                     "amplitude": 1.0}
-    # derived defaults: r_e and r_max in units of schw.r_s, n_r from dr
-    assert (full["wave"]["r_e"], full["wave"]["r_max"]) == (1.8, 120.0)
-    assert full["wave"]["n_r"] == int(round((120.0 - 1.8) / 0.1)) + 1
-    assert (full["r_e"], full["convergence"]["r_max"]) == (0.95 * 2, 60.0)
+    # lengths are in units of r_s; derived defaults: n_r from dr, eps0_scan from eps0
+    assert (full["wave"]["r_e"], full["wave"]["r_max"]) == (0.9, 60.0)
+    assert full["wave"]["n_r"] == int(round((60.0 - 0.9) / 0.1)) + 1
+    assert (full["r_e"], full["convergence"]["r_max"]) == (0.95, 30.0)
     assert full["sos"]["eps0_scan"] == [0.01, 0.02, 0.04]
-    assert full["sos"]["region"] == [2.7, 3.0, 0.3, math.pi / 2 - 0.3]
+    assert full["sos"]["region"] == [1.35, 1.5, 0.3, math.pi / 2 - 0.3]
     assert full["wave"]["forcing"]["type"] == "none"
     assert full["geodesic"]["init"]["sign"] == 1
     # a filled config is itself valid and fills to itself
@@ -233,6 +233,9 @@ def test_cli_loads_only_task_modules(tmp_path):
     ("params", "a", float("nan")),
     ("params", "r_s", float("inf")),
     ("schw", "r_s", float("inf")),
+    # lengths are in units of r_s
+    ("params", "r_s", 2.0),
+    ("schw", "r_s", 0.5),
     ("trapped_scan", "cone", -1),
     ("trapped_scan", "cone", 0),
     ("trapped_scan", "cone", float("inf")),
@@ -402,30 +405,41 @@ def test_near_extremal_params_without_horizons_exit_2(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("task,r_s,init,code", [
-    ("geodesic", 2.0, {}, 2), ("all", 2.0, {}, 2), ("geodesic", 1.0, {"theta": -1.0}, 0)])
-def test_geodesic_start_rule(tmp_path, task, r_s, init, code):
-    """The default start x = 3 lies inside the horizon x_+ = 4 of r_s = 2: a
-    configuration error for the tasks that integrate the geodesic (one that
-    does not is unaffected, see test_params_and_schw_one_hole).  theta = -1
-    is off both poles and runs."""
+@pytest.mark.parametrize("task,init,code", [("all", {"x": 0.5}, 2),
+                                            ("geodesic", {"theta": -1.0}, 0)])
+def test_geodesic_start_rule(tmp_path, task, init, code):
+    """A start x = 0.5 inside the horizon x_+ = 1 is a configuration error
+    for `all` too, before any task runs (geodesic alone:
+    test_config_range_exit_code's geodesic-init-x-inside).  theta = -1 is
+    off both poles and runs."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"params": {"r_s": r_s}, "schw": {"r_s": r_s},
-                                "geodesic": {"init": init, "trapped": False, "span": 20.0},
-                                "trapped_scan": {"n_samples": 20}}))
+    path.write_text(json.dumps({"geodesic": {"init": init, "trapped": False, "span": 20.0}}))
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == code
     assert out.exists() == (code != 2)
 
 
-@pytest.mark.parametrize("task,code", [("sos-verify", 2), ("all", 2), ("trapped-scan", 0)])
-def test_params_and_schw_one_hole(tmp_path, task, code):
-    """sos-verify (alone or in `all`) reads both `params` and `schw`, so their
-    r_s (defaults filled in) must agree, or it exits 2 before any task runs;
-    a task that reads one block is unaffected."""
+@pytest.mark.parametrize("block,value", [("params", 2.0), ("schw", 0.5)])
+@pytest.mark.parametrize("task", list(cli.TASKS) + ["all"])
+def test_r_s_other_than_one_exits_2(tmp_path, task, block, value):
+    """Lengths are in units of r_s, so an r_s other than 1 in either block
+    is a configuration error for every task and for `all`: exit 2, no
+    output directory."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"params": {"r_s": 2.0, "a": 0.05, "b": 0.03},
-                                "trapped_scan": {"n_samples": 20}}))
+    path.write_text(json.dumps({block: {"r_s": value}}))
+    out = tmp_path / "o"
+    assert main([task, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,trapped,code", [
+    ("geodesic", True, 2), ("all", True, 2), ("geodesic", False, 0)])
+def test_trapped_orbit_spin_rule(tmp_path, task, trapped, code):
+    """The trapped orbit is solved only for max(|a|, |b|) <= 0.3: a larger
+    spin with geodesic.trapped set is a configuration error for geodesic and
+    for `all`, while the untrapped geodesic runs at it."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"a": 0.35}, "geodesic": {"trapped": trapped}}))
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == code
     assert out.exists() == (code != 2)
@@ -511,17 +525,32 @@ def test_kappa_witness_follows_seed(tmp_path):
     ("trapped-scan", {"seed": 46, "params": {"a": 0.3, "b": 0.2},
                       "trapped_scan": {"n_samples": 1, "cone": 3.0}}, "all_converged",
      lambda w: w == {"check": "all_converged", "n_converged": 0, "n_samples": 1}),
-], ids=["wave-evolve", "wave-evolve-underflow", "convergence", "trapped-scan-none-converged"])
+    # a loose integrator tolerance lets the Hamiltonian drift
+    ("geodesic", {"geodesic": {"tol": 1e-3, "trapped": False}}, "p_drift",
+     lambda w: w["bound"] == 1e-8 and w["p_drift"] >= 1e-8),
+    # a tiny delta leaves the saturation integral above delta / 2
+    ("multiplier-verify", {"mult": {"delta": 1e-6}}, "smallness",
+     lambda w: w["bound"] == 0.5e-6 and w["smallness_integral"] >= 0.5e-6),
+    # a spin scan from 0.01 to 0.5 grows the envelope by far more than 4
+    ("sos-verify", {"sos": {"eps0": 0.5, "eps0_scan": [0.01, 0.5], "n_samples": 200,
+                            "n_bracket": 200, "n_mu": 500}}, "envelope_doubling",
+     lambda w: w["band"] == [1.0, 4.0] and w["envelope_doubling_ratios"][0] > 4.0),
+], ids=["wave-evolve", "wave-evolve-underflow", "convergence", "trapped-scan-none-converged",
+        "geodesic-p_drift", "multiplier-verify-smallness", "sos-verify-envelope_doubling"])
 def test_physics_failure_has_witness(tmp_path, task, cfg, check, failed):
-    """A failed check exits 1 and names itself and the values it compared."""
+    """A failed gate exits 1 and names itself and the values it compared;
+    informational rows (multiplier-verify's pinned boundary clause) may add
+    witnesses of their own."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
     assert main([task, "--config", str(path), "--out", str(out)]) == 1
     with open(out / "report.json") as fh:
         rep = json.load(fh)
-    assert [w["check"] for w in rep["witnesses"]] == [check]
-    assert failed(rep["witnesses"][0])
+    gates = [w for w in rep["witnesses"]
+             if cli.CHECKS[task][w["check"]].label != cli.INFORMATIONAL]
+    assert [w["check"] for w in gates] == [check]
+    assert failed(gates[0])
 
 
 def test_trapped_scan_without_convergence_reports_null(tmp_path):
@@ -545,8 +574,8 @@ def test_trapped_scan_without_convergence_reports_null(tmp_path):
     # a spin bound this large empties the calibration band of C
     ("sos-verify", {"sos": {"eps0": 0.7, "n_samples": 200, "n_bracket": 200, "n_mu": 500}},
      "CBandEmpty"),
-    # the default eps puts the saturation transition on-grid off r_s = 1
-    ("multiplier-verify", {"schw": {"r_s": 2.0}}, "ProfileConstructionFailure"),
+    # a larger eps puts the saturation transition on-grid (eps * W = -1.16 at r = 1)
+    ("multiplier-verify", {"mult": {"eps": 0.03}}, "ProfileConstructionFailure"),
 ], ids=["RedshiftBudgetFailure", "CBandEmpty", "ProfileConstructionFailure"])
 def test_failure_class_has_witness(tmp_path, task, cfg, failure):
     """A failure class raised by a task exits 1 with one witness that names

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -355,16 +354,10 @@ def test_eps_resolvability_guard(sp):
         build_profiles(sp, eps=0.2)
 
 
-@pytest.mark.parametrize("r_s", [0.5, 0.7])
-def test_derivative_stencil_scales_once_with_r_s(r_s):
-    """The finite-difference stencil sits at fixed multiples of r_s, all
-    outside the horizon, so off r_s = 1 no jet is evaluated inside it and no
-    floating-point warning is raised; the build then fails on the redshift
-    shape, whose slopes are not scale-free, not on a derivative check."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ProfileConstructionFailure, match="gamma slope at or below -1"):
-            build_profiles(SchwParams(r_s))
+def test_schw_params_admit_only_unit_r_s():
+    """Lengths are in units of r_s, so no hole off r_s = 1 can be built."""
+    with pytest.raises(ValueError, match="r_s = 0.5"):
+        SchwParams(0.5)
 
 
 def test_q2_positive_on_window(sp, profile):

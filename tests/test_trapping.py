@@ -200,12 +200,12 @@ def test_cone_constant_draws_match_per_sample_uniform(monkeypatch, seed):
     rng.uniform / rng.standard_normal(4) stream, and the generator ends in
     the same state."""
     import mptrap.trapping as trapping
-    params = BlackHoleParams(2.0, 0.1, 0.06)
+    params = BlackHoleParams(1.0, 0.1, 0.06)
     n = 700
     ref_rng = np.random.default_rng(seed)
     ref = np.empty((6, n))
     for i in range(n):
-        ref[0, i] = ref_rng.uniform(1.1 * 2.0, 1.8 * 2.0)
+        ref[0, i] = ref_rng.uniform(1.1, 1.8)
         ref[1, i] = ref_rng.uniform(0.3, math.pi / 2 - 0.3)
         ref[2:, i] = ref_rng.standard_normal(4)
     seen = []
