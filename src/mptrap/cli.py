@@ -573,9 +573,12 @@ CONFIG = {
                                      "a non-empty list of positive finite numbers"),
                           lambda cfg: [cfg["sos"]["eps0"] / 4, cfg["sos"]["eps0"] / 2,
                                        cfg["sos"]["eps0"]]),
-            # (r_lo, r_hi, theta_lo, theta_hi) of the calibration samples
-            "region": (_numbers, (lambda v: len(v) == 4 and all(map(math.isfinite, v)),
-                                  "four finite numbers"),
+            # (r_lo, r_hi, theta_lo, theta_hi) of the calibration samples,
+            # outside the horizon r_s = 1 and off both poles
+            "region": (_numbers, (lambda v: len(v) == 4 and all(map(math.isfinite, v))
+                                  and 1 < v[0] <= v[1] and 0 < v[2] <= v[3] < math.pi / 2,
+                                  "four finite numbers r_lo, r_hi, theta_lo, theta_hi with"
+                                  " 1 < r_lo <= r_hi and 0 < theta_lo <= theta_hi < pi/2"),
                        [1.35, 1.50, 0.3, math.pi / 2 - 0.3])},
     "wave": {"r_e": (_number, POSITIVE_FINITE, 0.9),
              "r_max": (_number, POSITIVE_FINITE, 60.0),

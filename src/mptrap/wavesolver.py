@@ -14,10 +14,11 @@ with one-sided closures at both ends (all characteristics leave through the
 inner boundary, which lies inside the horizon; the outer boundary is
 causally buffered), assembled once into one banded operator on (v, v_t),
 stored as its 15 diagonals in ascending offset order; classical four-stage
-Runge-Kutta in time, its stages formed in preallocated buffers.
+Runge-Kutta in time on the window of the state's nonzero support, its stages
+formed in preallocated buffers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
@@ -38,6 +39,14 @@ SUBNORMAL_FLOOR = 1e-300
 KO_SIGMA = 0.5
 # evolve hands its observer the state every SAMPLE_EVERY steps
 SAMPLE_EVERY = 8
+# Unforced, evolve steps (v, W) on a window of the first m radial points of v
+# and of W.  Four stages of the reach-3 stencils carry nonzero entries at most
+# 12 points on, so while the window's last WINDOW_MARGIN points of both halves
+# are zero at the start of a step, all beyond it stays +0 through the step.
+# When they are not, the window is regrown to end WINDOW_MARGIN + WINDOW_STEP
+# points past the last nonzero entry.
+WINDOW_MARGIN = 16
+WINDOW_STEP = 128
 
 
 @dataclass
@@ -101,6 +110,11 @@ def _dia(bands, offsets):
     return sparse.dia_array((bands, offsets), shape=(bands.shape[1],) * 2)
 
 
+def _offsets(n):
+    """L's band offsets on n radial points, ascending."""
+    return np.r_[np.arange(-n - 3, -n + 4), np.arange(-3, 4), n]
+
+
 def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> ModeOperator:
     r = dom.grid()
     if r[0] < chart.r_e or r[-1] > chart.r_max:
@@ -142,7 +156,7 @@ def assemble_mode(sp: SchwParams, chart: IngoingChart, dom: SolverDomain) -> Mod
     L_WW += ko
     bands[7:14, :n] = ko
     bands[14, :n] = 1.0
-    L = _dia(bands, np.r_[np.arange(-n - 3, -n + 4), np.arange(-3, 4), n])
+    L = _dia(bands, _offsets(n))
     return ModeOperator(sp=sp, dom=dom, r=r, gi_vv=gi_vv, eig=eig, dt=dt, n_steps=n_steps,
                         D1=_dia(D1[1:6], np.arange(-2, 3)), L=L)
 
@@ -164,17 +178,50 @@ class History:
     lateral_times: list = field(default_factory=list)
 
 
+def _window_size(n, v, W):
+    """Radial points in a window that ends WINDOW_MARGIN + WINDOW_STEP points
+    past the last nonzero entry of v or W, at most n."""
+    nonzero = np.flatnonzero((v != 0) | (W != 0))
+    last = int(nonzero[-1]) if nonzero.size else -1
+    return min(n, last + 1 + WINDOW_MARGIN + WINDOW_STEP)
+
+
+def _window_operator(op: ModeOperator, m, buf):
+    """op with L cut to its rows and columns on the first m points of v and
+    of W: L's band columns [0, m) and [n, n + m), written into a prefix of
+    buf, at offsets -m-3..-m+3, -3..3 and m.  On v's last three columns the
+    bands -3..-1 hold the dissipation of v's rows m..m+2, which the cut would
+    put on W's first rows; they are zeroed.  Each row of the cut is then L's
+    row without its entries past the window, in the same band order.  At
+    m = n it is op."""
+    n = op.dom.n_r
+    if m == n:
+        return op
+    from scipy import sparse
+    data = buf[:op.L.data.shape[0] * 2 * m].reshape(-1, 2 * m)
+    data[:, :m], data[:, m:] = op.L.data[:, :m], op.L.data[:, n:n + m]
+    for o in (-3, -2, -1):      # band 10 + o has offset o
+        data[10 + o, m + o:m] = 0.0
+    return replace(op, L=sparse.dia_array((data, _offsets(m)), shape=(2 * m, 2 * m)))
+
+
 def evolve(op: ModeOperator, v0, W0, forcing=None, *, observe) -> History:
     """Classical RK4 evolution of the stacked state (v, W) with per-step
     lateral-flux sampling.
 
+    Unforced, the steps run on a window of the first m points of v and of W
+    that grows with the state's nonzero support (WINDOW_MARGIN).  Beyond it
+    the whole grid's state, stages and products are +0, and inside it each
+    product row sums L's nonzero entries in L's order, so every number is the
+    whole grid's.  A forcing may reach any point: then the window is the grid.
+
     The state is sampled at t = 0, every SAMPLE_EVERY steps and after the
-    last step: `observe(t, v, W)` is called there with views of the live
-    state, which the next step overwrites, so an observer that keeps a slice
-    copies it."""
+    last step: `observe(t, v, W)` is called there with full-length arrays,
+    zero beyond the window, which evolve overwrites after the call, so an
+    observer that keeps a slice copies it."""
     dt = op.dt
     n = op.dom.n_r
-    y = np.concatenate([np.asarray(v0, dtype=float), np.asarray(W0, dtype=float)])
+    v_obs, W_obs = np.array(v0, dtype=float), np.array(W0, dtype=float)
     hist = History()
     d1_0 = np.zeros(n)      # row 0 of D1, the one-sided v_r at the inner boundary
     for off, band in zip(op.D1.offsets, op.D1.data):
@@ -182,21 +229,34 @@ def evolve(op: ModeOperator, v0, W0, forcing=None, *, observe) -> History:
             d1_0[off] = band[off]
 
     def lateral(vv, WW):
-        return (float(d1_0 @ vv) ** 2 + WW[0] ** 2
+        return (float(d1_0[:vv.size] @ vv) ** 2 + WW[0] ** 2
                 + op.eig * vv[0] ** 2 / op.r[0] ** 2) * op.r[0] ** 3
 
-    observe(0.0, y[:n], y[n:])
+    observe(0.0, v_obs, W_obs)
     hist.lateral_times.append(0.0)
-    hist.lateral_density.append(lateral(y[:n], y[n:]))
+    hist.lateral_density.append(lateral(v_obs, W_obs))
 
+    # the state, the later stages' states, |y| and the floor's mask are
+    # full-length buffers with the window (v[:m], W[:m]) as their prefix; the
+    # window's bands are a prefix of one buffer the size of L's
+    m = n if forcing is not None else _window_size(n, v_obs, W_obs)
+    y_buf = np.zeros(2 * n)
+    y_buf[:m], y_buf[m:2 * m] = v_obs[:m], W_obs[:m]
+    v_obs[m:], W_obs[m:] = 0.0, 0.0
+    stage_buf, mag_buf = np.empty(2 * n), np.empty(2 * n)
+    tiny_buf = np.empty(2 * n, dtype=bool)
+    band_buf = np.empty(op.L.data.size)
+
+    def cut(m):
+        """The operator and the buffers' prefixes on a window of m points."""
+        return (_window_operator(op, m, band_buf), y_buf[:2 * m], stage_buf[:2 * m],
+                mag_buf[:2 * m], tiny_buf[:2 * m])
+
+    op_w, y, stage, mag, tiny = cut(m)
+
+    # rhs and stage_at read the current window's op_w, y and stage
     def rhs(tt, yy):
-        return spatial_operator(op, yy, None if forcing is None else forcing(tt, op.r))
-
-    # y is updated in place; the later stages' states, |y| and the floor's
-    # mask live in buffers of their own
-    stage = np.empty_like(y)
-    mag = np.empty_like(y)
-    tiny = np.empty(y.shape, dtype=bool)
+        return spatial_operator(op_w, yy, None if forcing is None else forcing(tt, op.r))
 
     def stage_at(h, kk):
         """y + h kk, formed in the stage buffer."""
@@ -204,6 +264,13 @@ def evolve(op: ModeOperator, v0, W0, forcing=None, *, observe) -> History:
         return np.add(stage, y, out=stage)
 
     for k in range(op.n_steps):
+        if m < n and (y[m - WINDOW_MARGIN:m].any() or y[2 * m - WINDOW_MARGIN:].any()):
+            m_old, m = m, _window_size(n, y[:m], y[m:])
+            # W's m_old points move up to start at m, through the stage buffer
+            stage_buf[:m_old] = y[m_old:]
+            y_buf[m_old:2 * m] = 0.0
+            y_buf[m:m + m_old] = stage_buf[:m_old]
+            op_w, y, stage, mag, tiny = cut(m)
         t = k * dt
         k1 = rhs(t, y)
         k2 = rhs(t + dt / 2, stage_at(dt / 2, k1))
@@ -218,14 +285,15 @@ def evolve(op: ModeOperator, v0, W0, forcing=None, *, observe) -> History:
         k1 *= dt / 6
         y += k1
         np.abs(y, out=mag)
-        if not mag[:n].max() <= 1e100:      # NaN fails the comparison
+        if not mag[:m].max() <= 1e100:      # NaN fails the comparison
             raise InstabilityError(f"NaN/overflow at step {k + 1} (t = {t + dt})")
         np.less(mag, SUBNORMAL_FLOOR, out=tiny)
         np.copyto(y, 0.0, where=tiny)
         hist.lateral_times.append(t + dt)
-        hist.lateral_density.append(lateral(y[:n], y[n:]))
+        hist.lateral_density.append(lateral(y[:m], y[m:]))
         if (k + 1) % SAMPLE_EVERY == 0 or k == op.n_steps - 1:
-            observe(t + dt, y[:n], y[n:])
+            v_obs[:m], W_obs[:m] = y[:m], y[m:]
+            observe(t + dt, v_obs, W_obs)
     return hist
 
 

@@ -279,6 +279,9 @@ def test_cli_loads_only_task_modules(tmp_path):
     pytest.param("convergence", "order_band", [0.0, 10.0], id="convergence-order_band"),
     ("geodesic", "drift_tol", 1.0),
     pytest.param("sos", "region", [1.35, 1.5], id="sos-region-length-2"),
+    # calibration regions inside the horizon, or through the pole theta = 0
+    pytest.param("sos", "region", [0.5, 0.6, 0.3, 1.2], id="sos-region-inside-horizon"),
+    pytest.param("sos", "region", [1.35, 1.5, -1.0, 0.0], id="sos-region-through-pole"),
     ("mult", "delta", 0),
     ("mult", "delta", -0.03),
     ("mult", "delta1", 0),
@@ -576,7 +579,12 @@ def test_trapped_scan_without_convergence_reports_null(tmp_path):
      "CBandEmpty"),
     # a larger eps puts the saturation transition on-grid (eps * W = -1.16 at r = 1)
     ("multiplier-verify", {"mult": {"eps": 0.03}}, "ProfileConstructionFailure"),
-], ids=["RedshiftBudgetFailure", "CBandEmpty", "ProfileConstructionFailure"])
+    # a bump this narrow is unresolved on the coarse levels: the field errors
+    # grow from level to level
+    ("convergence", {"convergence": {"width": 0.05, "levels": 3, "n_r": 100, "T": 2}},
+     "InconclusiveConvergence"),
+], ids=["RedshiftBudgetFailure", "CBandEmpty", "ProfileConstructionFailure",
+        "InconclusiveConvergence"])
 def test_failure_class_has_witness(tmp_path, task, cfg, failure):
     """A failure class raised by a task exits 1 with one witness that names
     its type and message."""

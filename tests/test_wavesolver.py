@@ -554,3 +554,58 @@ def test_study_failure_raises_here_in_serial_order(sp, wchart, monkeypatch, fail
     assert str(info.value) == f"n_r {failing[0]} in process {os.getpid()}"
     assert traceback.extract_tb(info.value.__traceback__)[-1].name == "failing_evolve"
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_r,T,center,step,window", [
+    (1597, 8.0, 3.0, 128, "inside"),
+    (300, 60.0, 3.0, 128, "reaches"),
+    (300, 8.0, 29.5, 128, "whole"),
+    (300, 5.0, None, 128, "inside"),
+    (1597, 8.0, 3.0, 0, "inside"),
+], ids=["never-reaches-n", "reaches-n", "bump-at-edge", "zero-data", "step-0"])
+def test_window_does_whole_grid_arithmetic(sp, wchart, monkeypatch, n_r, T, center, step,
+                                           window):
+    """An unforced evolve, which steps on the state's nonzero window, records
+    byte for byte what the same run records under a zero forcing, which steps
+    on the whole grid.  With WINDOW_STEP 0 the window is regrown almost every
+    step, so a WINDOW_MARGIN below the four stages' reach would show here."""
+    monkeypatch.setattr(wavesolver, "WINDOW_STEP", step)
+    dom = SolverDomain(r_e=0.9, r_max=30.0, n_r=n_r, l=2, T=T)
+    op = assemble_mode(sp, wchart, dom)
+    v0 = np.zeros(n_r) if center is None else gaussian_bump(op.r, center, 0.8)
+    sizes = []
+    orig = wavesolver.spatial_operator
+
+    def sized(op_w, y, forcing=None):
+        sizes.append(op_w.L.shape[0] // 2)
+        return orig(op_w, y, forcing)
+    monkeypatch.setattr(wavesolver, "spatial_operator", sized)
+    runs = []
+    for forcing in (None, lambda t, r: np.zeros_like(r)):
+        sizes.clear()
+        rec = []
+        hist = evolve(op, v0, np.zeros_like(v0), forcing=forcing,
+                      observe=lambda t, v, W: rec.append((t, v.tobytes(), W.tobytes())))
+        runs.append((rec, np.asarray(hist.lateral_density).tobytes()))
+        assert len(sizes) == 4 * op.n_steps
+    windowed, whole = runs
+    assert windowed == whole
+    # the case is what its id says: sizes holds the zero-forced run's products
+    assert set(sizes) == {n_r}
+    sizes.clear()
+    evolve(op, v0, np.zeros_like(v0), observe=lambda t, v, W: None)
+    assert {"inside": max(sizes) < n_r, "reaches": sizes[0] < sizes[-1] == n_r,
+            "whole": set(sizes) == {n_r}}[window]
+
+
+def test_window_operator_is_principal_block(sp, wchart):
+    """The window operator is L's block on the first m points of v and of W,
+    and at m = n it is the operator itself."""
+    n, m = 300, 150
+    op = assemble_mode(sp, wchart, SolverDomain(r_e=0.9, r_max=30.0, n_r=n, l=2, T=1.0))
+    buf = np.empty(op.L.data.size)
+    idx = np.r_[0:m, n:n + m]
+    cut = wavesolver._window_operator(op, m, buf)
+    assert np.shares_memory(cut.L.data, buf)
+    assert np.array_equal(cut.L.toarray(), op.L.toarray()[np.ix_(idx, idx)])
+    assert wavesolver._window_operator(op, n, buf) is op
