@@ -220,7 +220,7 @@ def task_sos_verify(cfg, rng, outdir):
     _, prof = _profile(cfg)
     blk = cfg["sos"]
     params = BlackHoleParams(**cfg["params"])
-    n, eps0 = blk["n_samples"], blk["eps0"]
+    n = blk["n_samples"]
     sos = SchwSos(profile=prof)
 
     # every draw is made here, in the serial stream order, before the fork
@@ -261,18 +261,17 @@ def task_sos_verify(cfg, rng, outdir):
         # one calibration sample set and its radial jets, shared by every eps0
         samples = mu_samples(tuple(blk["region"]), mu_rng, blk["n_mu"])
         jets = sos.jets(samples[0])
-        mu_reports, env = {}, {}
+        reports = {}
         for e0 in blk["eps0_scan"]:
             pr_e = BlackHoleParams(a=0.6 * e0, b=0.6 * e0)
-            rep = mu_lower_bound(MpSos(params=pr_e, sos=sos), e0, samples, jets)
-            mu_reports[f"{e0:g}"] = rep
-            env[e0] = rep["envelope"]
+            reports[e0] = mu_lower_bound(MpSos(params=pr_e, sos=sos), e0, samples, jets)
+        env = {e0: rep["envelope"] for e0, rep in reports.items()}
         e_keys = sorted(env)
         ratios = [env[hi] / env[lo] for lo, hi in zip(e_keys, e_keys[1:])]
         return {"schw_residual_max": float(out["residual"].max()),
                 "nu_range": [float(out["nu"].min()), float(out["nu"].max())],
                 "lambda_identity_max_err": float(np.max(lam_err)),
-                "mu": mu_reports[f"{eps0:g}"],
+                "mu": reports[e_keys[-1]],
                 "envelope_scan": {f"{k:g}": v for k, v in env.items()},
                 "envelope_doubling_ratios": ratios}
 
@@ -481,9 +480,8 @@ def _judge(task, metrics, cfg):
 # ---------------------------------------------------------------------------
 # CONFIG maps each key to (kind, test, default) and each block to its own
 # table.  `kind` converts a JSON value or raises ValueError, `test` is
-# (predicate, text) or None, and a callable default is derived from the
-# filled config after the walk, in table order.  A key whose default is null
-# also takes null, so a filled config validates to itself.
+# (predicate, text) or None, and every default is a constant.  A key whose
+# default is null also takes null, so a filled config validates to itself.
 
 def _number(val):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -568,11 +566,10 @@ CONFIG = {
     "sos": {"n_samples": (_integer, _at_least(1), 10000),
             "n_bracket": (_integer, _at_least(1), 100000),
             "n_mu": (_integer, _at_least(1), 20000),
-            "eps0": (_number, POSITIVE_FINITE, 0.05),
+            # the task reports the calibration at the largest eps0 of the scan
             "eps0_scan": (_numbers, (lambda v: v and all(0 < e < math.inf for e in v),
                                      "a non-empty list of positive finite numbers"),
-                          lambda cfg: [cfg["sos"]["eps0"] / 4, cfg["sos"]["eps0"] / 2,
-                                       cfg["sos"]["eps0"]]),
+                          [0.0125, 0.025, 0.05]),
             # (r_lo, r_hi, theta_lo, theta_hi) of the calibration samples,
             # outside the horizon r_s = 1 and off both poles
             "region": (_numbers, (lambda v: len(v) == 4 and all(map(math.isfinite, v))
@@ -582,11 +579,9 @@ CONFIG = {
                        [1.35, 1.50, 0.3, math.pi / 2 - 0.3])},
     "wave": {"r_e": (_number, POSITIVE_FINITE, 0.9),
              "r_max": (_number, POSITIVE_FINITE, 60.0),
-             "dr": (_number, POSITIVE_FINITE, 0.05),
-             # the sixth-difference dissipation stencil needs 7 grid points
-             "n_r": (_integer, _at_least(7),
-                     lambda cfg: int(round((cfg["wave"]["r_max"] - cfg["wave"]["r_e"])
-                                           / cfg["wave"]["dr"])) + 1),
+             # the sixth-difference dissipation stencil needs 7 grid points;
+             # the default spaces them 0.05 apart
+             "n_r": (_integer, _at_least(7), 1183),
              "l": (_integer, _at_least(0), 0),
              "T": (_number, POSITIVE_FINITE, 50.0),
              "cfl": (_number, POSITIVE_FINITE, WAVE_CFL),
@@ -623,9 +618,8 @@ def _check(name, value, kind, test):
     return val
 
 
-def _fill(table, given, path, derived):
-    """Copy of `given` checked against `table` with the defaults filled in;
-    each derived default is left to the caller in `derived`."""
+def _fill(table, given, path):
+    """Copy of `given` checked against `table` with the defaults filled in."""
     if not isinstance(given, dict):
         raise ConfigError(f"{path or 'config'} = {given!r} must be an object")
     unknown = sorted(set(given) - set(table))
@@ -635,11 +629,9 @@ def _fill(table, given, path, derived):
     for key, spec in table.items():
         name = f"{path}.{key}" if path else key
         if isinstance(spec, dict):
-            out[key] = _fill(spec, given.get(key, {}), name, derived)
+            out[key] = _fill(spec, given.get(key, {}), name)
         elif key in given and not (given[key] is None and spec[2] is None):
             out[key] = _check(name, given[key], *spec[:2])
-        elif callable(spec[2]):
-            derived.append((out, key, name, spec))
         else:
             out[key] = spec[2]
     return out
@@ -649,21 +641,13 @@ def validate_config(cfg):
     """A new dict: cfg checked against CONFIG with every default filled in.
     ConfigError for an unknown key at any depth, a value of the wrong kind or
     out of range, or a broken rule between keys."""
-    derived = []
-    full = _fill(CONFIG, cfg, "", derived)
-    for block, key, name, (kind, test, default) in derived:
-        block[key] = _check(name, default(full), kind, test)
+    full = _fill(CONFIG, cfg, "")
     # the inner boundary lies inside the horizon r = 1, the outer one outside
     for name, blk in (("config", full), ("wave", full["wave"]),
                       ("convergence", full["convergence"])):
         if not blk["r_e"] < 1.0 < blk["r_max"]:
             raise ConfigError(f"{name}: r_e = {blk['r_e']!r}, r_max = {blk['r_max']!r} "
                               f"must satisfy r_e < 1 < r_max")
-    sos = full["sos"]
-    # the task reports the calibration at eps0 from the scan
-    if f"{sos['eps0']:g}" not in {f"{e:g}" for e in sos["eps0_scan"]}:
-        raise ConfigError(f"sos.eps0_scan = {sos['eps0_scan']!r} must hold "
-                          f"sos.eps0 = {sos['eps0']:g}")
     forcing = full["wave"]["forcing"]
     if forcing["type"] == "bump" and None in (forcing["center"], forcing["width"]):
         raise ConfigError("wave.forcing.center and wave.forcing.width are required "

@@ -410,10 +410,10 @@ def validate_profile(prof: MultiplierProfile):
     B_st, B = np.split(prof.b_jet(np.concatenate([stencil, rg])), [n_st], axis=1)
     G_st, G, G_rs = np.split(prof.gamma_jet(np.concatenate([stencil, rg, [1.0]])),
                              [n_st, n_st + rg.size], axis=1)
-    f_st = prof.f_jet(stencil)
     # saturation transition must sit below grid resolution: eps r^3 F > -1
     # at the first float above r = 1 and on every radius F is evaluated on
-    # here, so f_jet's identity branch and the horizon-zone closed forms apply
+    # here, so f_jet's identity branch and the horizon-zone closed forms
+    # apply; the stencil lies above the horizon cut, where f is F
     eps_W = prof.eps * r_F ** 3 * F_all[0]
     bad = eps_W <= -1.0
     if bad.any():
@@ -421,7 +421,7 @@ def validate_profile(prof: MultiplierProfile):
             f"eps = {prof.eps} puts the saturation transition on-grid "
             f"(eps * W = {eps_W[bad][:3]} <= -1 at r = {r_F[bad][:3]})")
     # analytic derivatives must agree with Richardson finite differences
-    for name, J in (("F_jet", F_st), ("f_jet", f_st), ("q1_jet", prof.q1_jet(stencil, f_st)),
+    for name, J in (("F_jet", F_st), ("q1_jet", prof.q1_jet(stencil, F_st)),
                     ("b_jet", B_st), ("gamma_jet", G_st)):
         J = J.reshape(4, 5, r_fd.size)
         fd = richardson_combine(*J[0, 1:], h)

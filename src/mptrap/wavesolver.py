@@ -285,7 +285,7 @@ def evolve(op: ModeOperator, v0, W0, forcing=None, *, observe) -> History:
         k1 *= dt / 6
         y += k1
         np.abs(y, out=mag)
-        if not mag[:m].max() <= 1e100:      # NaN fails the comparison
+        if not mag.max() <= 1e100:      # NaN fails the comparison
             raise InstabilityError(f"NaN/overflow at step {k + 1} (t = {t + dt})")
         np.less(mag, SUBNORMAL_FLOOR, out=tiny)
         np.copyto(y, 0.0, where=tiny)

@@ -12,7 +12,10 @@ import pytest
 
 from mptrap import cli, geodesic, quadform, wavesolver
 from mptrap.cli import main, run, validate_config, ConfigError
-from mptrap.params import BoundaryFormFailure
+from mptrap.chart import ingoing_chart
+from mptrap.params import (AssemblyError, BlackHoleParams, BoundaryFormFailure,
+                           NoTrappedSphere, OracleFailure)
+from mptrap.trapping import R_ab_oracle
 
 
 def _strip_volatile(report):
@@ -65,19 +68,25 @@ def test_config_validation():
         validate_config({"params": {"r_s": 1.0, "a": 1.2, "b": 0.4}})
     validate_config({"params": {"r_s": 1.0, "a": 0.1, "b": 0.1}})
     # the walker returns a filled copy and leaves the caller's dict as it was
-    given = {"schw": {"r_s": 1}, "wave": {"dr": 0.1, "data": {"width": 0.5}},
-             "sos": {"eps0": 0.04}}
+    given = {"schw": {"r_s": 1}, "wave": {"data": {"width": 0.5}}}
     before = copy.deepcopy(given)
     full = validate_config(given)
     assert given == before
     assert full["schw"] == {"r_s": 1.0, "d": 1}
     assert full["wave"]["data"] == {"type": "bump", "center": 3.0, "width": 0.5,
                                     "amplitude": 1.0}
-    # lengths are in units of r_s; derived defaults: n_r from dr, eps0_scan from eps0
+    # lengths are in units of r_s; every default is a constant, n_r's the
+    # grid of spacing 0.05 on [0.9, 60]
     assert (full["wave"]["r_e"], full["wave"]["r_max"]) == (0.9, 60.0)
-    assert full["wave"]["n_r"] == int(round((60.0 - 0.9) / 0.1)) + 1
+    assert full["wave"]["n_r"] == 1183 == int(round((60.0 - 0.9) / 0.05)) + 1
     assert (full["r_e"], full["convergence"]["r_max"]) == (0.95, 30.0)
-    assert full["sos"]["eps0_scan"] == [0.01, 0.02, 0.04]
+    assert full["sos"]["eps0_scan"] == [0.0125, 0.025, 0.05]
+
+    def defaults(table):
+        for spec in table.values():
+            yield from defaults(spec) if isinstance(spec, dict) else [spec[2]]
+
+    assert not any(map(callable, defaults(cli.CONFIG)))
     assert full["sos"]["region"] == [1.35, 1.5, 0.3, math.pi / 2 - 0.3]
     assert full["wave"]["forcing"]["type"] == "none"
     assert full["geodesic"]["init"]["sign"] == 1
@@ -217,7 +226,6 @@ def test_cli_loads_only_task_modules(tmp_path):
                  id="wave-forcing-type-ring"),
     ("convergence", "levels", 1),
     ("convergence", "levels", 2),
-    ("wave", "dr", 0),
     ("wave", "l", -1),
     ("convergence", "l", -1),
     ("wave", "r_max", 0.5),
@@ -240,11 +248,8 @@ def test_cli_loads_only_task_modules(tmp_path):
     ("trapped_scan", "cone", 0),
     ("trapped_scan", "cone", float("inf")),
     pytest.param("trapped_scan", "cone", 10 ** 400, id="trapped_scan-cone-int-past-float"),
-    ("sos", "eps0", -0.05),
-    ("sos", "eps0", 0),
     pytest.param("sos", "eps0_scan", [], id="sos-eps0_scan-empty"),
     pytest.param("sos", "eps0_scan", [0.0125, -0.025, 0.05], id="sos-eps0_scan-negative"),
-    pytest.param("sos", "eps0_scan", [0.0125, 0.025], id="sos-eps0_scan-without-eps0"),
     pytest.param("sos", "eps0_scan", 0.05, id="sos-eps0_scan-not-a-list"),
     pytest.param("sos", "eps0_scan", [10 ** 400, 0.05], id="sos-eps0_scan-int-past-float"),
     pytest.param("wave", "data", {"width": 0}, id="wave-data-width-0"),
@@ -278,6 +283,13 @@ def test_cli_loads_only_task_modules(tmp_path):
     ("multiplier", "C_energy", float("nan")),
     pytest.param("convergence", "order_band", [0.0, 10.0], id="convergence-order_band"),
     ("geodesic", "drift_tol", 1.0),
+    # keys deleted so that each setting has one: the grid is set by n_r and
+    # the spins by eps0_scan, so a dr or an eps0 beside them is unknown
+    ("wave", "dr", 0),
+    ("sos", "eps0", 0),
+    pytest.param("wave", None, {"dr": 0.1, "n_r": 100}, id="wave-dr-beside-n_r"),
+    pytest.param("sos", None, {"eps0": 0.05, "eps0_scan": [0.0125, 0.025, 0.05]},
+                 id="sos-eps0-beside-eps0_scan"),
     pytest.param("sos", "region", [1.35, 1.5], id="sos-region-length-2"),
     # calibration regions inside the horizon, or through the pole theta = 0
     pytest.param("sos", "region", [0.5, 0.6, 0.3, 1.2], id="sos-region-inside-horizon"),
@@ -535,7 +547,7 @@ def test_kappa_witness_follows_seed(tmp_path):
     ("multiplier-verify", {"mult": {"delta": 1e-6}}, "smallness",
      lambda w: w["bound"] == 0.5e-6 and w["smallness_integral"] >= 0.5e-6),
     # a spin scan from 0.01 to 0.5 grows the envelope by far more than 4
-    ("sos-verify", {"sos": {"eps0": 0.5, "eps0_scan": [0.01, 0.5], "n_samples": 200,
+    ("sos-verify", {"sos": {"eps0_scan": [0.01, 0.5], "n_samples": 200,
                             "n_bracket": 200, "n_mu": 500}}, "envelope_doubling",
      lambda w: w["band"] == [1.0, 4.0] and w["envelope_doubling_ratios"][0] > 4.0),
 ], ids=["wave-evolve", "wave-evolve-underflow", "convergence", "trapped-scan-none-converged",
@@ -575,16 +587,21 @@ def test_trapped_scan_without_convergence_reports_null(tmp_path):
     ("multiplier-verify", {"mult": {"alpha_cap": 4.9, "delta1": 0.5}},
      "RedshiftBudgetFailure"),
     # a spin bound this large empties the calibration band of C
-    ("sos-verify", {"sos": {"eps0": 0.7, "n_samples": 200, "n_bracket": 200, "n_mu": 500}},
-     "CBandEmpty"),
+    ("sos-verify", {"sos": {"eps0_scan": [0.175, 0.35, 0.7], "n_samples": 200,
+                            "n_bracket": 200, "n_mu": 500}}, "CBandEmpty"),
     # a larger eps puts the saturation transition on-grid (eps * W = -1.16 at r = 1)
     ("multiplier-verify", {"mult": {"eps": 0.03}}, "ProfileConstructionFailure"),
     # a bump this narrow is unresolved on the coarse levels: the field errors
     # grow from level to level
     ("convergence", {"convergence": {"width": 0.05, "levels": 3, "n_r": 100, "T": 2}},
      "InconclusiveConvergence"),
+    # the one calibration sample, next to the horizon at a = b = 0.3, has no
+    # trapped radius on its second frequency branch: no sample is admissible
+    ("sos-verify", {"sos": {"eps0_scan": [0.5], "n_samples": 200, "n_bracket": 200,
+                            "n_mu": 1, "region": [1.001, 1.001, 0.3, 1.27]}},
+     "LowerBoundViolation"),
 ], ids=["RedshiftBudgetFailure", "CBandEmpty", "ProfileConstructionFailure",
-        "InconclusiveConvergence"])
+        "InconclusiveConvergence", "LowerBoundViolation"])
 def test_failure_class_has_witness(tmp_path, task, cfg, failure):
     """A failure class raised by a task exits 1 with one witness that names
     its type and message."""
@@ -595,6 +612,26 @@ def test_failure_class_has_witness(tmp_path, task, cfg, failure):
     with open(out / "report.json") as fh:
         [w] = json.load(fh)["witnesses"]
     assert w["type"] == failure and w["error"]
+
+
+@pytest.mark.parametrize("call, failure, message", [
+    # a chart out to r = 10 under a solver domain out to 30
+    (lambda sp: wavesolver.assemble_mode(sp, ingoing_chart(sp, 0.9, 10.0),
+                                         wavesolver.SolverDomain(0.9, 30.0, 100, 0, 1.0)),
+     AssemblyError, "chart does not cover the solver domain"),
+    # at x = 1e-8 the oracle's stencil r +- 2h, h = 1e-4, reaches below r = 0
+    (lambda sp: R_ab_oracle(BlackHoleParams(a=0.1, b=0.1), 1e-8, -1.0, 0.1, -0.05),
+     OracleFailure, "finite-difference stencil leaves r > 0"),
+    # at a = 0.3 the quartic's root for Phi_hat = 100 lies at r = 5.65, past
+    # the (0.5, 3) that trapped_radius_vec searches
+    (lambda sp: geodesic.trapped_sphere(BlackHoleParams(a=0.3, b=0.0), 100.0, 0.0),
+     NoTrappedSphere, "no trapped root"),
+], ids=["AssemblyError", "OracleFailure", "NoTrappedSphere"])
+def test_failure_class_has_tripping_input(sp, call, failure, message):
+    """A failure class that no task row above trips is raised, with its
+    message, by a real input to the function that raises it."""
+    with pytest.raises(failure, match=message):
+        call(sp)
 
 
 def test_trapped_departure_can_fail(tmp_path, monkeypatch):
